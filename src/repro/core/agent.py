@@ -329,26 +329,28 @@ class Agent:
         worst_latency = 0.0
         cpu = 0.0
         with self._sweep_lock, obs.span("agent.sweep", agent=self.name) as sp:
+            # Re-walked every sweep so late registrations are picked up.
             elements = self.elements()
+            append = self.store.append
             for eid in sorted(elements):
                 chan = self._channel(elements[eid])
+                # A failed read costs its CPU too (see above).
+                cpu += chan.spec.cpu_cost_s
                 try:
                     snap, latency = chan.read_versioned(now)
                 except ChannelTimeout as exc:
                     self.total_poll_timeouts += 1
                     worst_latency = max(worst_latency, exc.latency_s)
-                    cpu += chan.spec.cpu_cost_s
                     obs.counter(SWEEP_FAULTS_METRIC, agent=self.name, fault="timeout")
                     continue
                 except ChannelError:
                     self.total_poll_errors += 1
-                    cpu += chan.spec.cpu_cost_s
                     obs.counter(SWEEP_FAULTS_METRIC, agent=self.name, fault="error")
                     continue
-                if self.store.append(snap):
+                if append(snap):
                     stored += 1
-                worst_latency = max(worst_latency, latency)
-                cpu += chan.spec.cpu_cost_s
+                if latency > worst_latency:
+                    worst_latency = latency
             self.total_cpu_s += cpu
             self.total_polls += 1
             sp.set("elements", len(elements))

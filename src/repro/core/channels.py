@@ -157,6 +157,7 @@ class Channel:
                     f"element {element.name!r} has unknown kind {element.kind!r}"
                 ) from None
         self.spec = spec
+        self._log_median = math.log(spec.median_latency_s)
         self.timeout_s = (
             timeout_s
             if timeout_s is not None
@@ -174,8 +175,7 @@ class Channel:
 
     def sample_latency(self) -> float:
         """One latency draw from the channel's lognormal profile."""
-        mu = math.log(self.spec.median_latency_s)
-        return self.rng.lognormvariate(mu, self.spec.sigma)
+        return self.rng.lognormvariate(self._log_median, self.spec.sigma)
 
     # -- fault machinery ----------------------------------------------------------
 

@@ -22,7 +22,7 @@ which is what Table 2 and Figures 15-16 quantify.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import isnan
 from typing import Dict, Iterable, Mapping, Optional, Sequence
 
@@ -116,7 +116,11 @@ class CounterSnapshot:
         """The same counter state re-observed at a later time (shares attrs)."""
         if timestamp == self.timestamp:
             return self
-        return replace(self, timestamp=timestamp)
+        # Built directly: dataclasses.replace re-derives the field list
+        # on every call, and the sweep restamps every unchanged element.
+        return CounterSnapshot(
+            self.element_id, self.machine, self.seq, timestamp, self.attrs
+        )
 
     def to_record(self, attrs: Optional[Iterable[str]] = None) -> StatRecord:
         """Downgrade to the unified wire record format (Section 4.2)."""

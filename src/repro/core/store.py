@@ -180,10 +180,11 @@ class _ElementSeries:
         """Column index per incoming attr name, widening on new names.
 
         The wire-apply path hands in the *same* names tuple for every
-        row of a block, so a one-entry memo makes the per-row mapping a
-        single identity check.
+        row of a block and an agent store sees an *equal* fresh tuple
+        per stored snapshot, so a one-entry memo keyed by value makes
+        the per-row mapping one identity check or one tuple compare.
         """
-        if names is self._memo_names:
+        if names is self._memo_names or names == self._memo_names:
             return self._memo_cols
         missing = [n for n in names if n not in self.attr_index]
         if missing:
@@ -299,8 +300,8 @@ class _ElementSeries:
         if not self._sentinel_cols:
             return False
         # (incoming index, stored column) pairs — memoized per names
-        # tuple, so the wire-apply path pays the mapping once per block
-        if names is self._memo_names:
+        # tuple, so the mapping is paid once per schema, not per row
+        if names is self._memo_names or names == self._memo_names:
             pairs = self._memo_sentinels
         else:
             pairs = self._sentinel_pairs(names)
@@ -403,16 +404,26 @@ class TimeSeriesStore:
             return True
 
     def append(self, snap: CounterSnapshot) -> bool:
-        """Add a snapshot; returns False when delta-compressed away."""
-        names = tuple(snap.attrs)
-        return self.append_row(
-            snap.element_id,
-            snap.machine,
-            snap.seq,
-            snap.timestamp,
-            names,
-            [float(snap.attrs[n]) for n in names],
-        )
+        """Add a snapshot; returns False when delta-compressed away.
+
+        :meth:`append_row`'s re-observation check runs here first, so a
+        sweep re-reading an unchanged element builds no row at all.
+        """
+        with self._lock:
+            series = self._series.get(snap.element_id)
+            if series is not None and series.count:
+                last_slot = (series.start + series.count - 1) % series.capacity
+                if snap.seq == series.seqs[last_slot]:
+                    self.total_deduped += 1
+                    return False
+            return self.append_row(
+                snap.element_id,
+                snap.machine,
+                snap.seq,
+                snap.timestamp,
+                tuple(snap.attrs),
+                [float(v) for v in snap.attrs.values()],
+            )
 
     def extend(self, snaps: Iterable[CounterSnapshot]) -> int:
         """Append many snapshots; returns how many were actually stored."""
@@ -569,20 +580,26 @@ class TimeSeriesStore:
                 if series.count
             }
 
-    def _changed_floor(self, series: _ElementSeries, acked: Mapping[str, int]) -> int:
-        """The ack floor for one element, restart-aware.
+    def _first_changed(self, series: _ElementSeries, acked: Mapping[str, int]) -> int:
+        """Logical index of the oldest row newer than the ack floor.
 
-        A floor *above* the element's newest stored sequence means the
+        Sequence numbers strictly increase inside a ring (an equal one
+        is deduped, a smaller one re-baselines), so the changed rows are
+        a suffix: walk back from the newest row and stop at the floor —
+        an element with nothing new costs one comparison.  Restart
+        rule: a floor *above* the newest stored sequence means the
         collector acknowledged a previous incarnation of the producer
         (it restarted and re-numbered); everything held is resent so the
-        mirror can observe the regression and re-baseline.  Returns -1
-        for "send everything", the element's own latest seq for "send
-        nothing new" handling by the caller.
+        mirror can observe the regression and re-baseline.
         """
+        seqs, start, cap = series.seqs, series.start, series.capacity
+        first = series.count
         floor = acked.get(series.element_id, -1)
-        if series.seq_at(series.count - 1) < floor:
-            return -1
-        return floor
+        if seqs[(start + first - 1) % cap] < floor:
+            return 0
+        while first and seqs[(start + first - 1) % cap] > floor:
+            first -= 1
+        return first
 
     def changed_since(self, acked: Mapping[str, int]) -> List[CounterSnapshot]:
         """Every stored snapshot newer than the collector's ack vector.
@@ -598,10 +615,8 @@ class TimeSeriesStore:
                 series = self._series[eid]
                 if not series.count:
                     continue
-                floor = self._changed_floor(series, acked)
-                for i in range(series.count):
-                    if series.seq_at(i) > floor:
-                        out.append(series.materialize(i))
+                for i in range(self._first_changed(series, acked), series.count):
+                    out.append(series.materialize(i))
             return out
 
     def changed_blocks(self, acked: Mapping[str, int]) -> List[SeriesBlock]:
@@ -618,13 +633,12 @@ class TimeSeriesStore:
                 series = self._series[eid]
                 if not series.count:
                     continue
-                floor = self._changed_floor(series, acked)
-                rows: List[Tuple[int, float, Sequence[float]]] = []
-                for i in range(series.count):
-                    seq = series.seq_at(i)
-                    if seq > floor:
-                        rows.append((seq, series.stamp_at(i), series.row_values(i)))
-                if rows:
+                first = self._first_changed(series, acked)
+                if first < series.count:
+                    rows: List[Tuple[int, float, Sequence[float]]] = [
+                        (series.seq_at(i), series.stamp_at(i), series.row_values(i))
+                        for i in range(first, series.count)
+                    ]
                     out.append((eid, series.machine, series.attr_names, rows))
             return out
 

@@ -249,22 +249,26 @@ class _CoarseBucket:
         return snap
 
     def nbytes(self) -> int:
-        return sum(
-            len(arr) * arr.itemsize
-            for arr in (self.vsum, self.vmin, self.vmax, self.vlast)
-        )
+        # The four stat arrays are created and widened together.
+        return 4 * len(self.vsum) * self.vsum.itemsize
 
 
 class _Tier:
-    """One coarse level: an open accumulating bucket + sealed ring."""
+    """One coarse level: an open accumulating bucket + sealed ring.
 
-    __slots__ = ("span", "capacity", "open", "sealed")
+    ``nbytes`` is the running total of the held buckets' bytes, kept by
+    :meth:`absorb` (the only mutator: sealed buckets are immutable, only
+    the open one ever widens), so accounting never walks the buckets.
+    """
+
+    __slots__ = ("span", "capacity", "open", "sealed", "nbytes")
 
     def __init__(self, span: int, capacity: int) -> None:
         self.span = span
         self.capacity = capacity
         self.open: Optional[_CoarseBucket] = None
         self.sealed: List[_CoarseBucket] = []  # oldest first
+        self.nbytes = 0
 
     def absorb(self, bucket: _CoarseBucket) -> Optional[_CoarseBucket]:
         """Merge one incoming bucket; returns the overflow, if any.
@@ -276,13 +280,18 @@ class _Tier:
         """
         if self.open is None:
             self.open = bucket
+            self.nbytes += bucket.nbytes()
         else:
+            before = self.open.nbytes()
             self.open.merge_from(bucket)
+            self.nbytes += self.open.nbytes() - before
         if self.open.units >= self.span:
             self.sealed.append(self.open)
             self.open = None
             if len(self.sealed) > self.capacity:
-                return self.sealed.pop(0)
+                shed = self.sealed.pop(0)
+                self.nbytes -= shed.nbytes()
+                return shed
         return None
 
     def buckets_oldest_first(self) -> List[_CoarseBucket]:
@@ -290,12 +299,6 @@ class _Tier:
         if self.open is not None:
             out.append(self.open)
         return out
-
-    def nbytes(self) -> int:
-        total = sum(b.nbytes() for b in self.sealed)
-        if self.open is not None:
-            total += self.open.nbytes()
-        return total
 
 
 class _ElementTiers:
@@ -309,10 +312,14 @@ class _ElementTiers:
             for level in range(1, config.coarse_tiers + 1)
         ]
 
-    def absorb(self, bucket: _CoarseBucket) -> None:
+    def absorb(self, bucket: _CoarseBucket, level_bytes: List[int]) -> None:
+        """Cascade one bucket down the chain, keeping ``level_bytes``
+        (the owning store's per-level byte totals) in step."""
         overflow: Optional[_CoarseBucket] = bucket
-        for tier in self.tiers:
+        for i, tier in enumerate(self.tiers):
+            before = tier.nbytes
             overflow = tier.absorb(overflow)
+            level_bytes[i] += tier.nbytes - before
             if overflow is None:
                 return
         # Overflow past the coarsest tier falls off the end of history;
@@ -325,9 +332,6 @@ class _ElementTiers:
             for bucket in self.tiers[level - 1].buckets_oldest_first():
                 out.append((level, bucket))
         return out
-
-    def nbytes_per_level(self) -> List[int]:
-        return [tier.nbytes() for tier in self.tiers]
 
 
 class TieredWindowStore(TimeSeriesStore):
@@ -353,6 +357,10 @@ class TieredWindowStore(TimeSeriesStore):
             capacity_per_element = self.tier_config.fine_slots
         super().__init__(capacity_per_element, on_regression)
         self._tiers: Dict[str, _ElementTiers] = {}
+        # Bytes held per coarse level across all elements, adjusted
+        # wherever buckets enter, widen, move or die, so nbytes() is
+        # arithmetic instead of a walk over every bucket.
+        self._level_bytes = [0] * self.tier_config.coarse_tiers
 
     # -- eviction cascade (runs under the store lock) ----------------------------
 
@@ -378,7 +386,7 @@ class TieredWindowStore(TimeSeriesStore):
             tiers = self._tiers[series.element_id] = _ElementTiers(
                 self.tier_config
             )
-        tiers.absorb(bucket)
+        tiers.absorb(bucket, self._level_bytes)
 
     def _drop_coarse(self, series: _ElementSeries) -> None:
         """A re-baseline invalidates pre-restart history entirely.
@@ -387,12 +395,16 @@ class TieredWindowStore(TimeSeriesStore):
         re-zeroed), so the coarse tiers are cleared along with the fine
         ring — no stitched window ever straddles a restart.
         """
-        self._tiers.pop(series.element_id, None)
+        tiers = self._tiers.pop(series.element_id, None)
+        if tiers is not None:
+            for i, tier in enumerate(tiers.tiers):
+                self._level_bytes[i] -= tier.nbytes
 
     def clear(self) -> None:
         with self._lock:
             super().clear()
             self._tiers.clear()
+            self._level_bytes = [0] * self.tier_config.coarse_tiers
 
     # -- stitched reads ----------------------------------------------------------
 
@@ -514,15 +526,8 @@ class TieredWindowStore(TimeSeriesStore):
         """Buffer bytes per tier: ``fine``, ``tier<k>``, ``coarse``, ``total``."""
         with self._lock:
             out = super().nbytes()
-            levels = self.tier_config.coarse_tiers
-            per_level = [0] * levels
-            for tiers in self._tiers.values():
-                for i, n in enumerate(tiers.nbytes_per_level()):
-                    per_level[i] += n
-            coarse = 0
-            for i, n in enumerate(per_level):
+            for i, n in enumerate(self._level_bytes):
                 out[f"tier{i + 1}"] = n
-                coarse += n
-            out["coarse"] = coarse
+            out["coarse"] = coarse = sum(self._level_bytes)
             out["total"] = out["fine"] + coarse
             return out

@@ -153,6 +153,11 @@ class Simulator:
 
         Returns a :class:`PeriodicHandle`; ``handle.cancel()`` stops the
         series before its next firing.
+
+        Events fire at tick granularity, so a job fires at most once per
+        tick: a period of half a tick or less (whose next firing would
+        fall due inside the step that is running it) is clamped to the
+        next tick.
         """
         if period <= 0:
             raise SimError(f"period must be positive, got {period!r}")
@@ -164,17 +169,24 @@ class Simulator:
                 return
             fn()
             if handle.active:
-                self.schedule(self.now + period, fire)
+                at = self.now + period
+                if at <= self._horizon():  # would re-fire inside this step
+                    at = self.now + self.tick
+                self.schedule(at, fire)
 
         self.schedule(first, fire)
         return handle
 
     # -- main loop ----------------------------------------------------------------
 
+    def _horizon(self) -> float:
+        """Events due at or before this time fire in the current step."""
+        return self.now + self.tick * 0.5
+
     def step(self) -> None:
         """Advance the simulation by one tick."""
         # Events due within this tick fire before anything else moves.
-        horizon = self.now + self.tick * 0.5
+        horizon = self._horizon()
         while self._events and self._events[0][0] <= horizon:
             _, _, fn = heapq.heappop(self._events)
             fn()

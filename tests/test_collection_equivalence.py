@@ -1,0 +1,409 @@
+"""Equivalence tests for the change-proportional collection path.
+
+Each fast path (state-stamp short-circuit, early seq-dedup, suffix-walk
+drain, hoisted latency constant) is checked against a reference written
+out here the slow way — rebuild and compare everything, scan every row —
+over random interleavings, so the shortcut can only ever agree with the
+exact pass it screens for.
+"""
+
+import math
+import random
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from repro.core.channels import CHANNEL_SPECS, Channel, ChannelFault, ChannelFaultPlan
+from repro.core.counters import CounterSnapshot
+from repro.core.extensions import PacketSizeHistogram
+from repro.core.store import TimeSeriesStore
+from repro.core.tiers import TierConfig, TieredWindowStore
+from repro.dataplane.machine import PhysicalMachine
+from repro.dataplane.queue_element import QueueElement
+from repro.dataplane.vswitch import VirtualSwitch
+from repro.middleboxes.http import HttpServer
+from repro.simnet.element import Element
+from repro.simnet.engine import Simulator
+from repro.simnet.packet import Flow, PacketBatch
+from repro.transport.registry import TransportRegistry
+
+prop = settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+def batch(pkts, size=100.0, flow_id="f"):
+    return PacketBatch(Flow(flow_id, packet_bytes=size), pkts, pkts * size)
+
+
+# -- (a) snapshot_versioned vs a full compare on every read ---------------------------
+
+
+class FullCompare:
+    """The exact pass: rebuild, float-normalise and compare on every read."""
+
+    def __init__(self):
+        self.seq = 0
+        self.attrs = None
+
+    def read(self, element, timestamp):
+        attrs = {k: float(v) for k, v in element.snapshot().items()}
+        if attrs != self.attrs:
+            self.seq += 1
+            self.attrs = attrs
+        return self.seq, self.attrs, timestamp
+
+
+class Gauged(Element):
+    """A subclass whose snapshot() reads a gauge no stamp knows about."""
+
+    level = 0
+
+    def snapshot(self):
+        snap = super().snapshot()
+        snap["level"] = self.level
+        return snap
+
+
+def _bare(sim):
+    return Element(sim, "e"), {}
+
+
+def _buffered(sim):
+    el = Element(sim, "e", rate_bps=1e6)
+    buf = el.make_input("e.in", capacity_pkts=50)
+
+    def rate(n):
+        el.rate_bps = None if n == 0 else 1e6 * n
+
+    return el, {
+        "push": lambda n: buf.push(batch(n)),
+        "commit": lambda n: buf.commit(),
+        "pop": lambda n: buf.pop_pkts(n),
+        "rate": rate,
+        "big_int_rate": lambda n: setattr(el, "rate_bps", 2**53 + n),
+    }
+
+
+def _queue(drain):
+    def make(sim):
+        q = QueueElement(sim, "q", capacity_pkts=8, drain=drain)
+        return q, {
+            "push": lambda n: q.push(batch(n)),
+            "pop": lambda n: q.queue.pop_pkts(n),
+            "step": lambda n: sim.step(),
+        }
+
+    return make
+
+
+def _vswitch(sim):
+    vs = VirtualSwitch(sim, "vs")
+    vs.add_port("p", lambda b: None)
+    rule = vs.add_rule("r1", "p")
+
+    def hit(n):
+        rule.pkts += n
+        rule.nbytes += 100 * n
+
+    return vs, {"rule_hit": hit, "add_rule": lambda n: _add_rule(vs, n)}
+
+
+def _add_rule(vs, n):
+    if f"x{n}" not in vs._rule_ids:
+        vs.add_rule(f"x{n}", "p")
+
+
+def _app(sim):
+    TransportRegistry(sim)
+    vm = PhysicalMachine(sim, "m1").add_vm("v1", vcpu_cores=1.0)
+    app = HttpServer(sim, vm, "app")
+
+    def sock(n):
+        app.socket.buffer.push(batch(n))
+        app.socket.buffer.commit()
+
+    def vnic(n):
+        vm.vnic_bps = None if n == 0 else 1e8 * n
+
+    return app, {"sock": sock, "vnic": vnic}
+
+
+def _custom(sim):
+    el = Element(sim, "e")
+    hist = PacketSizeHistogram()
+    el.add_custom_counter(hist)
+    return el, {"observe": lambda n: hist.observe(batch(n, size=64.0 * (n + 1)))}
+
+
+def _subclass(sim):
+    el = Gauged(sim, "e")
+    return el, {"level": lambda n: setattr(el, "level", n)}
+
+
+def _instance_override(sim):
+    el = Element(sim, "e")
+    state = {"x": 0}
+    el.snapshot = lambda: {"x": state["x"], **Element.snapshot(el)}
+    return el, {"x": lambda n: state.update(x=n)}
+
+
+SUBJECTS = {
+    "element": _bare,
+    "element_buffered": _buffered,
+    "queue_passive": _queue(False),
+    "queue_drain": _queue(True),
+    "vswitch_rules": _vswitch,
+    "app_socket": _app,
+    "custom_counter": _custom,
+    "snapshot_subclass": _subclass,
+    "snapshot_instance_override": _instance_override,
+}
+
+COUNTER_OPS = {
+    "rx": lambda c, n: c.count_rx(n, 100.0 * n),
+    "tx": lambda c, n: c.count_tx(n, 100.0 * n),
+    "drop": lambda c, n: c.count_drop(f"loc{n % 2}", n, 100.0 * n, flow_id="f"),
+    "in_time": lambda c, n: c.count_in_time(1e-3 * n, n),
+    "out_time": lambda c, n: c.count_out_time(1e-3 * n, n),
+    "reset": lambda c, n: c.reset(),
+}
+
+#: (op name or index into the subject's own ops, small argument incl. 0).
+steps = st.lists(
+    st.tuples(
+        st.one_of(
+            st.sampled_from(sorted(COUNTER_OPS) + ["read", "reread"]),
+            st.integers(min_value=0, max_value=7),
+        ),
+        st.integers(min_value=0, max_value=3),
+    ),
+    max_size=40,
+)
+
+
+@pytest.mark.parametrize("subject", sorted(SUBJECTS))
+@prop
+@given(steps=steps)
+def test_snapshot_versioned_equals_full_compare(subject, steps):
+    sim = Simulator(tick=1e-3)
+    element, own_ops = SUBJECTS[subject](sim)
+    own = sorted(own_ops)
+    reference = FullCompare()
+    now = 0.0
+    for op, n in steps + [("read", 0), ("reread", 0)]:
+        if isinstance(op, int):
+            if own:
+                own_ops[own[op % len(own)]](n)
+            continue
+        if op in COUNTER_OPS:
+            COUNTER_OPS[op](element.counters, n)
+            continue
+        if op == "read":
+            now += 0.1
+        snap = element.snapshot_versioned(now)
+        assert (snap.seq, dict(snap.attrs), snap.timestamp) == reference.read(
+            element, now
+        )
+        assert (snap.element_id, snap.machine) == (element.name, element.machine)
+        assert all(type(v) is float for v in snap.attrs.values())
+
+
+def test_unchanged_element_reuses_cached_attrs():
+    """The short-circuit builds nothing: same attrs object, same seq."""
+    el = Element(Simulator(), "e")
+    el.counters.count_rx(1, 100)
+    first = el.snapshot_versioned(0.1)
+    again = el.snapshot_versioned(0.2)
+    assert again.attrs is first.attrs
+    assert (again.seq, again.timestamp) == (first.seq, 0.2)
+    el.counters.count_rx(0, 0)  # version moves, observable state does not
+    assert el.snapshot_versioned(0.3).seq == first.seq
+
+
+# -- (b) suffix-walk drain vs a scan of every retained row ----------------------------
+
+
+def scan_changed_blocks(store, acked):
+    """changed_blocks the slow way: test every retained row against the floor."""
+    out = []
+    for eid in sorted(store._series):
+        series = store._series[eid]
+        if not series.count:
+            continue
+        floor = acked.get(eid, -1)
+        if series.seq_at(series.count - 1) < floor:
+            floor = -1  # collector acked a previous incarnation: resend all
+        rows = [
+            (series.seq_at(i), series.stamp_at(i), list(series.row_values(i)))
+            for i in range(series.count)
+            if series.seq_at(i) > floor
+        ]
+        if rows:
+            out.append((eid, series.machine, series.attr_names, rows))
+    return out
+
+
+def plain(blocks):
+    return [
+        (eid, machine, names, [(s, t, list(v)) for s, t, v in rows])
+        for eid, machine, names, rows in blocks
+    ]
+
+
+def same_cells(a, b):
+    """Row equality with ABSENT (NaN) cells matching each other."""
+    return repr(a) == repr(b)
+
+
+STORES = {
+    "flat": lambda cap: TimeSeriesStore(capacity_per_element=cap),
+    "tiered": lambda cap: TieredWindowStore(
+        config=TierConfig(fine_slots=cap, fanout=2, coarse_slots=2, coarse_tiers=2)
+    ),
+}
+
+#: (element, seq step: 0 re-observes, negative regresses, counter growth,
+#: whether a new drop location appears).
+ingests = st.lists(
+    st.tuples(
+        st.sampled_from(["a", "b", "c"]),
+        st.sampled_from([0, 1, 1, 1, 2, 5, -3]),
+        st.sampled_from([0.0, 1.0, 7.0, -100.0]),
+        st.booleans(),
+    ),
+    max_size=60,
+)
+ack_vectors = st.lists(
+    st.dictionaries(
+        st.sampled_from(["a", "b", "c", "ghost"]),
+        st.integers(min_value=-1, max_value=40),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+def ingest(store, feed, via_row=False):
+    """Drive ``feed`` into ``store``; returns the per-element latest seqs."""
+    seqs, values = {}, {}
+    for t, (eid, step, growth, widen) in enumerate(feed):
+        seq = max(0, seqs.get(eid, 0) + step)
+        seqs[eid] = seq
+        values[eid] = max(0.0, values.get(eid, 0.0) + growth)
+        attrs = {"rx_pkts": values[eid], "tx_pkts": 1.0}
+        if widen:
+            attrs[f"drops.loc{t % 3}"] = float(t)
+        snap = CounterSnapshot(eid, "m1", seq, 0.1 * t, attrs)
+        if via_row:
+            names = tuple(snap.attrs)
+            store.append_row(
+                eid, "m1", seq, snap.timestamp, names, [attrs[n] for n in names]
+            )
+        else:
+            store.append(snap)
+    return seqs
+
+
+@pytest.mark.parametrize("kind", sorted(STORES))
+@prop
+@given(cap=st.integers(min_value=2, max_value=5), feed=ingests, acks=ack_vectors)
+def test_suffix_walk_equals_full_scan(kind, cap, feed, acks):
+    store = STORES[kind](cap)
+    latest = ingest(store, feed)
+    # exact-latest and above-latest (restart) floors, besides the random ones
+    acks = acks + [dict(latest), {eid: seq + 1 for eid, seq in latest.items()}, {}]
+    for acked in acks:
+        expected = scan_changed_blocks(store, acked)
+        assert same_cells(plain(store.changed_blocks(acked)), expected)
+        blocks, cursor = store.drain_blocks(acked)
+        assert same_cells(plain(blocks), expected)
+        assert cursor == store.cursor()
+        assert [
+            (s.element_id, s.seq, s.timestamp, dict(s.attrs))
+            for s in store.changed_since(acked)
+        ] == [
+            (eid, seq, t, {n: v for n, v in zip(names, row) if not math.isnan(v)})
+            for eid, _, names, rows in expected
+            for seq, t, row in rows
+        ]
+
+
+def test_suffix_walk_after_wrap_and_rebaseline():
+    """The named cases, spelled out: wrapped ring, then a producer restart."""
+    store = TimeSeriesStore(capacity_per_element=3)
+    for seq in range(1, 8):  # wraps twice: rows 5, 6, 7 survive
+        store.append(CounterSnapshot("a", "m1", seq, float(seq), {"rx_pkts": seq}))
+    assert [r[0] for r in store.changed_blocks({"a": 5})[0][3]] == [6, 7]
+    assert store.changed_blocks({"a": 7}) == []
+    assert [r[0] for r in store.changed_blocks({"a": 9})[0][3]] == [5, 6, 7]
+    store.append(CounterSnapshot("a", "m1", 1, 8.0, {"rx_pkts": 0.0}))  # restart
+    assert store.resets == {"a": 1}
+    assert [r[0] for r in store.changed_blocks({"a": 7})[0][3]] == [1]
+
+
+# -- (c) early-dedup append vs append_row ---------------------------------------------
+
+
+@pytest.mark.parametrize("kind", sorted(STORES))
+@prop
+@given(cap=st.integers(min_value=2, max_value=5), feed=ingests)
+def test_append_equals_append_row(kind, cap, feed):
+    by_snapshot, by_row = STORES[kind](cap), STORES[kind](cap)
+    ingest(by_snapshot, feed)
+    ingest(by_row, feed, via_row=True)
+    for counter in ("total_appended", "total_deduped", "total_resets", "resets"):
+        assert getattr(by_snapshot, counter) == getattr(by_row, counter)
+    assert by_snapshot.total_appended + by_snapshot.total_deduped == len(feed)
+    assert same_cells(
+        plain(by_snapshot.changed_blocks({})), plain(by_row.changed_blocks({}))
+    )
+    assert by_snapshot.nbytes() == by_row.nbytes()
+
+
+# -- (d) channel accounting draws the same RNG stream (Figure 9/16) -------------------
+
+
+class _Probe:
+    name, machine, kind = "probe", "m1", "netdev"
+
+    def snapshot_versioned(self, timestamp):
+        return CounterSnapshot(self.name, self.machine, 1, timestamp, {})
+
+
+@pytest.mark.parametrize(
+    "plan",
+    [
+        ChannelFaultPlan(),
+        ChannelFaultPlan(error_rate=0.2, timeout_rate=0.2, stale_rate=0.2),
+    ],
+    ids=["healthy", "faulty"],
+)
+@pytest.mark.parametrize("seed", [0, 7, 12345])
+def test_channel_reads_match_reference_rng_stream(seed, plan):
+    """Per read: fault draw, then the lognormal latency draw, in that order."""
+    channel = Channel(_Probe(), random.Random(seed))
+    channel.set_fault_plan(plan)
+    spec = CHANNEL_SPECS["netdev"]
+    rng = random.Random(seed)
+    reads, latency, cpu = 0, 0.0, 0.0
+    for i in range(500):
+        try:
+            channel.read_versioned(0.1 * i)
+        except ChannelFault:
+            pass
+        fault_draw = rng.random() if plan.active else 1.0
+        timed_out = plan.error_rate <= fault_draw < plan.error_rate + plan.timeout_rate
+        reads += 1
+        latency += (
+            channel.timeout_s
+            if timed_out
+            else rng.lognormvariate(math.log(spec.median_latency_s), spec.sigma)
+        )
+        cpu += spec.cpu_cost_s
+    assert (channel.reads, channel.total_latency_s, channel.total_cpu_s) == (
+        reads, latency, cpu
+    )
+    assert channel.rng.getstate() == rng.getstate()
+    if plan.active:
+        assert channel.errors and channel.timeouts and channel.stale_reads

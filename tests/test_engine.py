@@ -155,6 +155,31 @@ class TestEvents:
         sim.run(0.055)
         assert len(hits) == 5
 
+    @pytest.mark.timeout(10)
+    @pytest.mark.parametrize("period", [0.02, 0.05])  # < and == tick / 2
+    def test_schedule_every_sub_tick_period_fires_once_per_tick(self, period):
+        """A period inside step()'s horizon used to re-fire forever."""
+        sim = Simulator(tick=0.1)
+        hits = []
+
+        def fire():
+            hits.append(sim.now)
+            assert len(hits) <= 3, "re-fired inside one step"
+
+        sim.schedule_every(period, fire)
+        sim.step()
+        assert hits == [0.0]
+        sim.step()
+        sim.step()
+        assert hits == pytest.approx([0.0, 0.1, 0.2])
+
+    def test_schedule_every_above_half_tick_is_not_clamped(self):
+        sim = Simulator(tick=0.1)
+        hits = []
+        sim.schedule_every(0.06, lambda: hits.append(sim.now))
+        sim.run(0.5)  # due 0.06 0.16 0.26 0.36 0.46 -> ticks 0.1 .. 0.5
+        assert hits == pytest.approx([0.1, 0.2, 0.3, 0.4])
+
     def test_schedule_every_bad_period(self):
         sim = Simulator()
         with pytest.raises(SimError):

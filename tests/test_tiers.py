@@ -1,5 +1,7 @@
 """The tiered (coarsening) history store and its flat-store equivalences."""
 
+import random
+
 import pytest
 
 from repro.core.store import StoreError, TimeSeriesStore
@@ -219,6 +221,48 @@ class TestAccounting:
         # Feeding 10x more history must not grow the footprint.
         feed(tiered, 10000, t0=1000.0, seq0=1000)
         assert tiered.nbytes()["total"] <= n["total"]
+
+    def test_running_nbytes_equal_bucket_walk(self):
+        """The per-level running totals against a walk over every bucket,
+        through widening, sealing, cascading, dropping and re-baselines."""
+
+        def walk(store):
+            per_level = [0] * store.tier_config.coarse_tiers
+            for tiers in store._tiers.values():
+                for i, tier in enumerate(tiers.tiers):
+                    for bucket in tier.buckets_oldest_first():
+                        per_level[i] += sum(
+                            len(a) * a.itemsize
+                            for a in (
+                                bucket.vsum, bucket.vmin, bucket.vmax, bucket.vlast
+                            )
+                        )
+            return per_level
+
+        rng = random.Random(5)
+        store = TieredWindowStore(config=small_config())
+        seqs = {}
+        for step in range(3000):
+            eid = rng.choice(["a", "b", "c"])
+            roll = rng.random()
+            if roll < 0.01:
+                seqs[eid] = 0  # producer restart: re-baseline drops the tiers
+            elif roll < 0.012:
+                store.clear()
+            seq = seqs[eid] = seqs.get(eid, 0) + 1
+            names = ["rx_pkts", "tx_pkts"]
+            if rng.random() < 0.05:  # a new drop location widens the schema
+                names.append(f"drops.loc{rng.randrange(6)}")
+            store.append_row(
+                eid, "m1", seq, float(step), tuple(names), [float(seq)] * len(names)
+            )
+            if step % 7 == 0:
+                n = store.nbytes()
+                per_level = walk(store)
+                assert [n["tier1"], n["tier2"]] == per_level
+                assert n["coarse"] == sum(per_level)
+                assert n["total"] == n["fine"] + n["coarse"]
+        assert store.total_resets > 0 and max(walk(store)) > 0
 
     def test_flat_store_nbytes(self):
         flat = TimeSeriesStore(capacity_per_element=8)
