@@ -157,6 +157,11 @@ class Agent:
         self.name = name if name is not None else f"agent@{machine.name}"
         self._extra: Dict[str, Element] = {}
         self._channels: Dict[str, Channel] = {}
+        # (machine walk, len(_extra), plan) of the last sweep-plan build;
+        # one attribute so a concurrent reader swaps it in atomically.
+        self._sweep_cache: Optional[
+            Tuple[List[Element], int, Dict[str, Tuple[Channel, float]]]
+        ] = None
         # Sweeps serialize against each other (two interleaved sweeps
         # would double-charge CPU and race the per-poll accounting), but
         # NOT against queries or store readers — the store has its own
@@ -203,6 +208,15 @@ class Agent:
         """Register an element the machine walk cannot find (an app)."""
         if element.name in self._extra:
             raise ValueError(f"element {element.name!r} already registered")
+        for served in self.machine.all_elements():
+            # Shadowing it would split the name: elements() would answer
+            # with the newcomer while a channel already opened under the
+            # name kept reading the machine's own element.
+            if served.name == element.name:
+                raise ValueError(
+                    f"cannot register {element!r}: machine {self.machine.name!r} "
+                    f"already serves {served!r} under that name"
+                )
         self._extra[element.name] = element
 
     def elements(self) -> Dict[str, Element]:
@@ -210,6 +224,28 @@ class Agent:
         found = {e.name: e for e in self.machine.all_elements()}
         found.update(self._extra)
         return found
+
+    def _sweep_plan(self) -> Dict[str, Tuple[Channel, float]]:
+        """``{element id: (channel, cpu cost of one read)}`` in sweep order.
+
+        The machine is re-walked on every call, so a VM or app added
+        since the last sweep is picked up; the sorted plan behind it is
+        only rebuilt when that walk (compared element by element, by
+        identity) or the registered extras changed.
+        """
+        walk = self.machine.all_elements()
+        cache = self._sweep_cache
+        if cache is not None and cache[1] == len(self._extra) and cache[0] == walk:
+            return cache[2]
+        n_extra = len(self._extra)
+        elements = {e.name: e for e in walk}
+        elements.update(self._extra)
+        plan = {}
+        for eid in sorted(elements):
+            chan = self._channel(elements[eid])
+            plan[eid] = (chan, chan.spec.cpu_cost_s)
+        self._sweep_cache = (walk, n_extra, plan)
+        return plan
 
     def host_stats(self) -> "StatRecord":
         """Machine-level utilization gauges as a synthetic record.
@@ -230,7 +266,7 @@ class Agent:
         return StatRecord(self.sim.now, f"host@{machine.name}", attrs, machine.name)
 
     def element_ids(self) -> List[str]:
-        return sorted(self.elements())
+        return list(self._sweep_plan())
 
     def _channel(self, element: Element) -> Channel:
         chan = self._channels.get(element.name)
@@ -249,10 +285,10 @@ class Agent:
         Public so fault-injection helpers can degrade specific access
         paths (:func:`repro.workloads.faults.inject_channel_faults`).
         """
-        elements = self.elements()
-        if element_id not in elements:
+        entry = self._sweep_plan().get(element_id)
+        if entry is None:
             raise KeyError(f"agent {self.name!r} has no element {element_id!r}")
-        return self._channel(elements[element_id])
+        return entry[0]
 
     # -- queries ---------------------------------------------------------------------
 
@@ -329,13 +365,11 @@ class Agent:
         worst_latency = 0.0
         cpu = 0.0
         with self._sweep_lock, obs.span("agent.sweep", agent=self.name) as sp:
-            # Re-walked every sweep so late registrations are picked up.
-            elements = self.elements()
+            plan = self._sweep_plan()
             append = self.store.append
-            for eid in sorted(elements):
-                chan = self._channel(elements[eid])
+            for chan, cpu_cost_s in plan.values():
                 # A failed read costs its CPU too (see above).
-                cpu += chan.spec.cpu_cost_s
+                cpu += cpu_cost_s
                 try:
                     snap, latency = chan.read_versioned(now)
                 except ChannelTimeout as exc:
@@ -353,7 +387,7 @@ class Agent:
                     worst_latency = latency
             self.total_cpu_s += cpu
             self.total_polls += 1
-            sp.set("elements", len(elements))
+            sp.set("elements", len(plan))
             sp.set("stored", stored)
         if obs.enabled():
             obs.observe(
@@ -643,9 +677,10 @@ class Agent:
 
     def poll_cpu_cost_s(self) -> float:
         """CPU cost of one full sweep over every element."""
-        return sum(
-            self._channel(e).spec.cpu_cost_s for e in self.elements().values()
-        )
+        plan = self._sweep_plan()
+        # Summed in walk order, as before the plan existed: the plan is
+        # sorted, and float addition does not commute to the last bit.
+        return sum(plan[eid][1] for eid in self.elements())
 
     def cpu_usage_at_frequency(self, hz: float, cores: float = 1.0) -> float:
         """Predicted agent CPU utilization polling all elements at ``hz``.

@@ -25,7 +25,7 @@ faulty run reproduces exactly under the same seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional, Tuple
 
 from repro import obs
@@ -116,6 +116,9 @@ class ChannelFaultPlan:
     error_rate: float = 0.0
     timeout_rate: float = 0.0
     stale_rate: float = 0.0
+    #: Whether any fault can fire.  Worked out once here, not per read:
+    #: every healthy read of every sweep asks.
+    active: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("error_rate", "timeout_rate", "stale_rate"):
@@ -127,10 +130,11 @@ class ChannelFaultPlan:
                 "fault rates must sum to at most 1: "
                 f"{self.error_rate} + {self.timeout_rate} + {self.stale_rate}"
             )
-
-    @property
-    def active(self) -> bool:
-        return self.error_rate > 0 or self.timeout_rate > 0 or self.stale_rate > 0
+        object.__setattr__(
+            self,
+            "active",
+            self.error_rate > 0 or self.timeout_rate > 0 or self.stale_rate > 0,
+        )
 
 
 #: The default, never-faulting plan shared by all healthy channels.
@@ -292,5 +296,6 @@ class Channel:
         self.reads += 1
         self.total_latency_s += latency
         self.total_cpu_s += self.spec.cpu_cost_s
-        obs.observe(READ_LATENCY_METRIC, latency, kind=self.element.kind)
+        if obs.enabled():
+            obs.observe(READ_LATENCY_METRIC, latency, kind=self.element.kind)
         return latency

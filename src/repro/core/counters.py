@@ -329,19 +329,28 @@ class CounterSet:
 
     # -- datapath updates ---------------------------------------------------
 
+    # The three per-batch updates charge their two simple-counter
+    # updates in place — ``overhead.cost_for(2 * pkts, 0)`` written out
+    # (the time term is an exact zero) — because they run once per batch
+    # per element per tick.
+
     def count_rx(self, pkts: float, nbytes: float) -> None:
         """Record traffic read by the element's input method."""
         self.rx_pkts += pkts
         self.rx_bytes += nbytes
         self._version += 1
-        self._charge(simple=2.0 * pkts)
+        overhead = self.overhead
+        if overhead.enabled_simple:
+            self._pending_update_cost_s += 2.0 * pkts * overhead.simple_update_cost_s
 
     def count_tx(self, pkts: float, nbytes: float) -> None:
         """Record traffic emitted by the element's output method."""
         self.tx_pkts += pkts
         self.tx_bytes += nbytes
         self._version += 1
-        self._charge(simple=2.0 * pkts)
+        overhead = self.overhead
+        if overhead.enabled_simple:
+            self._pending_update_cost_s += 2.0 * pkts * overhead.simple_update_cost_s
 
     def count_drop(
         self, location: str, pkts: float, nbytes: float, flow_id: Optional[str] = None
@@ -352,7 +361,9 @@ class CounterSet:
         if flow_id is not None:
             self.drops_by_flow[flow_id] = self.drops_by_flow.get(flow_id, 0.0) + pkts
         self._version += 1
-        self._charge(simple=2.0 * pkts)
+        overhead = self.overhead
+        if overhead.enabled_simple:
+            self._pending_update_cost_s += 2.0 * pkts * overhead.simple_update_cost_s
 
     def count_in_time(self, elapsed_s: float, calls: float = 1.0) -> None:
         self.in_time.add(elapsed_s, calls)

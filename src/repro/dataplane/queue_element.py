@@ -22,6 +22,8 @@ from repro.simnet.element import Element
 from repro.simnet.engine import Simulator
 from repro.simnet.packet import PacketBatch
 
+_INF = float("inf")
+
 
 class QueueElement(Element):
     """A named bounded queue exposed as a PerfSight element.
@@ -78,7 +80,7 @@ class QueueElement(Element):
         self.own_buffer(self.queue)
         self.ingest_bps = ingest_bps
         self.drain = drain
-        self._ingest_left = float("inf")
+        self._ingest_left = _INF
         if drain:
             self.in_buf = self.queue
             self.count_rx_on_process = False
@@ -116,7 +118,7 @@ class QueueElement(Element):
 
     def begin_tick(self, sim: Simulator) -> None:
         self._ingest_left = (
-            self.ingest_bps / 8.0 * sim.tick if self.ingest_bps is not None else float("inf")
+            self.ingest_bps / 8.0 * sim.tick if self.ingest_bps is not None else _INF
         )
         if self.drain:
             super().begin_tick(sim)

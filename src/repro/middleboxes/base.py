@@ -34,6 +34,7 @@ from repro.transport.tcp import Connection
 from repro.transport.udp import UdpStream
 
 _EPS = 1e-9
+_INF = float("inf")
 #: Relative tolerance for binding-constraint detection.
 _REL = 1e-9
 
@@ -148,16 +149,16 @@ class App(Element):
     # -- cost helpers ---------------------------------------------------------------------
 
     def _cpu_cost(self, nbytes: float) -> float:
-        if nbytes == float("inf"):
+        if nbytes == _INF:
             # Unbounded intent (best-effort source); avoid 0*inf = nan.
-            return float("inf") if self._cpu_cost(1.0) > 0 else 0.0
+            return _INF if self._cpu_cost(1.0) > 0 else 0.0
         per_pkt = self.cpu_per_pkt * (nbytes / self.io_unit_bytes)
         return (self.cpu_per_byte * nbytes + per_pkt) * self.slowdown
 
     def _bytes_for_cpu(self, cpu_s: float) -> float:
         unit = self._cpu_cost(1.0)
         if unit <= 0:
-            return float("inf")
+            return _INF
         return cpu_s / unit
 
     def _io_calls(self, nbytes: float) -> float:
@@ -281,7 +282,7 @@ class App(Element):
         for port in self.outputs:
             share = avail * port.weight / wsum
             cap = (
-                port.writable_bytes() / port.ratio if port.ratio > 0 else float("inf")
+                port.writable_bytes() / port.ratio if port.ratio > 0 else _INF
             )
             takes.append((port, min(share, cap)))
         return takes
@@ -348,7 +349,7 @@ class SourceApp(App):
         # then either their own CPU (proc-bound) or the output windows
         # (WriteBlocked) — never the intent, so blocking is visible.
         if self.rate_bps is None:
-            return float("inf")
+            return _INF
         return self.rate_bps / 8.0 * sim.tick
 
     def run_app(self, sim: Simulator, cpu_grant: float) -> None:
@@ -365,7 +366,7 @@ class SourceApp(App):
 
         t_memcpy_out = written / self.memcpy_bps
         cpu_used = self._cpu_cost(n)
-        output_bound = n < avail - _REL * max(avail if avail != float("inf") else n + 1.0, 1.0)
+        output_bound = n < avail - _REL * max(avail if avail != _INF else n + 1.0, 1.0)
         cpu_bound = (not output_bound) and proc_cap < want - _REL * max(min(want, 1e18), 1.0)
         t_proc = self._wall_proc_time(cpu_used, cpu_bound, tick)
         t_sys = self._io_calls(written) * self.syscall_s

@@ -29,6 +29,7 @@ from repro.simnet.packet import PacketBatch
 DropCallback = Callable[[str, PacketBatch], None]
 
 _EPS = 1e-9
+_INF = float("inf")
 #: Batches below this size are "crumbs" — sub-byte fluid residue from
 #: repeated fair-share splits.  They carry no information, but a crumb at
 #: a queue head whose affordable fraction rounds to nothing would stall
@@ -118,13 +119,15 @@ class Buffer:
 
     def space_pkts(self) -> float:
         if self.capacity_pkts is None:
-            return float("inf")
-        return max(0.0, self.capacity_pkts - self.pkts)
+            return _INF
+        space = self.capacity_pkts - (self._ready_pkts + self._staged_pkts)
+        return space if space > 0.0 else 0.0
 
     def space_bytes(self) -> float:
         if self.capacity_bytes is None:
-            return float("inf")
-        return max(0.0, self.capacity_bytes - self.nbytes)
+            return _INF
+        space = self.capacity_bytes - (self._ready_bytes + self._staged_bytes)
+        return space if space > 0.0 else 0.0
 
     @property
     def empty(self) -> bool:
@@ -148,14 +151,17 @@ class Buffer:
 
         Returns the staged portion (the whole batch for drop buffers).
         """
-        if batch.empty or (batch.pkts < _CRUMB_PKTS and batch.nbytes < _CRUMB_BYTES):
+        pkts = batch.pkts
+        nbytes = batch.nbytes
+        # An empty batch is a crumb too (the crumb bounds are the wider).
+        if pkts < _CRUMB_PKTS and nbytes < _CRUMB_BYTES:
             return batch
         if self.policy == "drop":
             self._staged.append(batch)
-            self._staged_pkts += batch.pkts
-            self._staged_bytes += batch.nbytes
-            self.total_in_pkts += batch.pkts
-            self.total_in_bytes += batch.nbytes
+            self._staged_pkts += pkts
+            self._staged_bytes += nbytes
+            self.total_in_pkts += pkts
+            self.total_in_bytes += nbytes
             return batch
         accept_pkts = min(batch.pkts, self.space_pkts())
         accept_bytes = min(batch.nbytes, self.space_bytes())
@@ -204,11 +210,11 @@ class Buffer:
 
     def pop_pkts(self, max_pkts: float) -> List[PacketBatch]:
         """Dequeue up to ``max_pkts`` packets of ready data, FIFO order."""
-        return self._pop(max_pkts, float("inf"))
+        return self._pop(max_pkts, _INF)
 
     def pop_bytes(self, max_bytes: float) -> List[PacketBatch]:
         """Dequeue up to ``max_bytes`` bytes of ready data, FIFO order."""
-        return self._pop(float("inf"), max_bytes)
+        return self._pop(_INF, max_bytes)
 
     def pop(self, max_pkts: float, max_bytes: float) -> List[PacketBatch]:
         """Dequeue subject to both a packet and a byte budget."""
@@ -266,38 +272,44 @@ class Buffer:
         exactly rather than via an average packet size.
         """
         out: List[PacketBatch] = []
-        while self._ready:
-            head = self._ready[0]
-            if head.pkts < _CRUMB_PKTS and head.nbytes < _CRUMB_BYTES:
+        ready = self._ready
+        while ready:
+            head = ready[0]
+            pkts = head.pkts
+            nbytes = head.nbytes
+            if pkts < _CRUMB_PKTS and nbytes < _CRUMB_BYTES:
                 # Absorb crumbs: too small to cost, would stall the loop.
-                self._ready.popleft()
-                self._ready_pkts = max(0.0, self._ready_pkts - head.pkts)
-                self._ready_bytes = max(0.0, self._ready_bytes - head.nbytes)
+                ready.popleft()
+                self._ready_pkts = max(0.0, self._ready_pkts - pkts)
+                self._ready_bytes = max(0.0, self._ready_bytes - nbytes)
                 continue
             frac = 1.0
-            for entry in costs:
-                per_pkt, per_byte, budget = entry
-                cost = per_pkt * head.pkts + per_byte * head.nbytes
+            for per_pkt, per_byte, budget in costs:
+                cost = per_pkt * pkts + per_byte * nbytes
                 if cost > budget:
-                    frac = min(frac, budget / cost if cost > 0 else 1.0)
+                    afford = budget / cost if cost > 0 else 1.0
+                    if afford < frac:
+                        frac = afford
             if frac <= _EPS:
                 break
             if frac >= 1.0 - 1e-12:
-                taken = self._ready.popleft()
+                taken = ready.popleft()
             else:
-                taken = head.split_pkts(head.pkts * frac)
+                taken = head.split_pkts(pkts * frac)
                 if head.empty:
-                    self._ready.popleft()
-            if taken.empty:
-                # No representable progress possible against the
-                # remaining budgets: stop rather than spin.
-                break
+                    ready.popleft()
+                if taken.empty:
+                    # No representable progress possible against the
+                    # remaining budgets: stop rather than spin.
+                    break
+                pkts = taken.pkts
+                nbytes = taken.nbytes
             for entry in costs:
-                entry[2] -= entry[0] * taken.pkts + entry[1] * taken.nbytes
-            self._ready_pkts -= taken.pkts
-            self._ready_bytes -= taken.nbytes
-            self.total_out_pkts += taken.pkts
-            self.total_out_bytes += taken.nbytes
+                entry[2] -= entry[0] * pkts + entry[1] * nbytes
+            self._ready_pkts -= pkts
+            self._ready_bytes -= nbytes
+            self.total_out_pkts += pkts
+            self.total_out_bytes += nbytes
             out.append(taken)
         if self._ready_pkts < 0:
             self._ready_pkts = 0.0
@@ -307,8 +319,8 @@ class Buffer:
 
     def report_service_credit(self, pkts: float, nbytes: float) -> None:
         """Consumer's unused drain capacity this tick (see commit)."""
-        self._service_credit_pkts += max(0.0, pkts)
-        self._service_credit_bytes += max(0.0, nbytes)
+        self._service_credit_pkts += pkts if pkts > 0.0 else 0.0
+        self._service_credit_bytes += nbytes if nbytes > 0.0 else 0.0
 
     def peek_flows(self) -> Dict[str, Tuple[float, float]]:
         """Ready occupancy per flow id, as ``{flow_id: (pkts, bytes)}``."""
@@ -326,18 +338,21 @@ class Buffer:
         Drop-policy buffers enforce capacity here: staged traffic beyond
         the room left after this tick's drains is discarded, FIFO.
         """
-        room_pkts = (
-            float("inf")
-            if self.capacity_pkts is None
-            else max(0.0, self.capacity_pkts - self._ready_pkts)
-            + self._service_credit_pkts
-        )
-        room_bytes = (
-            float("inf")
-            if self.capacity_bytes is None
-            else max(0.0, self.capacity_bytes - self._ready_bytes)
-            + self._service_credit_bytes
-        )
+        if not self._staged:
+            # Nothing arrived: only the consumer's credit expires.
+            self._service_credit_pkts = 0.0
+            self._service_credit_bytes = 0.0
+            return
+        if self.capacity_pkts is None:
+            room_pkts = _INF
+        else:
+            free = self.capacity_pkts - self._ready_pkts
+            room_pkts = (free if free > 0.0 else 0.0) + self._service_credit_pkts
+        if self.capacity_bytes is None:
+            room_bytes = _INF
+        else:
+            free = self.capacity_bytes - self._ready_bytes
+            room_bytes = (free if free > 0.0 else 0.0) + self._service_credit_bytes
         self._service_credit_pkts = 0.0
         self._service_credit_bytes = 0.0
         # Overflow is shared *proportionally* across this tick's staged
@@ -350,19 +365,23 @@ class Buffer:
                 frac = min(frac, room_pkts / self._staged_pkts)
             if self._staged_bytes > room_bytes + _EPS and self._staged_bytes > 0:
                 frac = min(frac, room_bytes / self._staged_bytes)
-        for batch in self._staged:
-            if frac < 1.0:
+        if frac < 1.0:
+            for batch in self._staged:
                 accepted = batch.split_pkts(batch.pkts * frac)
                 if not batch.empty:
                     # Staged totals already counted the full batch as
                     # input; the rejected remainder is a drop.
                     self._record_drop(batch)
-                batch = accepted
-                if batch.empty:
+                if accepted.empty:
                     continue
-            self._ready.append(batch)
-            self._ready_pkts += batch.pkts
-            self._ready_bytes += batch.nbytes
+                self._ready.append(accepted)
+                self._ready_pkts += accepted.pkts
+                self._ready_bytes += accepted.nbytes
+        else:
+            for batch in self._staged:
+                self._ready.append(batch)
+                self._ready_pkts += batch.pkts
+                self._ready_bytes += batch.nbytes
         self._staged.clear()
         self._staged_pkts = 0.0
         self._staged_bytes = 0.0

@@ -27,7 +27,7 @@ from types import MappingProxyType
 
 from repro.core.counters import CounterOverheadModel, CounterSet, CounterSnapshot
 from repro.simnet.buffers import Buffer
-from repro.simnet.engine import Component, SimError, Simulator
+from repro.simnet.engine import Component, SimError, Simulator, overrides
 from repro.simnet.packet import PacketBatch
 from repro.simnet.resources import Resource
 
@@ -41,8 +41,10 @@ KIND_GUEST = "guest"
 
 RouteTarget = Union[Buffer, Callable[[PacketBatch], None], None]
 
+_INF = float("inf")
 
-@dataclass
+
+@dataclass(frozen=True)
 class ResourceClaim:
     """One element's cost on one shared resource.
 
@@ -51,6 +53,9 @@ class ResourceClaim:
     claim that absorbs counter-update overhead.  ``priority`` selects the
     strict scheduling tier on the resource (kernel softirq work runs at
     priority 1 on host CPU pools, user processes at 0).
+
+    Frozen: the per-tick hooks run from the element's claim table, which
+    :meth:`Element.claim` flattens these fields into.
     """
 
     resource: Resource
@@ -110,8 +115,6 @@ class Element(Component):
         self.in_buf: Optional[Buffer] = None
         self.out: RouteTarget = None
         self._overhead_owed_s = 0.0
-        self._early_claims: List[ResourceClaim] = []
-        self._late_claims: List[ResourceClaim] = []
         self._owned_buffers: List[Buffer] = []
         #: Set False by elements that already counted rx at admission time
         #: (queue elements count offered traffic when pushed).
@@ -121,6 +124,7 @@ class Element(Component):
         self._snap_seq = 0
         self._snap_cache: Optional[CounterSnapshot] = None
         self._snap_stamp: Optional[tuple] = None
+        self._rebuild_claim_table()
         sim.add(self)
 
     # -- wiring -------------------------------------------------------------------
@@ -137,6 +141,7 @@ class Element(Component):
         self.in_buf = buf
         if owned:
             self.own_buffer(buf)
+        self._rebuild_claim_table()
         return buf
 
     def own_buffer(self, buf: Buffer) -> Buffer:
@@ -145,6 +150,7 @@ class Element(Component):
             buf.on_drop = self._on_buffer_drop
         if buf not in self._owned_buffers:
             self._owned_buffers.append(buf)
+        self._rebuild_claim_table()
         return buf
 
     def make_input(
@@ -174,6 +180,7 @@ class Element(Component):
         if any(c.name == counter.name for c in self.custom_counters):
             raise SimError(f"duplicate custom counter {counter.name!r}")
         self.custom_counters.append(counter)
+        self._rebuild_claim_table()
 
     def claim(
         self,
@@ -187,8 +194,32 @@ class Element(Component):
         self.claims.append(
             ResourceClaim(resource, per_pkt, per_byte, weight, is_cpu, priority)
         )
-        self._early_claims = [c for c in self.claims if c.resource.phase == 0]
-        self._late_claims = [c for c in self.claims if c.resource.phase != 0]
+        self._rebuild_claim_table()
+
+    def _rebuild_claim_table(self) -> None:
+        """Flatten what the per-tick hooks would otherwise re-derive.
+
+        Run by every wiring call (:meth:`claim`, :meth:`attach_input`,
+        :meth:`own_buffer`, :meth:`add_custom_counter`).  Only facts
+        fixed between two of them are kept: the claims split by
+        allocation phase, the claims in declaration order as
+        :meth:`process_tick` prices them, and whether this element
+        replaces the three datapath hooks whose defaults are the
+        identity.  Rates, wiring, owned buffers, custom counters and
+        every occupancy and grant are read live each tick.
+        """
+        early, late, budget = [], [], []
+        for c in self.claims:
+            row = (c.resource, c.per_pkt, c.per_byte, c.weight, c.priority, c.is_cpu)
+            (early if c.resource.phase == 0 else late).append(row)
+            costed = not (c.per_pkt == 0.0 and c.per_byte == 0.0)
+            budget.append((c.resource, c.per_pkt, c.per_byte, c.is_cpu, costed))
+        self._early_claims = tuple(early)
+        self._late_claims = tuple(late)
+        self._budget_claims = tuple(budget)
+        self._transforms = overrides(self, Element, "transform")
+        self._routes = overrides(self, Element, "route")
+        self._has_extra_budgets = overrides(self, Element, "extra_budgets")
 
     def _on_buffer_drop(self, location: str, batch: PacketBatch) -> None:
         self.counters.count_drop(
@@ -204,91 +235,113 @@ class Element(Component):
     # -- per-tick protocol ----------------------------------------------------------
 
     def begin_tick(self, sim: Simulator) -> None:
-        if self.in_buf is None:
+        buf = self.in_buf
+        if buf is None:
             return
         # Demand covers staged arrivals too: a real interrupt-driven
         # consumer serves frames that arrive mid-interval, and the unused
         # part of the grant becomes the buffer's service credit.
-        pkts = self.in_buf.pkts
-        nbytes = self.in_buf.nbytes
+        pkts = buf._ready_pkts + buf._staged_pkts
+        nbytes = buf._ready_bytes + buf._staged_bytes
         self._overhead_owed_s += self.counters.drain_update_cost()
-        for c in self._early_claims:
-            demand = c.demand_for(pkts, nbytes)
-            if c.is_cpu:
+        name = self.name
+        for resource, per_pkt, per_byte, weight, priority, is_cpu in self._early_claims:
+            demand = per_pkt * pkts + per_byte * nbytes
+            if is_cpu:
                 demand += self._overhead_owed_s
             if demand > 0:
-                c.resource.request(self.name, demand, c.weight, c.priority)
+                resource.request(name, demand, weight, priority)
 
     def mid_tick(self, sim: Simulator) -> None:
         """Register phase-1 (memory bus) demand, bounded by what the
         phase-0 grants and the element's rate caps let it process this
         tick — an element cannot issue more bus traffic than its CPU can
         touch."""
-        if self.in_buf is None or not self._late_claims:
-            return
+        buf = self.in_buf
         late = self._late_claims
-        pkts = self.in_buf.pkts
-        nbytes = self.in_buf.nbytes
+        if buf is None or not late:
+            return
+        pkts = buf._ready_pkts + buf._staged_pkts
         if pkts <= 0:
             return
+        nbytes = buf._ready_bytes + buf._staged_bytes
+        name = self.name
         avg = nbytes / pkts
-        ceil_pkts = float("inf")
-        for c in self._early_claims:
-            unit = c.per_pkt + c.per_byte * avg
+        # Conditionals here and in process_tick, not min()/max(): the same
+        # value tie for tie, without a call per claim per tick.
+        ceil_pkts = _INF
+        for resource, per_pkt, per_byte, _, _, _ in self._early_claims:
+            unit = per_pkt + per_byte * avg
             if unit > 0:
-                ceil_pkts = min(ceil_pkts, c.resource.grant(self.name) / unit)
+                cap = resource._grants.get(name, 0.0) / unit
+                if cap < ceil_pkts:
+                    ceil_pkts = cap
         if self.rate_pps is not None:
-            ceil_pkts = min(ceil_pkts, self.rate_pps * sim.tick)
+            cap = self.rate_pps * sim.tick
+            if cap < ceil_pkts:
+                ceil_pkts = cap
         if self.rate_bps is not None and avg > 0:
-            ceil_pkts = min(ceil_pkts, self.rate_bps / 8.0 * sim.tick / avg)
-        eff_pkts = min(pkts, ceil_pkts)
+            cap = self.rate_bps / 8.0 * sim.tick / avg
+            if cap < ceil_pkts:
+                ceil_pkts = cap
+        eff_pkts = ceil_pkts if ceil_pkts < pkts else pkts
         eff_bytes = eff_pkts * avg
-        for c in late:
-            demand = c.demand_for(eff_pkts, eff_bytes)
+        for resource, per_pkt, per_byte, weight, priority, _ in late:
+            demand = per_pkt * eff_pkts + per_byte * eff_bytes
             if demand > 0:
-                c.resource.request(self.name, demand, c.weight, c.priority)
+                resource.request(name, demand, weight, priority)
 
     def process_tick(self, sim: Simulator) -> None:
-        if self.in_buf is None:
+        buf = self.in_buf
+        if buf is None:
             return
+        name = self.name
         budgets: List[List[float]] = []
-        for c in self.claims:
-            grant = c.resource.grant(self.name)
-            if c.is_cpu:
-                pay = min(grant, self._overhead_owed_s)
+        for resource, per_pkt, per_byte, is_cpu, costed in self._budget_claims:
+            grant = resource._grants.get(name, 0.0)
+            if is_cpu:
+                owed = self._overhead_owed_s
+                pay = owed if owed < grant else grant
                 grant -= pay
-                self._overhead_owed_s -= pay
-            if c.per_pkt == 0.0 and c.per_byte == 0.0:
-                continue
-            budgets.append([c.per_pkt, c.per_byte, grant])
+                self._overhead_owed_s = owed - pay
+            if costed:
+                budgets.append([per_pkt, per_byte, grant])
         if self.rate_pps is not None:
             budgets.append([1.0, 0.0, self.rate_pps * sim.tick])
         if self.rate_bps is not None:
             budgets.append([0.0, 1.0, self.rate_bps / 8.0 * sim.tick])
-        budgets.extend(self.extra_budgets(sim))
-        if self.in_buf.ready_pkts > 0:
-            batches = self.in_buf.pop_budgeted(budgets)
-            for batch in batches:
+        if self._has_extra_budgets:
+            budgets.extend(self.extra_budgets(sim))
+        if buf._ready_pkts > 0:
+            counters = self.counters
+            for batch in buf.pop_budgeted(budgets):
                 if self.count_rx_on_process:
-                    self.counters.count_rx(batch.pkts, batch.nbytes)
+                    counters.count_rx(batch.pkts, batch.nbytes)
                 for cc in self.custom_counters:
                     cc.observe(batch)
                     self._overhead_owed_s += cc.update_cost_s
-                for out_batch in self.transform(batch):
-                    self._emit(out_batch)
+                if self._transforms:
+                    for out_batch in self.transform(batch):
+                        self._emit(out_batch)
+                else:
+                    self._emit(batch)
         # Within the tick a real consumer keeps draining as new frames
         # arrive; report what we could still have served so the buffer's
         # commit-time overflow check doesn't punish batched arrivals
         # (see Buffer.report_service_credit).
-        extra_pkts = float("inf")
-        extra_bytes = float("inf")
+        extra_pkts = _INF
+        extra_bytes = _INF
         for per_pkt, per_byte, remaining in budgets:
-            rem = max(0.0, remaining)
+            rem = remaining if remaining > 0.0 else 0.0
             if per_pkt > 0:
-                extra_pkts = min(extra_pkts, rem / per_pkt)
+                spare = rem / per_pkt
+                if spare < extra_pkts:
+                    extra_pkts = spare
             if per_byte > 0:
-                extra_bytes = min(extra_bytes, rem / per_byte)
-        self.in_buf.report_service_credit(extra_pkts, extra_bytes)
+                spare = rem / per_byte
+                if spare < extra_bytes:
+                    extra_bytes = spare
+        buf.report_service_credit(extra_pkts, extra_bytes)
 
     def extra_budgets(self, sim: Simulator) -> List[List[float]]:
         """Additional per-tick ``[per_pkt, per_byte, budget]`` constraints.
@@ -310,7 +363,7 @@ class Element(Component):
         return self.out
 
     def _emit(self, batch: PacketBatch) -> None:
-        target = self.route(batch)
+        target = self.route(batch) if self._routes else self.out
         if target is None:
             # Terminal element: traffic leaves the modeled system.
             self.counters.count_tx(batch.pkts, batch.nbytes)

@@ -16,6 +16,14 @@ order:
 
 Scheduled events (fault injection, workload phase changes, periodic
 pollers) fire at the start of the tick in which they fall due.
+
+Which components take part in which phase, and which resources
+aggregate, allocate and finish in which order, only changes when
+something is registered.  ``step`` therefore walks a :class:`_TickPlan`
+compiled once per structure version (``add`` / ``add_resource`` bump it)
+instead of re-deriving those facts every tick; everything a run can
+change without registering anything — rates, capacities, wiring — is
+still read live by the hooks themselves (DESIGN.md Section 6).
 """
 
 from __future__ import annotations
@@ -24,6 +32,9 @@ import heapq
 import itertools
 import random
 from typing import Callable, Dict, List, Optional, Tuple
+
+#: The per-tick component hooks, in the order a step runs them.
+_HOOKS = ("begin_tick", "mid_tick", "process_tick", "end_tick")
 
 
 class SimError(Exception):
@@ -82,6 +93,45 @@ class Component:
         return f"<{type(self).__name__} {self.name!r}>"
 
 
+def overrides(obj, base: type, hook: str) -> bool:
+    """Whether ``obj`` (its class, or the instance itself) replaces ``base.hook``."""
+    return getattr(getattr(obj, hook), "__func__", None) is not getattr(base, hook)
+
+
+class _TickPlan:
+    """What one tick dispatches, compiled for one structure version.
+
+    ``hooks[i]`` holds, in registration order, the components that
+    override ``_HOOKS[i]``: the base-class hooks do nothing, so leaving
+    the rest out changes nothing.  Resources are split per allocation
+    phase into the demand-aggregation order (reverse registration, so
+    leaves forward before their parents) and the roots that allocate
+    downwards; every resource finishes the tick.
+
+    The plan holds the objects themselves and ``step`` looks each hook
+    up on every call, so a hook replaced on a class between two steps
+    (a tracer's timing wrapper) takes effect on the next one.
+    """
+
+    __slots__ = ("version", "hooks", "aggregate", "allocate", "finish")
+
+    def __init__(self, version: int, components: List[Component], resources: List) -> None:
+        self.version = version
+        self.hooks = tuple(
+            tuple(c for c in components if overrides(c, Component, hook))
+            for hook in _HOOKS
+        )
+        self.aggregate = tuple(
+            tuple(r for r in reversed(resources) if r.phase == phase)
+            for phase in (0, 1)
+        )
+        self.allocate = tuple(
+            tuple(r for r in resources if r.parent is None and r.phase == phase)
+            for phase in (0, 1)
+        )
+        self.finish = tuple(resources)
+
+
 class Simulator:
     """The fixed-tick event loop.
 
@@ -107,6 +157,9 @@ class Simulator:
         self._resources: List = []  # populated via repro.simnet.resources
         self._events: List[Tuple[float, int, Callable[[], None]]] = []
         self._event_seq = itertools.count()
+        #: Bumped by every registration; a tick plan is valid for one value.
+        self._structure_version = 0
+        self._plan = _TickPlan(0, [], [])
 
     # -- registration ----------------------------------------------------------
 
@@ -119,11 +172,13 @@ class Simulator:
         component.sim = self
         self._components.append(component)
         self._by_name[component.name] = component
+        self._structure_version += 1
         return component
 
     def add_resource(self, resource) -> None:
         """Register a resource for the arbitration phase (internal use)."""
         self._resources.append(resource)
+        self._structure_version += 1
 
     def component(self, name: str) -> Component:
         try:
@@ -191,8 +246,16 @@ class Simulator:
             _, _, fn = heapq.heappop(self._events)
             fn()
 
-        for comp in self._components:
+        # Fetched after the events: what an event registered ticks in
+        # this very step.
+        plan = self._plan
+        if plan.version != self._structure_version:
+            plan = self._compile_plan()
+
+        for comp in plan.hooks[0]:
             comp.begin_tick(self)
+        if plan.version != self._structure_version:
+            plan = self._catch_up(plan, 0)
 
         # Two allocation phases: phase 0 (CPU pools) settles first, then
         # components refine their phase-1 (memory bus) demand from the
@@ -200,26 +263,54 @@ class Simulator:
         # a phase, children aggregate demand up to parents (reverse
         # registration order so leaves go first), then roots allocate
         # downwards.
-        for phase in (0, 1):
-            for res in reversed(self._resources):
-                if res.phase == phase:
-                    res.aggregate_demand(self)
-            for res in self._resources:
-                if res.parent is None and res.phase == phase:
-                    res.allocate(self)
-            if phase == 0:
-                for comp in self._components:
-                    comp.mid_tick(self)
+        for res in plan.aggregate[0]:
+            res.aggregate_demand(self)
+        for res in plan.allocate[0]:
+            res.allocate(self)
+        for comp in plan.hooks[1]:
+            comp.mid_tick(self)
+        if plan.version != self._structure_version:
+            plan = self._catch_up(plan, 1)
+        for res in plan.aggregate[1]:
+            res.aggregate_demand(self)
+        for res in plan.allocate[1]:
+            res.allocate(self)
 
-        for comp in self._components:
+        for comp in plan.hooks[2]:
             comp.process_tick(self)
-        for comp in self._components:
+        if plan.version != self._structure_version:
+            plan = self._catch_up(plan, 2)
+        for comp in plan.hooks[3]:
             comp.end_tick(self)
-        for res in self._resources:
+        if plan.version != self._structure_version:
+            plan = self._catch_up(plan, 3)
+        for res in plan.finish:
             res.finish_tick(self)
 
         self.tick_index += 1
         self.now = self.tick_index * self.tick
+
+    def _compile_plan(self) -> _TickPlan:
+        plan = self._plan = _TickPlan(
+            self._structure_version, self._components, self._resources
+        )
+        return plan
+
+    def _catch_up(self, plan: _TickPlan, hook: int) -> _TickPlan:
+        """A hook registered something while phase ``hook`` was running.
+
+        A walk over the live component list would reach the newcomers at
+        the end of the same phase; do the same (registration only ever
+        appends, so they are the tail of the recompiled phase list), and
+        hand back the plan the rest of the step runs from.
+        """
+        name = _HOOKS[hook]
+        while plan.version != self._structure_version:
+            done = len(plan.hooks[hook])
+            plan = self._compile_plan()
+            for comp in plan.hooks[hook][done:]:
+                getattr(comp, name)(self)
+        return plan
 
     def run(self, duration: float) -> None:
         """Run for ``duration`` simulated seconds (rounded up to whole ticks)."""

@@ -68,7 +68,8 @@ def maxmin_fair(
                 gap = demands[i] - alloc[i]
                 alloc[i] = demands[i]
                 remaining -= gap
-            active = [i for i in active if i not in set(satisfied)]
+            done = set(satisfied)
+            active = [i for i in active if i not in done]
         else:
             for i in active:
                 alloc[i] += weights[i] * level
@@ -170,7 +171,11 @@ class Resource:
         self._priorities[claimant] = priority
 
     def grant(self, claimant: str) -> float:
-        """The capacity granted to ``claimant`` for the current tick."""
+        """The capacity granted to ``claimant`` for the current tick.
+
+        (:class:`~repro.simnet.element.Element` reads ``_grants`` itself
+        in its per-tick hooks; keep the two in step.)
+        """
         return self._grants.get(claimant, 0.0)
 
     # -- engine API ----------------------------------------------------------------

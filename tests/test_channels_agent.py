@@ -95,6 +95,19 @@ class TestAgent:
         with pytest.raises(ValueError):
             agent.register(app)
 
+    def test_registering_over_a_machine_element_is_rejected(self, agent_world):
+        """An app named like an element the machine walk serves would
+        shadow it in elements() while its channel kept the old object."""
+        sim, machine, agent, _ = agent_world
+        pnic_channel = agent.channel("pnic@m1")
+        impostor = Element(sim.__class__(), "pnic@m1", machine="m1")
+        with pytest.raises(ValueError) as err:
+            agent.register(impostor)
+        assert repr(impostor) in str(err.value)
+        assert repr(machine.pnic_rx) in str(err.value)
+        assert agent.elements()["pnic@m1"] is machine.pnic_rx
+        assert agent.channel("pnic@m1") is pnic_channel
+
     def test_query_latency_is_max_not_sum(self, agent_world):
         """Channels are read concurrently (independent descriptors)."""
         _, _, agent, _ = agent_world

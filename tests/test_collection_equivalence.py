@@ -1,7 +1,8 @@
 """Equivalence tests for the change-proportional collection path.
 
 Each fast path (state-stamp short-circuit, early seq-dedup, suffix-walk
-drain, hoisted latency constant) is checked against a reference written
+drain, hoisted latency constant, the agent's sweep plan) is checked
+against a reference written
 out here the slow way — rebuild and compare everything, scan every row —
 over random interleavings, so the shortcut can only ever agree with the
 exact pass it screens for.
@@ -13,7 +14,15 @@ import random
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core.channels import CHANNEL_SPECS, Channel, ChannelFault, ChannelFaultPlan
+from repro.core.agent import Agent
+from repro.core.channels import (
+    CHANNEL_SPECS,
+    Channel,
+    ChannelError,
+    ChannelFault,
+    ChannelFaultPlan,
+    ChannelTimeout,
+)
 from repro.core.counters import CounterSnapshot
 from repro.core.extensions import PacketSizeHistogram
 from repro.core.store import TimeSeriesStore
@@ -26,6 +35,8 @@ from repro.simnet.element import Element
 from repro.simnet.engine import Simulator
 from repro.simnet.packet import Flow, PacketBatch
 from repro.transport.registry import TransportRegistry
+from repro.workloads.faults import inject_channel_faults
+from repro.workloads.traffic import ExternalTrafficSource
 
 prop = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -407,3 +418,131 @@ def test_channel_reads_match_reference_rng_stream(seed, plan):
     assert channel.rng.getstate() == rng.getstate()
     if plan.active:
         assert channel.errors and channel.timeouts and channel.stale_reads
+
+
+# -- (e) the sweep plan vs re-deriving the sweep order every time ---------------------
+
+
+class FullRewalkAgent(Agent):
+    """The exact pass: name map, sort and channel lookups on every sweep."""
+
+    def poll_once(self):
+        now = self.sim.now
+        stored, worst_latency, cpu = 0, 0.0, 0.0
+        elements = self.elements()
+        for eid in sorted(elements):
+            chan = self._channel(elements[eid])
+            cpu += chan.spec.cpu_cost_s
+            try:
+                snap, latency = chan.read_versioned(now)
+            except ChannelTimeout as exc:
+                self.total_poll_timeouts += 1
+                worst_latency = max(worst_latency, exc.latency_s)
+                continue
+            except ChannelError:
+                self.total_poll_errors += 1
+                continue
+            if self.store.append(snap):
+                stored += 1
+            worst_latency = max(worst_latency, latency)
+        self.total_cpu_s += cpu
+        self.total_polls += 1
+        return stored, worst_latency
+
+    def element_ids(self):
+        return sorted(self.elements())
+
+    def channel(self, element_id):
+        return self._channel(self.elements()[element_id])
+
+    def poll_cpu_cost_s(self):
+        return sum(self._channel(e).spec.cpu_cost_s for e in self.elements().values())
+
+
+def _sweep_world(agent_cls, seed):
+    sim = Simulator(tick=1e-3, seed=seed)
+    TransportRegistry(sim)
+    machine = PhysicalMachine(sim, "m1")
+    agent = agent_cls(sim, machine)
+
+    def tenant(vm_id):
+        vm = machine.add_vm(vm_id, vcpu_cores=1.0, vnic_bps=100e6)
+        app = HttpServer(sim, vm, f"app-{vm_id}", cpu_per_byte=1e-9)
+        flow = Flow(f"rx-{vm_id}", dst_vm=vm_id, kind="udp")
+        vm.bind_udp(flow, app.socket)
+        ExternalTrafficSource(sim, f"src-{vm_id}", flow, machine.inject, rate_bps=150e6)
+        return app
+
+    first = tenant("vm0")
+    sweeps = []
+
+    def sweep(ticks=20):
+        sim.run(ticks * sim.tick)
+        sweeps.append(
+            (agent.poll_once(), agent.element_ids(), agent.poll_cpu_cost_s())
+        )
+
+    sweep()
+    sweep()                                # plan reused: nothing changed
+    agent.register(first)                  # late register()
+    sweep()
+    late = tenant("vm-late")               # a VM added after the first sweeps
+    sweep()
+    agent.register(late)
+    undo_some = inject_channel_faults(     # fault plans installed ...
+        agent, ["pnic@m1", "tun-vm0@m1", "app-vm0"],
+        error_rate=0.3, timeout_rate=0.3, stale_rate=0.3,
+    )
+    for _ in range(6):
+        sweep(5)
+    undo_all = inject_channel_faults(agent, error_rate=0.5)
+    for _ in range(3):
+        sweep(5)
+    undo_all()                             # ... and undone between sweeps
+    undo_some()
+    sweep()
+    return {
+        "sweeps": sweeps,
+        "channels": agent.channel_stats(),
+        "faults": (agent.total_poll_errors, agent.total_poll_timeouts),
+        "totals": (agent.total_cpu_s, agent.total_polls),
+        "rows": plain(agent.store.changed_blocks({})),
+        "cursor": agent.store.cursor(),
+        "rng": sim.rng.getstate(),
+    }
+
+
+@pytest.mark.parametrize("seed", [0, 11])
+def test_sweep_plan_equals_full_rewalk(seed):
+    planned = _sweep_world(Agent, seed)
+    reference = _sweep_world(FullRewalkAgent, seed)
+    for key in reference:
+        if key == "rows":
+            assert same_cells(planned[key], reference[key])
+        else:
+            assert planned[key] == reference[key], key
+    errors, timeouts = reference["faults"]
+    assert errors and timeouts
+    assert any(stats["stale_reads"] for stats in reference["channels"].values())
+    ids = reference["sweeps"][-1][1]
+    assert {"app-vm0", "app-vm-late", "tun-vm-late@m1"} <= set(ids)
+    assert "app-vm0" not in reference["sweeps"][1][1]   # before its register()
+    assert "tun-vm-late@m1" not in reference["sweeps"][2][1]
+
+
+def test_sweep_plan_is_reused_until_the_walk_changes():
+    sim = Simulator(tick=1e-3, seed=0)
+    TransportRegistry(sim)
+    machine = PhysicalMachine(sim, "m1")
+    agent = Agent(sim, machine)
+    agent.poll_once()
+    plan = agent._sweep_plan()
+    agent.poll_once()
+    assert agent._sweep_plan() is plan
+    vm = machine.add_vm("v1")
+    assert agent._sweep_plan() is not plan
+    plan = agent._sweep_plan()
+    agent.register(HttpServer(sim, vm, "late-app"))
+    assert "late-app" in agent._sweep_plan() and "late-app" not in plan
+    machine.remove_vm("v1")
+    assert "tun-v1@m1" not in agent._sweep_plan()

@@ -44,6 +44,19 @@ class TestWiring:
         assert e.counters.rx_pkts == pytest.approx(7)
         assert e.counters.tx_pkts == pytest.approx(7)
 
+    def test_wiring_call_picks_up_an_instance_level_route(self, sim):
+        """Whether route/transform/extra_budgets are overridden is part of
+        the claim table: any wiring call re-examines it."""
+        e = Element(sim, "e")
+        e.out = Buffer("default.q")
+        detour = Buffer("detour.q")
+        e.route = lambda batch: detour
+        buf = e.make_input("e.q")
+        feed(buf, 7)
+        sim.run(3e-3)
+        assert detour.pkts == pytest.approx(7)
+        assert e.out.pkts == 0
+
 
 class TestResourceLimits:
     def test_cpu_budget_limits_throughput(self, sim):

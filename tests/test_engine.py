@@ -84,6 +84,53 @@ class TestComponents:
         sim.step()
         assert order == ["a", "b", "c"]
 
+    def test_only_overridden_hooks_are_planned(self):
+        sim = Simulator(tick=1e-3)
+
+        class EndOnly(Component):
+            def end_tick(self, sim):
+                pass
+
+        rec, quiet, end_only = Recorder(), Component("quiet"), EndOnly("end-only")
+        for comp in (rec, quiet, end_only):
+            sim.add(comp)
+        sim.step()
+        begin, mid, process, end = sim._plan.hooks
+        assert begin == mid == process == (rec,)
+        assert end == (rec, end_only)
+
+    def test_class_level_hook_patch_takes_effect_on_the_next_step(self, monkeypatch):
+        """The plan holds components, not bound methods: what a tracer
+        swaps in on the class between two steps is what the next calls."""
+        sim = Simulator(tick=1e-3)
+        rec = Recorder()
+        sim.add(rec)
+        sim.step()
+        original = Recorder.process_tick
+        wrapped = []
+
+        def traced(self, sim):
+            wrapped.append(sim.tick_index)
+            original(self, sim)
+
+        monkeypatch.setattr(Recorder, "process_tick", traced)
+        sim.step()
+        monkeypatch.undo()
+        sim.step()
+        assert wrapped == [1]
+        assert [tick for phase, tick in rec.calls if phase == "process"] == [0, 1, 2]
+
+    def test_registration_invalidates_the_plan(self):
+        sim = Simulator(tick=1e-3)
+        first = Recorder("first")
+        sim.add(first)
+        sim.step()
+        late = Recorder("late")
+        sim.add(late)
+        sim.step()
+        assert [tick for _, tick in late.calls] == [1, 1, 1, 1]
+        assert sim._plan.hooks[0] == (first, late)
+
     def test_duplicate_name_rejected(self):
         sim = Simulator()
         sim.add(Component("x"))
