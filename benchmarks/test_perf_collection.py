@@ -1,29 +1,14 @@
-"""Collection-plane micro-benchmarks: query path and wire codec.
+"""Collection-plane micro-benchmark: per-query pull vs. mirror lookup.
 
-Two measurements share the ``BENCH_perf_collection.json`` artifact:
-
-* **Per-query pull vs. mirror lookup** — the Figure-6 refactor from a
-  synchronous agent pull per query to an O(1) window lookup against the
-  controller's delta-batched mirror store, on the Figure-16 machine
-  shape (8 VMs, one Proxy middlebox each, 1000-query sweep).
-* **JSON vs. packed-binary BATCH_DELTA** — the zero-copy telemetry
-  path: one drained delta batch encoded and applied into a mirror over
-  both codecs, reporting records/sec and bytes/record for each.  The
-  binary path must clear 5x the JSON path's encode+apply throughput.
-
-Each test registers its numbers and re-emits the combined report, so
-the artifact holds whichever parts ran (both, under the full suite).
+The Figure-6 refactor from a synchronous agent pull per query to an
+O(1) window lookup against the controller's delta-batched mirror store,
+on the Figure-16 machine shape (8 VMs, one Proxy middlebox each,
+1000-query sweep).  Writes ``BENCH_perf_collection.json``.
 """
 
-import json
-import random
 import time
 
 from repro.cluster.topology import Tenant
-from repro.core.counters import STANDARD_ATTRS, CounterSnapshot
-from repro.core.net import codec as wire_codec
-from repro.core.net.codec import CODEC_BIN1, WireSchema
-from repro.core.store import TimeSeriesStore, blocks_to_snapshots
 from repro.middleboxes.proxy import Proxy
 from repro.scenarios.common import Harness
 
@@ -33,26 +18,6 @@ QUERIES = 1000
 #: process a single GC pause inherited from the heavyweight figure
 #: benchmarks can double one sample.
 PASSES = 3
-
-#: Codec-benchmark corpus shape: one drained delta batch of
-#: ``CODEC_ELEMENTS`` elements x ``CODEC_ROWS`` rows over the standard
-#: attribute set — about the volume a controller applies per refresh of
-#: a busy machine.
-CODEC_ELEMENTS = 32
-CODEC_ROWS = 60
-
-#: Accumulates both tests' numbers so the shared artifact always holds
-#: every section that ran (paper_report overwrites per name).
-_RESULTS: dict = {}
-_TEXTS: dict = {}
-
-
-def _emit(paper_report) -> None:
-    text = "\n".join(_TEXTS[k] for k in sorted(_TEXTS))
-    data = {}
-    for part in _RESULTS.values():
-        data.update(part)
-    paper_report("perf_collection", text, data=data)
 
 
 def build_world():
@@ -98,7 +63,7 @@ def test_mirror_lookup_vs_per_query_pull(paper_report):
         lookup_s = min(lookup_s, time.perf_counter() - t1)
 
     speedup = pull_s / lookup_s
-    _TEXTS["a_query"] = "\n".join(
+    text = "\n".join(
         [
             f"machine: 8 VMs x Proxy, {len(element_ids)} elements",
             f"{QUERIES}-query sweep, per-query agent pull: "
@@ -108,7 +73,7 @@ def test_mirror_lookup_vs_per_query_pull(paper_report):
             f"speedup: {speedup:.1f}x",
         ]
     )
-    _RESULTS["query"] = {
+    data = {
         "config": {"vms": 8, "elements": len(element_ids), "queries": QUERIES},
         "pull_wall_s": pull_s,
         "lookup_wall_s": lookup_s,
@@ -116,110 +81,5 @@ def test_mirror_lookup_vs_per_query_pull(paper_report):
         "lookup_ops_per_s": QUERIES / lookup_s,
         "speedup": speedup,
     }
-    _emit(paper_report)
+    paper_report("perf_collection", text, data=data)
     assert speedup >= 5.0, f"mirror lookup only {speedup:.1f}x faster than pull"
-
-
-def build_codec_corpus():
-    """One drained delta batch, in both wire shapes, from one source."""
-    store = TimeSeriesStore(capacity_per_element=CODEC_ROWS + 8)
-    rng = random.Random(4242)
-    names = STANDARD_ATTRS
-    # counters are monotonic: accumulate per element/attr so the reset
-    # detector sees a live producer, not sixty restarts
-    totals = [[0.0] * len(names) for _ in range(CODEC_ELEMENTS)]
-    t = 0.0
-    for row in range(CODEC_ROWS):
-        t += 0.05
-        for e in range(CODEC_ELEMENTS):
-            running = totals[e]
-            for col in range(len(names)):
-                running[col] += float(rng.randrange(0, 10**6))
-            store.append_row(f"elem{e}", "m1", row + 1, t, names, list(running))
-    blocks = store.changed_blocks({})
-    cursor = store.cursor()
-    return blocks, cursor, blocks_to_snapshots(blocks)
-
-
-def seeded_schemas():
-    """Server+client schemas as HELLO leaves them (amortized, untimed)."""
-    server = WireSchema()
-    response = wire_codec.make_hello_response(
-        "agent@m1", "m1",
-        [f"elem{e}" for e in range(CODEC_ELEMENTS)],
-        STANDARD_ATTRS, CODEC_BIN1, server,
-    )
-    client = WireSchema()
-    wire_codec.apply_hello_response(response, client)
-    return server, client
-
-
-def test_codec_encode_apply_throughput(paper_report):
-    blocks, cursor, snaps = build_codec_corpus()
-    records = sum(len(rows) for _, _, _, rows in blocks)
-
-    json_s = bin_s = float("inf")
-    json_bytes = bin_bytes = 0
-    mirror_json = mirror_bin = None
-    for _ in range(PASSES):
-        # JSON path: snapshot dicts -> text -> dicts -> snapshots -> store.
-        mirror_json = TimeSeriesStore(capacity_per_element=CODEC_ROWS + 8)
-        t0 = time.perf_counter()
-        raw = json.dumps(
-            {"batch": [s.to_dict() for s in snaps], "cursor": cursor},
-            separators=(",", ":"),
-        ).encode("utf-8")
-        decoded = json.loads(raw)
-        mirror_json.extend(
-            CounterSnapshot.from_dict(entry) for entry in decoded["batch"]
-        )
-        json_s = min(json_s, time.perf_counter() - t0)
-        json_bytes = len(raw)
-
-        # Binary path: store columns -> packed frame -> mirror columns.
-        server_schema, client_schema = seeded_schemas()
-        mirror_bin = TimeSeriesStore(capacity_per_element=CODEC_ROWS + 8)
-        t1 = time.perf_counter()
-        raw = wire_codec.encode_batch_response(server_schema, "m1", blocks, cursor)
-        payload = wire_codec.decode_batch_response(client_schema, raw)
-        mirror_bin.apply_blocks(payload.blocks)
-        bin_s = min(bin_s, time.perf_counter() - t1)
-        bin_bytes = len(raw)
-
-    # both paths must land identical mirrors before their speed matters
-    canon = lambda st: json.dumps(  # noqa: E731
-        [s.to_dict() for s in st.changed_since({})], sort_keys=True
-    )
-    assert canon(mirror_bin) == canon(mirror_json)
-
-    json_rps = records / json_s
-    bin_rps = records / bin_s
-    speedup = bin_rps / json_rps
-    _TEXTS["b_codec"] = "\n".join(
-        [
-            f"wire codec: {CODEC_ELEMENTS} elements x {CODEC_ROWS} rows "
-            f"({records} records, {len(STANDARD_ATTRS)} attrs/row)",
-            f"json encode+apply:   {json_s * 1e3:8.2f} ms "
-            f"({json_rps:10.0f} rec/s, {json_bytes / records:6.1f} B/rec)",
-            f"bin1 encode+apply:   {bin_s * 1e3:8.2f} ms "
-            f"({bin_rps:10.0f} rec/s, {bin_bytes / records:6.1f} B/rec)",
-            f"codec speedup: {speedup:.1f}x",
-        ]
-    )
-    _RESULTS["codec"] = {
-        "codec_config": {
-            "elements": CODEC_ELEMENTS,
-            "rows_per_element": CODEC_ROWS,
-            "attrs_per_row": len(STANDARD_ATTRS),
-            "records": records,
-        },
-        "json_encode_apply_wall_s": json_s,
-        "json_records_per_s": json_rps,
-        "json_bytes_per_record": json_bytes / records,
-        "bin1_encode_apply_wall_s": bin_s,
-        "bin1_records_per_s": bin_rps,
-        "bin1_bytes_per_record": bin_bytes / records,
-        "codec_speedup": speedup,
-    }
-    _emit(paper_report)
-    assert speedup >= 5.0, f"binary codec only {speedup:.1f}x faster than JSON"

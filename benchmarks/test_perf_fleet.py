@@ -48,9 +48,9 @@ class LatencyHandle:
     def stack_element_ids(self):
         return [e.name for e in self._agent.machine.stack_elements()]
 
-    def collect_delta(self, acked=None):
+    def collect_blocks(self, acked=None):
         time.sleep(self._latency_s)
-        return self._agent.collect_delta(acked)
+        return self._agent.collect_blocks(acked)
 
 
 def build_fleet():

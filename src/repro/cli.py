@@ -289,9 +289,9 @@ class _DelayedHandle:
     def stack_element_ids(self):
         return self._handle.stack_element_ids()
 
-    def collect_delta(self, acked=None):
+    def collect_blocks(self, acked=None):
         self._delay()
-        return self._handle.collect_delta(acked)
+        return self._handle.collect_blocks(acked)
 
 
 def _run_fleet_scenario(n_agents: int, latency_s: float):
@@ -410,7 +410,7 @@ def _run_scale_scenario(n_machines: int, n_zones: int, window_s: float):
 
     Agents push deltas to their zone aggregator on change; the zones
     diagnose their shards around ONE shared time advance and push
-    scalar roll-ups to the fleet root over real TCP (bin1-negotiated
+    scalar roll-ups to the fleet root over real TCP (bin1
     ZONE_REPORT frames).  A flat controller diagnoses the same fleet in
     the same interval so the demo can *show* the hierarchy's verdicts
     are equal, not just plausible.  Prints nothing (``--json`` mode
@@ -484,7 +484,7 @@ def _run_scale_scenario(n_machines: int, n_zones: int, window_s: float):
         for z, scan in zone_scans.items()
     }
 
-    # Tier 2 -> 3: real TCP, one ZoneClient per zone, bin1-negotiated.
+    # Tier 2 -> 3: real TCP, one ZoneClient per zone, bin1 reports.
     accepted = 0
     with FleetServer(fleet) as server:
         host, port = server.address
@@ -707,11 +707,11 @@ def _run_chaos_scenario(
             self.zone = zone
             self.alive = True
 
-        def ingest_push(self, machine, blocks, cursor=None):
+        def ingest_push(self, machine, blocks, cursor=None, trace=None):
             if not self.alive:
                 raise ConnectionError(f"zone {self.name} is down")
             try:
-                return self.zone.ingest_push(machine, blocks, cursor)
+                return self.zone.ingest_push(machine, blocks, cursor, trace=trace)
             except KeyError:
                 raise ConnectionError(
                     f"zone {self.name} no longer owns {machine}"

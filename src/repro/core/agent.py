@@ -8,9 +8,10 @@ unified :class:`StatRecord` format.
 Collection is streaming: the agent sweeps every channel on a cadence
 (:meth:`start_polling`, or implicitly when a collector pulls through)
 and appends typed snapshots to its :class:`TimeSeriesStore`; the
-controller drains only the snapshots that changed since its last
-acknowledged sequence numbers (:meth:`collect_delta`).  The legacy
-per-query pull path (:meth:`query`) remains for tests and tools that
+controller drains only the rows that changed since its last
+acknowledged sequence numbers, as columnar ``SeriesBlock``s
+(:meth:`collect_blocks`) — the one delta shape, pulled or pushed.  The
+legacy per-query pull path (:meth:`query`) remains for tests and tools that
 need synchronous pull semantics.
 
 The agent keeps its own bookkeeping — reads per channel, simulated
@@ -38,7 +39,6 @@ from typing import (
 
 from repro import obs
 from repro.core.channels import Channel, ChannelError, ChannelTimeout
-from repro.core.counters import CounterSnapshot
 from repro.core.records import StatRecord
 from repro.core.store import SeriesBlock, TimeSeriesStore
 from repro.simnet.element import Element
@@ -80,24 +80,6 @@ def _default_push_retry():
 
         _DEFAULT_PUSH_RETRY = RetryPolicy(max_attempts=1)
     return _DEFAULT_PUSH_RETRY
-
-
-def _accepts_trace(target: "PushTarget") -> bool:
-    """Whether a push target's ``ingest_push`` takes the trace kwarg.
-
-    Probed once per target assignment (not per push) so trace
-    propagation degrades gracefully against older shims without paying
-    ``inspect`` on the hot path.
-    """
-    import inspect
-
-    try:
-        sig = inspect.signature(target.ingest_push)
-    except (TypeError, ValueError):  # builtins / C-level callables
-        return False
-    return "trace" in sig.parameters or any(
-        p.kind is inspect.Parameter.VAR_KEYWORD for p in sig.parameters.values()
-    )
 
 
 def _env_float(name: str, default: float) -> float:
@@ -182,7 +164,6 @@ class Agent:
         # cursor (what the zone has confirmed received), and counters.
         self._push_handle: Optional[PeriodicHandle] = None
         self._push_target: Optional[PushTarget] = None
-        self._push_trace_ok = False
         self._push_acked: Dict[str, int] = {}
         self.push_period_s: Optional[float] = None
         self.total_pushes = 0
@@ -488,7 +469,6 @@ class Agent:
         if self._push_handle is not None and self._push_handle.active:
             raise RuntimeError(f"agent {self.name!r} is already pushing")
         self._push_target = zone
-        self._push_trace_ok = _accepts_trace(zone)
         self._push_resolver = resolver
         self._rehome_after = rehome_after
         self._push_retry = retry if retry is not None else _default_push_retry()
@@ -545,13 +525,10 @@ class Agent:
             # into the same trace tree as pulls (incident traces included).
             ctx = obs.current_trace()
             try:
-                if self._push_trace_ok:
-                    zone.ingest_push(
-                        self.machine.name, blocks, cursor,
-                        trace=ctx.to_wire() if ctx is not None else None,
-                    )
-                else:
-                    zone.ingest_push(self.machine.name, blocks, cursor)
+                zone.ingest_push(
+                    self.machine.name, blocks, cursor,
+                    trace=ctx.to_wire() if ctx is not None else None,
+                )
             except (ConnectionError, OSError) as exc:
                 sp.set("error", repr(exc))
                 self.total_push_errors += 1
@@ -604,7 +581,6 @@ class Agent:
         if target is None or target is self._push_target:
             return
         self._push_target = target
-        self._push_trace_ok = _accepts_trace(target)
         self._push_acked = {}
         self.push_consecutive_failures = 0
         self._push_backoff_until = 0.0
@@ -613,35 +589,24 @@ class Agent:
         obs.gauge(PUSH_FAILURES_METRIC, 0.0, agent=self.name)
         obs.event("agent.rehomed", obs.WARNING, agent=self.name)
 
-    def collect_delta(
+    def collect_blocks(
         self, acked: Optional[Mapping[str, int]] = None
-    ) -> Tuple[List[CounterSnapshot], Dict[str, int]]:
-        """Snapshots newer than the collector's ack vector, plus cursor.
+    ) -> Tuple[List[SeriesBlock], Dict[str, int]]:
+        """Rows newer than the collector's ack vector, plus the cursor.
 
         This is the agent half of the ``BATCH_DELTA`` exchange.  Without
         an active cadence poller the agent pulls through (one sweep) so
         on-demand collectors still observe current state; with a poller
         running the call only drains the store.
 
-        The drain — changed snapshots plus cursor — is one atomic store
-        operation (:meth:`TimeSeriesStore.drain`), so a cadence sweep
-        appending concurrently can never produce a cursor that
-        acknowledges snapshots the batch does not carry.
-        """
-        if not self.polling:
-            self.poll_once()
-        return self.store.drain(acked if acked is not None else {})
-
-    def collect_blocks(
-        self, acked: Optional[Mapping[str, int]] = None
-    ) -> Tuple[List[SeriesBlock], Dict[str, int]]:
-        """Columnar form of :meth:`collect_delta` — the packed hot path.
-
-        Same pull-through and atomicity guarantees, but the changed rows
-        come out as per-element blocks whose value rows reference the
-        store's flat arrays directly: no snapshot dicts are built
-        between the store and the wire codec (or, for an in-process
-        handle, between the store and the mirror's arrays).
+        The drain — changed blocks plus cursor — is one atomic store
+        operation (:meth:`TimeSeriesStore.drain_blocks`), so a cadence
+        sweep appending concurrently can never produce a cursor that
+        acknowledges rows the batch does not carry.  The rows come out
+        as per-element blocks whose value rows reference the store's
+        flat arrays directly: no snapshot dicts are built between the
+        store and the wire codec (or, for an in-process handle, between
+        the store and the mirror's arrays).
         """
         if not self.polling:
             self.poll_once()

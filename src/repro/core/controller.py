@@ -14,7 +14,9 @@ separate, batched :meth:`Controller.refresh` step — called on a cadence
 by long-running deployments, or explicitly by tests and tools that need
 pull semantics.  Agents are reached through an ``AgentHandle`` —
 in-process for simulations and tests, or the TCP client in
-:mod:`repro.core.net` for the real split-process deployment.
+:mod:`repro.core.net` for the real split-process deployment — whose one
+collection method, ``collect_blocks``, yields the changed rows as
+columnar ``SeriesBlock``s that a mirror applies without building a dict.
 
 The collection plane is failure-tolerant: a sync that cannot reach its
 agent feeds the mirror's :class:`~repro.core.health.AgentHealth` state
@@ -134,9 +136,9 @@ class AgentHandle(Protocol):
 
     def element_ids(self) -> List[str]: ...
 
-    def collect_delta(
+    def collect_blocks(
         self, acked: Optional[Dict[str, int]] = None
-    ) -> Tuple[List[CounterSnapshot], Dict[str, int]]: ...
+    ) -> Tuple[List[SeriesBlock], Dict[str, int]]: ...
 
 
 class AgentMirror:
@@ -169,15 +171,11 @@ class AgentMirror:
     def sync(self) -> int:
         """One BATCH_DELTA exchange; returns snapshots received.
 
-        Prefers the handle's columnar :meth:`collect_blocks` surface
-        when it has one (remote handles over the binary codec, and the
-        in-process agent): the changed rows land straight in this
-        mirror's value arrays via
-        :meth:`TimeSeriesStore.apply_blocks`, with no snapshot dicts
-        built anywhere on the path.  A handle that only speaks
-        ``collect_delta`` (a custom test double, an old shim) is served
-        identically through the dict-shaped view — the mirror contents
-        are byte-for-byte the same either way.
+        The handle's :meth:`collect_blocks` — a remote handle over the
+        wire or the in-process agent — yields the changed rows as
+        columnar blocks, which land straight in this mirror's value
+        arrays via :meth:`TimeSeriesStore.apply_blocks`, with no
+        snapshot dicts built anywhere on the path.
 
         A sync the agent cannot serve (unreachable, protocol garbage)
         records a health failure and returns 0 — the mirror keeps its
@@ -189,15 +187,9 @@ class AgentMirror:
         Safe to call from concurrent refresh workers: the per-mirror
         lock keeps the exchange + cursor update atomic per mirror.
         """
-        collect_blocks = getattr(self.handle, "collect_blocks", None)
         with self._sync_lock, obs.span("mirror.sync", machine=self.machine) as sp:
             try:
-                if collect_blocks is not None:
-                    blocks, cursor = collect_blocks(self.acked)
-                    received = sum(len(rows) for _, _, _, rows in blocks)
-                else:
-                    batch, cursor = self.handle.collect_delta(self.acked)
-                    received = len(batch)
+                blocks, cursor = self.handle.collect_blocks(self.acked)
             except COLLECTION_ERRORS as exc:
                 self.failed_syncs += 1
                 self.last_error = exc
@@ -210,10 +202,7 @@ class AgentMirror:
                 )
                 sp.set("ok", False)
                 return 0
-            if collect_blocks is not None:
-                self.store.apply_blocks(blocks)
-            else:
-                self.store.extend(batch)
+            received = self.store.apply_blocks(blocks)
             self.acked = dict(cursor)
             self.syncs += 1
             self.snapshots_received += received

@@ -3,9 +3,9 @@
 The paper's controller talks to agents over the management network; in
 tests and simulations the controller holds agents in-process, but the
 same ``AgentHandle`` interface is implemented here over real TCP
-sockets with a length-prefixed JSON protocol, so the split-process
-deployment path is exercised end-to-end (on localhost) by the
-integration tests.
+sockets with a length-prefixed protocol (JSON control ops, packed
+``bin1`` data ops), so the split-process deployment path is exercised
+end-to-end (on localhost) by the integration tests.
 """
 
 from repro.core.net.client import (

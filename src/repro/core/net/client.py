@@ -24,19 +24,18 @@ connection it happened on (the rest of the pool keeps serving), and the
 "did the request reach the peer" judgment is made against that
 connection's own send.
 
-Wire codec: each pooled connection negotiates its own codec lazily via
-HELLO on its first BATCH_DELTA — ``bin1`` (packed binary payloads, see
-:mod:`repro.core.net.codec`) against a current agent, ``json`` against
-an old peer that refuses HELLO or a server pinned to the fallback.  The
-negotiated id tables live on the connection, so pool churn, retries and
-reconnects re-negotiate transparently.  Pass ``codec="json"`` (or set
-:data:`~repro.core.net.protocol.FORCE_JSON_ENV` in the environment) to
-skip HELLO entirely and behave exactly like the pre-binary client.
+Wire codec: data ops (BATCH_DELTA, ZONE_REPORT) travel as ``bin1``
+frames (:mod:`repro.core.net.codec`) and as nothing else.  Each pooled
+connection says HELLO lazily before its first data op to seed its id
+tables; the tables live on the connection, so pool churn, retries and
+reconnects re-handshake transparently.  A peer that refuses HELLO or
+answers another codec fails the operation with a typed
+:class:`~repro.core.net.protocol.ProtocolError` (``op="hello"``) and
+the connection is discarded — there is no other format to fall back to.
 """
 
 from __future__ import annotations
 
-import os
 import random
 import threading
 import time
@@ -47,11 +46,9 @@ import socket
 
 from repro import obs
 from repro.core.concurrency import ConnectionPool
-from repro.core.counters import CounterSnapshot
 from repro.core.net import codec as wire_codec
-from repro.core.net.codec import CODEC_BIN1, CODEC_JSON, WireSchema
+from repro.core.net.codec import CODEC_BIN1, WireSchema
 from repro.core.net.protocol import (
-    FORCE_JSON_ENV,
     IDEMPOTENT_OPS,
     OP_BATCH_DELTA,
     OP_HELLO,
@@ -65,8 +62,6 @@ from repro.core.net.protocol import (
     ProtocolError,
     inject_trace,
     is_binary_frame,
-    make_batch_delta_request,
-    make_hello_request,
     parse_json_frame,
     recv_frame,
     recv_message,
@@ -74,7 +69,7 @@ from repro.core.net.protocol import (
     send_message,
 )
 from repro.core.records import StatRecord
-from repro.core.store import SeriesBlock, blocks_to_snapshots
+from repro.core.store import SeriesBlock
 
 #: Self-observability names; the ``op`` label is bounded by the
 #: protocol's op inventory, ``agent`` by the fleet size.
@@ -350,20 +345,19 @@ class CircuitBreaker:
 
 
 class _WireConn:
-    """One pooled connection plus its negotiated per-connection codec.
+    """One pooled connection plus its per-connection id tables.
 
-    ``codec`` is None until the first BATCH_DELTA triggers HELLO (or
-    the handle is pinned to JSON, in which case negotiation is skipped
-    and every exchange speaks the v0 format).  The id tables in
-    ``schema`` are only ever meaningful to this connection.
+    ``greeted`` is False until the first data op triggers HELLO, which
+    seeds ``schema``; the tables are only ever meaningful to this
+    connection.
     """
 
-    __slots__ = ("sock", "schema", "codec")
+    __slots__ = ("sock", "schema", "greeted")
 
     def __init__(self, sock: socket.socket) -> None:
         self.sock = sock
         self.schema = WireSchema()
-        self.codec: Optional[str] = None
+        self.greeted = False
 
 
 class WireClient:
@@ -373,16 +367,12 @@ class WireClient:
     the controller's per-agent handle and the zone tier's link to the
     fleet root: a small connection pool (``pool_size``) so concurrent
     callers pipeline instead of serializing on one socket, the
-    retry/idempotency loop of :meth:`_exchange` per operation, and lazy
-    per-connection codec negotiation via HELLO.  ``sleep``, ``clock``
-    and ``rng`` are injectable so tests can drive the retry loop
+    retry/idempotency loop of :meth:`_exchange` per operation, and the
+    lazy per-connection HELLO handshake.  ``sleep``, ``clock`` and
+    ``rng`` are injectable so tests can drive the retry loop
     deterministically without real waiting; passing ``seed`` instead of
     ``rng`` makes the backoff jitter reproducible without sharing
     generator state across handles.
-
-    ``codec="auto"`` (default) negotiates the packed binary payload
-    path per connection and falls back to JSON against old peers;
-    ``codec="json"`` never negotiates — the debugging escape hatch.
     """
 
     #: Label prefix for the default ``name`` (subclasses override).
@@ -401,17 +391,13 @@ class WireClient:
         seed: Optional[int] = None,
         pool_size: int = DEFAULT_POOL_SIZE,
         pool_idle_s: Optional[float] = DEFAULT_POOL_IDLE_S,
-        codec: str = "auto",
         circuit: Optional[CircuitPolicy] = None,
     ):
-        if codec not in ("auto", CODEC_JSON):
-            raise ValueError(f"codec must be 'auto' or 'json': {codec!r}")
         self.host = host
         self.port = port
         self.name = name or f"{self.peer_kind}@{host}:{port}"
         self.timeout_s = timeout_s
         self.retry = retry if retry is not None else RetryPolicy()
-        self.codec = CODEC_JSON if os.environ.get(FORCE_JSON_ENV) else codec
         # Off unless asked for: a default-on breaker would fast-fail the
         # immediate reconnect after a deliberate agent restart, which
         # crash-recovery deployments (and their tests) rely on.
@@ -452,8 +438,8 @@ class WireClient:
 
         In-flight operations keep the connection they checked out (it is
         closed when they finish); the next call after ``close`` simply
-        reconnects — with fresh codec negotiation, since the id tables
-        die with their connection.
+        reconnects — with a fresh HELLO, since the id tables die with
+        their connection.
         """
         self.pool.close_all()
         self.pool.reopen()
@@ -555,7 +541,7 @@ class WireClient:
         return result
 
     def _call(self, request: dict) -> dict:
-        """One JSON request/response exchange (control ops, fallback)."""
+        """One JSON request/response exchange (the control ops)."""
         op = str(request.get("op"))
         # The wire.call span opened by _exchange is the parent the
         # agent-side handler span links to; a retried request keeps the
@@ -587,30 +573,29 @@ class WireClient:
         )
         raise AgentUnreachable(self.name, op, attempts, elapsed, exc) from exc
 
-    # -- codec negotiation ----------------------------------------------------------
+    # -- HELLO handshake ------------------------------------------------------------
 
     def _negotiate(self, conn: _WireConn, sent: List[bool]) -> None:
-        """HELLO on one connection; fixes its codec for its lifetime.
-
-        An old peer that does not know HELLO refuses the op — that *is*
-        the negotiation: the connection speaks JSON from then on, and no
-        data is lost, just bytes.
+        """HELLO on one connection; seeds its id tables for its lifetime.
 
         Gets its own ``wire.hello`` span (nested under whatever
         operation triggered it) so each ``wire.call`` span still parents
         exactly one server-side ``wire.serve`` — the handshake's serve
         span links here instead.
         """
-        with obs.span("wire.hello", agent=self.name) as sp:
-            request = inject_trace(make_hello_request(), obs.current_trace())
+        with obs.span("wire.hello", agent=self.name):
+            request = inject_trace({"op": OP_HELLO}, obs.current_trace())
             send_message(conn.sock, request)
             sent[0] = True
             response = recv_message(conn.sock)
             if not response.get("ok"):
-                conn.codec = CODEC_JSON
-            else:
-                conn.codec = wire_codec.apply_hello_response(response, conn.schema)
-            sp.set("codec", conn.codec)
+                raise ProtocolError(
+                    f"peer {self.name} refused HELLO: "
+                    f"{response.get('error', 'unknown error')}",
+                    op=OP_HELLO,
+                )
+            wire_codec.apply_hello_response(response, conn.schema)
+            conn.greeted = True
 
     # -- generic peer surface ----------------------------------------------------------
 
@@ -618,20 +603,16 @@ class WireClient:
         return str(self._call({"op": OP_PING})["agent"])
 
     def hello(self) -> str:
-        """Negotiate (on one pooled connection) and report the codec.
+        """Handshake (on one pooled connection) and report the codec.
 
-        Mostly a diagnostics/testing surface: normal operation
-        negotiates lazily inside the first packed exchange on each
-        connection.
+        Mostly a diagnostics/testing surface: normal operation says
+        HELLO lazily inside the first data op on each connection.
         """
 
         def perform(conn: _WireConn, sent: List[bool]) -> str:
-            if conn.codec is None:
-                if self.codec == CODEC_JSON:
-                    conn.codec = CODEC_JSON
-                else:
-                    self._negotiate(conn, sent)
-            return conn.codec
+            if not conn.greeted:
+                self._negotiate(conn, sent)
+            return CODEC_BIN1
 
         return self._exchange(OP_HELLO, perform)
 
@@ -647,8 +628,7 @@ class RemoteAgentHandle(WireClient):
 
     The :class:`WireClient` transport core plus the ``AgentHandle``
     surface the controller mirrors against: element listings, raw
-    queries, and the BATCH_DELTA collection exchange (packed ``bin1``
-    when negotiated).
+    queries, and the packed BATCH_DELTA collection exchange.
     """
 
     peer_kind = "remote-agent"
@@ -682,101 +662,39 @@ class RemoteAgentHandle(WireClient):
     ) -> Tuple[List[SeriesBlock], Dict[str, int]]:
         """One BATCH_DELTA exchange as columnar blocks + new ack cursor.
 
-        The packed hot path: on a ``bin1`` connection the response's
-        value rows decode straight into block tuples that
-        :meth:`TimeSeriesStore.apply_blocks` lands in a mirror's value
-        arrays — no dicts anywhere between the agent's store and the
-        controller's.  On a JSON connection (negotiated fallback) the
-        same shape is materialized from the v0 payload, so callers
-        never see the difference.
+        The response's value rows decode straight into block tuples
+        that :meth:`TimeSeriesStore.apply_blocks` lands in a mirror's
+        value arrays — no dicts anywhere between the agent's store and
+        the controller's.
         """
         acked = dict(acked) if acked else {}
 
         def perform(
             conn: _WireConn, sent: List[bool]
         ) -> Tuple[List[SeriesBlock], Dict[str, int]]:
-            if conn.codec is None:
-                if self.codec == CODEC_JSON:
-                    conn.codec = CODEC_JSON
-                else:
-                    self._negotiate(conn, sent)
-                    sent[0] = False  # the delta request itself not yet sent
+            if not conn.greeted:
+                self._negotiate(conn, sent)
+                sent[0] = False  # the delta request itself not yet sent
             # Captured here — inside the wire.call span — so the agent's
             # serve span parents on this exchange, not on our caller.
             trace = obs.current_trace()
             trace_wire = trace.to_wire() if trace is not None else None
-            if conn.codec == CODEC_BIN1:
-                raw = wire_codec.encode_batch_request(
-                    conn.schema, acked, trace_wire
-                )
-                send_frame(conn.sock, raw, op=OP_BATCH_DELTA)
-                sent[0] = True
-                reply = recv_frame(conn.sock)
-                if is_binary_frame(reply):
-                    payload = wire_codec.decode_batch_response(conn.schema, reply)
-                    return payload.blocks, payload.cursor
-                # The server answers protocol violations (and refusals)
-                # in JSON even on a binary connection.
-                response = parse_json_frame(reply, op=OP_BATCH_DELTA)
-                raise RuntimeError(
-                    f"agent {self.name} refused {OP_BATCH_DELTA!r}: "
-                    f"{response.get('error', 'unknown error')}"
-                )
-            request = make_batch_delta_request(acked)
-            if trace_wire is not None:
-                request["trace"] = trace_wire
-            send_message(conn.sock, request)
+            raw = wire_codec.encode_batch_request(conn.schema, acked, trace_wire)
+            send_frame(conn.sock, raw, op=OP_BATCH_DELTA)
             sent[0] = True
-            response = recv_message(conn.sock)
-            if not response.get("ok"):
-                raise RuntimeError(
-                    f"agent {self.name} refused {OP_BATCH_DELTA!r}: "
-                    f"{response.get('error', 'unknown error')}"
-                )
-            return self._blocks_from_json(response)
+            reply = recv_frame(conn.sock)
+            if is_binary_frame(reply):
+                payload = wire_codec.decode_batch_response(conn.schema, reply)
+                return payload.blocks, payload.cursor
+            # The server answers protocol violations (and refusals) in
+            # JSON even though the request was binary.
+            response = parse_json_frame(reply, op=OP_BATCH_DELTA)
+            raise RuntimeError(
+                f"agent {self.name} refused {OP_BATCH_DELTA!r}: "
+                f"{response.get('error', 'unknown error')}"
+            )
 
         return self._exchange(OP_BATCH_DELTA, perform)
-
-    @staticmethod
-    def _blocks_from_json(
-        response: Mapping[str, object]
-    ) -> Tuple[List[SeriesBlock], Dict[str, int]]:
-        """Shape a v0 JSON batch_delta response like a columnar decode."""
-        batch = response.get("batch")
-        cursor = response.get("cursor")
-        if not isinstance(batch, list) or not isinstance(cursor, dict):
-            raise ProtocolError(
-                "batch_delta response missing batch/cursor", op=OP_BATCH_DELTA
-            )
-        blocks: List[SeriesBlock] = []
-        try:
-            for entry in batch:
-                snap = CounterSnapshot.from_dict(entry)
-                names = tuple(snap.attrs)
-                blocks.append(
-                    (
-                        snap.element_id,
-                        snap.machine,
-                        names,
-                        [(snap.seq, snap.timestamp, [snap.attrs[n] for n in names])],
-                    )
-                )
-        except (TypeError, ValueError) as exc:
-            raise ProtocolError(
-                f"bad snapshot in batch_delta: {exc}", op=OP_BATCH_DELTA
-            ) from exc
-        return blocks, {str(k): int(v) for k, v in cursor.items()}
-
-    def collect_delta(
-        self, acked: Optional[Mapping[str, int]] = None
-    ) -> Tuple[List[CounterSnapshot], Dict[str, int]]:
-        """One BATCH_DELTA exchange: changed snapshots + new ack cursor.
-
-        Dict-shaped compatibility view over :meth:`collect_blocks` —
-        callers that want the packed path apply the blocks directly.
-        """
-        blocks, cursor = self.collect_blocks(acked)
-        return blocks_to_snapshots(blocks), cursor
 
 
 class ZoneClient(WireClient):
@@ -787,8 +705,8 @@ class ZoneClient(WireClient):
     ops are idempotent (reports carry the zone's monotonic ``seq``), so
     the full :class:`WireClient` retry machinery applies — a report
     whose ack got lost is blindly re-sent and dropped as a replay at
-    the root.  Reports go packed (``bin1`` kind-3 frames) when the
-    connection negotiated it, JSON otherwise.
+    the root.  Reports go packed (``bin1`` kind-3 frames); the root's
+    acks come back as JSON.
     """
 
     peer_kind = "zone-link"
@@ -817,35 +735,17 @@ class ZoneClient(WireClient):
         """
 
         def perform(conn: _WireConn, sent: List[bool]) -> bool:
-            if conn.codec is None:
-                if self.codec == CODEC_JSON:
-                    conn.codec = CODEC_JSON
-                else:
-                    self._negotiate(conn, sent)
-                    sent[0] = False  # the report itself not yet sent
+            if not conn.greeted:
+                self._negotiate(conn, sent)
+                sent[0] = False  # the report itself not yet sent
             trace = obs.current_trace()
             trace_wire = trace.to_wire() if trace is not None else None
-            if conn.codec == CODEC_BIN1:
-                raw = wire_codec.encode_zone_report(
-                    conn.schema, report_wire, trace_wire
-                )
-                send_frame(conn.sock, raw, op=OP_ZONE_REPORT)
-                sent[0] = True
-                # Acks are small and always JSON, even on a binary
-                # connection — same convention as BATCH_DELTA errors.
-                response = parse_json_frame(
-                    recv_frame(conn.sock), op=OP_ZONE_REPORT
-                )
-            else:
-                request: Dict[str, Any] = {
-                    "op": OP_ZONE_REPORT,
-                    "report": dict(report_wire),
-                }
-                if trace_wire is not None:
-                    request["trace"] = trace_wire
-                send_message(conn.sock, request)
-                sent[0] = True
-                response = recv_message(conn.sock)
+            raw = wire_codec.encode_zone_report(conn.schema, report_wire, trace_wire)
+            send_frame(conn.sock, raw, op=OP_ZONE_REPORT)
+            sent[0] = True
+            # Acks are small and always JSON — same convention as
+            # BATCH_DELTA errors.
+            response = parse_json_frame(recv_frame(conn.sock), op=OP_ZONE_REPORT)
             if not response.get("ok"):
                 raise RuntimeError(
                     f"fleet root {self.name} refused {OP_ZONE_REPORT!r}: "

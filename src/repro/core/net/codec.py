@@ -1,15 +1,14 @@
-"""Packed binary payloads for the BATCH_DELTA hot path (codec ``bin1``).
+"""Packed binary payloads for the data ops (codec ``bin1``).
 
-The JSON wire format spells every element id and attribute name out as
-a string in every snapshot of every frame, and forces both peers
-through dict building on each record.  This codec replaces the payload
-of the one exchange that actually moves volume — the agent sweep →
-``BATCH_DELTA`` encode → controller mirror apply pipeline — with
-fixed-width binary records that encode straight out of the store's
-columnar value arrays (:meth:`~repro.core.store.TimeSeriesStore
-.drain_blocks`) and apply straight back into a mirror's
+The one encoding of the exchanges that move volume — the agent sweep →
+``BATCH_DELTA`` encode → controller mirror apply pipeline, and the
+zone → root ``ZONE_REPORT`` push: fixed-width binary records that
+encode straight out of the store's columnar value arrays
+(:meth:`~repro.core.store.TimeSeriesStore.drain_blocks`) and apply
+straight back into a mirror's
 (:meth:`~repro.core.store.TimeSeriesStore.apply_blocks`), with zero
-intermediate dicts on either side.
+intermediate dicts on either side.  Control ops, acks and error replies
+stay JSON (:mod:`repro.core.net.protocol`).
 
 **Id negotiation.**  Strings cross the wire once per connection: the
 ``HELLO`` exchange returns the agent's current element/attribute/
@@ -74,7 +73,6 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 from repro.core.net.protocol import (
     BIN_MAGIC,
     CODEC_BIN1,
-    CODEC_JSON,
     OP_BATCH_DELTA,
     OP_HELLO,
     OP_ZONE_REPORT,
@@ -386,8 +384,7 @@ def decode_batch_request(
 ) -> Tuple[Dict[str, int], Optional[Mapping[str, Any]]]:
     """Unpack a ``bin1`` BATCH_DELTA request into (acked, trace context).
 
-    Applies the same schema rules as the JSON path's ``parse_acked``:
-    sequence numbers must be non-negative, and ids must have been
+    Sequence numbers must be non-negative, and ids must have been
     negotiated on this connection.
     """
     r = _Reader(raw, OP_BATCH_DELTA)
@@ -792,52 +789,50 @@ def decode_zone_report(
     return report, trace
 
 
-# -- HELLO negotiation ----------------------------------------------------------
-
-
-def choose_codec(offered: Iterable[Any], allow_binary: bool = True) -> str:
-    """The codec the server picks for one connection's lifetime."""
-    offers = {str(c) for c in (offered or ())}
-    if allow_binary and CODEC_BIN1 in offers:
-        return CODEC_BIN1
-    return CODEC_JSON
+# -- HELLO handshake --------------------------------------------------------------
 
 
 def make_hello_response(
-    agent_name: str,
-    machine: str,
-    element_ids: Sequence[str],
-    attr_names: Sequence[str],
-    codec: str,
+    peer_name: str,
     schema: WireSchema,
+    machine: Optional[str] = None,
+    element_ids: Sequence[str] = (),
+    attr_names: Sequence[str] = (),
 ) -> Dict[str, Any]:
     """Build the HELLO response, seeding the connection's id tables.
 
-    The agent assigns dense ids for everything it currently knows —
+    An agent assigns dense ids for everything it currently knows —
     elements, the standard attribute set, its machine name — so the
     very first binary frame usually needs no dictionary deltas at all.
+    The fleet root knows no names up front and seeds nothing.
     """
     for eid in element_ids:
         schema.elements.assign(eid)
     for attr in attr_names:
         schema.attrs.assign(attr)
-    schema.machines.assign(machine)
+    if machine is not None:
+        schema.machines.assign(machine)
     return {
         "ok": True,
-        "agent": agent_name,
-        "codec": codec,
-        "schema": schema.to_wire() if codec != CODEC_JSON else {},
+        "agent": peer_name,
+        "codec": CODEC_BIN1,
+        "schema": schema.to_wire(),
     }
 
 
-def apply_hello_response(response: Mapping[str, Any], schema: WireSchema) -> str:
-    """Prime the client's tables from a HELLO response; returns the codec."""
-    codec = str(response.get("codec", CODEC_JSON))
-    if codec not in (CODEC_BIN1, CODEC_JSON):
-        raise ProtocolError(f"peer negotiated unknown codec {codec!r}", op=OP_HELLO)
-    if codec != CODEC_JSON:
-        raw_schema = response.get("schema", {})
-        if not isinstance(raw_schema, Mapping):
-            raise ProtocolError("hello schema must be a mapping", op=OP_HELLO)
-        schema.load_wire(raw_schema)
-    return codec
+def apply_hello_response(response: Mapping[str, Any], schema: WireSchema) -> None:
+    """Prime the client's tables from a HELLO response.
+
+    A peer that answers with any codec but ``bin1`` is one this client
+    has no data format in common with: a typed error, never a downgrade.
+    """
+    codec = response.get("codec")
+    if codec != CODEC_BIN1:
+        raise ProtocolError(
+            f"peer answered HELLO with codec {codec!r}, not {CODEC_BIN1!r}",
+            op=OP_HELLO,
+        )
+    raw_schema = response.get("schema", {})
+    if not isinstance(raw_schema, Mapping):
+        raise ProtocolError("hello schema must be a mapping", op=OP_HELLO)
+    schema.load_wire(raw_schema)

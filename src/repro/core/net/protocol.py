@@ -1,25 +1,25 @@
 """Framing and op inventory for the agent-controller channel.
 
 Frame layout: 4-byte big-endian payload length, then the payload.  Two
-payload encodings share the framing:
+payload encodings share the framing, split by what they carry:
 
-* **JSON** (the v0 wire format, and the negotiated fallback): a UTF-8
-  JSON object.  Requests carry an ``op`` (see the ``OP_*`` constants),
-  responses carry ``ok`` plus either results or ``error``.
-* **Packed binary** (:mod:`repro.core.net.codec`): the hot-path
-  ``BATCH_DELTA`` exchange as fixed-width element-id/attr-id/value
-  records.  Binary payloads start with :data:`BIN_MAGIC` (``0xB1``),
-  which can never open a JSON object (``{`` is ``0x7B``), so either
-  side classifies every received frame with one byte test
+* **JSON** for control: a UTF-8 JSON object.  Requests carry an ``op``
+  (see the ``OP_*`` constants), responses carry ``ok`` plus either
+  results or ``error``.  PING, the listings, QUERY, HELLO,
+  ZONE_SUBSCRIBE, ZONE_FOR, every ack and every error reply are JSON.
+* **Packed binary** (``bin1``, :mod:`repro.core.net.codec`) for data:
+  ``BATCH_DELTA`` requests and responses and ``ZONE_REPORT`` requests
+  travel as fixed-width element-id/attr-id/value records and as
+  nothing else.  Binary payloads start with :data:`BIN_MAGIC`
+  (``0xB1``), which can never open a JSON object (``{`` is ``0x7B``),
+  so either side classifies every received frame with one byte test
   (:func:`is_binary_frame`).
 
-Codec choice is negotiated once per connection by the ``HELLO`` op
-(:data:`OP_HELLO`): the client offers its codecs, the agent picks one
-and returns its element/attribute id tables.  A peer that has never
-heard of HELLO refuses the op, which the client treats as "JSON-only
-old peer" — every op keeps working, just un-packed.  Control ops (PING,
-the listings, QUERY, HELLO itself) always speak JSON; only BATCH_DELTA
-payloads go binary.
+The ``HELLO`` op (:data:`OP_HELLO`) is the per-connection handshake
+that seeds both ends' id tables before the first binary frame.  There
+is nothing to negotiate: a peer that refuses HELLO, or answers with any
+codec but :data:`CODEC_BIN1`, fails the exchange with a typed
+:class:`ProtocolError` instead of being spoken to in some other format.
 
 A maximum frame size guards both sides against a corrupt or hostile
 peer: the length header is validated **before** any payload read, so a
@@ -30,7 +30,7 @@ known.
 
 The workhorse op is ``BATCH_DELTA``: the controller sends its
 per-element acknowledged sequence numbers and the agent replies with one
-machine-batched frame holding only the counter snapshots that changed
+machine-batched frame holding only the counter rows that changed
 since — the streaming collection pipeline of the statistics plane.  The
 older per-query ``query`` op remains as the synchronous pull escape
 hatch.
@@ -81,17 +81,10 @@ OP_ZONE_REPORT = "zone_report"
 #: ring, which failover keeps current.
 OP_ZONE_FOR = "zone_for"
 
-#: Codec names, in client preference order.  ``bin1`` is the packed
-#: binary BATCH_DELTA payload (version 1); ``json`` is the v0 format
-#: every peer speaks.
+#: The one data codec: packed binary BATCH_DELTA / ZONE_REPORT payloads
+#: (version 1).  HELLO responses name it so a client can tell a peer
+#: that speaks something else apart from one it can talk to.
 CODEC_BIN1 = "bin1"
-CODEC_JSON = "json"
-SUPPORTED_CODECS = (CODEC_BIN1, CODEC_JSON)
-
-#: Environment knob honoured by both client and server: any non-empty
-#: value pins every connection to the JSON fallback — the debugging
-#: escape hatch for reading frames off the wire by eye.
-FORCE_JSON_ENV = "PERFSIGHT_WIRE_FORCE_JSON"
 
 #: Ops a client may retry blindly after a transport failure.  PING, the
 #: listings and HELLO are pure reads; BATCH_DELTA carries the
@@ -138,47 +131,6 @@ def inject_trace(
 def extract_trace(payload: Mapping[str, Any]) -> Optional[TraceContext]:
     """The peer's trace context, or None when absent or malformed."""
     return TraceContext.from_wire(payload.get(TRACE_FIELD))
-
-
-def make_hello_request(codecs=SUPPORTED_CODECS) -> Dict[str, Any]:
-    """Offer the peer our codecs; the response fixes this connection's."""
-    return {"op": OP_HELLO, "codecs": list(codecs)}
-
-
-def make_batch_delta_request(acked: Optional[Mapping[str, int]]) -> Dict[str, Any]:
-    """Request every snapshot newer than the collector's ack vector."""
-    return {
-        "op": OP_BATCH_DELTA,
-        "acked": {str(k): int(v) for k, v in (acked or {}).items()},
-    }
-
-
-def parse_acked(payload: Mapping[str, Any], op: str = OP_BATCH_DELTA) -> Dict[str, int]:
-    """Validate the ``acked`` field of a BATCH_DELTA request.
-
-    Sequence numbers must be actual non-negative integers: booleans
-    (which Python would silently treat as 0/1), negatives, floats and
-    strings are all schema violations from a confused or hostile peer.
-    The raised :class:`ProtocolError` names the offending op so the
-    client-side log pinpoints which exchange carried the bad vector.
-    """
-    raw = payload.get("acked") or {}
-    if not isinstance(raw, Mapping):
-        raise ProtocolError(
-            f"acked must be a mapping, got {type(raw).__name__}", op=op
-        )
-    out: Dict[str, int] = {}
-    for key, value in raw.items():
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ProtocolError(
-                f"acked seq for {key!r} must be an integer, got {value!r}", op=op
-            )
-        if value < 0:
-            raise ProtocolError(
-                f"acked seq for {key!r} must be non-negative, got {value!r}", op=op
-            )
-        out[str(key)] = value
-    return out
 
 
 class ProtocolError(Exception):
@@ -238,9 +190,7 @@ def recv_frame(sock: socket.socket) -> bytes:
 def parse_json_frame(raw: bytes, op: Optional[str] = None) -> Dict[str, Any]:
     """Decode one JSON payload; raises ProtocolError on malformed input."""
     if is_binary_frame(raw):
-        raise ProtocolError(
-            "binary frame where JSON was expected (codec not negotiated?)", op=op
-        )
+        raise ProtocolError("binary frame where JSON was expected", op=op)
     try:
         payload = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:

@@ -1,41 +1,39 @@
-"""TCP server exposing one agent to remote controllers.
+"""TCP servers exposing an agent, or the fleet root, to remote peers.
 
-Request concurrency follows a reader/writer discipline
+Both tiers run the same code: one request loop
+(:class:`_RequestHandler`) and one server lifecycle
+(:class:`_WireServer`).  A tier contributes only what differs — which
+data op arrives as ``bin1`` frames and how it is served, and which JSON
+control ops it dispatches.
+
+Each connection carries its own id tables: a HELLO exchange seeds them
+before the first packed frame (:mod:`repro.core.net.codec`).  Data ops
+(BATCH_DELTA at an agent, ZONE_REPORT at the root) are ``bin1`` frames
+or they are refused; control ops, acks and error replies are JSON.
+
+Agent request concurrency follows a reader/writer discipline
 (:class:`~repro.core.concurrency.RWLock`): PING answers lock-free,
 the read-only ops (QUERY and the listings) share the read side and run
 concurrently with each other *and* with an in-flight collection sweep,
-and only the BATCH_DELTA drain — the atomic changed-snapshots + cursor
-pair — takes the write side.  Under the old single global lock a slow
-sweep stalled every ping and query queued behind it; now read-only
-traffic keeps flowing while the store's internal lock keeps its
-appends safe.
-
-Each connection carries its own wire codec state: a HELLO exchange
-negotiates packed-binary BATCH_DELTA payloads
-(:mod:`repro.core.net.codec`) and seeds the connection's id tables; a
-client that never says HELLO gets plain JSON for everything, exactly as
-before the binary path existed.  The reader/writer locking, tracing and
-metrics are identical on both paths — only the payload encoding (and
-the dict-free drain it enables) differs.  ``PERFSIGHT_WIRE_FORCE_JSON=1``
-in the server's environment refuses binary at negotiation time, the
-debugging escape hatch for reading frames off the wire by eye.
+and only the BATCH_DELTA drain — the atomic changed-blocks + cursor
+pair — takes the write side, so read-only traffic keeps flowing under a
+slow sweep while the store's internal lock keeps its appends safe.
 """
 
 from __future__ import annotations
 
-import os
 import socket
 import socketserver
 import threading
 import time
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Union
 
 from repro import obs
 from repro.core.agent import Agent
 from repro.core.concurrency import RWLock
 from repro.core.counters import STANDARD_ATTRS
 from repro.core.net import codec as wire_codec
-from repro.core.net.codec import CODEC_BIN1, CODEC_JSON, WireSchema
+from repro.core.net.codec import WireSchema
 from repro.core.net.protocol import (
     OP_BATCH_DELTA,
     OP_HELLO,
@@ -46,11 +44,9 @@ from repro.core.net.protocol import (
     OP_ZONE_FOR,
     OP_ZONE_REPORT,
     OP_ZONE_SUBSCRIBE,
-    FORCE_JSON_ENV,
     ProtocolError,
     TRACE_FIELD,
     is_binary_frame,
-    parse_acked,
     parse_json_frame,
     recv_frame,
     send_frame,
@@ -62,21 +58,24 @@ SERVER_REQUESTS_METRIC = "perfsight_server_requests_total"
 SERVER_LATENCY_METRIC = "perfsight_server_request_latency_seconds"
 
 
-class _AgentRequestHandler(socketserver.BaseRequestHandler):
-    """Serves query/list requests on one connection until it closes.
+class _RequestHandler(socketserver.BaseRequestHandler):
+    """Serves one connection until it closes — the loop both tiers run.
 
-    Holds this connection's codec state: the id tables seeded at HELLO
-    and extended by dictionary deltas, plus the negotiated codec name.
+    Holds the connection's id tables, seeded at HELLO and extended by
+    dictionary deltas.  A tier subclass names the one op it receives as
+    ``bin1`` frames (:attr:`bin_op`), decodes and serves such a frame
+    (:meth:`_decode`, :meth:`_serve`), and dispatches its JSON control
+    ops (:meth:`_dispatch`).
     """
+
+    bin_op: str
 
     def setup(self) -> None:
         super().setup()
         self.schema = WireSchema()
-        self.codec = CODEC_JSON  # until HELLO negotiates otherwise
 
     def handle(self) -> None:
-        agent: Agent = self.server.agent  # type: ignore[attr-defined]
-        lock: RWLock = self.server.agent_lock  # type: ignore[attr-defined]
+        peer = self.server.peer  # type: ignore[attr-defined]
         while True:
             try:
                 raw = recv_frame(self.request)
@@ -86,20 +85,15 @@ class _AgentRequestHandler(socketserver.BaseRequestHandler):
                 self._respond({"ok": False, "error": str(exc)})
                 return
             binary = is_binary_frame(raw)
-            request: dict = {}
-            raw_response: Optional[bytes] = None
             if binary:
-                # The only op with a binary request is BATCH_DELTA; the
-                # trace context rides in the frame's trace slot, so the
-                # request is decoded before the span opens.
-                op = OP_BATCH_DELTA
+                # The trace context rides in the frame's trace slot, so
+                # the request is decoded before the span opens.
+                op = self.bin_op
                 try:
-                    acked, trace_raw = wire_codec.decode_batch_request(
-                        self.schema, raw
-                    )
+                    decoded, trace_raw = self._decode(raw)
                 except ProtocolError as exc:
                     # Malformed binary frames surface to the client as a
-                    # JSON error response, identically on both codecs.
+                    # JSON error response; the connection survives.
                     if not self._respond({"ok": False, "error": str(exc)}):
                         return
                     continue
@@ -116,73 +110,73 @@ class _AgentRequestHandler(socketserver.BaseRequestHandler):
             # share a trace id across the process boundary.
             wall0 = time.perf_counter()
             with obs.span_from_wire(
-                "wire.serve", trace_raw, op=op, agent=agent.name
+                "wire.serve", trace_raw, op=op, agent=peer.name
             ) as sp:
                 try:
-                    if binary:
-                        blocks, cursor = _drain(agent, lock, acked)
-                        raw_response = wire_codec.encode_batch_response(
-                            self.schema, agent.machine.name, blocks, cursor
-                        )
-                        response = {"ok": True}
-                    else:
-                        response = self._dispatch(agent, lock, request)
+                    reply = (
+                        self._serve(peer, decoded)
+                        if binary
+                        else self._dispatch(peer, request)
+                    )
                 except Exception as exc:  # surfaced to client, not server
-                    response = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
-                    raw_response = None
+                    reply = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
                     sp.set("error", f"{type(exc).__name__}: {exc}")
-                sp.set("ok", bool(response.get("ok")))
-                sp.set("codec", CODEC_BIN1 if binary else self.codec)
+                ok = isinstance(reply, bytes) or bool(reply.get("ok"))
+                sp.set("ok", ok)
             if obs.enabled():
                 obs.observe(
                     SERVER_LATENCY_METRIC, time.perf_counter() - wall0, op=op
                 )
                 obs.counter(
-                    SERVER_REQUESTS_METRIC, op=op,
-                    ok="true" if response.get("ok") else "false",
+                    SERVER_REQUESTS_METRIC, op=op, ok="true" if ok else "false"
                 )
-            sent = (
-                self._respond_raw(raw_response, op)
-                if raw_response is not None
-                else self._respond(response)
-            )
-            if not sent:
+            if not self._respond(reply, op):
                 return
 
-    def _respond(self, response: dict) -> bool:
-        """Send one JSON response frame; False when the peer is gone."""
+    def _respond(self, reply: Union[bytes, dict], op: Optional[str] = None) -> bool:
+        """Send one reply — packed bytes as they are, a dict as JSON.
+
+        False when the peer is gone.
+        """
         try:
-            send_message(self.request, response)
+            if isinstance(reply, bytes):
+                send_frame(self.request, reply, op=op)
+            else:
+                send_message(self.request, reply)
             return True
         except (ConnectionError, OSError):
             return False
 
-    def _respond_raw(self, raw: bytes, op: str) -> bool:
-        """Send one pre-encoded binary frame; False when the peer is gone."""
-        try:
-            send_frame(self.request, raw, op=op)
-            return True
-        except (ConnectionError, OSError):
-            return False
 
-    def _dispatch(self, agent: Agent, lock: RWLock, request: dict) -> dict:
+class _AgentRequestHandler(_RequestHandler):
+    """The agent tier: packed BATCH_DELTA, JSON query/list ops."""
+
+    bin_op = OP_BATCH_DELTA
+
+    def _decode(self, raw: bytes):
+        return wire_codec.decode_batch_request(self.schema, raw)
+
+    def _serve(self, agent: Agent, acked: dict) -> bytes:
+        lock: RWLock = self.server.agent_lock  # type: ignore[attr-defined]
+        blocks, cursor = _drain(agent, lock, acked)
+        return wire_codec.encode_batch_response(
+            self.schema, agent.machine.name, blocks, cursor
+        )
+
+    def _dispatch(self, agent: Agent, request: dict) -> dict:
+        lock: RWLock = self.server.agent_lock  # type: ignore[attr-defined]
         op = request.get("op")
         if op == OP_PING:
             return {"ok": True, "agent": agent.name}
         if op == OP_HELLO:
-            allow_binary = not self.server.force_json  # type: ignore[attr-defined]
-            self.codec = wire_codec.choose_codec(
-                request.get("codecs"), allow_binary=allow_binary
-            )
             with lock.read_locked():
                 element_ids = agent.element_ids()
             return wire_codec.make_hello_response(
                 agent.name,
+                self.schema,
                 agent.machine.name,
                 element_ids,
                 STANDARD_ATTRS,
-                self.codec,
-                self.schema,
             )
         if op == OP_LIST_ELEMENTS:
             with lock.read_locked():
@@ -197,15 +191,6 @@ class _AgentRequestHandler(socketserver.BaseRequestHandler):
             with lock.read_locked():
                 records = agent.query(element_ids, attrs)
             return {"ok": True, "records": [r.to_dict() for r in records]}
-        if op == OP_BATCH_DELTA:
-            acked = parse_acked(request)
-            batch, cursor = _drain_snapshots(agent, lock, acked)
-            return {
-                "ok": True,
-                "machine": agent.machine.name,
-                "batch": [snap.to_dict() for snap in batch],
-                "cursor": cursor,
-            }
         return {"ok": False, "error": f"unknown op: {op!r}"}
 
 
@@ -225,13 +210,43 @@ def _drain(agent: Agent, lock: RWLock, acked: dict):
         return agent.store.drain_blocks(acked)
 
 
-def _drain_snapshots(agent: Agent, lock: RWLock, acked: dict):
-    """The JSON path's drain: same locking, dict-shaped snapshots."""
-    with lock.read_locked():
-        if not agent.polling:
-            agent.poll_once()
-    with lock.write_locked():
-        return agent.store.drain(acked)
+class _FleetRequestHandler(_RequestHandler):
+    """The root tier: packed ZONE_REPORT, JSON subscribe/lookup ops.
+
+    Every *response* stays JSON — acks are tiny.
+    """
+
+    bin_op = OP_ZONE_REPORT
+
+    def _decode(self, raw: bytes):
+        return wire_codec.decode_zone_report(self.schema, raw)
+
+    def _serve(self, fleet, report_wire: dict) -> dict:
+        # Imported lazily: the diagnosis package (transitively) imports
+        # the net package this module belongs to.
+        from repro.core.diagnosis.report import ZoneReport
+
+        report = ZoneReport.from_wire(report_wire)
+        accepted = fleet.ingest_zone_report(report)
+        return {
+            "ok": True,
+            "accepted": accepted,
+            "zone_seq": fleet.zone_record(report.zone).last_seq,
+        }
+
+    def _dispatch(self, fleet, request: dict) -> dict:
+        op = request.get("op")
+        if op == OP_PING:
+            return {"ok": True, "agent": fleet.name}
+        if op == OP_HELLO:
+            return wire_codec.make_hello_response(fleet.name, self.schema)
+        if op == OP_ZONE_SUBSCRIBE:
+            zone = str(request.get("zone", ""))
+            return {"ok": True, **fleet.subscribe_zone(zone)}
+        if op == OP_ZONE_FOR:
+            machine = str(request.get("machine", ""))
+            return {"ok": True, "zone": fleet.zone_for(machine)}
+        return {"ok": False, "error": f"unknown op: {op!r}"}
 
 
 class _AgentTCPServer(socketserver.ThreadingTCPServer):
@@ -256,10 +271,11 @@ class _AgentTCPServer(socketserver.ThreadingTCPServer):
         super().__init__(*args, **kwargs)
         self._handler_socks: set = set()
         self._handler_socks_lock = threading.Lock()
-        self._partitioned = False
+        #: Set by the owning server's ``partition()`` / ``heal()``.
+        self.partitioned = False
 
     def process_request(self, request, client_address) -> None:
-        if self._partitioned:
+        if self.partitioned:
             # Emulated network partition: the process is alive but no
             # new connection gets past accept — peers see resets, the
             # same signal a real partition's RSTs/timeouts produce.
@@ -268,21 +284,6 @@ class _AgentTCPServer(socketserver.ThreadingTCPServer):
         with self._handler_socks_lock:
             self._handler_socks.add(request)
         super().process_request(request, client_address)
-
-    def partition(self) -> int:
-        """Drop into partition mode and sever live connections.
-
-        Returns the number of connections severed.  The listener keeps
-        accepting (so the OS-level port stays bound, exactly like a
-        partitioned-but-alive host), but every connection is closed
-        immediately and every in-flight one is cut.
-        """
-        self._partitioned = True
-        return self.close_lingering()
-
-    def heal(self) -> None:
-        """Leave partition mode; new connections are served again."""
-        self._partitioned = False
 
     def shutdown_request(self, request) -> None:
         with self._handler_socks_lock:
@@ -306,40 +307,22 @@ class _AgentTCPServer(socketserver.ThreadingTCPServer):
         return len(lingering)
 
 
-class AgentServer:
-    """Runs an agent behind a localhost TCP endpoint in a daemon thread.
+class _WireServer:
+    """Runs one tier's handler behind a localhost TCP endpoint.
 
-    ``codec`` selects what HELLO may negotiate: ``"auto"`` (default)
-    offers the packed binary path, ``"json"`` pins every connection to
-    the JSON fallback — useful for debugging and for exercising the
-    mixed-version debugging path.  :data:`FORCE_JSON_ENV` in the
-    environment has the same effect without touching code.
+    The lifecycle both tiers share: a daemon serve thread, a shutdown
+    that severs live connections, and the partition/heal fault surface.
     """
 
-    def __init__(
-        self,
-        agent: Agent,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        codec: str = "auto",
-    ) -> None:
-        if codec not in ("auto", CODEC_JSON):
-            raise ValueError(f"codec must be 'auto' or 'json': {codec!r}")
-        self.agent = agent
-        self._server = _AgentTCPServer(
-            (host, port), _AgentRequestHandler, bind_and_activate=True
-        )
-        self._server.agent = agent  # type: ignore[attr-defined]
-        self._server.agent_lock = RWLock()  # type: ignore[attr-defined]
-        self._server.force_json = (  # type: ignore[attr-defined]
-            codec == CODEC_JSON or bool(os.environ.get(FORCE_JSON_ENV))
-        )
-        self._thread: Optional[threading.Thread] = None
+    handler_class: type
 
-    @property
-    def lock(self) -> RWLock:
-        """The reader/writer lock gating request dispatch (for tests)."""
-        return self._server.agent_lock  # type: ignore[attr-defined]
+    def __init__(self, peer, host: str = "127.0.0.1", port: int = 0) -> None:
+        self.peer = peer
+        self._server = _AgentTCPServer(
+            (host, port), self.handler_class, bind_and_activate=True
+        )
+        self._server.peer = peer  # type: ignore[attr-defined]
+        self._thread: Optional[threading.Thread] = None
 
     @property
     def address(self) -> Tuple[str, int]:
@@ -349,11 +332,12 @@ class AgentServer:
     def running(self) -> bool:
         return self._thread is not None and self._thread.is_alive()
 
-    def start(self) -> "AgentServer":
+    def start(self):
         if self._thread is not None:
             raise RuntimeError("server already started")
         self._thread = threading.Thread(
-            target=self._server.serve_forever, name=f"agent-server-{self.agent.name}",
+            target=self._server.serve_forever,
+            name=f"{type(self).__name__}-{self.peer.name}",
             daemon=True,
         )
         self._thread.start()
@@ -364,8 +348,8 @@ class AgentServer:
 
         Safe to call more than once.  Severing the handler sockets is
         what keeps tests from leaking blocked threads/fds — and what
-        makes a kill look like a crash to connected controllers (their
-        next read fails immediately instead of hanging).
+        makes a kill look like a crash to connected peers (their next
+        read fails immediately instead of hanging).
         """
         if self._thread is not None:
             self._server.shutdown()
@@ -375,229 +359,56 @@ class AgentServer:
             self._thread.join(timeout=5)
             self._thread = None
 
-    def stop(self) -> None:
-        """Alias of :meth:`shutdown` (historical name)."""
-        self.shutdown()
-
     def partition(self) -> int:
         """Emulate a network partition: alive, but unreachable.
 
         Fault-injection surface for the chaos plane — unlike
         :meth:`shutdown` the server keeps running and :meth:`heal`
-        restores service without a restart.  Returns connections cut.
+        restores service without a restart.  The listener keeps
+        accepting (so the OS-level port stays bound, exactly like a
+        partitioned-but-alive host), but every new connection is closed
+        immediately and every in-flight one is cut.  Returns
+        connections cut.
         """
-        return self._server.partition()
+        self._server.partitioned = True
+        return self._server.close_lingering()
 
     def heal(self) -> None:
-        """Undo :meth:`partition`."""
-        self._server.heal()
+        """Undo :meth:`partition`; new connections are served again."""
+        self._server.partitioned = False
 
     @property
     def partitioned(self) -> bool:
-        return self._server._partitioned
+        return self._server.partitioned
 
-    def __enter__(self) -> "AgentServer":
+    def __enter__(self):
         return self.start()
 
     def __exit__(self, *exc) -> None:
         self.shutdown()
 
 
-class _FleetRequestHandler(socketserver.BaseRequestHandler):
-    """Serves the zone -> root op set on one connection until it closes.
+class AgentServer(_WireServer):
+    """Runs an agent behind a localhost TCP endpoint in a daemon thread."""
 
-    Same per-connection codec state as the agent handler: HELLO may
-    negotiate packed ``bin1`` zone-report frames (kind 3), everything
-    else — and every *response*, acks being tiny — stays JSON.
-    """
+    handler_class = _AgentRequestHandler
 
-    def setup(self) -> None:
-        super().setup()
-        self.schema = WireSchema()
-        self.codec = CODEC_JSON  # until HELLO negotiates otherwise
+    def __init__(self, agent: Agent, host: str = "127.0.0.1", port: int = 0) -> None:
+        super().__init__(agent, host, port)
+        self._server.agent_lock = RWLock()  # type: ignore[attr-defined]
 
-    def handle(self) -> None:
-        fleet = self.server.fleet  # type: ignore[attr-defined]
-        while True:
-            try:
-                raw = recv_frame(self.request)
-            except (ConnectionError, OSError):
-                return
-            except ProtocolError as exc:
-                self._respond({"ok": False, "error": str(exc)})
-                return
-            binary = is_binary_frame(raw)
-            request: dict = {}
-            report_wire: Optional[dict] = None
-            if binary:
-                # The only binary request at the root is ZONE_REPORT.
-                op = OP_ZONE_REPORT
-                try:
-                    report_wire, trace_raw = wire_codec.decode_zone_report(
-                        self.schema, raw
-                    )
-                except ProtocolError as exc:
-                    if not self._respond({"ok": False, "error": str(exc)}):
-                        return
-                    continue
-            else:
-                try:
-                    request = parse_json_frame(raw)
-                except ProtocolError as exc:
-                    self._respond({"ok": False, "error": str(exc)})
-                    return
-                op = str(request.get("op"))
-                trace_raw = request.get(TRACE_FIELD)
-            wall0 = time.perf_counter()
-            with obs.span_from_wire(
-                "wire.serve", trace_raw, op=op, agent=fleet.name
-            ) as sp:
-                try:
-                    if binary:
-                        response = self._ingest(fleet, report_wire)
-                    else:
-                        response = self._dispatch(fleet, request)
-                except Exception as exc:  # surfaced to client, not server
-                    response = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
-                    sp.set("error", f"{type(exc).__name__}: {exc}")
-                sp.set("ok", bool(response.get("ok")))
-                sp.set("codec", CODEC_BIN1 if binary else self.codec)
-            if obs.enabled():
-                obs.observe(
-                    SERVER_LATENCY_METRIC, time.perf_counter() - wall0, op=op
-                )
-                obs.counter(
-                    SERVER_REQUESTS_METRIC, op=op,
-                    ok="true" if response.get("ok") else "false",
-                )
-            if not self._respond(response):
-                return
-
-    def _respond(self, response: dict) -> bool:
-        try:
-            send_message(self.request, response)
-            return True
-        except (ConnectionError, OSError):
-            return False
-
-    @staticmethod
-    def _ingest(fleet, report_wire: dict) -> dict:
-        # Imported lazily: the diagnosis package (transitively) imports
-        # the net package this module belongs to.
-        from repro.core.diagnosis.report import ZoneReport
-
-        report = ZoneReport.from_wire(report_wire)
-        accepted = fleet.ingest_zone_report(report)
-        return {
-            "ok": True,
-            "accepted": accepted,
-            "zone_seq": fleet.zone_record(report.zone).last_seq,
-        }
-
-    def _dispatch(self, fleet, request: dict) -> dict:
-        op = request.get("op")
-        if op == OP_PING:
-            return {"ok": True, "agent": fleet.name}
-        if op == OP_HELLO:
-            allow_binary = not self.server.force_json  # type: ignore[attr-defined]
-            self.codec = wire_codec.choose_codec(
-                request.get("codecs"), allow_binary=allow_binary
-            )
-            return {
-                "ok": True,
-                "agent": fleet.name,
-                "codec": self.codec,
-                "schema": self.schema.to_wire()
-                if self.codec != CODEC_JSON
-                else {},
-            }
-        if op == OP_ZONE_SUBSCRIBE:
-            zone = str(request.get("zone", ""))
-            return {"ok": True, **fleet.subscribe_zone(zone)}
-        if op == OP_ZONE_FOR:
-            machine = str(request.get("machine", ""))
-            return {"ok": True, "zone": fleet.zone_for(machine)}
-        if op == OP_ZONE_REPORT:
-            report_wire = request.get("report")
-            if not isinstance(report_wire, dict):
-                raise ProtocolError(
-                    "zone_report request missing report object", op=OP_ZONE_REPORT
-                )
-            return self._ingest(fleet, report_wire)
-        return {"ok": False, "error": f"unknown op: {op!r}"}
+    @property
+    def lock(self) -> RWLock:
+        """The reader/writer lock gating request dispatch (for tests)."""
+        return self._server.agent_lock  # type: ignore[attr-defined]
 
 
-class FleetServer:
+class FleetServer(_WireServer):
     """Runs a :class:`FleetController` behind a localhost TCP endpoint.
 
     The root tier's wire surface: zones connect with a
     :class:`~repro.core.net.client.ZoneClient`, subscribe, and push
-    roll-ups.  Same lifecycle, codec pinning and connection-severing
-    semantics as :class:`AgentServer`.
+    roll-ups.
     """
 
-    def __init__(
-        self,
-        fleet,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        codec: str = "auto",
-    ) -> None:
-        if codec not in ("auto", CODEC_JSON):
-            raise ValueError(f"codec must be 'auto' or 'json': {codec!r}")
-        self.fleet = fleet
-        self._server = _AgentTCPServer(
-            (host, port), _FleetRequestHandler, bind_and_activate=True
-        )
-        self._server.fleet = fleet  # type: ignore[attr-defined]
-        self._server.force_json = (  # type: ignore[attr-defined]
-            codec == CODEC_JSON or bool(os.environ.get(FORCE_JSON_ENV))
-        )
-        self._thread: Optional[threading.Thread] = None
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        return self._server.server_address  # type: ignore[return-value]
-
-    @property
-    def running(self) -> bool:
-        return self._thread is not None and self._thread.is_alive()
-
-    def start(self) -> "FleetServer":
-        if self._thread is not None:
-            raise RuntimeError("server already started")
-        self._thread = threading.Thread(
-            target=self._server.serve_forever,
-            name=f"fleet-server-{self.fleet.name}",
-            daemon=True,
-        )
-        self._thread.start()
-        return self
-
-    def shutdown(self) -> None:
-        """Stop accepting, sever live connections, release the port."""
-        if self._thread is not None:
-            self._server.shutdown()
-        self._server.close_lingering()
-        self._server.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            self._thread = None
-
-    def partition(self) -> int:
-        """Emulate a root <-> zone partition (see AgentServer)."""
-        return self._server.partition()
-
-    def heal(self) -> None:
-        """Undo :meth:`partition`."""
-        self._server.heal()
-
-    @property
-    def partitioned(self) -> bool:
-        return self._server._partitioned
-
-    def __enter__(self) -> "FleetServer":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.shutdown()
+    handler_class = _FleetRequestHandler

@@ -16,8 +16,9 @@ of attribute values — rather than a deque of per-snapshot dicts.  A
 delta batch therefore encodes for the wire straight out of the value
 arrays (:meth:`TimeSeriesStore.drain_blocks`) and a mirror applies a
 received batch straight back into them (:meth:`TimeSeriesStore
-.apply_blocks` → :meth:`append_row`) with zero intermediate dict
-objects; dict-shaped :class:`CounterSnapshot` views are materialized
+.apply_blocks`) with zero intermediate dict objects: ``SeriesBlock`` is
+the one delta shape between an agent's store and its mirrors.
+Dict-shaped :class:`CounterSnapshot` views are materialized
 lazily only at the query/diagnosis boundary, so Algorithm-1/2 verdicts
 and Figure-6 lookups are byte-for-byte what the dict-backed store
 produced.  Cells for counters an element does not export hold
@@ -320,27 +321,16 @@ class _ElementSeries:
 class TimeSeriesStore:
     """Bounded, columnar per-element ring buffers of counter snapshots.
 
-    ``on_regression`` selects what a non-monotonic ingest does:
-    ``"rebaseline"`` (default) restarts the element's series from the
-    incoming snapshot, ``"raise"`` keeps the old strict behaviour for
-    stores whose producer is known never to restart.
+    A non-monotonic ingest (see the module docstring) restarts the
+    element's series from the incoming row.
     """
 
-    def __init__(
-        self,
-        capacity_per_element: int = DEFAULT_CAPACITY_PER_ELEMENT,
-        on_regression: str = "rebaseline",
-    ):
+    def __init__(self, capacity_per_element: int = DEFAULT_CAPACITY_PER_ELEMENT):
         if capacity_per_element < 2:
             raise ValueError(
                 f"capacity must hold at least a window pair: {capacity_per_element!r}"
             )
-        if on_regression not in ("rebaseline", "raise"):
-            raise ValueError(
-                f"on_regression must be 'rebaseline' or 'raise': {on_regression!r}"
-            )
         self.capacity_per_element = capacity_per_element
-        self.on_regression = on_regression
         self._series: Dict[str, _ElementSeries] = {}
         # Reentrant because the public lookups compose (window ->
         # at_or_before) without releasing between steps.
@@ -356,6 +346,40 @@ class TimeSeriesStore:
 
     # -- ingest -----------------------------------------------------------------
 
+    def _new_series(self, element_id: str, machine: str) -> _ElementSeries:
+        """Register an element seen for the first time (lock held)."""
+        series = self._series[element_id] = self._make_series(element_id, machine)
+        return series
+
+    def _ingest_row(
+        self,
+        series: _ElementSeries,
+        machine: str,
+        seq: int,
+        timestamp: float,
+        names: Sequence[str],
+        values: Sequence[float],
+    ) -> bool:
+        """One row into ``series``; the caller holds the lock.
+
+        The per-row rule every ingest path shares: a re-observation of
+        the latest sequence number is dropped without touching stored
+        state, a producer restart re-baselines the series, anything else
+        is pushed.  Returns False when the row was delta-compressed.
+        """
+        if series.count:
+            if seq == series.seqs[(series.start + series.count - 1) % series.capacity]:
+                self.total_deduped += 1
+                return False
+            if series.is_reset_against_latest(seq, names, values):
+                series.clear()
+                element_id = series.element_id
+                self.resets[element_id] = self.resets.get(element_id, 0) + 1
+                self.total_resets += 1
+        series.push_row(machine, seq, timestamp, names, values)
+        self.total_appended += 1
+        return True
+
     def append_row(
         self,
         element_id: str,
@@ -367,11 +391,11 @@ class TimeSeriesStore:
     ) -> bool:
         """Ingest one columnar row; returns False when delta-compressed.
 
-        This is the zero-copy half of :meth:`append`: the wire codec
-        (and any other columnar producer) lands rows directly in the
-        value arrays without ever building an attrs dict.  ``names`` and
-        ``values`` are position-aligned; ABSENT/NaN cells mark counters
-        the element does not export.
+        This is the zero-copy half of :meth:`append`: a columnar
+        producer lands rows directly in the value arrays without ever
+        building an attrs dict.  ``names`` and ``values`` are
+        position-aligned; ABSENT/NaN cells mark counters the element
+        does not export.
 
         Within one element the store keeps exactly one entry per
         sequence number, ordered, stamped with the time that version was
@@ -383,41 +407,27 @@ class TimeSeriesStore:
         with self._lock:
             series = self._series.get(element_id)
             if series is None:
-                series = self._series[element_id] = self._make_series(
-                    element_id, machine
-                )
-            if series.count:
-                if seq == series.seq_at(series.count - 1):
-                    self.total_deduped += 1
-                    return False
-                if series.is_reset_against_latest(seq, names, values):
-                    if self.on_regression == "raise":
-                        raise ValueError(
-                            f"non-monotonic snapshot for {element_id!r}: "
-                            f"seq {seq} after {series.seq_at(series.count - 1)}"
-                        )
-                    series.clear()
-                    self.resets[element_id] = self.resets.get(element_id, 0) + 1
-                    self.total_resets += 1
-            series.push_row(machine, seq, timestamp, names, values)
-            self.total_appended += 1
-            return True
+                series = self._new_series(element_id, machine)
+            return self._ingest_row(series, machine, seq, timestamp, names, values)
 
     def append(self, snap: CounterSnapshot) -> bool:
         """Add a snapshot; returns False when delta-compressed away.
 
-        :meth:`append_row`'s re-observation check runs here first, so a
-        sweep re-reading an unchanged element builds no row at all.
+        The re-observation check runs here first, ahead of the shared
+        per-row rule's, so a sweep re-reading an unchanged element
+        builds no row at all.
         """
         with self._lock:
             series = self._series.get(snap.element_id)
-            if series is not None and series.count:
+            if series is None:
+                series = self._new_series(snap.element_id, snap.machine)
+            elif series.count:
                 last_slot = (series.start + series.count - 1) % series.capacity
                 if snap.seq == series.seqs[last_slot]:
                     self.total_deduped += 1
                     return False
-            return self.append_row(
-                snap.element_id,
+            return self._ingest_row(
+                series,
                 snap.machine,
                 snap.seq,
                 snap.timestamp,
@@ -425,49 +435,25 @@ class TimeSeriesStore:
                 [float(v) for v in snap.attrs.values()],
             )
 
-    def extend(self, snaps: Iterable[CounterSnapshot]) -> int:
-        """Append many snapshots; returns how many were actually stored."""
-        return sum(1 for snap in snaps if self.append(snap))
-
     def apply_blocks(self, blocks: Iterable[SeriesBlock]) -> int:
         """Apply a drained delta batch; returns rows shipped (pre-dedup).
 
         The mirror half of the packed wire path.  Semantically this is
         :meth:`append_row` per row — same dedup, reset detection and
         re-baselining — but the whole batch lands under one lock hold
-        with the element series and its column mapping resolved once per
-        block, which is where the decode side's throughput comes from.
+        with the element series resolved once per block, which is where
+        the decode side's throughput comes from.
         """
         shipped = 0
         with self._lock:
+            ingest = self._ingest_row
             for element_id, machine, names, rows in blocks:
                 shipped += len(rows)
                 series = self._series.get(element_id)
                 if series is None:
-                    series = self._series[element_id] = self._make_series(
-                        element_id, machine
-                    )
+                    series = self._new_series(element_id, machine)
                 for seq, timestamp, values in rows:
-                    if series.count:
-                        if seq == series.seqs[
-                            (series.start + series.count - 1) % series.capacity
-                        ]:
-                            self.total_deduped += 1
-                            continue
-                        if series.is_reset_against_latest(seq, names, values):
-                            if self.on_regression == "raise":
-                                raise ValueError(
-                                    f"non-monotonic snapshot for {element_id!r}: "
-                                    f"seq {seq} after "
-                                    f"{series.seq_at(series.count - 1)}"
-                                )
-                            series.clear()
-                            self.resets[element_id] = (
-                                self.resets.get(element_id, 0) + 1
-                            )
-                            self.total_resets += 1
-                    series.push_row(machine, seq, timestamp, names, values)
-                    self.total_appended += 1
+                    ingest(series, machine, seq, timestamp, names, values)
         return shipped
 
     def clear(self) -> None:
@@ -642,40 +628,16 @@ class TimeSeriesStore:
                     out.append((eid, series.machine, series.attr_names, rows))
             return out
 
-    def drain(
-        self, acked: Mapping[str, int]
-    ) -> Tuple[List[CounterSnapshot], Dict[str, int]]:
-        """:meth:`changed_since` and :meth:`cursor` as one atomic step.
-
-        The pair must be computed under one lock hold: were a cadence
-        sweep to append between the two calls, the cursor would
-        acknowledge a sequence number whose snapshot is not in the
-        batch, and the collector would never receive it (until the
-        element happened to change again).
-        """
-        with self._lock:
-            return self.changed_since(acked), self.cursor()
-
     def drain_blocks(
         self, acked: Mapping[str, int]
     ) -> Tuple[List[SeriesBlock], Dict[str, int]]:
-        """:meth:`drain`, columnar — the packed wire path's atomic drain."""
+        """:meth:`changed_blocks` and :meth:`cursor` as one atomic step.
+
+        The pair must be computed under one lock hold: were a cadence
+        sweep to append between the two calls, the cursor would
+        acknowledge a sequence number whose row is not in the batch,
+        and the collector would never receive it (until the element
+        happened to change again).
+        """
         with self._lock:
             return self.changed_blocks(acked), self.cursor()
-
-
-def blocks_to_snapshots(blocks: Iterable[SeriesBlock]) -> List[CounterSnapshot]:
-    """Materialize a drained block batch into dict-shaped snapshots.
-
-    Compatibility shim for callers that still want the
-    :meth:`TimeSeriesStore.drain` shape from a columnar drain.
-    """
-    out: List[CounterSnapshot] = []
-    for element_id, machine, names, rows in blocks:
-        for seq, timestamp, values in rows:
-            out.append(
-                CounterSnapshot.from_columns(
-                    element_id, machine, seq, timestamp, names, values
-                )
-            )
-    return out

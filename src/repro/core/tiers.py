@@ -349,13 +349,12 @@ class TieredWindowStore(TimeSeriesStore):
     def __init__(
         self,
         capacity_per_element: Optional[int] = None,
-        on_regression: str = "rebaseline",
         config: Optional[TierConfig] = None,
     ) -> None:
         self.tier_config = config if config is not None else TierConfig.from_env()
         if capacity_per_element is None:
             capacity_per_element = self.tier_config.fine_slots
-        super().__init__(capacity_per_element, on_regression)
+        super().__init__(capacity_per_element)
         self._tiers: Dict[str, _ElementTiers] = {}
         # Bytes held per coarse level across all elements, adjusted
         # wherever buckets enter, widen, move or die, so nbytes() is

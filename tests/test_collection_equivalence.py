@@ -372,6 +372,77 @@ def test_append_equals_append_row(kind, cap, feed):
     assert by_snapshot.nbytes() == by_row.nbytes()
 
 
+# -- (c') the three ingest entrances share one per-row rule ---------------------------
+
+#: One row as every entrance sees it: (element, seq, sentinel value —
+#: shrinking ones read as counter resets —, which attrs are present, of
+#: which some may be ABSENT cells).  Small ranges on purpose: repeats,
+#: regressions and late attrs must collide often.
+rows = st.lists(
+    st.tuples(
+        st.sampled_from(["a", "b"]),
+        st.integers(min_value=0, max_value=6),
+        st.sampled_from([0.0, 1.0, 5.0, 50.0]),
+        st.lists(
+            st.sampled_from(["tx_pkts", "drops", "drops.late", "queue_pkts"]),
+            unique=True, max_size=3,
+        ),
+        st.sets(st.integers(min_value=0, max_value=3), max_size=2),
+    ),
+    max_size=50,
+)
+
+
+def _row(t, eid, seq, rx, extra, absent):
+    names = ("rx_pkts", *extra)
+    values = [rx] + [float(t + i) for i in range(len(extra))]
+    for i in absent:
+        if i < len(values):
+            values[i] = math.nan
+    return eid, seq, 0.1 * t, names, values
+
+
+@pytest.mark.parametrize("kind", sorted(STORES))
+@prop
+@given(cap=st.integers(min_value=2, max_value=5), feed=rows, data=st.data())
+def test_append_append_row_apply_blocks_agree(kind, cap, feed, data):
+    feed = [_row(t, *row) for t, row in enumerate(feed)]
+    by_snapshot, by_row, by_block = (STORES[kind](cap) for _ in range(3))
+    for eid, seq, ts, names, values in feed:
+        by_snapshot.append(
+            CounterSnapshot(eid, "m1", seq, ts, dict(zip(names, values)))
+        )
+        by_row.append_row(eid, "m1", seq, ts, names, values)
+    # the same rows as a mirror receives them: arbitrary batches of
+    # blocks, each a run of one element's rows under one schema
+    at = 0
+    while at < len(feed):
+        batch = []
+        for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+            if at == len(feed):
+                break
+            eid, _, _, names, _ = feed[at]
+            end = at + 1
+            while (
+                end < len(feed)
+                and (feed[end][0], feed[end][3]) == (eid, names)
+                and data.draw(st.booleans())
+            ):
+                end += 1
+            run = [(seq, ts, values) for _, seq, ts, _, values in feed[at:end]]
+            batch.append((eid, "m1", names, run))
+            at = end
+        assert by_block.apply_blocks(batch) == sum(len(b[3]) for b in batch)
+    for other in (by_row, by_block):
+        for counter in ("total_appended", "total_deduped", "total_resets", "resets"):
+            assert getattr(by_snapshot, counter) == getattr(other, counter)
+        assert same_cells(
+            plain(by_snapshot.changed_blocks({})), plain(other.changed_blocks({}))
+        )
+        assert by_snapshot.nbytes() == other.nbytes()
+    assert by_snapshot.total_appended + by_snapshot.total_deduped == len(feed)
+
+
 # -- (d) channel accounting draws the same RNG stream (Figure 9/16) -------------------
 
 

@@ -427,12 +427,12 @@ class _FlakyTarget:
         self.alive = True
         self.calls = 0
 
-    def ingest_push(self, machine, blocks, cursor=None):
+    def ingest_push(self, machine, blocks, cursor=None, trace=None):
         self.calls += 1
         if not self.alive:
             raise ConnectionError("zone down")
         try:
-            return self.zone.ingest_push(machine, blocks, cursor)
+            return self.zone.ingest_push(machine, blocks, cursor, trace=trace)
         except KeyError:
             raise ConnectionError(f"not my machine: {machine}") from None
 

@@ -47,9 +47,9 @@ class FlakyHandle:
         self._check()
         return [e.name for e in self._agent.machine.stack_elements()]
 
-    def collect_delta(self, acked=None):
+    def collect_blocks(self, acked=None):
         self._check()
-        return self._agent.collect_delta(acked)
+        return self._agent.collect_blocks(acked)
 
 
 class LatencyHandle(FlakyHandle):

@@ -138,3 +138,22 @@ class TestBufferEdgeCases:
         b.commit()
         out = b.pop_budgeted([[1.0, 0.0, 1.0]])
         assert sum(x.pkts for x in out) == pytest.approx(1.0)
+
+
+class TestEnvKnobTable:
+    def test_design_table_lists_exactly_the_knobs_in_src(self):
+        """A ``PERFSIGHT_*`` variable cannot land (or linger)
+        undocumented: the names under ``src/`` are the rows of
+        DESIGN.md's "Environment knobs" table, no more, no fewer."""
+        import re
+        from pathlib import Path
+
+        root = Path(__file__).resolve().parent.parent
+        in_src = set()
+        for path in (root / "src").rglob("*.py"):
+            in_src.update(re.findall(r"PERFSIGHT_[A-Z_]+", path.read_text()))
+        in_table = re.findall(
+            r"^\| `(PERFSIGHT_[A-Z_]+)` \|", (root / "DESIGN.md").read_text(), re.M
+        )
+        assert len(in_table) == len(set(in_table)), "duplicate table rows"
+        assert set(in_table) == in_src

@@ -97,7 +97,7 @@ def served_agent(sim_with_transport):
     agent.register(app)
     server = AgentServer(agent).start()
     yield sim, machine, agent, server
-    server.stop()
+    server.shutdown()
 
 
 class TestAgentOverTcp:
@@ -185,21 +185,22 @@ class TestBatchDeltaOverTcp:
         sim, _, agent, server = served_agent
         host, port = server.address
         with RemoteAgentHandle(host, port) as handle:
-            batch, cursor = handle.collect_delta()
-            assert len(batch) == len(agent.elements())
+            blocks, cursor = handle.collect_blocks()
+            assert len(blocks) == len(agent.elements())
             assert cursor == agent.store.cursor()
             sim.run(0.05)
-            batch2, _ = handle.collect_delta(cursor)
-            assert batch2  # only the elements traffic moved
-            assert all(s.seq > cursor.get(s.element_id, -1) for s in batch2)
-            assert all(s.machine == "m1" for s in batch2)
+            blocks2, _ = handle.collect_blocks(cursor)
+            assert blocks2  # only the elements traffic moved
+            for eid, machine, _, rows in blocks2:
+                assert machine == "m1"
+                assert all(seq > cursor.get(eid, -1) for seq, _, _ in rows)
 
     def test_acked_cursor_validated(self, served_agent):
         _, _, _, server = served_agent
         host, port = server.address
         with RemoteAgentHandle(host, port) as handle:
-            with pytest.raises(RuntimeError, match="ProtocolError"):
-                handle._call({"op": "batch_delta", "acked": [1, 2]})
+            with pytest.raises(RuntimeError, match="non-negative"):
+                handle.collect_blocks({"pnic@m1": -1})
 
     def test_mirror_matches_agent_store_byte_for_byte(self, served_agent):
         """≥100 snapshots stream through TCP; the controller mirror ends

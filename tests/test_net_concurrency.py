@@ -115,7 +115,7 @@ class TestConcurrentReads:
                 acked = {}
                 try:
                     while not stop.is_set():
-                        _, acked = handle.collect_delta(acked)
+                        _, acked = handle.collect_blocks(acked)
                 except Exception as exc:  # noqa: BLE001
                     errors.append(exc)
 
@@ -168,7 +168,7 @@ class TestConcurrentReads:
         def collector():
             try:
                 with RemoteAgentHandle(host, port, retry=FAST_RETRY) as h:
-                    h.collect_delta({})
+                    h.collect_blocks({})
             except Exception as exc:  # noqa: BLE001
                 errors.append(exc)
 

@@ -22,10 +22,11 @@ from repro.core.diagnosis.contention import ContentionDetector
 from repro.core.diagnosis.report import CONFIDENCE_DEGRADED
 from repro.core.health import DEAD, DEGRADED, HEALTHY, HealthPolicy
 from repro.core.net.client import AgentUnreachable, RemoteAgentHandle, RetryPolicy
+from repro.core.net.codec import WireSchema, decode_batch_request
 from repro.core.net.protocol import (
     MAX_FRAME_BYTES,
+    OP_BATCH_DELTA,
     ProtocolError,
-    parse_acked,
     recv_message,
     send_message,
 )
@@ -45,27 +46,53 @@ def no_sleep(_s):
     pass
 
 
+def packed_request(count: int, entries: bytes) -> bytes:
+    """A hand-packed ``bin1`` BATCH_DELTA request: header, no trace
+    context, the announced ack count, then the raw ack entries."""
+    return struct.pack("<BBBBHI", 0xB1, 1, 1, 0, 0, count) + entries
+
+
+def ack_by_name(name: str, seq: int) -> bytes:
+    raw = name.encode("utf-8")
+    return b"\x01" + struct.pack("<H", len(raw)) + raw + struct.pack("<q", seq)
+
+
+def ack_by_id(ident: int, seq: int) -> bytes:
+    return b"\x00" + struct.pack("<Iq", ident, seq)
+
+
+def schema_knowing(*element_ids: str) -> WireSchema:
+    schema = WireSchema()
+    for eid in element_ids:
+        schema.elements.assign(eid)
+    return schema
+
+
 class TestParseAcked:
+    """The ack vector of a BATCH_DELTA request is validated at decode."""
+
     def test_valid_vector(self):
-        assert parse_acked({"acked": {"e1": 0, "e2": 7}}) == {"e1": 0, "e2": 7}
+        raw = packed_request(2, ack_by_id(0, 0) + ack_by_name("e2", 7))
+        acked, trace = decode_batch_request(schema_knowing("e1"), raw)
+        assert acked == {"e1": 0, "e2": 7} and trace is None
 
     def test_missing_or_null_is_empty(self):
-        assert parse_acked({}) == {}
-        assert parse_acked({"acked": None}) == {}
+        assert decode_batch_request(WireSchema(), packed_request(0, b"")) == ({}, None)
 
     @pytest.mark.parametrize(
         "acked",
         [
-            [1, 2],  # not a mapping
-            {"e1": -1},  # negative
-            {"e1": True},  # bool masquerading as int
-            {"e1": 1.5},  # float
-            {"e1": "3"},  # string
+            (1, ack_by_name("e1", -1)),  # negative, by name
+            (1, ack_by_id(0, -1)),  # negative, by negotiated id
+            (1, ack_by_id(1, 3)),  # an id this connection never negotiated
+            (1, b"\x07" + ack_by_id(0, 3)[1:]),  # unknown entry tag
+            (2, ack_by_id(0, 3)),  # fewer entries than announced
         ],
     )
     def test_schema_violations_rejected(self, acked):
-        with pytest.raises(ProtocolError):
-            parse_acked({"acked": acked})
+        with pytest.raises(ProtocolError) as err:
+            decode_batch_request(schema_knowing("e1"), packed_request(*acked))
+        assert err.value.op == OP_BATCH_DELTA and err.value.offset is not None
 
 
 class TestRetryPolicy:
@@ -126,8 +153,11 @@ def scripted_server(behavior):
         yield lsock.getsockname()
     finally:
         stop.set()
+        # close() alone does not wake a thread blocked in accept().
+        lsock.shutdown(socket.SHUT_RDWR)
         lsock.close()
         thread.join(timeout=5)
+        assert not thread.is_alive()
 
 
 def closed_port() -> int:
@@ -336,14 +366,26 @@ class TestServerMalformedInput:
         sock.close()
 
     @pytest.mark.parametrize(
-        "acked", [[1, 2], {"e1": -1}, {"e1": True}, {"e1": "3"}]
+        "acked",
+        [
+            (1, ack_by_name("e1", -1)),  # negative seq
+            (1, ack_by_id(999, 3)),  # an id never negotiated (no HELLO at all)
+            (1, b""),  # truncated: one entry announced, none sent
+            (1, ack_by_name("e1", 3) + b"\x00"),  # trailing garbage
+        ],
     )
     def test_bad_ack_vector_rejected_server_side(self, wire_server, acked):
+        """A malformed ``bin1`` request is answered with a JSON error and
+        the connection keeps serving."""
         _, server = wire_server
-        host, port = server.address
-        with RemoteAgentHandle(host, port) as handle:
-            with pytest.raises(RuntimeError, match="ProtocolError"):
-                handle._call({"op": "batch_delta", "acked": acked})
+        sock = connect_raw(server)
+        frame = packed_request(*acked)
+        sock.sendall(struct.pack(">I", len(frame)) + frame)
+        response = recv_message(sock)
+        assert response["ok"] is False and "op=batch_delta" in response["error"]
+        send_message(sock, {"op": "ping"})
+        assert recv_message(sock)["ok"] is True
+        sock.close()
 
 
 class TestServerLifecycle:

@@ -165,36 +165,6 @@ class TestPushTraceLinks:
         tree = hub.spans.render_tree(pushes[0].trace_id)
         assert "zone.ingest_push" in tree and "^wire" in tree
 
-    def test_legacy_target_without_trace_param_still_works(self, world):
-        """A push target whose ingest_push has no ``trace`` parameter
-        (older deployments, custom shims) must keep receiving pushes —
-        the agent probes the signature and simply omits the kwarg.  In
-        process the ingest span still nests via ambient context, but
-        without the wire's remote-parent marker."""
-        from repro.core.controller import ZoneController
-
-        sim, machine, agent = world
-        zone = ZoneController("z-legacy")
-        zone.register_local_agent(agent)
-
-        class LegacyTarget:
-            name = "legacy"
-
-            def ingest_push(self, machine_name, blocks, cursor=None):
-                return zone.ingest_push(machine_name, blocks, cursor)
-
-        with obs.installed() as hub:
-            agent.start_pushing(LegacyTarget(), period_s=0.05)
-            sim.run(0.2)
-            agent.stop_pushing()
-
-        assert agent.total_pushed_rows > 0
-        pushes = spans_of(hub, "agent.push")
-        ingests = spans_of(hub, "zone.ingest_push")
-        assert pushes and ingests
-        for ingest in ingests:
-            assert not ingest.remote_parent
-
 
 class TestPipelineMetricsOverTcp:
     def test_channel_histograms_and_health_events(self, served):

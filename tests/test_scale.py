@@ -20,7 +20,6 @@ from repro.core.diagnosis.report import (
     ZoneReport,
 )
 from repro.core.net import FleetServer, ZoneClient
-from repro.core.net.protocol import FORCE_JSON_ENV
 from repro.core.rulebook import VM_BOTTLENECK, Verdict
 from repro.core.sharding import HashRing
 from repro.middleboxes.http import HttpServer
@@ -225,7 +224,7 @@ class TestPushOnChange:
         agent = h.agents["m00"]
 
         class DownZone:
-            def ingest_push(self, machine_name, blocks, cursor=None):
+            def ingest_push(self, machine_name, blocks, cursor=None, trace=None):
                 raise ConnectionError("zone link down")
 
         agent.start_pushing(DownZone(), period_s=0.05)
@@ -286,7 +285,7 @@ def sample_report(seq=1):
 
 
 class TestZoneWire:
-    def run_roundtrip(self):
+    def test_roundtrip_bin1(self):
         fleet = FleetController("root")
         fleet.register_zone("z1")
         with FleetServer(fleet) as server:
@@ -305,15 +304,6 @@ class TestZoneWire:
             ("m0", Verdict("tun", [VM_BOTTLENECK], "individual", []))
         ]
         assert rollup.summary_for("m0").avg_pkt_size == pytest.approx(900.0)
-        return fleet
-
-    def test_roundtrip_bin1(self, monkeypatch):
-        monkeypatch.delenv(FORCE_JSON_ENV, raising=False)
-        self.run_roundtrip()
-
-    def test_roundtrip_forced_json(self, monkeypatch):
-        monkeypatch.setenv(FORCE_JSON_ENV, "1")
-        self.run_roundtrip()
 
     def test_unknown_zone_is_refused(self):
         fleet = FleetController("root")

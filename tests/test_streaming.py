@@ -92,15 +92,16 @@ class TestAgentPolling:
         with pytest.raises(ValueError):
             agent.start_polling(0.0)
 
-    def test_collect_delta_incremental(self, world):
+    def test_collect_blocks_incremental(self, world):
         sim, _, agent, _ = world
-        batch, cursor = agent.collect_delta()
-        assert len(batch) == len(agent.elements())
+        blocks, cursor = agent.collect_blocks()
+        assert len(blocks) == len(agent.elements())
         sim.run(0.05)
-        batch2, cursor2 = agent.collect_delta(cursor)
-        assert 0 < len(batch2) < len(batch)
-        assert all(s.seq > cursor.get(s.element_id, -1) for s in batch2)
-        assert agent.collect_delta(cursor2)[0] == []
+        blocks2, cursor2 = agent.collect_blocks(cursor)
+        assert 0 < len(blocks2) < len(blocks)
+        for eid, _, _, rows in blocks2:
+            assert all(seq > cursor.get(eid, -1) for seq, _, _ in rows)
+        assert agent.collect_blocks(cursor2)[0] == []
 
 
 class TestControllerMirror:

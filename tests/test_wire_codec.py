@@ -1,24 +1,25 @@
-"""Binary wire codec: round-trips, fuzzed frames, codec negotiation.
+"""Binary wire codec: round-trips, fuzzed frames, the HELLO handshake.
 
 Three layers of assurance for the packed ``bin1`` BATCH_DELTA path:
 
 * **Property round-trips** — randomized sweep sequences pushed through
   encode → decode → mirror apply must land a mirror byte-for-byte equal
-  to one built over the JSON path from the same source store, including
+  to a dict-shaped oracle built from the same source store, including
   attr sets that evolve mid-stream (dictionary deltas) and agent
   restarts (seq re-baselines).
 * **Fuzzing** — every truncation of a valid frame, and random bit
   flips, must be rejected with :class:`ProtocolError` (op + byte
   offset) and never anything else: no IndexError deep in struct, no
   giant speculative allocation, no silent garbage.
-* **Negotiation** — mixed-version pairs (client pinned to JSON, server
-  pinned to JSON, a pre-HELLO "old peer") must all degrade to the JSON
-  fallback without losing data, and the env knob must force JSON
-  without touching code.
+* **Handshake** — ``bin1`` is the only data codec: a peer that refuses
+  HELLO or answers another codec gets a typed error at once (and a
+  health failure through a mirror sync), and a data op sent as JSON is
+  refused without costing the connection.
 
-The acceptance scenario at the bottom drives the full TCP stack — two
-mirrors, one per codec, against one faulty polling agent with a server
-restart mid-sequence — and requires byte-for-byte equal mirrors.
+The acceptance scenario at the bottom drives the full TCP stack — a
+mirror over the wire beside an in-process one, against one faulty
+polling agent with a server restart mid-sequence — and requires both to
+equal the agent's own store, byte for byte.
 """
 
 from __future__ import annotations
@@ -33,24 +34,19 @@ import pytest
 
 from repro.core.agent import Agent
 from repro.core.channels import ChannelFaultPlan
-from repro.core.controller import AgentMirror
+from repro.core.controller import AgentMirror, FleetController
 from repro.core.counters import STANDARD_ATTRS, CounterSnapshot
 from repro.core.net import codec as wire_codec
 from repro.core.net.client import RemoteAgentHandle, RetryPolicy
-from repro.core.net.codec import (
-    CODEC_BIN1,
-    CODEC_JSON,
-    WireSchema,
-)
+from repro.core.net.codec import CODEC_BIN1, WireSchema
 from repro.core.net.protocol import (
     OP_BATCH_DELTA,
     OP_HELLO,
-    FORCE_JSON_ENV,
     ProtocolError,
     recv_message,
     send_message,
 )
-from repro.core.net.server import AgentServer
+from repro.core.net.server import AgentServer, FleetServer
 from repro.core.store import TimeSeriesStore
 from repro.dataplane.machine import PhysicalMachine
 from repro.middleboxes.http import HttpServer
@@ -110,26 +106,28 @@ def paired_schemas():
     """Server + client schemas as HELLO would leave them."""
     server = WireSchema()
     response = wire_codec.make_hello_response(
-        "agent@m1", "m1", ["elem0", "elem1"], STANDARD_ATTRS, CODEC_BIN1, server
+        "agent@m1", server, "m1", ["elem0", "elem1"], STANDARD_ATTRS
     )
     client = WireSchema()
-    assert wire_codec.apply_hello_response(response, client) == CODEC_BIN1
+    wire_codec.apply_hello_response(response, client)
     return server, client
 
 
 class TestRoundTripProperty:
     @pytest.mark.parametrize("seed", [1, 7, 2026])
     def test_binary_mirror_equals_json_mirror(self, seed):
-        """The defining property: same sweeps, two codecs, equal mirrors."""
+        """The defining property: the packed path lands the mirror a
+        dict-shaped JSON round-trip of the same sweeps lands."""
         rng = random.Random(seed)
-        source = TimeSeriesStore(on_regression="rebaseline")
+        source = TimeSeriesStore()
         server_schema, client_schema = paired_schemas()
-        mirror_bin = TimeSeriesStore(on_regression="rebaseline")
-        mirror_json = TimeSeriesStore(on_regression="rebaseline")
+        mirror_bin = TimeSeriesStore()
+        mirror_json = TimeSeriesStore()
         acked_bin: dict = {}
         acked_json: dict = {}
         for batch in random_sweeps(rng, rounds=40, elements=4):
-            source.extend(batch)
+            for snap in batch:
+                source.append(snap)
 
             blocks, cursor = source.drain_blocks(acked_bin)
             raw = wire_codec.encode_batch_response(
@@ -140,11 +138,13 @@ class TestRoundTripProperty:
             mirror_bin.apply_blocks(payload.blocks)
             acked_bin = payload.cursor
 
-            batch_json, cursor_json = source.drain(acked_json)
-            # simulate the JSON wire: full serialize/deserialize
+            # the oracle: snapshots as dicts through a full JSON
+            # serialize/deserialize, appended one by one
+            batch_json = source.changed_since(acked_json)
             wire = json.loads(json.dumps([s.to_dict() for s in batch_json]))
-            mirror_json.extend(CounterSnapshot.from_dict(e) for e in wire)
-            acked_json = cursor_json
+            for entry in wire:
+                mirror_json.append(CounterSnapshot.from_dict(entry))
+            acked_json = source.cursor()
 
         assert dump(mirror_bin) == dump(mirror_json)
         assert len(mirror_bin) > 0
@@ -278,26 +278,31 @@ class TestFrameFuzz:
             schema.attrs.learn(5, "gap", OP_BATCH_DELTA, 10)
 
 
+#: What a peer that has never heard of HELLO says to it, and what one
+#: that speaks some other data codec says.
+REFUSES_HELLO = {"ok": False, "error": "unknown op: 'hello'"}
+ANSWERS_JSON = {"ok": True, "agent": "old", "codec": "json", "schema": {}}
+
+
 @contextmanager
-def old_peer(batches):
-    """A v0-era agent server: JSON only, has never heard of HELLO."""
+def old_peer(hello_reply):
+    """A peer this build has no data codec in common with.
+
+    Answers HELLO with ``hello_reply`` and refuses everything else;
+    yields its address and the ops it was asked, in order.
+    """
     lsock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     lsock.bind(("127.0.0.1", 0))
     lsock.listen(4)
     stop = threading.Event()
+    asked = []
 
     def serve(conn):
         while not stop.is_set():
-            request = recv_message(conn)
-            op = request.get("op")
-            if op == "batch_delta":
-                batch = batches.pop(0) if batches else []
-                send_message(conn, {
-                    "ok": True,
-                    "machine": "m1",
-                    "batch": [s.to_dict() for s in batch],
-                    "cursor": {s.element_id: s.seq for s in batch},
-                })
+            op = recv_message(conn).get("op")
+            asked.append(op)
+            if op == OP_HELLO:
+                send_message(conn, hello_reply)
             else:
                 send_message(conn, {"ok": False, "error": f"unknown op: {op!r}"})
 
@@ -317,11 +322,14 @@ def old_peer(batches):
     thread = threading.Thread(target=loop, daemon=True)
     thread.start()
     try:
-        yield lsock.getsockname()
+        yield lsock.getsockname(), asked
     finally:
         stop.set()
+        # close() alone does not wake a thread blocked in accept().
+        lsock.shutdown(socket.SHUT_RDWR)
         lsock.close()
         thread.join(timeout=5)
+        assert not thread.is_alive()
 
 
 @pytest.fixture
@@ -339,6 +347,11 @@ def world(sim_with_transport):
     return sim, machine, agent
 
 
+unusable_peers = pytest.mark.parametrize(
+    "hello_reply", [REFUSES_HELLO, ANSWERS_JSON], ids=["refuses_hello", "answers_json"]
+)
+
+
 class TestNegotiation:
     def test_binary_negotiated_by_default(self, world):
         _, _, agent = world
@@ -348,65 +361,77 @@ class TestNegotiation:
                 blocks, cursor = handle.collect_blocks({})
                 assert blocks and cursor
 
-    def test_client_pinned_to_json(self, world):
-        _, _, agent = world
-        with AgentServer(agent) as server:
-            with RemoteAgentHandle(
-                *server.address, retry=FAST_RETRY, codec="json"
-            ) as handle:
-                assert handle.hello() == CODEC_JSON
-                batch, cursor = handle.collect_delta({})
-                assert batch and cursor
-
-    def test_server_pinned_to_json(self, world):
-        """A binary-capable client against a JSON-pinned server: HELLO
-        succeeds but negotiates the fallback; data flows losslessly."""
-        _, _, agent = world
-        with AgentServer(agent, codec="json") as server:
-            with RemoteAgentHandle(*server.address, retry=FAST_RETRY) as handle:
-                assert handle.hello() == CODEC_JSON
-                batch, cursor = handle.collect_delta({})
-                assert batch and cursor
-
-    def test_env_knob_forces_json(self, world, monkeypatch):
-        _, _, agent = world
-        monkeypatch.setenv(FORCE_JSON_ENV, "1")
-        with AgentServer(agent) as server:
-            handle = RemoteAgentHandle(*server.address, retry=FAST_RETRY)
-            try:
-                assert handle.codec == CODEC_JSON
-                assert handle.hello() == CODEC_JSON
-            finally:
-                handle.close()
-
-    def test_old_peer_degrades_to_json_without_data_loss(self):
-        """A peer that refuses HELLO is a v0 JSON agent: the first
-        collect negotiates down and every snapshot still arrives."""
-        snaps = [
-            CounterSnapshot("e0", "m1", 1, 0.1, {"rx_pkts": 5.0}),
-            CounterSnapshot("e0", "m1", 2, 0.2, {"rx_pkts": 9.0, "drops": 1.0}),
-        ]
-        with old_peer([list(snaps)]) as addr:
+    @unusable_peers
+    def test_peer_without_bin1_raises_typed_error(self, hello_reply):
+        """No downgrade: a data op fails with a typed HELLO error at
+        once — each attempt asks one HELLO on a connection that is then
+        discarded; nothing is retried or sent in some other format."""
+        with old_peer(hello_reply) as (addr, asked):
             with RemoteAgentHandle(*addr, retry=FAST_RETRY) as handle:
-                batch, cursor = handle.collect_delta({})
-                assert handle.hello() == CODEC_JSON
-        assert [s.to_dict() for s in batch] == [s.to_dict() for s in snaps]
-        assert cursor == {"e0": 2}
+                with pytest.raises(ProtocolError) as err:
+                    handle.collect_blocks({})
+                assert err.value.op == OP_HELLO
+                with pytest.raises(ProtocolError):
+                    handle.hello()
+                assert asked == [OP_HELLO, OP_HELLO]
+                assert handle.pool.created == 2
 
-    def test_invalid_codec_params_rejected(self, world):
+    @unusable_peers
+    def test_peer_without_bin1_is_a_health_failure(self, hello_reply):
+        """Through a mirror the typed error is one failed sync and one
+        recorded health failure, not an exception."""
+        with old_peer(hello_reply) as (addr, asked):
+            with RemoteAgentHandle(*addr, retry=FAST_RETRY) as handle:
+                mirror = AgentMirror("m1", handle)
+                assert mirror.sync() == 0
+        assert asked == [OP_HELLO]
+        assert (mirror.syncs, mirror.failed_syncs) == (0, 1)
+        assert mirror.health.total_failures == 1
+        assert isinstance(mirror.last_error, ProtocolError)
+        assert mirror.last_error.op == OP_HELLO
+        assert len(mirror.store) == 0
+
+    def test_json_data_ops_refused_connection_survives(self, world):
+        """BATCH_DELTA and ZONE_REPORT exist only as bin1 frames: the
+        JSON spellings are refused, and the same connection still
+        serves control ops."""
         _, _, agent = world
-        with pytest.raises(ValueError):
-            RemoteAgentHandle("127.0.0.1", 1, codec="bin1")
-        with pytest.raises(ValueError):
-            AgentServer(agent, codec="bin1")
+        fleet = FleetController("root")
+        fleet.register_zone("z1")
+        report = {"zone": "z1", "seq": 1, "machines": []}
+        for server, request in (
+            (AgentServer(agent), {"op": "batch_delta", "acked": {}}),
+            (FleetServer(fleet), {"op": "zone_report", "report": report}),
+        ):
+            with server:
+                sock = socket.create_connection(server.address, timeout=5)
+                try:
+                    send_message(sock, request)
+                    response = recv_message(sock)
+                    assert response["ok"] is False
+                    assert "unknown op" in response["error"]
+                    send_message(sock, {"op": "ping"})
+                    assert recv_message(sock)["ok"] is True
+                finally:
+                    sock.close()
+        assert fleet.zone_record("z1").last_seq == 0  # nothing was ingested
+
+
+def series_of(store: TimeSeriesStore) -> dict:
+    """element id -> its retained snapshots as dicts, oldest first."""
+    out: dict = {}
+    for snap in store.changed_since({}):
+        out.setdefault(snap.element_id, []).append(snap.to_dict())
+    return out
 
 
 class TestMirrorEquivalenceAcceptance:
-    def test_mirrors_byte_identical_across_codecs_with_faults(self, world):
-        """The issue's acceptance bar: mirrors built over the binary and
-        JSON paths from the same sweep sequence — with channel faults
-        firing and a server restart forcing client retries mid-run —
-        must be byte-for-byte identical."""
+    def test_tcp_mirror_equals_in_process_with_faults(self, world):
+        """The acceptance bar: a mirror fed over TCP ``bin1`` — with
+        channel faults firing and a server restart forcing client
+        retries mid-run — must be byte-for-byte the mirror an in-process
+        handle builds from the same sweeps, and both must hold exactly
+        the newest rows of the agent's own store."""
         sim, _, agent = world
         for chan in agent._channels.values():
             chan.set_fault_plan(
@@ -415,33 +440,35 @@ class TestMirrorEquivalenceAcceptance:
         agent.start_polling(period_s=0.05)
         server = AgentServer(agent).start()
         host, port = server.address
-        handle_bin = RemoteAgentHandle(host, port, retry=FAST_RETRY)
-        handle_json = RemoteAgentHandle(host, port, retry=FAST_RETRY, codec="json")
-        mirror_bin = AgentMirror("m1", handle_bin)
-        mirror_json = AgentMirror("m1", handle_json)
+        handle = RemoteAgentHandle(host, port, retry=FAST_RETRY)
+        mirror_tcp = AgentMirror("m1", handle)
+        mirror_local = AgentMirror("m1", agent)
         try:
             for round_no in range(6):
                 sim.run(0.25)  # cadence sweeps append (with faults firing)
-                mirror_bin.sync()
-                mirror_json.sync()
+                mirror_tcp.sync()
+                mirror_local.sync()
                 if round_no == 2:
-                    # crash + restart between rounds: the next sync on
-                    # each handle rides the retry path onto the new
-                    # server (and, for bin, a fresh HELLO)
+                    # crash + restart between rounds: the next sync
+                    # rides the retry path onto the new server and a
+                    # fresh HELLO
                     server.shutdown()
                     server = AgentServer(agent, host=host, port=port).start()
         finally:
-            handle_bin.close()
-            handle_json.close()
+            handle.close()
             server.shutdown()
             agent.stop_polling()
 
-        assert handle_bin.hello.__self__ is handle_bin  # sanity: live objects
-        assert mirror_bin.failed_syncs == 0
-        assert mirror_json.failed_syncs == 0
-        assert mirror_bin.snapshots_received > 0
-        assert dump(mirror_bin.store) == dump(mirror_json.store)
-        assert len(mirror_bin.store) == len(agent.store)
+        assert mirror_tcp.failed_syncs == 0
+        assert mirror_tcp.snapshots_received > 0
+        assert handle.pool.created == 2  # the restart cost one reconnect
+        assert dump(mirror_tcp.store) == dump(mirror_local.store)
+        source = series_of(agent.store)
+        mirrored = series_of(mirror_tcp.store)
+        assert sorted(mirrored) == sorted(source)
+        for eid, rows in mirrored.items():
+            assert rows == source[eid][-len(rows):]
+        assert mirror_tcp.acked == agent.store.cursor()
 
 
 class TestRestartRenegotiation:
@@ -497,7 +524,7 @@ class TestRestartRenegotiation:
             probe.apply_blocks(blocks)
             assert dump(probe) == dump(restarted.store)
             assert cursor == restarted.store.cursor()
-            assert handle.hello() == CODEC_BIN1  # still packed, not JSON
+            assert handle.hello() == CODEC_BIN1
         finally:
             handle.close()
             server.shutdown()
