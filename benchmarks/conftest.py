@@ -4,18 +4,11 @@ Each benchmark regenerates one paper table/figure and registers a
 rendered text block with the ``paper_report`` fixture; the blocks are
 printed in the terminal summary (so they survive pytest's output
 capture) and written to ``benchmarks/out/<name>.txt`` for the record.
-
-A benchmark that also passes ``data=`` (a JSON-serializable mapping of
-its raw numbers — ops/sec, wall times, config) additionally writes
-``benchmarks/out/BENCH_<name>.json``, the machine-readable artifact CI
-uploads so runs can be compared across commits without parsing prose.
 """
 
 from __future__ import annotations
 
-import json
 import pathlib
-from typing import Mapping, Optional
 
 import pytest
 
@@ -25,18 +18,12 @@ OUT_DIR = pathlib.Path(__file__).parent / "out"
 
 @pytest.fixture
 def paper_report():
-    """Register a report: ``paper_report(name, text, data=None)``."""
+    """Register a report: ``paper_report(name, text)``."""
 
-    def _register(
-        name: str, text: str, data: Optional[Mapping] = None
-    ) -> None:
+    def _register(name: str, text: str) -> None:
         _REPORTS[name] = text
         OUT_DIR.mkdir(exist_ok=True)
         (OUT_DIR / f"{name}.txt").write_text(text + "\n")
-        if data is not None:
-            (OUT_DIR / f"BENCH_{name}.json").write_text(
-                json.dumps(dict(data), indent=2, sort_keys=True) + "\n"
-            )
 
     return _register
 

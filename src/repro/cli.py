@@ -416,46 +416,21 @@ def _run_scale_scenario(n_machines: int, n_zones: int, window_s: float):
     are equal, not just plausible.  Prints nothing (``--json`` mode
     must emit clean JSON).
     """
-    from repro.core.controller import FleetController, ZoneController
+    from repro.core.controller import FleetController
     from repro.core.net.client import ZoneClient
     from repro.core.net.server import FleetServer
-    from repro.middleboxes.http import HttpServer
     from repro.scenarios.common import Harness
-    from repro.simnet.packet import Flow
-    from repro.workloads.traffic import ExternalTrafficSource
+    from repro.scenarios.fleet import EVERY_THIRD_OVERDRIVEN, add_receivers, shard
 
     if n_machines < 1 or n_zones < 1:
         raise ValueError("need at least one machine and one zone")
 
     h = Harness(seed=7)
-    for i in range(n_machines):
-        name = f"host-{i:03d}"
-        machine = h.add_machine(name)
-        # Every third machine gets a capped VM: a real individual-scope
-        # bottleneck verdict for the equality check to bite on.
-        capped = 50e6 if i % 3 == 0 else None
-        vm = machine.add_vm("vm0", vcpu_cores=1.0, vnic_bps=capped)
-        app = HttpServer(h.sim, vm, f"app-{name}", cpu_per_byte=1e-9)
-        flow = Flow(f"rx-{name}", dst_vm="vm0", kind="udp")
-        vm.bind_udp(flow, app.socket)
-        ExternalTrafficSource(
-            h.sim, f"src-{name}", flow, machine.inject,
-            rate_bps=200e6 if capped else 100e6,
-        )
+    add_receivers(h, n_machines, EVERY_THIRD_OVERDRIVEN)
     h.advance(0.5)
 
     fleet = FleetController("fleet-root")
-    fleet.track_machines(h.agents)
-    zones = {}
-    for z in range(n_zones):
-        zone_name = f"zone-{z}"
-        fleet.register_zone(zone_name)
-        zones[zone_name] = ZoneController(zone_name)
-    shard_sizes = {}
-    for zone_name, machines in fleet.shards().items():
-        shard_sizes[zone_name] = len(machines)
-        for name in machines:
-            zones[zone_name].register_local_agent(h.agents[name])
+    zones, shard_sizes = shard(fleet, h.agents, n_zones)
 
     # Tier 1 -> 2: agents push SeriesBlock deltas on change (the poll
     # path stays available as catch-up; overlap dedupes at the mirror).
@@ -593,26 +568,7 @@ def cmd_scale(args: argparse.Namespace) -> int:
     return 0 if result["verdicts_equal_flat"] else 1
 
 
-def _percentiles(values):
-    """Small-sample percentile summary for the failover bench JSON."""
-    if not values:
-        return None
-    vals = sorted(values)
-
-    def at(p: float) -> float:
-        idx = min(len(vals) - 1, max(0, int(round(p / 100.0 * (len(vals) - 1)))))
-        return vals[idx]
-
-    return {"p50": at(50), "p90": at(90), "max": vals[-1], "n": len(vals)}
-
-
-def _run_chaos_scenario(
-    n_machines: int,
-    n_zones: int,
-    window_s: float,
-    arcs: int,
-    out_path: Optional[str] = None,
-):
+def _run_chaos_scenario(n_machines: int, n_zones: int, window_s: float, arcs: int):
     """Kill zones mid-diagnosis; measure the fleet healing itself.
 
     The self-healing demo: a multi-zone hierarchy runs split-phase
@@ -628,12 +584,8 @@ def _run_chaos_scenario(
     failover, and the per-endpoint circuit breakers turning repeated
     connect failures into microsecond fast-fails.
 
-    Writes time-to-detect / time-to-reconverge percentiles to
-    ``benchmarks/out/BENCH_perf_failover.json`` (or ``out_path``).
     Prints nothing (``--json`` mode must emit clean JSON).
     """
-    import json
-    import pathlib
     import time as _time
 
     from repro.core.controller import (
@@ -651,16 +603,14 @@ def _run_chaos_scenario(
         ZoneClient,
     )
     from repro.core.net.server import FleetServer
-    from repro.middleboxes.http import HttpServer
     from repro.scenarios.common import Harness
-    from repro.simnet.packet import Flow
+    from repro.scenarios.fleet import EVERY_THIRD_OVERDRIVEN, add_receivers, shard
     from repro.workloads.faults import (
         partition_phase,
         schedule_phases,
         zone_kill_phase,
         zone_restart_phase,
     )
-    from repro.workloads.traffic import ExternalTrafficSource
 
     if n_machines < 2 or n_zones < 2:
         raise ValueError("chaos needs at least two machines and two zones")
@@ -671,26 +621,13 @@ def _run_chaos_scenario(
     policy = ZoneHealthPolicy(heartbeat_s=heartbeat_s)  # DEAD after 2 beats
 
     h = Harness(seed=11)
-    for i in range(n_machines):
-        name = f"host-{i:03d}"
-        machine = h.add_machine(name)
-        # Every third machine gets a capped VM: a real individual-scope
-        # bottleneck verdict for the equality checks to bite on.
-        capped = 50e6 if i % 3 == 0 else None
-        vm = machine.add_vm("vm0", vcpu_cores=1.0, vnic_bps=capped)
-        app = HttpServer(h.sim, vm, f"app-{name}", cpu_per_byte=1e-9)
-        flow = Flow(f"rx-{name}", dst_vm="vm0", kind="udp")
-        vm.bind_udp(flow, app.socket)
-        ExternalTrafficSource(
-            h.sim, f"src-{name}", flow, machine.inject,
-            rate_bps=200e6 if capped else 100e6,
-        )
+    add_receivers(h, n_machines, EVERY_THIRD_OVERDRIVEN)
     h.advance(0.5)
 
     fleet = FleetController(
         "chaos-root", zone_policy=policy, clock=lambda: h.sim.now
     )
-    fleet.track_machines(h.agents)
+    zones, shard_sizes = shard(fleet, h.agents, n_zones)
 
     class _ZonePushTarget:
         """Stable push endpoint for one zone name across crash/restart.
@@ -717,19 +654,7 @@ def _run_chaos_scenario(
                     f"zone {self.name} no longer owns {machine}"
                 ) from None
 
-    zones = {}
-    targets = {}
-    for z in range(n_zones):
-        zone_name = f"zone-{z}"
-        fleet.register_zone(zone_name)
-        zones[zone_name] = ZoneController(zone_name)
-        targets[zone_name] = _ZonePushTarget(zone_name, zones[zone_name])
-    shard_sizes = {}
-    for zone_name, machines in fleet.shards().items():
-        shard_sizes[zone_name] = len(machines)
-        for name in machines:
-            zones[zone_name].register_local_agent(h.agents[name])
-
+    targets = {z: _ZonePushTarget(z, zc) for z, zc in zones.items()}
     reporting = set(zones)
     link_retry = RetryPolicy(
         max_attempts=2, base_delay_s=0.005, max_delay_s=0.02, deadline_s=2.0
@@ -936,51 +861,17 @@ def _run_chaos_scenario(
             for link in links.values():
                 link.close()
 
-    detects = [
-        a["time_to_detect_s"] for a in arcs_out
-        if a["time_to_detect_s"] is not None
-    ]
-    reconverges = [
-        a["time_to_reconverge_s"] for a in arcs_out
-        if a["time_to_reconverge_s"] is not None
-    ]
-    recovers = [
-        a["time_to_recover_s"] for a in arcs_out
-        if a["time_to_recover_s"] is not None
-    ]
-    detect_in_bound = bool(detects) and all(
-        d <= 2.0 * heartbeat_s + 1e-9 for d in detects
-    )
+    # An arc only heals after it was detected and reconverged.
     ok = (
         baseline_equal
-        and len(detects) == len(arcs_out)
-        and len(reconverges) == len(arcs_out)
-        and len(recovers) == len(arcs_out)
-        and all(a["only_dead_shard_moved"] for a in arcs_out)
-        and detect_in_bound
+        and all(
+            a["healed"]
+            and a["only_dead_shard_moved"]
+            and a["time_to_detect_s"] <= 2.0 * heartbeat_s + 1e-9
+            for a in arcs_out
+        )
         and bool(partition_out.get("healed_without_failover"))
     )
-    bench = {
-        "bench": "perf_failover",
-        "machines": n_machines,
-        "zones": n_zones,
-        "window_s": window_s,
-        "heartbeat_s": heartbeat_s,
-        "arcs": len(arcs_out),
-        "time_to_detect_s": _percentiles(detects),
-        "time_to_reconverge_s": _percentiles(reconverges),
-        "time_to_recover_s": _percentiles(recovers),
-        "detect_within_2_heartbeats": detect_in_bound,
-        "ok": ok,
-    }
-    out = (
-        pathlib.Path(out_path)
-        if out_path
-        else pathlib.Path("benchmarks/out/BENCH_perf_failover.json")
-    )
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(bench, indent=2, sort_keys=True) + "\n")
-
     return {
         "machines": n_machines,
         "zones": n_zones,
@@ -1001,8 +892,6 @@ def _run_chaos_scenario(
             ),
             "rehomes": sum(a.total_rehomes for a in h.agents.values()),
         },
-        "bench_path": str(out),
-        "bench": bench,
         "ok": ok,
     }
 
@@ -1012,9 +901,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
     machines = min(args.machines, 8) if args.quick else args.machines
     arcs = 1 if args.quick else args.arcs
-    result = _run_chaos_scenario(
-        machines, args.zones, args.window_s, arcs, out_path=args.out
-    )
+    result = _run_chaos_scenario(machines, args.zones, args.window_s, arcs)
     if args.json:
         print(json.dumps(result, indent=2, sort_keys=True, default=str))
         return 0 if result["ok"] else 1
@@ -1068,7 +955,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         f"\n  agents: {pu['pushes']} push(es), {pu['rehomes']} re-home(s), "
         f"{pu['backoff_skips']} backoff skip(s)"
     )
-    print(f"  bench written: {result['bench_path']}")
     print(f"\n== {'RECONVERGED' if result['ok'] else 'FAILED TO SELF-HEAL'}")
     return 0 if result["ok"] else 1
 
@@ -1095,7 +981,7 @@ def _run_watch_scenario(
     Returns a JSON-ready dict plus the incident list for rendering.
     """
     from repro.cluster.chains import build_chain
-    from repro.core.controller import FleetController, ZoneController
+    from repro.core.controller import FleetController
     from repro.core.daemon import DaemonConfig, DetectorConfig, DiagnosisDaemon
     from repro.core.health import ZoneHealthPolicy
     from repro.core.net.client import ZoneClient
@@ -1103,8 +989,7 @@ def _run_watch_scenario(
     from repro.middleboxes.http import HttpClient, HttpServer
     from repro.middleboxes.proxy import Proxy
     from repro.scenarios.common import Harness
-    from repro.simnet.packet import Flow
-    from repro.workloads.traffic import ExternalTrafficSource
+    from repro.scenarios.fleet import ALL_UNDER_CAP, add_receivers, shard
 
     if n_machines < 2 or n_zones < 1:
         raise ValueError("watch needs at least two machines and one zone")
@@ -1114,17 +999,7 @@ def _run_watch_scenario(
         raise ValueError("fault_round must fall inside the round budget")
 
     h = Harness(seed=5)
-    sources = {}
-    for i in range(n_machines):
-        name = f"host-{i:03d}"
-        machine = h.add_machine(name)
-        vm = machine.add_vm("vm0", vcpu_cores=1.0, vnic_bps=100e6)
-        app = HttpServer(h.sim, vm, f"app-{name}", cpu_per_byte=1e-9)
-        flow = Flow(f"rx-{name}", dst_vm="vm0", kind="udp")
-        vm.bind_udp(flow, app.socket)
-        sources[name] = ExternalTrafficSource(
-            h.sim, f"src-{name}", flow, machine.inject, rate_bps=60e6
-        )
+    sources = add_receivers(h, n_machines, ALL_UNDER_CAP)
     victim = "host-000"
 
     # A tenant chain on the victim so the escalation's Algorithm-2 pass
@@ -1148,17 +1023,7 @@ def _run_watch_scenario(
         zone_policy=ZoneHealthPolicy(heartbeat_s=heartbeat_s),
         clock=lambda: h.sim.now,
     )
-    fleet.track_machines(h.agents)
-    zones = {}
-    for z in range(n_zones):
-        zone_name = f"zone-{z}"
-        fleet.register_zone(zone_name)
-        zones[zone_name] = ZoneController(zone_name)
-    shard_sizes = {}
-    for zone_name, machines in fleet.shards().items():
-        shard_sizes[zone_name] = len(machines)
-        for name in machines:
-            zones[zone_name].register_local_agent(h.agents[name])
+    zones, shard_sizes = shard(fleet, h.agents, n_zones)
     for zone in zones.values():
         zone.register_tenant(tenant)
         for name in zone.machines():
@@ -1474,11 +1339,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_chaos.add_argument(
         "--quick", action="store_true",
         help="CI smoke shape: one arc, at most 8 machines",
-    )
-    p_chaos.add_argument(
-        "--out", default=None,
-        help="bench JSON path (default benchmarks/out/"
-        "BENCH_perf_failover.json)",
     )
     p_chaos.add_argument(
         "--json", action="store_true",

@@ -324,7 +324,7 @@ class ZoneController:
         self.name = name
         self.max_workers = max_workers
         #: Mirror-store factory for newly registered machines; defaults
-        #: to the tiered store (benchmarks pass a flat-store factory to
+        #: to the tiered store (tests pass a flat-store factory to
         #: build the unbounded baseline they compare against).
         self.store_factory = store_factory
         self._agents: Dict[str, AgentHandle] = {}

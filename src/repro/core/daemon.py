@@ -10,11 +10,10 @@ that gap with the Dapper-shaped two-phase loop (PAPERS.md):
 :meth:`~repro.core.controller.ZoneController.build_coarse_report` — per
 -machine loss rate / health / sample age read straight off the mirrors
 that agent pushes keep current.  No Algorithm-1, no agent RPC: the cost
-is O(elements) memoized window lookups per machine, which
-``benchmarks/test_perf_streaming.py`` bounds below 5% of a baseline
-refresh.  The roll-ups also stream to the fleet root (in process or
-over the ZONE_REPORT wire), so the daemon doubles as the hierarchy's
-heartbeat producer.
+is O(elements) memoized window lookups per machine (``benchmarks/e2e``
+reports it as ``daemon.monitor_share`` of each round).  The roll-ups
+also stream to the fleet root (in process or over the ZONE_REPORT
+wire), so the daemon doubles as the hierarchy's heartbeat producer.
 
 **Phase 2 — escalation.**  A per-machine EWMA/threshold detector
 watches the coarse signal.  When a machine deviates — loss rate above
@@ -191,8 +190,8 @@ class DaemonConfig:
     max_escalated: int = 4
     #: Tightened sweep cadence while escalated (None = leave cadence).
     escalated_poll_period_s: Optional[float] = 0.02
-    #: Run the coarse phase every Nth round (the overhead/latency knob
-    #: the benchmark sweeps; escalated diagnosis still runs each round).
+    #: Run the coarse phase every Nth round (fewer sweeps, detection up
+    #: to N - 1 rounds later; escalated diagnosis still runs each round).
     monitor_every: int = 1
 
     def __post_init__(self) -> None:

@@ -1,8 +1,15 @@
 """CLI command coverage beyond the smoke tests in test_extensions.
 
-The heavier commands (fig12, fig10, table1) run real scenarios, so each
-is exercised once with its fastest configuration.
+The heavier commands run real scenarios, so each is exercised once with
+its fastest configuration.  ``fig12`` and ``table1`` only print what a
+scenario returns — test_scenarios_smoke checks the scenarios — so here
+their entry points are patched down to quick shapes and the tests check
+wiring and rendering.
 """
+
+import functools
+import json
+import pathlib
 
 import pytest
 
@@ -57,16 +64,57 @@ class TestParser:
 
 @pytest.mark.slow
 class TestHeavyCommands:
-    def test_fig12_single_case(self, capsys):
+    def test_fig12_single_case(self, capsys, monkeypatch):
+        from repro.scenarios import fig12_propagation
+
+        monkeypatch.setattr(
+            fig12_propagation,
+            "build_and_run",
+            functools.partial(fig12_propagation.build_and_run, settle_s=0.5),
+        )
         assert main(["fig12", "--case", "underloaded_client"]) == 0
         out = capsys.readouterr().out
-        assert "root causes: ['client']" in out
+        assert "== underloaded_client" in out
+        assert "b/t_in" in out and "b/t_out" in out
+        assert "root causes: ['client'] (paper: client)" in out
 
-    def test_table1(self, capsys):
+    def test_table1(self, capsys, monkeypatch):
+        from repro.scenarios import table1_rulebook
+
+        monkeypatch.setattr(
+            table1_rulebook,
+            "run_all",
+            lambda: [
+                table1_rulebook.run_scenario(
+                    "outgoing_small_packets", duration_s=1.0
+                )
+            ],
+        )
         assert main(["table1"]) == 0
         out = capsys.readouterr().out
-        assert "incoming-bandwidth" in out
-        assert "vm-bottleneck" in out
+        assert "resource in shortage" in out
+        assert "outgoing-bandwidth" in out
+        assert "pcpu_backlog" in out
+
+    def test_scale_json_verdicts_equal_flat(self, capsys):
+        assert main(["scale", "--machines", "6", "--zones", "2", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["verdicts_equal_flat"] is True
+        assert sum(doc["shard_sizes"].values()) == 6
+        assert doc["wire_reports_accepted"] == 2
+
+    def test_chaos_json_self_heals_and_writes_nothing(self, capsys):
+        out_dir = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "out"
+        before = sorted(out_dir.iterdir())
+        code = main(
+            ["chaos", "--machines", "4", "--zones", "2", "--arcs", "1", "--json"]
+        )
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0 and doc["ok"] is True
+        (arc,) = doc["arcs"]
+        assert arc["only_dead_shard_moved"] and arc["healed"]
+        assert "bench" not in doc and "bench_path" not in doc
+        assert sorted(out_dir.iterdir()) == before
 
     def test_obs_human_report(self, capsys):
         assert main(["obs"]) == 0
@@ -77,8 +125,6 @@ class TestHeavyCommands:
         assert "perfsight_channel_read_latency_seconds" in out
 
     def test_obs_json_document(self, capsys):
-        import json
-
         assert main(["obs", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["root_causes"] == ["proxy"]
@@ -89,8 +135,6 @@ class TestHeavyCommands:
         assert any(e["name"] == "health.transition" for e in doc["events"])
 
     def test_fleet_json_document(self, capsys):
-        import json
-
         assert main(["fleet", "--agents", "2", "--latency-ms", "2", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["agents"] == 2
@@ -100,8 +144,6 @@ class TestHeavyCommands:
         assert doc["diagnosis"]["degraded_machines"] == []
 
     def test_watch_json_detects_injected_fault(self, capsys):
-        import json
-
         assert main(["watch", "--quick", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["detected"]

@@ -51,6 +51,8 @@ from repro.simnet.packet import Flow
 from repro.workloads.traffic import ExternalTrafficSource
 
 WINDOW_S = 0.25
+#: Rounds from fault injection to an opened incident, inclusive.
+MAX_DETECTION_ROUNDS = 3
 
 
 def summary(loss=0.0, health=HEALTHY, age=0.0):
@@ -201,7 +203,10 @@ def stop_agents(h):
 
 
 def run_drop_arc(daemon, sources, victim, rounds=12, fault_round=3):
-    """Inject a drop fault, heal it two rounds after detection."""
+    """Inject a drop fault, heal it two rounds after detection.
+
+    Returns the round the incident opened in (None if it never did).
+    """
     detected = None
     for r in range(1, rounds + 1):
         if r == fault_round:
@@ -228,6 +233,7 @@ class TestIncidentArc:
             stop_agents(h)
 
         assert detected is not None
+        assert detected - 3 + 1 <= MAX_DETECTION_ROUNDS  # injected at 3
         (incident,) = daemon.incidents
         assert incident.machine == victim
         assert incident.reason == REASON_LOSS
@@ -324,11 +330,14 @@ class TestIncidentArc:
         victim = "m00"
         try:
             with obs.installed() as hub:
+                opened = None
                 resolved = False
                 for r in range(1, 13):
                     if r == 3:
                         h.agents[victim].stop_pushing()
                     res = daemon.tick()
+                    if res.opened and opened is None:
+                        opened = r
                     if res.resolved:
                         resolved = True
                         break
@@ -336,12 +345,37 @@ class TestIncidentArc:
             stop_agents(h)
 
         assert resolved
+        assert opened - 3 + 1 <= MAX_DETECTION_ROUNDS  # quiet from 3
         (incident,) = daemon.incidents
         assert incident.reason == REASON_STALENESS
         assert incident.state == INCIDENT_FALSE_ALARM
         assert incident.verdicts == []
         assert hub.metrics.get(FALSE_ALARMS_METRIC).value == 1
         assert hub.events.events(name="incident.false_alarm")
+
+    def test_thinner_monitor_cadence_trades_sweeps_for_latency(self):
+        """``monitor_every`` runs the coarse phase every Nth round: fewer
+        sweeps, detection delayed by at most N - 1 rounds."""
+        rounds, fault_round = 6, 3
+        sweeps = {}
+        for every in (1, 2, 4):
+            h, sources, zones, fleet = build_world(n_machines=2)
+            daemon = make_daemon(h, zones, fleet, monitor_every=every)
+            detected = None
+            sweeps[every] = 0
+            try:
+                for r in range(1, rounds + 1):
+                    if r == fault_round:
+                        sources["m00"].set_rate(rate_bps=400e6)
+                    res = daemon.tick()
+                    sweeps[every] += bool(res.signals)  # coarse rounds only
+                    if res.opened and detected is None:
+                        detected = r
+            finally:
+                stop_agents(h)
+            assert detected is not None
+            assert detected - fault_round + 1 <= MAX_DETECTION_ROUNDS + every - 1
+        assert sweeps == {1: 6, 2: 3, 4: 2}
 
     def test_escalation_beyond_cap_is_deferred(self):
         h, sources, zones, fleet = build_world()

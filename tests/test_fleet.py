@@ -52,7 +52,7 @@ class FlakyHandle:
         return self._agent.collect_blocks(acked)
 
 
-class LatencyHandle(FlakyHandle):
+class SlowHandle(FlakyHandle):
     """FlakyHandle plus injected wall-clock latency per exchange."""
 
     def __init__(self, agent, latency_s):
@@ -103,7 +103,7 @@ class TestConcurrentRefresh:
 
     def test_fan_out_actually_overlaps(self):
         _, controller, _ = build_fleet(
-            4, handle_cls=LatencyHandle, latency_s=0.03
+            4, handle_cls=SlowHandle, latency_s=0.03
         )
         report = controller.refresh_report(max_workers=4)
         assert report.concurrent

@@ -10,6 +10,8 @@ push path is a pure optimization over poll — overlapping the two can
 never duplicate or lose state.
 """
 
+import json
+
 import pytest
 
 from repro.core.agent import DEFAULT_PUSH_PERIOD_S, PUSH_DISABLE_ENV, PUSH_PERIOD_ENV
@@ -143,6 +145,33 @@ class TestHierarchyEqualsFlat:
         rollup = fleet.rollup()
         assert rollup.machines == sorted(h.agents)
         assert rollup.throughput_pps > 0
+
+    def test_root_holds_scalars_zones_hold_series(self):
+        """The memory split the hierarchy exists for: the root keeps a
+        bounded roll-up per machine, the zones keep the time series."""
+        h = build_world(n_machines=4)
+        _, zones = shard_into_zones(h, ["z1", "z2"])
+        fleet = FleetController("root")
+        fleet.track_machines(h.agents)
+        for zone in zones:
+            fleet.register_zone(zone)
+        scans = {z: zc.begin_fleet_scan(WINDOW_S) for z, zc in zones.items()}
+        h.advance(WINDOW_S)
+        for z, scan in scans.items():
+            report = zones[z].build_zone_report(zones[z].finish_fleet_scan(scan))
+            assert fleet.ingest_zone_report(report)
+
+        machines = len(h.agents)
+        root_bytes = sum(
+            len(json.dumps(fleet.zone_record(z).latest.to_wire()))
+            for z in fleet.zones()
+        )
+        assert root_bytes / machines < 2048
+        zone_rows = sum(
+            len(zc.mirror_for(m).store)
+            for zc in zones.values() for m in zc.machines()
+        )
+        assert zone_rows > machines
 
     def test_zone_leave_rebalances_only_departed_shard(self):
         h = build_world(n_machines=6, faulty_every=100)

@@ -4,12 +4,15 @@ import random
 
 import pytest
 
+from repro.core.controller import FleetController
 from repro.core.diagnosis.report import (
     MachineSummary,
     ZoneAggregates,
     ZoneReport,
 )
 from repro.core.sketches import QuantileSketch, SpaceSavingTopK
+from repro.scenarios.common import Harness
+from repro.scenarios.fleet import EVERY_THIRD_OVERDRIVEN, add_receivers, shard
 
 
 class TestSpaceSavingTopK:
@@ -203,3 +206,31 @@ class TestZoneAggregates:
         wire = report.to_wire()
         assert "aggregates" not in wire
         assert ZoneReport.from_wire(wire).aggregates is None
+
+
+class TestFleetRollupSketches:
+    def test_root_sketches_answer_within_budget(self):
+        """Zone reports from a real diagnosis round carry sketches the
+        root merges into fleet answers, at a bounded size per machine."""
+        h = Harness()
+        add_receivers(h, 6, EVERY_THIRD_OVERDRIVEN)
+        h.advance(0.25)
+        fleet = FleetController("root")
+        zones, _ = shard(fleet, h.agents, 2)
+        scans = {z: zc.begin_fleet_scan(0.25) for z, zc in zones.items()}
+        h.advance(0.25)
+        for z, scan in scans.items():
+            report = zones[z].build_zone_report(zones[z].finish_fleet_scan(scan))
+            assert fleet.ingest_zone_report(report)
+
+        rollup = fleet.rollup()
+        # Only the overdriven machines (every third) lose whole packets;
+        # the rest carry floating-point residue at most.
+        droppers = rollup.top_droppers(5)
+        lossy = {m for m, pkts in droppers if pkts >= 1.0}
+        assert lossy == {"host-000", "host-003"}
+        assert rollup.loss_rate_quantile(0.5) is not None
+        agg_bytes = sum(
+            fleet.zone_record(z).latest.aggregates.nbytes() for z in fleet.zones()
+        )
+        assert agg_bytes / len(h.agents) < 256

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.core.controller import ZoneController
 from repro.core.store import StoreError, TimeSeriesStore
 from repro.core.tiers import TierConfig, TieredWindowStore
 
@@ -101,6 +102,80 @@ class TestFineTierEquivalence:
         feed(flat, 30)
         assert tiered.changed_blocks({}) == flat.changed_blocks({})
         assert tiered.cursor() == flat.cursor()
+
+
+class _TickAgent:
+    """AgentHandle whose counters are pure functions of a shared tick.
+
+    A clean pNIC and a tun that, on a lossy machine, drops 50 packets a
+    tick — the Table-1 vm-bottleneck signal Algorithm 1 ranks.  Each
+    collect ships one row per tick the collector has not acked, so two
+    mirrors refreshed at the same tick receive identical rows.
+    """
+
+    def __init__(self, clock, machine, lossy):
+        self.clock = clock
+        self.machine = machine
+        self.lossy = lossy
+        self.name = f"agent@{machine}"
+        self._pnic = f"pnic@{machine}"
+        self._tun = f"tun-v1@{machine}"
+
+    def element_ids(self):
+        return [self._pnic, self._tun]
+
+    stack_element_ids = element_ids
+
+    def _row(self, eid, seq):
+        rx = 1000.0 * seq
+        if eid == self._pnic:
+            return ("rx_pkts", "tx_pkts"), (rx, rx)
+        loss = 50.0 * seq if self.lossy else 0.0
+        return ("rx_pkts", "tx_pkts", "drops.tun-v1"), (rx, rx - loss, loss)
+
+    def collect_blocks(self, acked=None):
+        acked = acked or {}
+        tick = self.clock["tick"]
+        blocks = []
+        for eid in self.element_ids():
+            rows = []
+            for seq in range(int(acked.get(eid, 0)) + 1, tick + 1):
+                names, values = self._row(eid, seq)
+                rows.append((seq, float(seq), values))
+            if rows:
+                blocks.append((eid, self.machine, names, rows))
+        return blocks, {eid: tick for eid in self.element_ids()}
+
+
+class TestTieredMirrors:
+    def test_verdicts_equal_flat_mirrors_after_eviction(self):
+        """Mirrors on the tiered store give the verdicts flat mirrors
+        give, after real refreshes pushed history past the fine ring."""
+        cfg = small_config(fine_slots=8, coarse_slots=4)
+        clock = {"tick": 1}
+        flat = ZoneController(
+            "flat", store_factory=lambda: TimeSeriesStore(capacity_per_element=256)
+        )
+        tiered = ZoneController(
+            "tiered", store_factory=lambda: TieredWindowStore(config=cfg)
+        )
+        for i in range(6):
+            agent = _TickAgent(clock, f"m{i}", lossy=i % 3 == 0)
+            flat.register_agent(agent.machine, agent)
+            tiered.register_agent(agent.machine, agent)
+
+        clock["tick"] = 100
+        assert flat.refresh() == tiered.refresh() > 0
+        oldest, newest = tiered.mirror_for("m1").store.retention_span("pnic@m1")
+        assert newest == 100.0
+        assert newest - oldest > cfg.fine_slots
+
+        flat_scan = flat.begin_fleet_scan(1.0)
+        tiered_scan = tiered.begin_fleet_scan(1.0)
+        clock["tick"] += 1
+        flat_verdicts = flat.finish_fleet_scan(flat_scan).verdicts
+        assert tiered.finish_fleet_scan(tiered_scan).verdicts == flat_verdicts
+        assert [m for m, _ in flat_verdicts] == ["m0", "m3"]
 
 
 class TestCoarsening:
