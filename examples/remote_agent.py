@@ -12,7 +12,7 @@ Run:  python examples/remote_agent.py
 
 from repro.cluster.topology import Tenant
 from repro.core.agent import Agent
-from repro.core.controller import Controller
+from repro.core.controller import ZoneController
 from repro.core.net import AgentServer, RemoteAgentHandle
 from repro.core.query import QueryRunner
 from repro.dataplane.machine import PhysicalMachine
@@ -45,7 +45,7 @@ def main() -> None:
         print(f"controller ping -> {handle.ping()}")
         print(f"elements visible over the wire: {len(handle.element_ids())}")
 
-        controller = Controller()
+        controller = ZoneController()
         controller.register_agent("host-1", handle)
         tenant = Tenant("t1")
         tenant.vnet.register_element("pnic", "host-1", "pnic@host-1")

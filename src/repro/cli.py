@@ -142,7 +142,7 @@ def _run_obs_scenario():
     must emit clean JSON).
     """
     from repro.cluster.chains import build_chain
-    from repro.core.controller import Controller
+    from repro.core.controller import ZoneController
     from repro.core.diagnosis import RootCauseLocator
     from repro.core.net.client import RemoteAgentHandle, RetryPolicy
     from repro.core.net.server import AgentServer
@@ -173,7 +173,7 @@ def _run_obs_scenario():
             max_attempts=2, base_delay_s=0.001, max_delay_s=0.005, deadline_s=5.0
         ),
     )
-    remote = Controller("obs-demo-controller")
+    remote = ZoneController("obs-demo-controller")
     remote.register_agent("host-1", handle)
     remote.register_tenant(tenant)
     try:
@@ -302,14 +302,14 @@ def _run_fleet_scenario(n_agents: int, latency_s: float):
     """
     import time
 
-    from repro.core.controller import Controller
+    from repro.core.controller import ZoneController
     from repro.core.net.client import RemoteAgentHandle, RetryPolicy
     from repro.core.net.server import AgentServer
     from repro.middleboxes.proxy import Proxy
     from repro.scenarios.common import Harness
 
     h = Harness(seed=3)
-    controller = Controller("fleet-demo-controller", max_workers=n_agents)
+    controller = ZoneController("fleet-demo-controller", max_workers=n_agents)
     servers, handles = [], []
     try:
         for i in range(n_agents):

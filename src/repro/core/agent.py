@@ -23,7 +23,6 @@ usage as a function of poll frequency).
 from __future__ import annotations
 
 import math
-import os
 import threading
 import time
 from typing import (
@@ -52,13 +51,6 @@ DEFAULT_POLL_PERIOD_S = 0.1
 #: pushing faster than the poll sweep just re-checks an empty delta.
 DEFAULT_PUSH_PERIOD_S = 0.1
 
-#: Env knobs for the push plane (documented in README/DESIGN.md).
-#: ``PERFSIGHT_PUSH_PERIOD_S`` overrides the push cadence;
-#: ``PERFSIGHT_PUSH_DISABLE`` (any non-empty value) turns pushing off
-#: entirely — agents then rely on the zone's poll fallback.
-PUSH_PERIOD_ENV = "PERFSIGHT_PUSH_PERIOD_S"
-PUSH_DISABLE_ENV = "PERFSIGHT_PUSH_DISABLE"
-
 #: Consecutive failed pushes before the agent asks its resolver (when
 #: it has one) whether shard ownership moved.  Matches the root's
 #: default dead_after: by the time the agent gives up on its zone, the
@@ -81,26 +73,6 @@ def _default_push_retry():
         _DEFAULT_PUSH_RETRY = RetryPolicy(max_attempts=1)
     return _DEFAULT_PUSH_RETRY
 
-
-def _env_float(name: str, default: float) -> float:
-    """Parse a positive-float env knob, failing loudly at startup.
-
-    A bad value raises ``ValueError`` at parse time — when the operator
-    who exported it is still watching — instead of surfacing later as a
-    crashed push thread or a nonsense cadence.
-    """
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return default
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ValueError(
-            f"{name} must be a number (seconds), got {raw!r}"
-        ) from None
-    if not math.isfinite(value) or value <= 0:
-        raise ValueError(f"{name} must be a positive number, got {raw!r}")
-    return value
 
 #: Self-observability names.  ``agent`` labels are fleet-bounded (one
 #: value per server), matching the cardinality rules in DESIGN.md.
@@ -429,7 +401,7 @@ class Agent:
         resolver: Optional[Callable[[str], Optional[PushTarget]]] = None,
         rehome_after: int = DEFAULT_REHOME_AFTER,
         retry: Optional["object"] = None,
-    ) -> Optional[PeriodicHandle]:
+    ) -> PeriodicHandle:
         """Push changed delta blocks to the zone tier on a cadence.
 
         Each tick reads :meth:`TimeSeriesStore.changed_blocks` against
@@ -440,12 +412,10 @@ class Agent:
         advances on success) or picked up by the next poll, and the
         mirror's per-sequence dedup makes the overlap harmless.
 
-        ``period_s`` defaults to :data:`DEFAULT_PUSH_PERIOD_S`, or the
-        :data:`PUSH_PERIOD_ENV` env override (validated at parse time —
-        a non-numeric or non-positive value raises ``ValueError`` here,
-        not later in the push thread).  With :data:`PUSH_DISABLE_ENV`
-        set, this is a documented no-op returning None — deployments
-        drop to poll-only without code changes.
+        ``period_s`` defaults to :data:`DEFAULT_PUSH_PERIOD_S`; a
+        non-finite or non-positive value raises ``ValueError`` (a
+        non-number ``TypeError``) here, not later in the push thread.
+        Returns the cancel handle (also kept for :meth:`stop_pushing`).
 
         Failure handling: consecutive failed pushes back the loop off
         exponentially (``retry.backoff_s`` with the simulator's RNG for
@@ -458,11 +428,9 @@ class Agent:
         any overlap with the old zone harmless — no loss, no
         duplicates).
         """
-        if os.environ.get(PUSH_DISABLE_ENV):
-            return None
         if period_s is None:
-            period_s = _env_float(PUSH_PERIOD_ENV, DEFAULT_PUSH_PERIOD_S)
-        if period_s <= 0:
+            period_s = DEFAULT_PUSH_PERIOD_S
+        if not math.isfinite(period_s) or period_s <= 0:
             raise ValueError(f"push period must be positive: {period_s!r}")
         if rehome_after < 1:
             raise ValueError(f"rehome_after must be >= 1: {rehome_after!r}")

@@ -10,7 +10,7 @@ controller's last acknowledged sequence numbers.
 
 Reads (``GetAttr`` and the other Figure-6 routines) are O(1) window
 lookups against the mirror and issue no agent RPC.  Collection is the
-separate, batched :meth:`Controller.refresh` step — called on a cadence
+separate, batched :meth:`ZoneController.refresh` step — called on a cadence
 by long-running deployments, or explicitly by tests and tools that need
 pull semantics.  Agents are reached through an ``AgentHandle`` —
 in-process for simulations and tests, or the TCP client in
@@ -28,16 +28,15 @@ is.
 
 The collection plane is also *concurrent*: against a fleet, one slow or
 dead agent must not stretch a refresh from max(RTT) to sum(RTT), so
-:meth:`Controller.refresh_concurrent` (and
-:meth:`Controller.refresh` with ``concurrent=True``) fans the
-per-machine syncs out over a bounded worker pool.  Each mirror carries
-its own lock, so a fan-out worker and a lazy ``mirror_latest`` refresh
-never interleave inside one mirror's sync; cross-mirror state
-(``store``, ``health``) is independently thread-safe.
-:meth:`Controller.refresh_report` exposes the per-machine breakdown,
-and :meth:`Controller.diagnose_fleet` runs Algorithm 1 across the whole
-fleet with the per-machine scans fanned out around a single shared
-window advance.
+:meth:`ZoneController.refresh_concurrent` fans the per-machine syncs
+out over a bounded worker pool of ``ZoneController.max_workers``.  Each
+mirror carries its own lock, so a fan-out worker and a lazy
+``mirror_latest`` refresh never interleave inside one mirror's sync;
+cross-mirror state (``store``, ``health``) is independently
+thread-safe.  :meth:`ZoneController.refresh_report` exposes the
+per-machine breakdown, and :meth:`ZoneController.diagnose_fleet` runs
+Algorithm 1 across the whole fleet with the per-machine scans fanned
+out around a single shared window advance.
 
 At fleet scale the flat design stops working: one process holding 500+
 mirrors and polling 500+ agents per round is both a memory and a
@@ -49,9 +48,8 @@ wall-clock wall.  The control plane is therefore *hierarchical*:
   agent *pushes* (:meth:`ZoneController.ingest_push`) so agents ship
   deltas on change instead of waiting to be polled, and summarizes its
   shard into a :class:`~repro.core.diagnosis.report.ZoneReport` of
-  per-machine scalars.
-* :class:`Controller` is the single-zone alias that keeps the flat
-  deployments (tests, small labs) working unchanged.
+  per-machine scalars.  A flat deployment (tests, small labs) is one
+  zone owning every machine.
 * :class:`FleetController` is the root tier: it owns the hash ring,
   rebalances shard ownership on zone join/leave, and merges pushed
   zone reports into fleet roll-ups.  It never holds an agent handle or
@@ -252,7 +250,7 @@ class MachineRefresh:
 class RefreshReport:
     """Per-machine breakdown of one fleet refresh.
 
-    :meth:`Controller.refresh` returns only the total snapshot count;
+    :meth:`ZoneController.refresh` returns only the total snapshot count;
     this is the operator-facing view behind it — which machines
     contributed, which failed, and how wide the fan-out actually ran.
     """
@@ -271,13 +269,6 @@ class RefreshReport:
     def failed(self) -> List[str]:
         """Machines whose sync could not reach the agent this round."""
         return sorted(m for m, r in self.machines.items() if not r.ok)
-
-    @property
-    def unhealthy(self) -> List[str]:
-        """Machines whose agent health is not HEALTHY after the round."""
-        return sorted(
-            m for m, r in self.machines.items() if r.health_state != "healthy"
-        )
 
     def for_machine(self, machine: str) -> MachineRefresh:
         try:
@@ -309,8 +300,8 @@ class ZoneController:
     refresh fan-out and Algorithm-1/2 machinery for one shard of
     machines, accepts agent pushes, and rolls its shard up into
     :class:`~repro.core.diagnosis.report.ZoneReport` scalars for the
-    fleet tier.  Used standalone (via the :class:`Controller` alias) it
-    is exactly the old flat controller.
+    fleet tier.  Used standalone it is the flat controller: one zone
+    owning every machine.
     """
 
     def __init__(
@@ -421,12 +412,7 @@ class ZoneController:
 
     # -- collection (the BATCH_DELTA plane) ------------------------------------------------
 
-    def refresh(
-        self,
-        machine_name: Optional[str] = None,
-        concurrent: bool = False,
-        max_workers: Optional[int] = None,
-    ) -> int:
+    def refresh(self, machine_name: Optional[str] = None) -> int:
         """Pull deltas into the mirror(s); returns snapshots received.
 
         This is the explicit collection step — and the pull-semantics
@@ -434,10 +420,8 @@ class ZoneController:
         agent state as of now.  One batched exchange per machine,
         regardless of how many elements changed.
 
-        ``concurrent=True`` fans the per-machine syncs out over the
-        worker pool (see :meth:`refresh_concurrent`); the default stays
-        serial so single-machine tests and simulations remain strictly
-        deterministic.
+        Serial, so single-machine tests and simulations remain strictly
+        deterministic; :meth:`refresh_concurrent` is the fan-out.
 
         An unreachable agent does not raise: the failure feeds its
         health state machine and the machine contributes 0 snapshots.
@@ -445,8 +429,6 @@ class ZoneController:
         """
         if machine_name is not None:
             return self.mirror_for(machine_name).sync()
-        if concurrent:
-            return self.refresh_concurrent(max_workers=max_workers)
         return sum(self.mirror_for(m).sync() for m in self.machines())
 
     def refresh_concurrent(
@@ -629,7 +611,6 @@ class ZoneController:
         window_s: float = 1.0,
         machines: Optional[Iterable[str]] = None,
         rulebook: Optional["object"] = None,
-        max_workers: Optional[int] = None,
     ) -> "ZoneScan":
         """Open Algorithm-1 windows on every shard machine (fanned out).
 
@@ -653,9 +634,7 @@ class ZoneController:
         with obs.span(
             "controller.begin_fleet_scan", zone=self.name, machines=len(names)
         ):
-            scans, peak = self._fan_out(
-                [(m, detector.begin) for m in names], max_workers
-            )
+            scans, peak = self._fan_out([(m, detector.begin) for m in names])
         return ZoneScan(
             zone=self.name,
             window_s=window_s,
@@ -666,9 +645,7 @@ class ZoneController:
             peak_workers=peak,
         )
 
-    def finish_fleet_scan(
-        self, scan: "ZoneScan", max_workers: Optional[int] = None
-    ):
+    def finish_fleet_scan(self, scan: "ZoneScan"):
         """Close the windows a :meth:`begin_fleet_scan` opened and merge.
 
         Returns the zone's
@@ -688,8 +665,7 @@ class ZoneController:
                 [
                     (m, lambda m_: scan.detector.finish_observed(scan.scans[m_]))
                     for m in scan.machines
-                ],
-                max_workers,
+                ]
             )
             diagnosis = FleetDiagnosis(
                 window_s=scan.window_s,
@@ -706,12 +682,7 @@ class ZoneController:
         return diagnosis
 
     def diagnose_fleet(
-        self,
-        advance: Callable[[float], None],
-        window_s: float = 1.0,
-        machines: Optional[Iterable[str]] = None,
-        rulebook: Optional["object"] = None,
-        max_workers: Optional[int] = None,
+        self, advance: Callable[[float], None], window_s: float = 1.0
     ):
         """Algorithm 1 across the fleet, scans fanned out concurrently.
 
@@ -722,14 +693,11 @@ class ZoneController:
         merged :class:`~repro.core.diagnosis.report.FleetDiagnosis`
         flags machines whose verdicts rest on degraded data.
         """
-        names = list(machines) if machines is not None else self.machines()
+        names = self.machines()
         with obs.span("controller.diagnose_fleet", machines=len(names)):
-            scan = self.begin_fleet_scan(
-                window_s, machines=names, rulebook=rulebook,
-                max_workers=max_workers,
-            )
+            scan = self.begin_fleet_scan(window_s, machines=names)
             advance(window_s)
-            return self.finish_fleet_scan(scan, max_workers=max_workers)
+            return self.finish_fleet_scan(scan)
 
     # -- zone roll-up (what crosses the zone -> fleet wire) ---------------------------
 
@@ -742,87 +710,8 @@ class ZoneController:
         report's ``seq`` increments per call, making its wire replay
         idempotent at the root.
         """
-        from repro.core.diagnosis.report import MachineSummary, ZoneReport
-
-        from repro.core.diagnosis.report import ZoneAggregates
-
         window = window_s if window_s is not None else diagnosis.window_s
-        summaries: Dict[str, "MachineSummary"] = {}
-        for machine, report in diagnosis.reports.items():
-            summaries[machine] = self._summarize_machine(machine, report, window)
-        with self._report_lock:
-            self._report_seq += 1
-            seq = self._report_seq
-        return ZoneReport(
-            zone=self.name,
-            seq=seq,
-            window_s=window,
-            machines=summaries,
-            aggregates=ZoneAggregates.from_summaries(summaries),
-        )
-
-    def resume_reporting_from(self, seq: int) -> None:
-        """Fast-forward the report sequence after a restart.
-
-        A replacement zone process starts its sequence at zero, but the
-        root remembers the crashed predecessor's floor and drops any
-        replayed sequence — so a restarted zone re-subscribes, learns
-        the floor (:meth:`~repro.core.net.client.ZoneClient.subscribe`),
-        and jumps past it here.  Never moves the sequence backward.
-        """
-        if seq < 0:
-            raise ValueError(f"seq must be >= 0: {seq!r}")
-        with self._report_lock:
-            self._report_seq = max(self._report_seq, seq)
-
-    def _window_scalars(
-        self, machine: str, window_s: float
-    ) -> Tuple[float, float, float, int, Optional[float]]:
-        """Figure-6 rates off one machine's trailing mirror window.
-
-        Returns ``(rx_pkts, rx_bytes, lost, elements, last_ts)`` where
-        ``last_ts`` is the freshest sample timestamp seen (None when the
-        mirror is empty).  O(elements) memoized window lookups — this is
-        the entire per-machine cost of the coarse monitoring phase.
-        """
-        mirror = self.mirror_for(machine)
-        rx_pkts = rx_bytes = lost = 0.0
-        elements = 0
-        last_ts: Optional[float] = None
-        for eid in mirror.store.element_ids():
-            try:
-                win = mirror.store.window_ending_now(eid, window_s)
-            except StoreError:
-                continue
-            elements += 1
-            rx_pkts += win.delta("rx_pkts")
-            rx_bytes += win.delta("rx_bytes")
-            lost += max(0.0, win.pkt_loss())
-            ts = win.end.timestamp
-            last_ts = ts if last_ts is None else max(last_ts, ts)
-        return rx_pkts, rx_bytes, lost, elements, last_ts
-
-    def _summarize_machine(self, machine: str, report, window_s: float):
-        """One machine's scalar summary from its mirror + scan report."""
-        from repro.core.diagnosis.report import MachineSummary
-
-        mirror = self.mirror_for(machine)
-        rx_pkts, rx_bytes, lost, elements, _ = self._window_scalars(
-            machine, window_s
-        )
-        dt = max(window_s, 1e-9)
-        return MachineSummary(
-            machine=machine,
-            health=mirror.health.state,
-            confidence=report.confidence,
-            loss_pkts=sum(el.loss_pkts for el in report.ranked),
-            throughput_pps=rx_pkts / dt,
-            pkt_loss_rate=(lost / rx_pkts) if rx_pkts > 0 else 0.0,
-            avg_pkt_size=(rx_bytes / rx_pkts) if rx_pkts > 0 else 0.0,
-            elements=elements,
-            missing_elements=len(report.missing_elements),
-            verdicts=tuple(report.verdicts),
-        )
+        return self._zone_report(window, diagnosis.reports.items())
 
     def build_coarse_report(
         self, window_s: float = 1.0, now: Optional[float] = None
@@ -840,6 +729,40 @@ class ZoneController:
         diagnosis-backed :meth:`build_zone_report`, so the root's
         monotonic replay dedup spans both kinds.
         """
+        return self._zone_report(
+            window_s, ((m, None) for m in self.machines()), now=now
+        )
+
+    def resume_reporting_from(self, seq: int) -> None:
+        """Fast-forward the report sequence after a restart.
+
+        A replacement zone process starts its sequence at zero, but the
+        root remembers the crashed predecessor's floor and drops any
+        replayed sequence — so a restarted zone re-subscribes, learns
+        the floor (:meth:`~repro.core.net.client.ZoneClient.subscribe`),
+        and jumps past it here.  Never moves the sequence backward.
+        """
+        if seq < 0:
+            raise ValueError(f"seq must be >= 0: {seq!r}")
+        with self._report_lock:
+            self._report_seq = max(self._report_seq, seq)
+
+    def _zone_report(
+        self,
+        window_s: float,
+        reports: Iterable[Tuple[str, Optional[object]]],
+        now: Optional[float] = None,
+    ):
+        """Summarize ``(machine, scan report or None)`` pairs and stamp
+        the zone's next report ``seq``.
+
+        Each machine costs O(elements) memoized lookups on its trailing
+        mirror window — the entire per-machine cost of the coarse
+        monitoring phase.  A scan report supplies confidence, ranked
+        loss, missing elements and verdicts; without one, confidence
+        follows agent health and the loss is the window's own.  ``now``
+        turns on ``age_s``, the age of the freshest sample.
+        """
         from repro.core.diagnosis.report import (
             CONFIDENCE_DEGRADED,
             CONFIDENCE_FULL,
@@ -848,27 +771,49 @@ class ZoneController:
             ZoneReport,
         )
 
-        summaries: Dict[str, "MachineSummary"] = {}
         dt = max(window_s, 1e-9)
-        for machine in self.machines():
-            rx_pkts, rx_bytes, lost, elements, last_ts = self._window_scalars(
-                machine, window_s
-            )
-            health = self.mirror_for(machine).health.state
+        summaries: Dict[str, MachineSummary] = {}
+        for machine, report in reports:
+            mirror = self.mirror_for(machine)
+            rx_pkts = rx_bytes = lost = 0.0
+            elements = 0
+            last_ts: Optional[float] = None
+            for eid in mirror.store.element_ids():
+                try:
+                    win = mirror.store.window_ending_now(eid, window_s)
+                except StoreError:
+                    continue
+                elements += 1
+                rx_pkts += win.delta("rx_pkts")
+                rx_bytes += win.delta("rx_bytes")
+                lost += max(0.0, win.pkt_loss())
+                ts = win.end.timestamp
+                last_ts = ts if last_ts is None else max(last_ts, ts)
+            health = mirror.health.state
+            if report is None:
+                confidence = (
+                    CONFIDENCE_FULL if health == HEALTHY else CONFIDENCE_DEGRADED
+                )
+                loss_pkts, missing, verdicts = lost, 0, ()
+            else:
+                confidence = report.confidence
+                loss_pkts = sum(el.loss_pkts for el in report.ranked)
+                missing = len(report.missing_elements)
+                verdicts = tuple(report.verdicts)
             age = 0.0
             if now is not None and last_ts is not None:
                 age = max(0.0, now - last_ts)
             summaries[machine] = MachineSummary(
                 machine=machine,
                 health=health,
-                confidence=(
-                    CONFIDENCE_FULL if health == HEALTHY else CONFIDENCE_DEGRADED
-                ),
-                loss_pkts=lost,
+                confidence=confidence,
+                loss_pkts=loss_pkts,
                 throughput_pps=rx_pkts / dt,
                 pkt_loss_rate=(lost / rx_pkts) if rx_pkts > 0 else 0.0,
                 avg_pkt_size=(rx_bytes / rx_pkts) if rx_pkts > 0 else 0.0,
                 elements=elements,
+                missing_elements=missing,
+                verdicts=verdicts,
                 age_s=age,
             )
         with self._report_lock:
@@ -1055,24 +1000,6 @@ class ZoneScan:
     machines: List[str]
     wall0: float
     peak_workers: int = 1
-
-
-class Controller(ZoneController):
-    """The flat single-tier controller — one zone owning everything.
-
-    Kept as the default for tests, simulations and small deployments;
-    behaviourally identical to the pre-hierarchy controller.
-    """
-
-    def __init__(
-        self,
-        name: str = "perfsight-controller",
-        max_workers: int = DEFAULT_MAX_WORKERS,
-        store_factory: Optional[Callable[[], TimeSeriesStore]] = None,
-    ) -> None:
-        super().__init__(
-            name=name, max_workers=max_workers, store_factory=store_factory
-        )
 
 
 @dataclass
@@ -1266,23 +1193,12 @@ class FleetController:
         replayed reports still dedup correctly.  Idempotent for a zone
         already inactive.
         """
+        record = self.zone_record(zone)
         before = self._assignment()
-        with self._lock:
-            record = self._zones.get(zone)
-            if record is None:
-                raise KeyError(f"zone {zone!r} is not registered")
-            if not record.active:
-                return {}
-            record.active = False
-            self.failovers += 1
-        self.ring.discard_node(zone)
+        if not self._evict(record, reason):
+            return {}
         moves = moved_keys(before, self._assignment())
-        obs.counter(FAILOVERS_METRIC, zone=zone)
         obs.counter(REHOMED_METRIC, float(len(moves)))
-        obs.event(
-            "fleet.zone_failed_over", obs.ERROR,
-            zone=zone, reason=reason, moves=len(moves),
-        )
         return moves
 
     def reactivate_zone(
@@ -1295,25 +1211,49 @@ class FleetController:
         undoes the failover moves and nothing else.  Idempotent for a
         zone already active.
         """
-        with self._lock:
-            record = self._zones.get(zone)
-            if record is None:
-                raise KeyError(f"zone {zone!r} is not registered")
-            if record.active:
-                return {}
+        record = self.zone_record(zone)
         before = self._assignment()
-        with self._lock:
-            record = self._zones[zone]
-            record.active = True
-            record.health.arm(self._clock())
-            self.recoveries += 1
-        self.ring.add_node(zone)
+        if not self._readmit(record, self._clock()):
+            return {}
         moves = moved_keys(before, self._assignment())
         obs.counter(REHOMED_METRIC, float(len(moves)))
-        obs.event(
-            "fleet.zone_recovered", obs.INFO, zone=zone, moves=len(moves),
-        )
         return moves
+
+    def _evict(self, record: ZoneRecord, reason: str) -> bool:
+        """Take an active zone off the ring; False if it already was off.
+
+        ``record.active`` is checked and cleared in one lock hold, so a
+        :meth:`check_zones` sweep racing :meth:`deactivate_zone` fails
+        the zone over exactly once.
+        """
+        with self._lock:
+            if not record.active:
+                return False
+            record.active = False
+            self.failovers += 1
+        self.ring.discard_node(record.zone)
+        obs.counter(FAILOVERS_METRIC, zone=record.zone)
+        obs.event(
+            "fleet.zone_failed_over", obs.ERROR, zone=record.zone, reason=reason
+        )
+        return True
+
+    def _readmit(self, record: ZoneRecord, now: float) -> bool:
+        """Put an inactive zone back on the ring; False if it already was.
+
+        The mirror of :meth:`_evict`: one lock hold checks and sets
+        ``record.active`` and re-arms the liveness deadline, so a
+        recovery is counted once however many sweeps race it.
+        """
+        with self._lock:
+            if record.active:
+                return False
+            record.active = True
+            record.health.arm(now)
+            self.recoveries += 1
+        self.ring.add_node(record.zone)
+        obs.event("fleet.zone_recovered", obs.INFO, zone=record.zone)
+        return True
 
     def check_zones(self, now: Optional[float] = None) -> ZoneCheck:
         """One liveness sweep: decay silent zones, fail over, recover.
@@ -1334,32 +1274,12 @@ class FleetController:
         for record in records:
             if record.active:
                 state = record.health.evaluate(now)
-                if state == DEAD:
-                    with self._lock:
-                        still = record.active
-                        if still:
-                            record.active = False
-                            self.failovers += 1
-                    if still:
-                        self.ring.discard_node(record.zone)
-                        failed_over.append(record.zone)
-                        obs.counter(FAILOVERS_METRIC, zone=record.zone)
-                        obs.event(
-                            "fleet.zone_failed_over", obs.ERROR,
-                            zone=record.zone, reason="heartbeat",
-                        )
+                if state == DEAD and self._evict(record, "heartbeat"):
+                    failed_over.append(record.zone)
             else:
                 state = record.health.state
-                if state == HEALTHY:
-                    with self._lock:
-                        record.active = True
-                        record.health.arm(now)
-                        self.recoveries += 1
-                    self.ring.add_node(record.zone)
+                if state == HEALTHY and self._readmit(record, now):
                     recovered.append(record.zone)
-                    obs.event(
-                        "fleet.zone_recovered", obs.INFO, zone=record.zone,
-                    )
             states[record.zone] = state
             age = record.health.age_s(now)
             if age is not None:
@@ -1451,13 +1371,6 @@ class FleetController:
         record.health.record_report(now)
         obs.counter(ZONE_REPORTS_METRIC, zone=report.zone, ok="true")
         return True
-
-    def latest_report(self, zone: str):
-        with self._lock:
-            record = self._zones.get(zone)
-            if record is None:
-                raise KeyError(f"zone {zone!r} is not registered")
-            return record.latest
 
     def zone_record(self, zone: str) -> ZoneRecord:
         with self._lock:

@@ -351,7 +351,7 @@ class DiagnosisDaemon:
                         f"window needs {needed} "
                         f"(window_s={cfg.window_s}, escalated cadence "
                         f"{cadence}s, staleness span {span_s}s); raise "
-                        "PERFSIGHT_FINE_SLOTS / capacity_per_element or "
+                        "TierConfig.fine_slots / capacity_per_element or "
                         "widen DaemonConfig.window_s"
                     )
 
@@ -359,9 +359,6 @@ class DiagnosisDaemon:
 
     def active_incidents(self) -> List[Incident]:
         return [self._active[m] for m in sorted(self._active)]
-
-    def incidents_for(self, machine: str) -> List[Incident]:
-        return [i for i in self.incidents if i.machine == machine]
 
     def detector_for(self, machine: str) -> MachineDetector:
         det = self._detectors.get(machine)

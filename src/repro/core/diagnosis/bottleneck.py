@@ -21,7 +21,7 @@ import time
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import obs
-from repro.core.controller import Controller
+from repro.core.controller import ZoneController
 from repro.core.counters import CounterWindow
 from repro.core.diagnosis.report import (
     CONFIDENCE_DEGRADED,
@@ -39,7 +39,7 @@ class BottleneckDetector:
 
     def __init__(
         self,
-        controller: Controller,
+        controller: ZoneController,
         advance: Callable[[float], None],
         window_s: float = 1.0,
         theta: float = 0.9,

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro import obs
-from repro.core.controller import COLLECTION_ERRORS, Controller
+from repro.core.controller import COLLECTION_ERRORS, ZoneController
 from repro.core.counters import CounterSnapshot, CounterWindow
 from repro.core.diagnosis.report import (
     CONFIDENCE_DEGRADED,
@@ -60,7 +60,7 @@ class ContentionDetector:
 
     def __init__(
         self,
-        controller: Controller,
+        controller: ZoneController,
         advance: Callable[[float], None],
         rulebook: Optional[RuleBook] = None,
         window_s: float = 1.0,

@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 from repro import obs
 from repro.cluster.placement import Placement
-from repro.core.controller import Controller
+from repro.core.controller import ZoneController
 from repro.core.diagnosis.contention import ContentionDetector
 from repro.core.diagnosis.propagation import RootCauseLocator
 from repro.core.diagnosis.report import ContentionReport, RootCauseReport
@@ -32,7 +32,7 @@ class OperatorConsole:
 
     def __init__(
         self,
-        controller: Controller,
+        controller: ZoneController,
         advance: Callable[[float], None],
         placement: Optional[Placement] = None,
         window_s: float = 1.0,

@@ -23,7 +23,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro import obs
 from repro.cluster.topology import VirtualNetwork
-from repro.core.controller import Controller
+from repro.core.controller import ZoneController
 from repro.core.counters import CounterWindow
 from repro.core.diagnosis.report import (
     CONFIDENCE_DEGRADED,
@@ -45,7 +45,7 @@ class RootCauseLocator:
 
     def __init__(
         self,
-        controller: Controller,
+        controller: ZoneController,
         advance: Callable[[float], None],
         window_s: float = 1.0,
         theta: float = 0.9,

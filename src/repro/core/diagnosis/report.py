@@ -110,7 +110,7 @@ class ContentionReport:
 class FleetDiagnosis:
     """Merged Algorithm-1 output across a fleet of machines.
 
-    Produced by ``Controller.diagnose_fleet``: one
+    Produced by ``ZoneController.diagnose_fleet``: one
     :class:`ContentionReport` per machine, all measuring the *same*
     interval (the scans share a single time advance), plus the merged
     views a cluster operator asks first — which machine is losing the
@@ -122,7 +122,7 @@ class FleetDiagnosis:
     wall_s: float = 0.0
     #: Peak concurrent scan workers observed during the fan-out.
     peak_workers: int = 1
-    #: Merge scratch attached by ``Controller.diagnose_fleet``: the
+    #: Merge scratch attached by ``ZoneController.diagnose_fleet``: the
     #: merged views below are then served from buffers the controller
     #: reuses across scan rounds instead of being rebuilt per access.
     #: Valid while this diagnosis is the buffers' current owner; a

@@ -390,7 +390,6 @@ class WireClient:
         rng: Optional[random.Random] = None,
         seed: Optional[int] = None,
         pool_size: int = DEFAULT_POOL_SIZE,
-        pool_idle_s: Optional[float] = DEFAULT_POOL_IDLE_S,
         circuit: Optional[CircuitPolicy] = None,
     ):
         self.host = host
@@ -414,7 +413,7 @@ class WireClient:
             factory=self._connect,
             closer=self._close_conn,
             max_size=pool_size,
-            max_idle_s=pool_idle_s,
+            max_idle_s=DEFAULT_POOL_IDLE_S,
             on_change=self._export_pool_gauges,
         )
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, Optional, Tuple
 
-from repro.core.controller import Controller
+from repro.core.controller import ZoneController
 from repro.core.counters import CounterWindow
 from repro.core.health import DataQuality
 from repro.core.records import StatRecord
@@ -32,7 +32,7 @@ class QueryRunner:
 
     def __init__(
         self,
-        controller: Controller,
+        controller: ZoneController,
         advance: Advance,
         interval_s: float = 1.0,
         clock: Optional[Callable[[], float]] = None,

@@ -262,9 +262,6 @@ class _ElementSeries:
     def stamp_at(self, i: int) -> float:
         return self.stamps[self._slot(i)]
 
-    def value_at(self, i: int, col: int) -> float:
-        return self.values[self._slot(i) * len(self.attr_names) + col]
-
     def row_values(self, i: int) -> array:
         stride = len(self.attr_names)
         base = self._slot(i) * stride

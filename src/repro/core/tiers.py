@@ -38,15 +38,12 @@ Invariants the rest of the system depends on:
   re-baseline clears the coarse tiers along with the fine ring, the
   same guarantee the flat store gives.
 
-Config rides :class:`TierConfig`; the env knobs (``PERFSIGHT_FINE_SLOTS``,
-``PERFSIGHT_TIER_FANOUT``, ``PERFSIGHT_COARSE_SLOTS``,
-``PERFSIGHT_COARSE_TIERS``) let a deployment trade fine retention
-against total footprint without code changes.
+Config rides :class:`TierConfig`: a deployment trades fine retention
+against total footprint by passing one to the store.
 """
 
 from __future__ import annotations
 
-import os
 from array import array
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -64,16 +61,6 @@ __all__ = [
     "TieredWindowStore",
     "BucketStats",
 ]
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
 
 
 @dataclass(frozen=True)
@@ -102,24 +89,6 @@ class TierConfig:
             raise ValueError(f"coarse_slots must be >= 1: {self.coarse_slots!r}")
         if self.coarse_tiers < 0:
             raise ValueError(f"coarse_tiers must be >= 0: {self.coarse_tiers!r}")
-
-    @classmethod
-    def from_env(cls, **overrides: int) -> "TierConfig":
-        """Read the ``PERFSIGHT_*`` knobs, explicit overrides winning."""
-        values = {
-            "fine_slots": _env_int(
-                "PERFSIGHT_FINE_SLOTS", cls.fine_slots
-            ),
-            "fanout": _env_int("PERFSIGHT_TIER_FANOUT", cls.fanout),
-            "coarse_slots": _env_int(
-                "PERFSIGHT_COARSE_SLOTS", cls.coarse_slots
-            ),
-            "coarse_tiers": _env_int(
-                "PERFSIGHT_COARSE_TIERS", cls.coarse_tiers
-            ),
-        }
-        values.update(overrides)
-        return cls(**values)
 
     def span_slots(self, level: int) -> int:
         """Fine slots per bucket at tier ``level`` (1-based)."""
@@ -351,7 +320,7 @@ class TieredWindowStore(TimeSeriesStore):
         capacity_per_element: Optional[int] = None,
         config: Optional[TierConfig] = None,
     ) -> None:
-        self.tier_config = config if config is not None else TierConfig.from_env()
+        self.tier_config = config if config is not None else TierConfig()
         if capacity_per_element is None:
             capacity_per_element = self.tier_config.fine_slots
         super().__init__(capacity_per_element)

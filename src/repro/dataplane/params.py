@@ -89,22 +89,3 @@ class DataplaneParams:
     memcpy_bytes_per_s: float = 4e9
     #: Default app socket receive buffer.
     app_sock_bytes: float = 256e3
-
-    @property
-    def backlog_total_pkts(self) -> float:
-        return self.backlog_pkts_per_queue
-
-    def path_mem_cost_per_byte(self) -> float:
-        """Total bus-bytes per network byte over the full rx+tx host path.
-
-        Used to sanity-check Figure 3 calibration: the tradeoff slope is
-        -1/cost in byte units.
-        """
-        return (
-            self.mem_per_byte_qemu
-            + self.mem_per_byte_guest_driver
-            + self.mem_per_byte_guest_napi
-            + self.mem_per_byte_guest_tx
-            + self.mem_per_byte_qemu_tx
-            + self.mem_per_byte_pnic_tx
-        )

@@ -161,9 +161,6 @@ class VM:
             raise SimError(f"flow {flow.flow_id!r} already bound on {self.vm_id!r}")
         self._udp_bindings[flow.flow_id] = socket
 
-    def unbind_udp(self, flow_id: str) -> None:
-        self._udp_bindings.pop(flow_id, None)
-
     def deliver(self, batch: PacketBatch) -> bool:
         """Terminal delivery from the guest stack into a socket/connection."""
         flow = batch.flow

@@ -49,7 +49,3 @@ class Nat(RelayApp):
 
     def release(self, flow_id: str) -> None:
         self._table.pop(flow_id, None)
-
-    @property
-    def table_entries(self) -> int:
-        return len(self._table)

@@ -15,7 +15,7 @@ from typing import Dict, Optional
 from repro.cluster.placement import Placement
 from repro.cluster.topology import Tenant
 from repro.core.agent import Agent
-from repro.core.controller import Controller
+from repro.core.controller import ZoneController
 from repro.dataplane.fabric import ExternalHost, Fabric
 from repro.dataplane.machine import PhysicalMachine
 from repro.dataplane.params import DataplaneParams
@@ -39,7 +39,7 @@ class Harness:
         self.sim = Simulator(tick=tick, seed=seed)
         self.registry = TransportRegistry(self.sim)
         self.fabric = Fabric(self.sim)
-        self.controller = Controller()
+        self.controller = ZoneController("perfsight-controller")
         self.placement = Placement()
         self.machines: Dict[str, PhysicalMachine] = {}
         self.agents: Dict[str, Agent] = {}

@@ -4,7 +4,7 @@ import pytest
 
 from repro.cluster.topology import Tenant
 from repro.core.agent import Agent
-from repro.core.controller import Controller
+from repro.core.controller import ZoneController
 from repro.core.query import QueryRunner
 from repro.dataplane.machine import PhysicalMachine
 from repro.middleboxes.http import HttpServer
@@ -23,7 +23,7 @@ def world(sim_with_transport):
     ExternalTrafficSource(sim, "src", flow, machine.inject, rate_bps=80e6)
     agent = Agent(sim, machine)
     agent.register(app)
-    controller = Controller()
+    controller = ZoneController()
     controller.register_local_agent(agent)
     tenant = Tenant("t1")
     tenant.vnet.register_element("pnic", "m1", "pnic@m1")
@@ -94,7 +94,7 @@ class TestQueryRoutines:
         vm.bind_udp(flow, app.socket)
         ExternalTrafficSource(sim, "src", flow, machine.inject, rate_bps=200e6)
         agent = Agent(sim, machine)
-        controller = Controller()
+        controller = ZoneController()
         controller.register_local_agent(agent)
         tenant = Tenant("t1")
         tenant.vnet.register_element("tun", "m1", "tun-v1@m1")
@@ -120,7 +120,7 @@ class TestQueryRoutines:
         vm.bind_udp(flow, app.socket)
         ExternalTrafficSource(sim, "src", flow, machine.inject, rate_bps=200e6)
         agent = Agent(sim, machine)
-        controller = Controller()
+        controller = ZoneController()
         controller.register_local_agent(agent)
         tenant = Tenant("t1")
         tenant.vnet.register_element("tun", "m1", "tun-v1@m1")
@@ -158,7 +158,7 @@ class TestHistoricalRoutines:
         agent = Agent(sim, machine)
         agent.register(app)
         cfg = TierConfig(fine_slots=8, fanout=2, coarse_slots=4, coarse_tiers=2)
-        controller = Controller(
+        controller = ZoneController(
             store_factory=lambda: TieredWindowStore(config=cfg)
         )
         controller.register_local_agent(agent)

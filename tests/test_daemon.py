@@ -490,7 +490,7 @@ class TestRetentionValidation:
     """Daemon construction fails fast on under-provisioned mirrors."""
 
     def test_short_fine_ring_rejected_at_construction(self):
-        with pytest.raises(ValueError, match="PERFSIGHT_FINE_SLOTS"):
+        with pytest.raises(ValueError, match="fine_slots"):
             DiagnosisDaemon(
                 {"z": _StubZone(capacity=4)},
                 advance=lambda t: None,

@@ -15,7 +15,7 @@ import time
 import pytest
 
 from repro import obs
-from repro.core.agent import PUSH_FAILURES_METRIC, PUSH_PERIOD_ENV
+from repro.core.agent import PUSH_FAILURES_METRIC
 from repro.core.controller import (
     FleetController,
     ZoneController,
@@ -228,6 +228,33 @@ class TestFleetLiveness:
         assert fleet.deactivate_zone("z1") == {}
         assert fleet.failovers == 1
         assert all(old == "z1" for old, _new in moves.values())
+
+    def test_reactivate_racing_a_sweep_recovers_once(self):
+        """A sweep landing inside ``reactivate_zone`` re-admits the zone
+        itself; the explicit call must then see it active and stand
+        down, not count a second recovery."""
+        clock = [0.0]
+        fleet = make_fleet(clock)
+        fleet.track_machines([f"m{i:02d}" for i in range(9)])
+        fleet.deactivate_zone("z1")
+        assert fleet.zone_record("z1").health.state == HEALTHY
+        assignment = fleet._assignment
+        raced = []
+
+        def racing_assignment():
+            if not raced:
+                raced.append(True)
+                fleet.check_zones(clock[0])
+            return assignment()
+
+        fleet._assignment = racing_assignment
+        with obs.installed() as hub:
+            fleet.reactivate_zone("z1")
+        assert raced
+        assert fleet.recoveries == 1
+        assert len(hub.events.events(name="fleet.zone_recovered")) == 1
+        assert "z1" in fleet.ring
+        assert fleet.zone_record("z1").active
 
     def test_replayed_report_is_not_proof_of_life(self):
         clock = [0.0]
@@ -534,24 +561,35 @@ class TestAgentRehoming:
 
 
 class TestPushEnvValidation:
-    @pytest.mark.parametrize("raw", ["banana", "-0.5", "0", "inf", "nan"])
-    def test_bad_period_rejected_at_startup(self, monkeypatch, raw):
-        monkeypatch.setenv(PUSH_PERIOD_ENV, raw)
+    """A bad push setting fails at ``start_pushing``, not later in the
+    push thread."""
+
+    @pytest.mark.parametrize(
+        "period",
+        [
+            pytest.param("banana", id="banana"),
+            pytest.param(-0.5, id="-0.5"),
+            pytest.param(0, id="0"),
+            pytest.param(float("inf"), id="inf"),
+            pytest.param(float("nan"), id="nan"),
+        ],
+    )
+    def test_bad_period_rejected_at_startup(self, period):
         h = build_world(n_machines=1, faulty_every=100)
         agent = h.agents["m00"]
         zone = ZoneController("z1")
         zone.register_local_agent(agent)
-        with pytest.raises(ValueError, match=PUSH_PERIOD_ENV):
-            agent.start_pushing(zone)
+        with pytest.raises((TypeError, ValueError)):
+            agent.start_pushing(zone, period_s=period)
         assert not agent.pushing
 
-    def test_blank_period_falls_back_to_default(self, monkeypatch):
-        monkeypatch.setenv(PUSH_PERIOD_ENV, "   ")
+    def test_blank_period_falls_back_to_default(self):
         h = build_world(n_machines=1, faulty_every=100)
         agent = h.agents["m00"]
         zone = ZoneController("z1")
         zone.register_local_agent(agent)
-        assert agent.start_pushing(zone) is not None
+        assert agent.start_pushing(zone, period_s=None) is not None
+        assert agent.pushing
         agent.stop_pushing()
 
     def test_bad_rehome_after_rejected(self):

@@ -15,7 +15,7 @@ import time
 import pytest
 
 from repro import obs
-from repro.core.controller import Controller
+from repro.core.controller import ZoneController
 from repro.core.health import DEAD, DEGRADED, HEALTHY, HealthPolicy
 from repro.middleboxes.proxy import Proxy
 from repro.scenarios.common import Harness
@@ -67,7 +67,7 @@ class SlowHandle(FlakyHandle):
 def build_fleet(n_machines=3, handle_cls=FlakyHandle, **handle_kwargs):
     """A fleet harness whose controller sees wrapped agent handles."""
     h = Harness()
-    controller = Controller("fleet-test")
+    controller = ZoneController("fleet-test")
     handles = {}
     for i in range(n_machines):
         name = f"m{i}"
@@ -98,8 +98,8 @@ class TestConcurrentRefresh:
 
     def test_refresh_concurrent_flag_matches_dedicated_method(self):
         _, controller, _ = build_fleet(2)
-        assert controller.refresh(concurrent=True) >= 0
-        assert controller.refresh() == 0  # nothing new after either path
+        assert controller.refresh_concurrent() > 0
+        assert controller.refresh() == 0  # the serial path sees nothing new
 
     def test_fan_out_actually_overlaps(self):
         _, controller, _ = build_fleet(
@@ -213,7 +213,7 @@ class TestHealthUnderConcurrency:
 
     def test_custom_policy_under_concurrent_refresh(self):
         h = Harness()
-        controller = Controller("fleet-policy")
+        controller = ZoneController("fleet-policy")
         machine = h.add_machine("m0")
         machine.add_vm("vm0", vcpu_cores=1.0)
         flaky = FlakyHandle(h.agents["m0"])

@@ -3,7 +3,7 @@ loop over the wire, and the ticket-driven operator workflow."""
 
 from repro.cluster.chains import build_chain
 from repro.core.agent import Agent
-from repro.core.controller import Controller
+from repro.core.controller import ZoneController
 from repro.core.diagnosis import RootCauseLocator
 from repro.core.diagnosis.tickets import TicketAggregator, TicketQueue
 from repro.core.net import AgentServer, RemoteAgentHandle
@@ -79,7 +79,7 @@ class TestPerfSightOverTheWire:
         with AgentServer(agent) as srv:
             host, port = srv.address
             handle = RemoteAgentHandle(host, port)
-            controller = Controller()
+            controller = ZoneController()
             controller.register_agent("m1", handle)
             controller.register_tenant(tenant)
             locator = RootCauseLocator(

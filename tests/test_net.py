@@ -6,7 +6,7 @@ import threading
 import pytest
 
 from repro.core.agent import Agent
-from repro.core.controller import Controller
+from repro.core.controller import ZoneController
 from repro.core.net.client import RemoteAgentHandle
 from repro.core.net.protocol import (
     MAX_FRAME_BYTES,
@@ -142,7 +142,7 @@ class TestAgentOverTcp:
 
         host, port = server.address
         handle = RemoteAgentHandle(host, port)
-        controller = Controller()
+        controller = ZoneController()
         controller.register_agent("m1", handle)
         tenant = Tenant("t1")
         tenant.vnet.register_element("pnic", "m1", "pnic@m1")
@@ -210,7 +210,7 @@ class TestBatchDeltaOverTcp:
         sim, _, agent, server = served_agent
         host, port = server.address
         handle = RemoteAgentHandle(host, port)
-        controller = Controller()
+        controller = ZoneController()
         controller.register_agent("m1", handle)
         mirror = controller.mirror_for("m1")
 

@@ -17,7 +17,7 @@ import pytest
 
 from repro.cluster.topology import Tenant
 from repro.core.agent import Agent
-from repro.core.controller import Controller
+from repro.core.controller import ZoneController
 from repro.core.diagnosis.contention import ContentionDetector
 from repro.core.diagnosis.report import CONFIDENCE_DEGRADED
 from repro.core.health import DEAD, DEGRADED, HEALTHY, HealthPolicy
@@ -447,7 +447,7 @@ class TestCrashRestartArc:
         host, port = server.address
 
         handle = RemoteAgentHandle(host, port, retry=FAST_RETRY, sleep=no_sleep)
-        controller = Controller()
+        controller = ZoneController()
         controller.register_agent(
             "m1",
             handle,

@@ -12,7 +12,7 @@ import pytest
 from repro import obs
 from repro.core.agent import Agent
 from repro.core.channels import READ_LATENCY_METRIC
-from repro.core.controller import Controller
+from repro.core.controller import ZoneController
 from repro.core.net.client import (
     WIRE_RETRIES_METRIC,
     RemoteAgentHandle,
@@ -50,7 +50,7 @@ def served(world):
     sim, machine, agent = world
     server = AgentServer(agent).start()
     handle = RemoteAgentHandle(*server.address, retry=FAST_RETRY)
-    controller = Controller()
+    controller = ZoneController()
     controller.register_agent("m1", handle)
     yield sim, agent, server, handle, controller
     handle.close()
@@ -142,8 +142,6 @@ class TestPushTraceLinks:
     ingest span a remote child of the agent's push span."""
 
     def test_push_links_agent_and_zone_ingest_spans(self, world):
-        from repro.core.controller import ZoneController
-
         sim, machine, agent = world
         zone = ZoneController("z-push")
         zone.register_local_agent(agent)

@@ -14,7 +14,7 @@ import json
 
 import pytest
 
-from repro.core.agent import DEFAULT_PUSH_PERIOD_S, PUSH_DISABLE_ENV, PUSH_PERIOD_ENV
+from repro.core.agent import DEFAULT_PUSH_PERIOD_S
 from repro.core.controller import AgentMirror, FleetController, ZoneController
 from repro.core.diagnosis.report import (
     FleetRollup,
@@ -203,6 +203,28 @@ class TestHierarchyEqualsFlat:
             fleet.ingest_zone_report(zc.build_zone_report(diag))
         assert fleet.rollup().machines == sorted(h.agents)
 
+    def test_coarse_and_zone_reports_read_the_same_window(self):
+        """Both report kinds summarize one trailing mirror window per
+        machine: over the same mirrors and window their rates, element
+        counts and health are equal, and they share one seq."""
+        h = build_world(n_machines=4)
+        zone = ZoneController("z1")
+        for agent in h.agents.values():
+            zone.register_local_agent(agent)
+        full = zone.build_zone_report(zone.diagnose_fleet(h.advance, WINDOW_S))
+        coarse = zone.build_coarse_report(WINDOW_S)
+        assert coarse.seq == full.seq + 1
+        assert sorted(coarse.machines) == sorted(full.machines) == sorted(h.agents)
+        fields = ("throughput_pps", "pkt_loss_rate", "avg_pkt_size", "elements",
+                  "health")
+        for machine, summary in full.machines.items():
+            for name in fields:
+                assert getattr(coarse.machines[machine], name) == getattr(
+                    summary, name
+                ), (machine, name)
+        assert all(s.throughput_pps > 0 for s in full.machines.values())
+        assert any(s.pkt_loss_rate > 0 for s in full.machines.values())
+
 
 class TestPushOnChange:
     def test_push_ships_deltas_and_skips_when_clean(self):
@@ -268,26 +290,14 @@ class TestPushOnChange:
         assert zone.mirror_for("m00").acked == agent.store.cursor()
         agent.stop_pushing()
 
-    def test_push_disable_env_knob(self, monkeypatch):
-        monkeypatch.setenv(PUSH_DISABLE_ENV, "1")
+    def test_push_period_defaults(self):
         h = build_world(n_machines=1, faulty_every=100)
         agent = h.agents["m00"]
         zone = ZoneController("z1")
         zone.register_local_agent(agent)
-        assert agent.start_pushing(zone) is None
-        assert not agent.pushing
-        assert agent.total_pushes == 0
-
-    def test_push_period_env_knob(self, monkeypatch):
-        monkeypatch.setenv(PUSH_PERIOD_ENV, "0.25")
-        h = build_world(n_machines=1, faulty_every=100)
-        agent = h.agents["m00"]
-        zone = ZoneController("z1")
-        zone.register_local_agent(agent)
-        agent.start_pushing(zone)
-        assert agent.push_period_s == 0.25  # env beats the default
+        assert agent.start_pushing(zone, period_s=0.25) is not None
+        assert agent.push_period_s == 0.25
         agent.stop_pushing()
-        monkeypatch.delenv(PUSH_PERIOD_ENV)
         agent.start_pushing(zone)
         assert agent.push_period_s == DEFAULT_PUSH_PERIOD_S
         agent.stop_pushing()

@@ -5,7 +5,7 @@ import pytest
 
 from repro.cluster.topology import Tenant
 from repro.core.agent import Agent
-from repro.core.controller import Controller
+from repro.core.controller import ZoneController
 from repro.core.query import QueryRunner
 from repro.middleboxes.http import HttpServer
 from repro.simnet.packet import Flow
@@ -106,7 +106,7 @@ class TestAgentPolling:
 
 class TestControllerMirror:
     def make_controller(self, agent):
-        controller = Controller()
+        controller = ZoneController()
         controller.register_local_agent(agent)
         tenant = Tenant("t1")
         tenant.vnet.register_element("pnic", "m1", "pnic@m1")

@@ -47,22 +47,6 @@ class TestTierConfig:
         # 8 fine + 4*2 + 4*4 + 4*8 coarse-slot-equivalents.
         assert cfg.retention_slots() == 8 + 8 + 16 + 32
 
-    def test_from_env_knobs(self, monkeypatch):
-        monkeypatch.setenv("PERFSIGHT_FINE_SLOTS", "16")
-        monkeypatch.setenv("PERFSIGHT_TIER_FANOUT", "4")
-        monkeypatch.setenv("PERFSIGHT_COARSE_SLOTS", "7")
-        monkeypatch.setenv("PERFSIGHT_COARSE_TIERS", "2")
-        cfg = TierConfig.from_env()
-        assert (cfg.fine_slots, cfg.fanout, cfg.coarse_slots, cfg.coarse_tiers) \
-            == (16, 4, 7, 2)
-        # Explicit overrides beat the environment.
-        assert TierConfig.from_env(fine_slots=32).fine_slots == 32
-
-    def test_from_env_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv("PERFSIGHT_FINE_SLOTS", "lots")
-        with pytest.raises(ValueError, match="PERFSIGHT_FINE_SLOTS"):
-            TierConfig.from_env()
-
 
 class TestFineTierEquivalence:
     """Reads answered by the fine ring are identical to a flat store's."""
