@@ -214,10 +214,7 @@ class AgentMirror:
 
     def data_quality(self, now: Optional[float] = None) -> DataQuality:
         """The staleness annotation for answers served from this mirror."""
-        last_ts: Optional[float] = None
-        for eid in self.store.element_ids():
-            ts = self.store.latest(eid).timestamp
-            last_ts = ts if last_ts is None else max(last_ts, ts)
+        last_ts = self.store.newest_timestamp()
         age = None
         if now is not None and last_ts is not None:
             age = max(0.0, now - last_ts)

@@ -7,9 +7,10 @@ before they run out of CPU.  PrintQueue's answer — adopted here — is
 **coarsening time windows**: keep the most recent N samples at full
 resolution, and when a sample falls off the fine ring, merge it into
 progressively coarser buckets (2x, 4x, 8x… fine slots per bucket) that
-each keep only per-attribute ``sum``/``min``/``max``/``last`` plus the
-bucket's last raw row.  Old history degrades in resolution, never in
-span, and total memory is a small constant per element.
+each keep only the newest raw row they absorbed.  Every coarse read
+differences two retained samples, so that one row per bucket is all
+a read uses.  Old history degrades in resolution, never in span, and
+total memory is a small constant per element.
 
 Layout per element (fanout 2, three coarse tiers)::
 
@@ -31,9 +32,6 @@ Invariants the rest of the system depends on:
   ``at_or_before``/``window`` read returns *real retained samples* —
   the same latest-sample-at-or-before semantics as the flat store,
   just over a sparser retained set as queries reach further back.
-* **Sums/mins/maxes are exact merges** of the evicted fine rows
-  (ABSENT cells never vote), so historical trend queries aggregate
-  precisely what was measured, not an approximation.
 * **No window ever straddles a producer restart**: a counter-reset
   re-baseline clears the coarse tiers along with the fine ring, the
   same guarantee the flat store gives.
@@ -46,9 +44,9 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.core.counters import ABSENT, CounterSnapshot, CounterWindow
+from repro.core.counters import CounterSnapshot, CounterWindow
 from repro.core.store import (
     DEFAULT_CAPACITY_PER_ELEMENT,
     StoreError,
@@ -110,97 +108,50 @@ class BucketStats:
     first_ts: float
     last_ts: float
     last_seq: int
-    samples: int
     units: int
-    sums: Dict[str, float]
-    mins: Dict[str, float]
-    maxs: Dict[str, float]
     lasts: Dict[str, float]
 
 
 class _CoarseBucket:
-    """One coarse bucket: merged stats + the last raw row, columnar.
+    """One coarse bucket: the newest raw row it absorbed, columnar.
 
-    The four stat arrays share the bucket's ``names`` tuple;
-    ``ABSENT``/NaN cells mean "no data for this attribute yet" and are
-    skipped by every merge, so sums/mins/maxes are exact over the
-    non-absent evicted cells.  ``vlast`` is the newest absorbed row
-    *verbatim* (ABSENT cells preserved), which is what stitched reads
-    materialize as a retained sample.
+    A coarse read answers with a retained sample, and a rate over a
+    stitched window is the difference of its two retained raw samples
+    over their time span.  So the bucket's last row is all any read
+    uses, and it is all the bucket keeps: ``vlast`` is that row
+    *verbatim* (ABSENT cells preserved), position-aligned to ``names``.
+    ``units`` counts the fine rows the bucket spans.
     """
 
-    __slots__ = (
-        "names",
-        "first_ts",
-        "last_ts",
-        "last_seq",
-        "samples",
-        "units",
-        "vsum",
-        "vmin",
-        "vmax",
-        "vlast",
-        "_snap",
-    )
+    __slots__ = ("names", "first_ts", "last_ts", "last_seq", "units", "vlast", "_snap")
 
     def __init__(
         self,
         names: Tuple[str, ...],
         seq: int,
         timestamp: float,
-        values: Sequence[float],
+        values: array,
     ) -> None:
         self.names = names
         self.first_ts = timestamp
         self.last_ts = timestamp
         self.last_seq = seq
-        self.samples = 1
         self.units = 1
-        self.vsum = array("d", values)
-        self.vmin = array("d", values)
-        self.vmax = array("d", values)
-        self.vlast = array("d", values)
+        self.vlast = values
         self._snap: Optional[CounterSnapshot] = None
 
-    def _widen_to(self, names: Tuple[str, ...]) -> None:
-        """Grow the stat arrays for a schema that gained attributes.
+    def merge_from(self, other: "_CoarseBucket") -> None:
+        """Absorb a strictly newer bucket: its row becomes this one's.
 
         Attribute schemas only ever grow by appending (see
-        ``_ElementSeries._widen``), so the existing columns stay
-        position-aligned and the new ones start ABSENT.
+        ``_ElementSeries._widen``), so the newer row's names already
+        cover every column this bucket had.
         """
-        pad = array("d", [ABSENT]) * (len(names) - len(self.names))
-        self.vsum += pad
-        self.vmin += pad
-        self.vmax += pad
-        self.vlast += pad
-        self.names = names
-
-    def merge_from(self, other: "_CoarseBucket") -> None:
-        """Absorb a strictly newer bucket into this one."""
-        if len(other.names) > len(self.names):
-            self._widen_to(other.names)
+        self.names = other.names
         self.last_ts = other.last_ts
         self.last_seq = other.last_seq
-        self.samples += other.samples
         self.units += other.units
-        vsum, vmin, vmax, vlast = self.vsum, self.vmin, self.vmax, self.vlast
-        for col in range(len(other.names)):
-            o_sum = other.vsum[col]
-            if o_sum == o_sum:  # non-ABSENT
-                s = vsum[col]
-                vsum[col] = o_sum if s != s else s + o_sum
-            o_min = other.vmin[col]
-            if o_min == o_min:
-                m = vmin[col]
-                vmin[col] = o_min if m != m else min(m, o_min)
-            o_max = other.vmax[col]
-            if o_max == o_max:
-                m = vmax[col]
-                vmax[col] = o_max if m != m else max(m, o_max)
-            # ``last`` is the newer row verbatim — ABSENT included, so a
-            # stitched read sees exactly the sample that was evicted.
-            vlast[col] = other.vlast[col]
+        self.vlast = other.vlast
         self._snap = None
 
     def snapshot(self, element_id: str, machine: str) -> CounterSnapshot:
@@ -218,8 +169,7 @@ class _CoarseBucket:
         return snap
 
     def nbytes(self) -> int:
-        # The four stat arrays are created and widened together.
-        return 4 * len(self.vsum) * self.vsum.itemsize
+        return len(self.vlast) * self.vlast.itemsize
 
 
 class _Tier:
@@ -227,7 +177,7 @@ class _Tier:
 
     ``nbytes`` is the running total of the held buckets' bytes, kept by
     :meth:`absorb` (the only mutator: sealed buckets are immutable, only
-    the open one ever widens), so accounting never walks the buckets.
+    the open one ever changes), so accounting never walks the buckets.
     """
 
     __slots__ = ("span", "capacity", "open", "sealed", "nbytes")
@@ -326,7 +276,7 @@ class TieredWindowStore(TimeSeriesStore):
         super().__init__(capacity_per_element)
         self._tiers: Dict[str, _ElementTiers] = {}
         # Bytes held per coarse level across all elements, adjusted
-        # wherever buckets enter, widen, move or die, so nbytes() is
+        # wherever buckets enter, merge, move or die, so nbytes() is
         # arithmetic instead of a walk over every bucket.
         self._level_bytes = [0] * self.tier_config.coarse_tiers
 
@@ -343,6 +293,7 @@ class TieredWindowStore(TimeSeriesStore):
         names = series.attr_names
         stride = len(names)
         base = slot * stride
+        # The ring slice is already a copy: it becomes the bucket's row.
         bucket = _CoarseBucket(
             names,
             series.seqs[slot],
@@ -440,9 +391,10 @@ class TieredWindowStore(TimeSeriesStore):
     def coarse_buckets(self, element_id: str) -> List[BucketStats]:
         """Every coarse bucket of one element, oldest history first.
 
-        The property-test surface: exposes each bucket's exact merged
-        sums/mins/maxes (ABSENT cells omitted) so tests can check them
-        against independently-tracked evicted rows.
+        The property-test surface: exposes each bucket's span, the
+        number of fine rows it absorbed and its retained last row
+        (ABSENT cells omitted) so tests can check them against
+        independently-tracked evicted rows.
         """
         with self._lock:
             tiers = self._tiers.get(element_id)
@@ -450,27 +402,18 @@ class TieredWindowStore(TimeSeriesStore):
                 return []
             out: List[BucketStats] = []
             for level, bucket in tiers.samples_oldest_first():
-                names = bucket.names
-
-                def _strip(arr: array) -> Dict[str, float]:
-                    return {
-                        names[i]: arr[i]
-                        for i in range(len(names))
-                        if arr[i] == arr[i]
-                    }
-
                 out.append(
                     BucketStats(
                         level=level,
                         first_ts=bucket.first_ts,
                         last_ts=bucket.last_ts,
                         last_seq=bucket.last_seq,
-                        samples=bucket.samples,
                         units=bucket.units,
-                        sums=_strip(bucket.vsum),
-                        mins=_strip(bucket.vmin),
-                        maxs=_strip(bucket.vmax),
-                        lasts=_strip(bucket.vlast),
+                        lasts={
+                            name: value
+                            for name, value in zip(bucket.names, bucket.vlast)
+                            if value == value
+                        },
                     )
                 )
             return out

@@ -10,6 +10,7 @@ exact pass it screens for.
 
 import math
 import random
+from array import array
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -25,7 +26,7 @@ from repro.core.channels import (
 )
 from repro.core.counters import CounterSnapshot
 from repro.core.extensions import PacketSizeHistogram
-from repro.core.store import TimeSeriesStore
+from repro.core.store import TimeSeriesStore, _ElementSeries
 from repro.core.tiers import TierConfig, TieredWindowStore
 from repro.dataplane.machine import PhysicalMachine
 from repro.dataplane.queue_element import QueueElement
@@ -441,6 +442,164 @@ def test_append_append_row_apply_blocks_agree(kind, cap, feed, data):
         )
         assert by_snapshot.nbytes() == other.nbytes()
     assert by_snapshot.total_appended + by_snapshot.total_deduped == len(feed)
+
+
+# -- (c'') a full row written as one slice vs the column loop ------------------------
+
+
+class _LoopSeries(_ElementSeries):
+    """The reference ingest: every row first fills its slot with ABSENT
+    and then writes one column at a time, and the reset check guards
+    ABSENT cells on both sides explicitly."""
+
+    __slots__ = ()
+
+    def push_row(self, machine, seq, timestamp, names, row_values):
+        self.machine = machine
+        cols, _ = self._columns_for(names)
+        stride = len(self.attr_names)
+        if self.count == self.capacity:
+            slot = self.start
+            if self.on_evict is not None:
+                self.on_evict(self, slot)
+            self.start = (self.start + 1) % self.capacity
+        else:
+            slot = self._slot(self.count)
+            self.count += 1
+        self.seqs[slot] = seq
+        self.stamps[slot] = timestamp
+        self._snap_cache[slot] = None
+        self.version += 1
+        base = slot * stride
+        self.values[base: base + stride] = self._absent_row
+        for col, value in zip(cols, row_values):
+            self.values[base + col] = value
+
+    def is_reset_against_latest(self, seq, names, row_values):
+        last_slot = (self.start + self.count - 1) % self.capacity
+        if seq < self.seqs[last_slot]:
+            return True
+        sentinel = dict(self._sentinel_cols)
+        base = last_slot * len(self.attr_names)
+        for i, name in enumerate(names):
+            if name not in sentinel:
+                continue
+            new = row_values[i]
+            if new != new:
+                continue
+            old = self.values[base + sentinel[name]]
+            if old == old and new < old - 1e-9:
+                return True
+        return False
+
+
+class _LoopStore(TimeSeriesStore):
+    def _make_series(self, element_id, machine):
+        return _LoopSeries(element_id, machine, self.capacity_per_element)
+
+
+class _LoopTieredStore(TieredWindowStore):
+    def _make_series(self, element_id, machine):
+        series = _LoopSeries(element_id, machine, self.capacity_per_element)
+        series.on_evict = self._absorb_evicted
+        series.on_clear = self._drop_coarse
+        return series
+
+
+LOOP_STORES = {
+    "flat": lambda cap: _LoopStore(capacity_per_element=cap),
+    "tiered": lambda cap: _LoopTieredStore(
+        config=TierConfig(fine_slots=cap, fanout=2, coarse_slots=2, coarse_tiers=2)
+    ),
+}
+
+_ATTRS = ("rx_pkts", "tx_pkts", "drops", "queue_pkts", "drops.late")
+#: In order, permuted, subset and widening schemas; the first one is the
+#: likeliest first row, so later rows often match the stored schema.
+_SCHEMAS = (
+    ("rx_pkts", "tx_pkts", "drops"),
+    ("tx_pkts", "drops", "rx_pkts"),
+    ("rx_pkts", "drops"),
+    ("rx_pkts", "tx_pkts", "drops", "queue_pkts"),
+    ("queue_pkts", "rx_pkts", "tx_pkts", "drops"),
+)
+
+
+def _as_array(values):
+    return array("d", values)
+
+
+#: (element, seq — repeats dedup, regressions restart —, schema, counter
+#: level — a lower one reads as a counter reset —, ABSENT cells, the
+#: container the producer hands in).
+schema_rows = st.lists(
+    st.tuples(
+        st.sampled_from(["a", "b"]),
+        st.integers(min_value=0, max_value=8),
+        st.one_of(
+            st.sampled_from(_SCHEMAS),
+            st.lists(st.sampled_from(_ATTRS), unique=True, max_size=5).map(tuple),
+        ),
+        st.sampled_from([0.0, 1.0, 5.0, 50.0]),
+        st.sets(st.integers(min_value=0, max_value=4), max_size=2),
+        st.sampled_from([list, tuple, _as_array]),
+    ),
+    max_size=60,
+)
+
+
+def _schema_row(t, eid, seq, names, level, absent, container):
+    # Distinct per column, so a value written to the wrong column shows.
+    values = [level * (k + 1) + 0.25 * k for k in range(len(names))]
+    for k in absent:
+        if k < len(values):
+            values[k] = math.nan
+    return eid, seq, 0.1 * t, names, container(values)
+
+
+def _rings(store):
+    return {
+        eid: (
+            s.attr_names, s.start, s.count,
+            s.seqs.tobytes(), s.stamps.tobytes(), s.values.tobytes(),
+        )
+        for eid, s in store._series.items()
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(STORES))
+@prop
+@given(
+    cap=st.integers(min_value=2, max_value=5), feed=schema_rows, blocks=st.booleans()
+)
+def test_slice_row_writes_equal_the_column_loop(kind, cap, feed, blocks):
+    rows = [_schema_row(t, *row) for t, row in enumerate(feed)]
+    fast, loop = STORES[kind](cap), LOOP_STORES[kind](cap)
+    for store in (fast, loop):
+        if not blocks:
+            for eid, seq, ts, names, values in rows:
+                store.append_row(eid, "m1", seq, ts, names, values)
+            continue
+        # one block per run of one element's rows under one schema
+        at = 0
+        while at < len(rows):
+            eid, _, _, names, _ = rows[at]
+            end = at + 1
+            while end < len(rows) and (rows[end][0], rows[end][3]) == (eid, names):
+                end += 1
+            run = [(seq, ts, values) for _, seq, ts, _, values in rows[at:end]]
+            store.apply_blocks([(eid, "m1", names, run)])
+            at = end
+    assert _rings(fast) == _rings(loop)
+    for counter in ("total_appended", "total_deduped", "total_resets", "resets"):
+        assert getattr(fast, counter) == getattr(loop, counter)
+    assert fast.nbytes() == loop.nbytes()
+    if kind == "tiered":
+        for eid in loop.element_ids():
+            assert fast.coarse_buckets(eid) == loop.coarse_buckets(eid)
+    assert fast.newest_timestamp() == max(
+        (loop.latest(eid).timestamp for eid in loop.element_ids()), default=None
+    )
 
 
 # -- (d) channel accounting draws the same RNG stream (Figure 9/16) -------------------

@@ -179,7 +179,7 @@ class TestHistoricalRoutines:
         assert store.coarse_buckets("pnic@m1"), "history should have coarsened"
         now = sim.now
         # A window reaching well past the fine ring still answers with
-        # the true line rate (counters are monotone, merges exact).
+        # the true line rate (counters are monotone, retained rows raw).
         rate = runner.get_throughput_between("t1", "pnic", now - 3.0, now)
         assert rate == pytest.approx(80e6 / 8, rel=0.05)
         # And the full-retention ask falls back to the oldest retained
