@@ -110,7 +110,6 @@ class _ElementSeries:
         "_sentinel_cols",
         "_memo_names",
         "_memo_cols",
-        "_memo_full",
         "_memo_sentinels",
         "_absent_row",
         "_snap_cache",
@@ -134,7 +133,6 @@ class _ElementSeries:
         self._sentinel_cols: Tuple[Tuple[str, int], ...] = ()
         self._memo_names: Optional[Tuple[str, ...]] = None
         self._memo_cols: List[int] = []
-        self._memo_full = False
         self._memo_sentinels: List[Tuple[int, int]] = []
         self._absent_row = array("d")
         # Rows are write-once until their slot is recycled, so the
@@ -179,31 +177,25 @@ class _ElementSeries:
         self._memo_names = None
         self._absent_row = array("d", [ABSENT]) * stride
 
-    def _columns_for(self, names: Sequence[str]) -> Tuple[List[int], bool]:
+    def _columns_for(self, names: Sequence[str]) -> List[int]:
         """Column index per incoming attr name, widening on new names.
 
-        Also says whether ``names`` maps in order onto columns
-        ``0..stride-1`` — the stored schema itself — so :meth:`push_row`
-        can write the row as one slice.  The wire-apply path hands in
-        the *same* names tuple for every row of a block and an agent
-        store sees an *equal* fresh tuple per stored snapshot, so a
-        one-entry memo keyed by value makes the per-row mapping one
-        identity check or one tuple compare.  A widening clears the
-        memo, so a remembered "full" never outlives its stride.
+        The wire-apply path hands in the *same* names tuple for every
+        row of a block and an agent store sees an *equal* fresh tuple
+        per stored snapshot, so a one-entry memo keyed by value makes
+        the per-row mapping one identity check or one tuple compare.
         """
         if names is self._memo_names or names == self._memo_names:
-            return self._memo_cols, self._memo_full
+            return self._memo_cols
         missing = [n for n in names if n not in self.attr_index]
         if missing:
             self._widen(missing)
         cols = [self.attr_index[n] for n in names]
-        full = cols == list(range(len(self.attr_names)))
         if isinstance(names, tuple):
             self._memo_names = names
             self._memo_cols = cols
-            self._memo_full = full
             self._memo_sentinels = self._sentinel_pairs(names)
-        return cols, full
+        return cols
 
     def _sentinel_pairs(self, names: Sequence[str]) -> List[Tuple[int, int]]:
         """(incoming index, stored column) for each sentinel in ``names``."""
@@ -225,7 +217,7 @@ class _ElementSeries:
         row_values: Sequence[float],
     ) -> None:
         self.machine = machine
-        cols, full = self._columns_for(names)
+        cols = self._columns_for(names)
         stride = len(self.attr_names)
         if self.count == self.capacity:
             slot = self.start
@@ -240,13 +232,7 @@ class _ElementSeries:
         self._snap_cache[slot] = None
         self.version += 1
         base = slot * stride
-        if full and len(row_values) == stride:
-            # The row is the schema in order: one slice, no ABSENT fill.
-            self.values[base: base + stride] = (
-                row_values if type(row_values) is array else array("d", row_values)
-            )
-        elif stride:
-            # Permuted, partial or short rows: unnamed columns stay ABSENT.
+        if stride:
             self.values[base: base + stride] = self._absent_row
             values = self.values
             for col, value in zip(cols, row_values):

@@ -444,36 +444,14 @@ def test_append_append_row_apply_blocks_agree(kind, cap, feed, data):
     assert by_snapshot.total_appended + by_snapshot.total_deduped == len(feed)
 
 
-# -- (c'') a full row written as one slice vs the column loop ------------------------
+# -- (c'') the unguarded reset check vs the guarded loop ------------------------------
 
 
 class _LoopSeries(_ElementSeries):
-    """The reference ingest: every row first fills its slot with ABSENT
-    and then writes one column at a time, and the reset check guards
+    """The reference reset check: it walks the names itself and guards
     ABSENT cells on both sides explicitly."""
 
     __slots__ = ()
-
-    def push_row(self, machine, seq, timestamp, names, row_values):
-        self.machine = machine
-        cols, _ = self._columns_for(names)
-        stride = len(self.attr_names)
-        if self.count == self.capacity:
-            slot = self.start
-            if self.on_evict is not None:
-                self.on_evict(self, slot)
-            self.start = (self.start + 1) % self.capacity
-        else:
-            slot = self._slot(self.count)
-            self.count += 1
-        self.seqs[slot] = seq
-        self.stamps[slot] = timestamp
-        self._snap_cache[slot] = None
-        self.version += 1
-        base = slot * stride
-        self.values[base: base + stride] = self._absent_row
-        for col, value in zip(cols, row_values):
-            self.values[base + col] = value
 
     def is_reset_against_latest(self, seq, names, row_values):
         last_slot = (self.start + self.count - 1) % self.capacity
@@ -572,7 +550,7 @@ def _rings(store):
 @given(
     cap=st.integers(min_value=2, max_value=5), feed=schema_rows, blocks=st.booleans()
 )
-def test_slice_row_writes_equal_the_column_loop(kind, cap, feed, blocks):
+def test_unguarded_reset_check_equals_the_guarded_loop(kind, cap, feed, blocks):
     rows = [_schema_row(t, *row) for t, row in enumerate(feed)]
     fast, loop = STORES[kind](cap), LOOP_STORES[kind](cap)
     for store in (fast, loop):
