@@ -345,11 +345,11 @@ class CircuitBreaker:
 
 
 class _WireConn:
-    """One pooled connection plus its per-connection id tables.
+    """One pooled connection plus its per-connection codec state.
 
     ``greeted`` is False until the first data op triggers HELLO, which
-    seeds ``schema``; the tables are only ever meaningful to this
-    connection.
+    seeds ``schema``; its id tables and implied BATCH_DELTA state are
+    only ever meaningful to this connection.
     """
 
     __slots__ = ("sock", "schema", "greeted")
@@ -460,15 +460,16 @@ class WireClient:
         request bytes have hit the socket, which is what the
         idempotency judgment keys on.  Transport failures
         (ConnectionError/OSError) discard the connection and retry
-        within budget; protocol violations discard the connection —
-        its stream can no longer be trusted — and propagate.
+        within budget; any other failure (a protocol violation, a
+        refusal) discards the connection — its stream and its codec
+        state can no longer be trusted — and propagates.
 
         With a circuit breaker configured, an OPEN circuit fast-fails
         here — one :class:`CircuitOpenError`, no socket touched, no
         retry ladder — and the breaker's window is fed by operation
-        outcomes: success when the exchange completed, failure when the
-        whole budget was exhausted.  (Protocol violations do not feed
-        it: a peer speaking garbage is reachable, just wrong.)
+        outcomes: success when the peer answered — even with garbage or
+        a refusal, it is reachable, just wrong — failure when the whole
+        budget was exhausted.
         """
         breaker = self.circuit
         if breaker is not None:
@@ -484,9 +485,10 @@ class WireClient:
                 if breaker.state == CIRCUIT_OPEN:
                     obs.counter(CIRCUIT_OPENS_METRIC, agent=self.name)
             raise
-        except ProtocolError:
-            # A peer speaking garbage is reachable: liveness evidence
-            # for the breaker (and it must release a half-open probe).
+        except Exception:
+            # A peer speaking garbage, or refusing the op, is reachable:
+            # liveness evidence for the breaker (and it must release a
+            # half-open probe).
             if breaker is not None:
                 breaker.record_success()
             raise
@@ -511,12 +513,6 @@ class WireClient:
                     result = perform(conn, sent)
                     self.pool.checkin(conn)
                     break
-                except ProtocolError:
-                    # The framing on this connection is no longer
-                    # trustworthy; never return it to the pool.
-                    if conn is not None:
-                        self.pool.discard(conn)
-                    raise
                 except (ConnectionError, OSError) as exc:
                     # Only the connection the failure happened on dies;
                     # concurrent exchanges on pooled siblings are
@@ -535,6 +531,14 @@ class WireClient:
                         self._give_up(op, attempts, started, exc)
                     obs.counter(WIRE_RETRIES_METRIC, op=op)
                     self._sleep(delay)
+                except BaseException:
+                    # A protocol violation, a refusal, anything else:
+                    # the two ends may no longer agree on the stream or
+                    # on the connection's codec state, so it never goes
+                    # back to the pool.
+                    if conn is not None:
+                        self.pool.discard(conn)
+                    raise
             sp.set("attempts", attempts + 1)
             obs.observe(WIRE_OP_LATENCY_METRIC, self._clock() - started, op=op)
         return result

@@ -21,27 +21,30 @@ registry to corrupt or leak across agents.
 **Frame layout** (all integers little-endian; outer 4-byte length
 framing and the 16 MiB cap live in :mod:`repro.core.net.protocol`)::
 
-    header   := magic u8 (0xB1) | version u8 (1) | kind u8 | flags u8
+    header   := magic u8 (0xB1) | version u8 (2) | kind u8 | flags u8
 
     request  (kind 1, controller -> agent):
       trace_len u16 | trace utf8-json           # 0 = no trace context
-      acked_count u32
+      ack_count u32
         ack := tag u8
-               tag 0: elem_id u32 | seq i64     # id known to both ends
+               tag 0: elem_id u32 | seq i64     # ack, id known to both ends
                tag 1: name_len u16 | name utf8 | seq i64
+               tag 2: elem_id u32               # drop the cursor's entry
+               tag 3: name_len u16 | name utf8
 
     response (kind 2, agent -> controller):
       dict_count u32
         entry := space u8 (0 elem / 1 attr / 2 machine)
                  | id u32 | name_len u16 | name utf8
       machine_id u32
+      block_count u32
+        block := flags u8 | elem_id u32 | row_count u32
+                 | machine_id u32                     # flag 0x02 only
+                 | attr_count u16 | attr_ids u32[n]   # flag 0x01 only
+                 | rows := (seq i64 | ts f64 | values f64[n])*
+      drop_count u32 | elem_id u32[drop_count]
       cursor_count u32
         cur := elem_id u32 | seq i64
-      block_count u32
-        block := elem_id u32 | machine_id u32
-                 | attr_count u16 | attr_ids u32[attr_count]
-                 | row_count u32
-                 | rows := (seq i64 | ts f64 | values f64[attr_count])*
 
     zone report (kind 3, zone -> root): machine summaries + verdicts;
       header flag bit 0 (``FLAG_ZONE_AGGREGATES``) appends a sketch
@@ -57,15 +60,34 @@ are pure ``i64 + f64 + f64*n`` and pack/unpack as a single precompiled
 :class:`struct.Struct` per stride.  ABSENT cells travel as NaN (see
 :mod:`repro.core.store`).
 
+**Implied facts.**  A BATCH_DELTA exchange sends each fact once per
+connection; both ends keep the rest in :class:`WireSchema`:
+
+* a block carries its element's attr-id list (flag ``BLOCK_ATTRS``)
+  only when the list differs from the last one sent for that element,
+  and its own machine id (flag ``BLOCK_MACHINE``) only when it is not
+  the frame's;
+* the response cursor defaults, per element, to the last row seq of its
+  block, else to the request's ack; only entries that differ from that
+  ride the frame, plus the ids of defaulted keys the cursor lacks;
+* the request's ack vector defaults to the cursor of the connection's
+  last response; only acks that differ ride the frame (all of them on
+  a fresh connection), plus drops for keys the vector lacks.
+
+Both ends update that state only once a frame encodes or decodes whole,
+and HELLO resets it.  A version-1 frame is refused with a typed error.
+
 Decode errors raise :class:`~repro.core.net.protocol.ProtocolError`
 carrying the op and the byte offset where parsing failed; every count
 field is validated against the bytes actually remaining, so a corrupt
 or bit-flipped frame is rejected in O(1) without speculative
-allocation.
+allocation, and a rejected frame leaves the connection's
+:class:`WireSchema` exactly as it was.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import struct
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -81,7 +103,7 @@ from repro.core.net.protocol import (
 from repro.core.store import SeriesBlock
 
 #: Binary codec version carried in every frame header.
-BIN_VERSION = 1
+BIN_VERSION = 2
 
 #: Frame kinds.
 KIND_BATCH_REQUEST = 1
@@ -90,9 +112,21 @@ KIND_ZONE_REPORT = 3
 
 #: Header flag on KIND_ZONE_REPORT frames: a sketch-aggregates section
 #: (top-k droppers + loss-rate quantile histogram) follows the machine
-#: summaries.  Frames without the bit decode exactly as before, so
-#: pre-sketch peers interoperate both ways.
+#: summaries.
 FLAG_ZONE_AGGREGATES = 0x01
+
+#: Block flags of a BATCH_DELTA response: the element's attr-id list
+#: follows (it differs from the last one this connection carried), and
+#: the block's own machine id follows (it is not the frame's).
+BLOCK_ATTRS = 0x01
+BLOCK_MACHINE = 0x02
+_BLOCK_FLAGS = BLOCK_ATTRS | BLOCK_MACHINE
+
+#: Request ack tag bits: the element rides by name (it has no id on
+#: this connection yet), and the entry drops the element from the
+#: implied vector (no seq follows).
+ACK_NAMED = 0x01
+ACK_DROP = 0x02
 
 #: Dictionary-entry namespaces.  ``SPACE_LABEL`` holds the hierarchy's
 #: enumerated strings — zone names, health states, confidence levels,
@@ -111,7 +145,8 @@ _I64 = struct.Struct("<q")
 _F64 = struct.Struct("<d")
 _ID_SEQ = struct.Struct("<Iq")
 _DICT_HEAD = struct.Struct("<BIH")
-_BLOCK_HEAD = struct.Struct("<IIH")
+#: Block flags, element id, row count.
+_BLOCK_HEAD = struct.Struct("<BII")
 #: One machine summary's fixed scalar section: health id, confidence
 #: id, five f64 rates (incl. sample age), element/missing counts,
 #: verdict count.
@@ -182,6 +217,12 @@ class _Table:
                 offset=offset,
             ) from None
 
+    def truncate(self, size: int) -> None:
+        """Forget every id from ``size`` on (undo of a partial decode)."""
+        for name in self.names[size:]:
+            del self.ids[name]
+        del self.names[size:]
+
     def to_wire(self) -> Dict[str, int]:
         return dict(self.ids)
 
@@ -192,15 +233,43 @@ class _Table:
 
 
 class WireSchema:
-    """The per-connection id tables both peers keep in lockstep."""
+    """The per-connection state both peers keep in lockstep.
 
-    __slots__ = ("elements", "attrs", "machines", "labels")
+    The id tables, plus what a BATCH_DELTA exchange leaves implied:
+    ``attr_lists`` (element -> the attr-name list its last block on
+    this connection carried), ``acked`` (the last request's ack
+    vector) and ``cursor`` (the last response's cursor).  Each side
+    replaces those only after a frame encodes or decodes whole, and
+    HELLO resets them.
+    """
+
+    __slots__ = (
+        "elements", "attrs", "machines", "labels", "attr_lists", "acked", "cursor"
+    )
 
     def __init__(self) -> None:
         self.elements = _Table()
         self.attrs = _Table()
         self.machines = _Table()
         self.labels = _Table()
+        self.reset_deltas()
+
+    def reset_deltas(self) -> None:
+        self.attr_lists: Dict[str, Tuple[str, ...]] = {}
+        self.acked: Dict[str, int] = {}
+        self.cursor: Dict[str, int] = {}
+
+    def _tables(self) -> Tuple[_Table, ...]:
+        return (self.elements, self.attrs, self.machines, self.labels)
+
+    def checkpoint(self) -> Tuple[int, ...]:
+        """The id tables' sizes, for :meth:`rollback`."""
+        return tuple(len(table.names) for table in self._tables())
+
+    def rollback(self, mark: Tuple[int, ...]) -> None:
+        """Drop the ids a rejected frame announced."""
+        for table, size in zip(self._tables(), mark):
+            table.truncate(size)
 
     def _space(self, space: int, op: str, offset: int) -> _Table:
         if space == SPACE_ELEMENT:
@@ -311,12 +380,13 @@ class _Reader:
             )
 
 
-def _check_header(r: _Reader, expected_kind: int) -> int:
+def _check_header(r: _Reader, expected_kind: int, known_flags: int = 0) -> int:
     """Validate the frame header; returns its ``flags`` byte.
 
     Flags are per-kind feature bits (``FLAG_ZONE_AGGREGATES`` on zone
-    reports); bits a decoder does not know are ignored, which is what
-    lets the format grow without a version bump.
+    reports); a bit outside ``known_flags`` is a corrupt frame.  The
+    format grows by :data:`BIN_VERSION`, and a frame of any other
+    version is refused.
     """
     at = r.need(4, "frame header")
     magic, version, kind, flags = _HEADER.unpack_from(r.view, at)
@@ -326,13 +396,22 @@ def _check_header(r: _Reader, expected_kind: int) -> int:
         )
     if version != BIN_VERSION:
         raise ProtocolError(
-            f"unsupported binary codec version {version}", op=r.op, offset=at + 1
+            f"unsupported binary codec version {version} "
+            f"(this end speaks {BIN_VERSION} only)",
+            op=r.op,
+            offset=at + 1,
         )
     if kind != expected_kind:
         raise ProtocolError(
             f"unexpected frame kind {kind} (wanted {expected_kind})",
             op=r.op,
             offset=at + 2,
+        )
+    if flags & ~known_flags:
+        raise ProtocolError(
+            f"unknown header flag bits 0x{flags & ~known_flags:02x}",
+            op=r.op,
+            offset=at + 3,
         )
     return flags
 
@@ -345,6 +424,71 @@ def _put_text(buf: bytearray, text: str) -> None:
     buf += raw
 
 
+def _put_trace(buf: bytearray, trace_wire: Optional[Mapping[str, str]]) -> None:
+    if trace_wire:
+        _put_text(buf, json.dumps(trace_wire, separators=(",", ":")))
+    else:
+        buf += _U16.pack(0)
+
+
+def _read_trace(r: _Reader) -> Optional[Mapping[str, Any]]:
+    trace_text = r.text("trace context")
+    if not trace_text:
+        return None
+    try:
+        parsed = json.loads(trace_text)
+    except json.JSONDecodeError:
+        return None  # trace is best-effort telemetry, never fatal
+    return parsed if isinstance(parsed, Mapping) else None
+
+
+def _put_dictionary(
+    buf: bytearray, pending: Sequence[Tuple[int, int, str]], op: str
+) -> None:
+    buf += _U32.pack(len(pending))
+    for space, ident, name in pending:
+        raw = name.encode("utf-8")
+        if len(raw) > 0xFFFF:
+            raise ProtocolError(f"name too long for wire: {len(raw)} bytes", op=op)
+        buf += _DICT_HEAD.pack(space, ident, len(raw))
+        buf += raw
+
+
+def _read_dictionary(r: _Reader, schema: WireSchema) -> None:
+    dict_count = r.bound_count(r.u32("dictionary count"), 7, "dictionary")
+    for _ in range(dict_count):
+        at = r.need(7, "dictionary entry")
+        space, ident, name_len = _DICT_HEAD.unpack_from(r.view, at)
+        name_at = r.need(name_len, "dictionary name")
+        try:
+            name = str(r.view[name_at: name_at + name_len], "utf-8")
+        except UnicodeDecodeError as exc:
+            raise ProtocolError(
+                f"bad UTF-8 in dictionary name: {exc}", op=r.op, offset=name_at
+            ) from exc
+        schema._space(space, r.op, at).learn(ident, name, r.op, at)
+
+
+def _atomic_decode(decode):
+    """Wrap a frame decoder so a rejected frame leaves ``schema`` unchanged.
+
+    Dictionary entries are learned as they are read; undoing them on
+    failure is cheaper than staging every lookup.  The implied-state
+    fields are assigned by the decoders only after the frame is whole.
+    """
+
+    @functools.wraps(decode)
+    def wrapped(schema: WireSchema, raw: bytes):
+        mark = schema.checkpoint()
+        try:
+            return decode(schema, raw)
+        except ProtocolError:
+            schema.rollback(mark)
+            raise
+
+    return wrapped
+
+
 # -- request (controller -> agent) ---------------------------------------------
 
 
@@ -355,27 +499,42 @@ def encode_batch_request(
 ) -> bytes:
     """Pack the collector's ack vector (and trace context) as ``bin1``.
 
-    Element ids the connection already negotiated ride as fixed-width
-    id/seq pairs; names the client has not yet seen an id for (only
-    possible before the first response on a fresh connection) ride
-    inline once.
+    Only the acks that differ from the connection's last response
+    cursor ride the frame, and a drop for each cursor key the vector
+    lacks; on a fresh connection that is the whole vector.  Negotiated
+    elements ride by id, names the client has no id for inline.
     """
     buf = bytearray(_HEADER.pack(BIN_MAGIC, BIN_VERSION, KIND_BATCH_REQUEST, 0))
-    if trace_wire:
-        _put_text(buf, json.dumps(trace_wire, separators=(",", ":")))
-    else:
-        buf += _U16.pack(0)
-    buf += _U32.pack(len(acked))
+    _put_trace(buf, trace_wire)
+    base = schema.cursor
     ids = schema.elements.ids
+    entries = bytearray()
+    count = 0
     for name, seq in acked.items():
+        if base.get(name) == seq:
+            continue
+        count += 1
         ident = ids.get(name)
         if ident is not None:
-            buf += b"\x00"
-            buf += _ID_SEQ.pack(ident, seq)
+            entries.append(0)
+            entries += _ID_SEQ.pack(ident, seq)
         else:
-            buf += b"\x01"
-            _put_text(buf, name)
-            buf += _I64.pack(seq)
+            entries.append(ACK_NAMED)
+            _put_text(entries, name)
+            entries += _I64.pack(seq)
+    for name in base:
+        if name not in acked:
+            count += 1
+            ident = ids.get(name)
+            if ident is not None:
+                entries.append(ACK_DROP)
+                entries += _U32.pack(ident)
+            else:
+                entries.append(ACK_DROP | ACK_NAMED)
+                _put_text(entries, name)
+    buf += _U32.pack(count)
+    buf += entries
+    schema.acked = dict(acked)
     return bytes(buf)
 
 
@@ -384,38 +543,36 @@ def decode_batch_request(
 ) -> Tuple[Dict[str, int], Optional[Mapping[str, Any]]]:
     """Unpack a ``bin1`` BATCH_DELTA request into (acked, trace context).
 
-    Sequence numbers must be non-negative, and ids must have been
-    negotiated on this connection.
+    The acks are applied over the cursor this end last sent on the
+    connection.  Sequence numbers must be non-negative, ids must have
+    been negotiated on this connection, and a drop must name a key the
+    cursor holds.
     """
     r = _Reader(raw, OP_BATCH_DELTA)
     _check_header(r, KIND_BATCH_REQUEST)
-    trace: Optional[Mapping[str, Any]] = None
-    trace_text = r.text("trace context")
-    if trace_text:
-        try:
-            parsed = json.loads(trace_text)
-        except json.JSONDecodeError:
-            parsed = None  # trace is best-effort telemetry, never fatal
-        if isinstance(parsed, Mapping):
-            trace = parsed
-    count = r.bound_count(r.u32("acked count"), 9, "acked")
-    acked: Dict[str, int] = {}
+    trace = _read_trace(r)
+    count = r.bound_count(r.u32("ack count"), 5, "ack")
+    acked = dict(schema.cursor)
     for _ in range(count):
         tag = r.u8("ack tag")
-        if tag == 0:
-            at = r.need(12, "ack id/seq")
-            ident, seq = _ID_SEQ.unpack_from(r.view, at)
-            name = schema.elements.name_of(ident, r.op, at)
-        elif tag == 1:
-            name = r.text("ack element name")
-            seq = r.i64("ack seq")
-        else:
+        if tag & ~(ACK_NAMED | ACK_DROP):
             raise r.fail(f"unknown ack tag {tag}")
+        if tag & ACK_NAMED:
+            name = r.text("ack element name")
+        else:
+            at = r.need(4, "ack element id")
+            name = schema.elements.name_of(_U32.unpack_from(r.view, at)[0], r.op, at)
+        if tag & ACK_DROP:
+            if acked.pop(name, None) is None:
+                raise r.fail(f"ack drop for {name!r}, which the cursor does not hold")
+            continue
+        seq = r.i64("ack seq")
         if seq < 0:
             raise r.fail(f"acked seq for {name!r} must be non-negative, got {seq}")
         acked[name] = seq
     r.done()
-    return acked, trace
+    schema.acked = acked
+    return dict(acked), trace
 
 
 # -- response (agent -> controller) --------------------------------------------
@@ -432,7 +589,9 @@ def encode_batch_response(
     ``blocks`` is exactly what :meth:`TimeSeriesStore.drain_blocks`
     returns — no dicts, no snapshot objects.  Names receiving an id for
     the first time on this connection are announced in this frame's
-    dictionary section, so the decoder's tables stay in lockstep.
+    dictionary section, so the decoder's tables stay in lockstep; attr
+    lists, block machine ids and cursor entries the decoder already
+    holds or can derive are left out.
     """
     pending: List[Tuple[int, int, str]] = []
 
@@ -442,39 +601,51 @@ def encode_batch_response(
             pending.append((space, ident, name))
         return ident
 
+    elements = schema.elements
+    lists = schema.attr_lists
+    implied = dict(schema.acked)
     body = bytearray()
     body += _U32.pack(ident_for(SPACE_MACHINE, schema.machines, machine))
-    body += _U32.pack(len(cursor))
-    for name, seq in cursor.items():
-        body += _ID_SEQ.pack(ident_for(SPACE_ELEMENT, schema.elements, name), seq)
     block_list = list(blocks)
     body += _U32.pack(len(block_list))
     for element_id, block_machine, attr_names, rows in block_list:
+        attr_names = tuple(attr_names)
+        flags = 0
+        if block_machine != machine:
+            flags |= BLOCK_MACHINE
+        if lists.get(element_id) != attr_names:
+            flags |= BLOCK_ATTRS
         body += _BLOCK_HEAD.pack(
-            ident_for(SPACE_ELEMENT, schema.elements, element_id),
-            ident_for(SPACE_MACHINE, schema.machines, block_machine),
-            len(attr_names),
+            flags, ident_for(SPACE_ELEMENT, elements, element_id), len(rows)
         )
-        attr_ids = [
-            ident_for(SPACE_ATTR, schema.attrs, name) for name in attr_names
-        ]
-        body += struct.pack(f"<{len(attr_ids)}I", *attr_ids)
-        body += _U32.pack(len(rows))
+        if flags & BLOCK_MACHINE:
+            body += _U32.pack(ident_for(SPACE_MACHINE, schema.machines, block_machine))
+        if flags & BLOCK_ATTRS:
+            attr_ids = [
+                ident_for(SPACE_ATTR, schema.attrs, name) for name in attr_names
+            ]
+            body += _U16.pack(len(attr_ids))
+            body += struct.pack(f"<{len(attr_ids)}I", *attr_ids)
+            lists[element_id] = attr_names
         pack = _row_struct(len(attr_names)).pack
         for seq, timestamp, values in rows:
             body += pack(seq, timestamp, *values)
+        if rows:
+            implied[element_id] = rows[-1][0]
+
+    dropped = [name for name in implied if name not in cursor]
+    body += _U32.pack(len(dropped))
+    for name in dropped:
+        body += _U32.pack(ident_for(SPACE_ELEMENT, elements, name))
+    explicit = [(name, seq) for name, seq in cursor.items() if implied.get(name) != seq]
+    body += _U32.pack(len(explicit))
+    for name, seq in explicit:
+        body += _ID_SEQ.pack(ident_for(SPACE_ELEMENT, elements, name), seq)
 
     buf = bytearray(_HEADER.pack(BIN_MAGIC, BIN_VERSION, KIND_BATCH_RESPONSE, 0))
-    buf += _U32.pack(len(pending))
-    for space, ident, name in pending:
-        raw = name.encode("utf-8")
-        if len(raw) > 0xFFFF:
-            raise ProtocolError(
-                f"name too long for wire: {len(raw)} bytes", op=OP_BATCH_DELTA
-            )
-        buf += _DICT_HEAD.pack(space, ident, len(raw))
-        buf += raw
+    _put_dictionary(buf, pending, OP_BATCH_DELTA)
     buf += body
+    schema.cursor = dict(cursor)
     return bytes(buf)
 
 
@@ -494,47 +665,59 @@ class BatchPayload:
         self.blocks = blocks
 
 
+@_atomic_decode
 def decode_batch_response(schema: WireSchema, raw: bytes) -> BatchPayload:
-    """Unpack a ``bin1`` BATCH_DELTA response, learning new ids as announced."""
+    """Unpack a ``bin1`` BATCH_DELTA response, learning new ids as announced.
+
+    Omitted attr lists come from the connection's last ones, and the
+    cursor is rebuilt from the last request's acks, the blocks' last
+    row seqs and the frame's drops and explicit entries.
+    """
     r = _Reader(raw, OP_BATCH_DELTA)
     _check_header(r, KIND_BATCH_RESPONSE)
-    dict_count = r.bound_count(r.u32("dictionary count"), 7, "dictionary")
-    for _ in range(dict_count):
-        at = r.need(7, "dictionary entry")
-        space, ident, name_len = _DICT_HEAD.unpack_from(r.view, at)
-        name_at = r.need(name_len, "dictionary name")
-        try:
-            name = str(r.view[name_at: name_at + name_len], "utf-8")
-        except UnicodeDecodeError as exc:
-            raise ProtocolError(
-                f"bad UTF-8 in dictionary name: {exc}", op=r.op, offset=name_at
-            ) from exc
-        schema._space(space, r.op, at).learn(ident, name, r.op, at)
-
+    _read_dictionary(r, schema)
+    elements = schema.elements
     machine = schema.machines.name_of(r.u32("machine id"), r.op, r.pos - 4)
-    cursor_count = r.bound_count(r.u32("cursor count"), 12, "cursor")
-    cursor: Dict[str, int] = {}
-    for _ in range(cursor_count):
-        at = r.need(12, "cursor entry")
-        ident, seq = _ID_SEQ.unpack_from(r.view, at)
-        cursor[schema.elements.name_of(ident, r.op, at)] = seq
-
-    block_count = r.bound_count(r.u32("block count"), 14, "block")
+    block_count = r.bound_count(r.u32("block count"), _BLOCK_HEAD.size, "block")
+    lists = schema.attr_lists
+    cursor = dict(schema.acked)
     blocks: List[SeriesBlock] = []
     for _ in range(block_count):
-        at = r.need(10, "block header")
-        elem_ident, machine_ident, attr_count = _BLOCK_HEAD.unpack_from(r.view, at)
-        element_id = schema.elements.name_of(elem_ident, r.op, at)
-        block_machine = schema.machines.name_of(machine_ident, r.op, at)
-        ids_at = r.need(4 * attr_count, "block attr ids")
-        attr_ids = struct.unpack_from(f"<{attr_count}I", r.view, ids_at)
-        attr_names = tuple(
-            schema.attrs.name_of(ident, r.op, ids_at) for ident in attr_ids
-        )
-        row_struct = _row_struct(attr_count)
-        row_count = r.bound_count(
-            r.u32("row count"), row_struct.size, f"{element_id} row"
-        )
+        at = r.need(_BLOCK_HEAD.size, "block header")
+        flags, elem_ident, row_count = _BLOCK_HEAD.unpack_from(r.view, at)
+        if flags & ~_BLOCK_FLAGS:
+            raise ProtocolError(
+                f"unknown block flag bits 0x{flags & ~_BLOCK_FLAGS:02x}",
+                op=r.op,
+                offset=at,
+            )
+        element_id = elements.name_of(elem_ident, r.op, at + 1)
+        block_machine = machine
+        if flags & BLOCK_MACHINE:
+            block_machine = schema.machines.name_of(
+                r.u32("block machine id"), r.op, r.pos - 4
+            )
+        if flags & BLOCK_ATTRS:
+            attr_count = r.u16("attr count")
+            ids_at = r.need(4 * attr_count, "block attr ids")
+            attr_names = tuple(
+                schema.attrs.name_of(ident, r.op, ids_at)
+                for ident in struct.unpack_from(f"<{attr_count}I", r.view, ids_at)
+            )
+            if lists is schema.attr_lists:
+                lists = dict(lists)  # committed only once the frame is whole
+            lists[element_id] = attr_names
+        else:
+            attr_names = lists.get(element_id)
+            if attr_names is None:
+                raise ProtocolError(
+                    f"block for {element_id!r} omits its attr list, and none "
+                    f"was negotiated on this connection",
+                    op=r.op,
+                    offset=at,
+                )
+        row_struct = _row_struct(len(attr_names))
+        r.bound_count(row_count, row_struct.size, f"{element_id} row")
         rows_at = r.need(row_struct.size * row_count, "rows")
         rows: List[Tuple[int, float, Sequence[float]]] = [
             (rec[0], rec[1], rec[2:])
@@ -542,8 +725,28 @@ def decode_batch_response(schema: WireSchema, raw: bytes) -> BatchPayload:
                 r.view[rows_at: rows_at + row_struct.size * row_count]
             )
         ]
+        if rows:
+            cursor[element_id] = rows[-1][0]
         blocks.append((element_id, block_machine, attr_names, rows))
+
+    drop_count = r.bound_count(r.u32("cursor drop count"), 4, "cursor drop")
+    for _ in range(drop_count):
+        at = r.need(4, "cursor drop")
+        name = elements.name_of(_U32.unpack_from(r.view, at)[0], r.op, at)
+        if cursor.pop(name, None) is None:
+            raise ProtocolError(
+                f"cursor drop for {name!r}, which the cursor does not imply",
+                op=r.op,
+                offset=at,
+            )
+    cursor_count = r.bound_count(r.u32("cursor count"), 12, "cursor")
+    for _ in range(cursor_count):
+        at = r.need(12, "cursor entry")
+        ident, seq = _ID_SEQ.unpack_from(r.view, at)
+        cursor[elements.name_of(ident, r.op, at)] = seq
     r.done()
+    schema.attr_lists = lists
+    schema.cursor = dict(cursor)
     return BatchPayload(machine, cursor, blocks)
 
 
@@ -656,51 +859,21 @@ def encode_zone_report(
     buf = bytearray(
         _HEADER.pack(BIN_MAGIC, BIN_VERSION, KIND_ZONE_REPORT, flags)
     )
-    if trace_wire:
-        _put_text(buf, json.dumps(trace_wire, separators=(",", ":")))
-    else:
-        buf += _U16.pack(0)
-    buf += _U32.pack(len(pending))
-    for space, ident, name in pending:
-        raw = name.encode("utf-8")
-        if len(raw) > 0xFFFF:
-            raise ProtocolError(
-                f"name too long for wire: {len(raw)} bytes", op=OP_ZONE_REPORT
-            )
-        buf += _DICT_HEAD.pack(space, ident, len(raw))
-        buf += raw
+    _put_trace(buf, trace_wire)
+    _put_dictionary(buf, pending, OP_ZONE_REPORT)
     buf += body
     return bytes(buf)
 
 
+@_atomic_decode
 def decode_zone_report(
     schema: WireSchema, raw: bytes
 ) -> Tuple[Dict[str, Any], Optional[Mapping[str, Any]]]:
     """Unpack a ``bin1`` zone report into (wire dict, trace context)."""
     r = _Reader(raw, OP_ZONE_REPORT)
-    flags = _check_header(r, KIND_ZONE_REPORT)
-    trace: Optional[Mapping[str, Any]] = None
-    trace_text = r.text("trace context")
-    if trace_text:
-        try:
-            parsed = json.loads(trace_text)
-        except json.JSONDecodeError:
-            parsed = None  # trace is best-effort telemetry, never fatal
-        if isinstance(parsed, Mapping):
-            trace = parsed
-
-    dict_count = r.bound_count(r.u32("dictionary count"), 7, "dictionary")
-    for _ in range(dict_count):
-        at = r.need(7, "dictionary entry")
-        space, ident, name_len = _DICT_HEAD.unpack_from(r.view, at)
-        name_at = r.need(name_len, "dictionary name")
-        try:
-            name = str(r.view[name_at: name_at + name_len], "utf-8")
-        except UnicodeDecodeError as exc:
-            raise ProtocolError(
-                f"bad UTF-8 in dictionary name: {exc}", op=r.op, offset=name_at
-            ) from exc
-        schema._space(space, r.op, at).learn(ident, name, r.op, at)
+    flags = _check_header(r, KIND_ZONE_REPORT, FLAG_ZONE_AGGREGATES)
+    trace = _read_trace(r)
+    _read_dictionary(r, schema)
 
     labels = schema.labels
     zone = labels.name_of(r.u32("zone id"), r.op, r.pos - 4)
@@ -804,8 +977,10 @@ def make_hello_response(
     An agent assigns dense ids for everything it currently knows —
     elements, the standard attribute set, its machine name — so the
     very first binary frame usually needs no dictionary deltas at all.
-    The fleet root knows no names up front and seeds nothing.
+    The fleet root knows no names up front and seeds nothing.  Either
+    way the connection's implied BATCH_DELTA state starts over.
     """
+    schema.reset_deltas()
     for eid in element_ids:
         schema.elements.assign(eid)
     for attr in attr_names:
@@ -836,3 +1011,4 @@ def apply_hello_response(response: Mapping[str, Any], schema: WireSchema) -> Non
     if not isinstance(raw_schema, Mapping):
         raise ProtocolError("hello schema must be a mapping", op=OP_HELLO)
     schema.load_wire(raw_schema)
+    schema.reset_deltas()

@@ -61,8 +61,9 @@ SERVER_LATENCY_METRIC = "perfsight_server_request_latency_seconds"
 class _RequestHandler(socketserver.BaseRequestHandler):
     """Serves one connection until it closes — the loop both tiers run.
 
-    Holds the connection's id tables, seeded at HELLO and extended by
-    dictionary deltas.  A tier subclass names the one op it receives as
+    Holds the connection's :class:`WireSchema`: id tables seeded at
+    HELLO and extended by dictionary deltas, plus the attr lists, acks
+    and cursor a BATCH_DELTA exchange leaves implied.  A tier subclass names the one op it receives as
     ``bin1`` frames (:attr:`bin_op`), decodes and serves such a frame
     (:meth:`_decode`, :meth:`_serve`), and dispatches its JSON control
     ops (:meth:`_dispatch`).

@@ -49,7 +49,7 @@ def no_sleep(_s):
 def packed_request(count: int, entries: bytes) -> bytes:
     """A hand-packed ``bin1`` BATCH_DELTA request: header, no trace
     context, the announced ack count, then the raw ack entries."""
-    return struct.pack("<BBBBHI", 0xB1, 1, 1, 0, 0, count) + entries
+    return struct.pack("<BBBBHI", 0xB1, 2, 1, 0, 0, count) + entries
 
 
 def ack_by_name(name: str, seq: int) -> bytes:

@@ -10,11 +10,18 @@ Three layers of assurance for the packed ``bin1`` BATCH_DELTA path:
 * **Fuzzing** — every truncation of a valid frame, and random bit
   flips, must be rejected with :class:`ProtocolError` (op + byte
   offset) and never anything else: no IndexError deep in struct, no
-  giant speculative allocation, no silent garbage.
+  giant speculative allocation, no silent garbage — and a rejected
+  frame leaves the connection's :class:`WireSchema` as it was.
+* **Lockstep** — random exchange sequences over one connection's
+  schema pair (acks and cursors that regress, skip and drop keys,
+  attr lists that widen and permute, fresh connections, re-HELLOs)
+  must decode to exactly what was encoded, with the implied state
+  (attr lists, acks, cursor) equal on both ends.
 * **Handshake** — ``bin1`` is the only data codec: a peer that refuses
   HELLO or answers another codec gets a typed error at once (and a
   health failure through a mirror sync), and a data op sent as JSON is
-  refused without costing the connection.
+  refused without costing the connection.  A packed op the server
+  refuses costs the client exactly that connection.
 
 The acceptance scenario at the bottom drives the full TCP stack — a
 mirror over the wire beside an in-process one, against one faulty
@@ -31,13 +38,14 @@ import threading
 from contextlib import contextmanager
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.agent import Agent
 from repro.core.channels import ChannelFaultPlan
 from repro.core.controller import AgentMirror, FleetController
 from repro.core.counters import STANDARD_ATTRS, CounterSnapshot
 from repro.core.net import codec as wire_codec
-from repro.core.net.client import RemoteAgentHandle, RetryPolicy
+from repro.core.net.client import RemoteAgentHandle, RetryPolicy, ZoneClient
 from repro.core.net.codec import CODEC_BIN1, WireSchema
 from repro.core.net.protocol import (
     OP_BATCH_DELTA,
@@ -102,11 +110,11 @@ def random_sweeps(rng: random.Random, rounds: int, elements: int):
     return out
 
 
-def paired_schemas():
+def paired_schemas(elements=("elem0", "elem1")):
     """Server + client schemas as HELLO would leave them."""
     server = WireSchema()
     response = wire_codec.make_hello_response(
-        "agent@m1", server, "m1", ["elem0", "elem1"], STANDARD_ATTRS
+        "agent@m1", server, "m1", list(elements), STANDARD_ATTRS
     )
     client = WireSchema()
     wire_codec.apply_hello_response(response, client)
@@ -188,26 +196,80 @@ class TestRoundTripProperty:
             wire_codec.decode_batch_request(server_schema, raw)
 
 
-def valid_response_frame():
-    """One representative encoded response, plus a fresh decoder factory.
-
-    The decoder schema must be re-primed per attempt because a partial
-    decode may have learned dictionary entries before failing.
-    """
-    server_schema, _ = paired_schemas()
-    blocks = [
+def valid_response_blocks():
+    return [
         ("elem0", "m1", ("rx_pkts", "tx_pkts"), [(1, 0.1, [1.0, 2.0]),
                                                  (2, 0.2, [3.0, 4.0])]),
         ("elem1", "m1", ("drops", "late.attr"), [(5, 0.3, [0.0, 9.0])]),
     ]
+
+
+def valid_response_frame():
+    """One representative encoded response, plus a fresh decoder factory.
+
+    The decoder schema must be re-primed per attempt because a decode
+    that succeeds (a flip in a value byte) moves the connection's
+    state on.
+    """
+    server_schema, _ = paired_schemas()
     raw = wire_codec.encode_batch_response(
-        server_schema, "m1", blocks, {"elem0": 2, "elem1": 5}
+        server_schema, "m1", valid_response_blocks(), {"elem0": 2, "elem1": 5}
     )
 
     def fresh_schema():
         return paired_schemas()[1]
 
     return raw, fresh_schema
+
+
+def steady_response_frame():
+    """A second frame on a warm connection: attr lists and most of the
+    cursor implied, one block on another machine, one cursor drop and
+    one explicit cursor entry.  Returns (raw, decoder factory); each
+    decoder has replayed the connection's first exchange."""
+    elements = ("elem0", "elem1", "elem2")
+    server, client = paired_schemas(elements)
+    first_acked = {}
+    acked = {"elem0": 2, "elem1": 5, "elem2": 7}
+    wire_codec.decode_batch_request(
+        server, wire_codec.encode_batch_request(client, first_acked)
+    )
+    first = wire_codec.encode_batch_response(
+        server, "m1", valid_response_blocks(), {"elem0": 2, "elem1": 5}
+    )
+    wire_codec.decode_batch_response(client, first)
+    wire_codec.decode_batch_request(
+        server, wire_codec.encode_batch_request(client, acked)
+    )
+    blocks = [
+        ("elem0", "m1", ("rx_pkts", "tx_pkts"), [(3, 0.4, [5.0, 6.0])]),
+        ("elem1", "m2", ("drops", "late.attr"), [(6, 0.5, [1.0, 1.0])]),
+    ]
+    raw = wire_codec.encode_batch_response(
+        server, "m1", blocks, {"elem0": 3, "elem1": 9}
+    )
+
+    def primed_schema():
+        schema = paired_schemas(elements)[1]
+        wire_codec.encode_batch_request(schema, first_acked)
+        wire_codec.decode_batch_response(schema, first)
+        wire_codec.encode_batch_request(schema, acked)
+        return schema
+
+    return raw, primed_schema
+
+
+def schema_state(schema: WireSchema):
+    """Everything a connection's schema holds, as comparable values."""
+    tables = [
+        (list(t.names), dict(t.ids))
+        for t in (schema.elements, schema.attrs, schema.machines, schema.labels)
+    ]
+    return tables, dict(schema.attr_lists), dict(schema.acked), dict(schema.cursor)
+
+
+def frame_with_version(raw: bytes, version: int) -> bytes:
+    return raw[:1] + bytes([version]) + raw[2:]
 
 
 class TestFrameFuzz:
@@ -276,6 +338,262 @@ class TestFrameFuzz:
             schema.attrs.learn(0, "tx_pkts", OP_BATCH_DELTA, 10)
         with pytest.raises(ProtocolError, match="non-dense"):
             schema.attrs.learn(5, "gap", OP_BATCH_DELTA, 10)
+
+    def test_steady_frame_is_small_and_decodes(self):
+        raw, primed_schema = steady_response_frame()
+        payload = wire_codec.decode_batch_response(primed_schema(), raw)
+        assert payload.cursor == {"elem0": 3, "elem1": 9}
+        assert payload.blocks[1][1:3] == ("m2", ("drops", "late.attr"))
+        # one dictionary entry (machine "m2"), two 9-byte block heads
+        # + one block machine id, rows, one drop and one explicit
+        # cursor entry: no attr list rides again
+        assert raw[4:8] == (1).to_bytes(4, "little")
+        dictionary = 4 + 7 + len("m2")
+        blocks = (9 + 32) + (9 + 4 + 32)
+        assert len(raw) == 4 + dictionary + 4 + 4 + blocks + (4 + 4) + (4 + 12)
+
+    def test_every_truncation_rejected_and_schema_untouched(self):
+        for raw, make_schema in (steady_response_frame(), valid_response_frame()):
+            for cut in range(len(raw)):
+                schema = make_schema()
+                before = schema_state(schema)
+                with pytest.raises(ProtocolError) as err:
+                    wire_codec.decode_batch_response(schema, raw[:cut])
+                assert err.value.op == OP_BATCH_DELTA
+                assert err.value.offset is not None and 0 <= err.value.offset <= cut
+                assert schema_state(schema) == before
+
+    def test_bit_flips_raise_with_offset_and_leave_schema_untouched(self):
+        rng = random.Random(2028)
+        for raw, make_schema in (steady_response_frame(), valid_response_frame()):
+            for _ in range(300):
+                mutated = bytearray(raw)
+                mutated[rng.randrange(len(raw))] ^= 1 << rng.randrange(8)
+                schema = make_schema()
+                before = schema_state(schema)
+                try:
+                    wire_codec.decode_batch_response(schema, bytes(mutated))
+                except ProtocolError as exc:
+                    assert exc.offset is not None
+                    assert schema_state(schema) == before
+
+    def test_request_truncations_and_flips_leave_schema_untouched(self):
+        server_schema, client_schema = paired_schemas()
+        client_schema.cursor = {"elem0": 1, "elem1": 2, "gone": 4}
+        server_schema.cursor = dict(client_schema.cursor)
+        raw = wire_codec.encode_batch_request(
+            client_schema, {"elem0": 1, "elem1": 3, "inline-name": 2}, {"t": "x"}
+        )
+        before = schema_state(server_schema)
+        for cut in range(len(raw)):
+            with pytest.raises(ProtocolError) as err:
+                wire_codec.decode_batch_request(server_schema, raw[:cut])
+            assert err.value.offset is not None
+        rng = random.Random(5)
+        for _ in range(300):
+            mutated = bytearray(raw)
+            mutated[rng.randrange(len(raw))] ^= 1 << rng.randrange(8)
+            try:
+                wire_codec.decode_batch_request(server_schema, bytes(mutated))
+            except ProtocolError as exc:
+                assert exc.offset is not None
+                assert schema_state(server_schema) == before
+            else:
+                server_schema.acked = before[2]
+        acked, _ = wire_codec.decode_batch_request(server_schema, raw)
+        assert acked == {"elem0": 1, "elem1": 3, "inline-name": 2}
+
+    @pytest.mark.parametrize("flag", [0x04, 0x80])
+    def test_unknown_block_flag_rejected(self, flag):
+        raw, primed_schema = steady_response_frame()
+        # header, dictionary ("m2"), machine id, block count
+        at = 4 + (4 + 7 + 2) + 4 + 4
+        mutated = bytearray(raw)
+        mutated[at] |= flag
+        with pytest.raises(ProtocolError, match="unknown block flag") as err:
+            wire_codec.decode_batch_response(primed_schema(), bytes(mutated))
+        assert err.value.offset == at
+
+    @pytest.mark.parametrize("which", ["request", "response", "zone_report"])
+    def test_unknown_header_flag_rejected(self, which):
+        raw, decode = self._frame(which)
+        mutated = bytearray(raw)
+        mutated[3] |= 0x40
+        with pytest.raises(ProtocolError, match="unknown header flag") as err:
+            decode(bytes(mutated))
+        assert err.value.offset == 3
+
+    def test_block_without_negotiated_attr_list_rejected(self):
+        """A steady frame decoded on a connection that never saw the
+        element's list: the omitted list cannot be implied."""
+        raw, _ = steady_response_frame()
+        fresh = paired_schemas(("elem0", "elem1", "elem2"))[1]
+        before = schema_state(fresh)
+        with pytest.raises(ProtocolError, match="omits its attr list"):
+            wire_codec.decode_batch_response(fresh, raw)
+        assert schema_state(fresh) == before
+
+    @pytest.mark.parametrize("which", ["request", "response", "zone_report"])
+    def test_version_one_frame_typed_error(self, which):
+        raw, decode = self._frame(which)
+        assert raw[1] == wire_codec.BIN_VERSION == 2
+        with pytest.raises(ProtocolError, match="version 1") as err:
+            decode(frame_with_version(raw, 1))
+        assert err.value.offset == 1
+
+    def test_drops_must_name_held_keys(self):
+        """A request drop (or response cursor drop) for a key the
+        implied vector does not hold is a corrupt frame."""
+        server_schema, client_schema = paired_schemas()
+        client_schema.cursor = {"elem1": 4}
+        raw = wire_codec.encode_batch_request(client_schema, {})
+        assert raw[-5:] == b"\x02" + (1).to_bytes(4, "little")
+        with pytest.raises(ProtocolError, match="does not hold"):
+            wire_codec.decode_batch_request(server_schema, raw)
+        assert server_schema.acked == {}
+        server_schema.cursor = {"elem1": 4}
+        assert wire_codec.decode_batch_request(server_schema, raw)[0] == {}
+
+    @staticmethod
+    def _frame(which):
+        server_schema, client_schema = paired_schemas()
+        if which == "request":
+            raw = wire_codec.encode_batch_request(client_schema, {"elem0": 1})
+            return raw, lambda b: wire_codec.decode_batch_request(server_schema, b)
+        if which == "response":
+            raw, fresh_schema = valid_response_frame()
+            return raw, lambda b: wire_codec.decode_batch_response(fresh_schema(), b)
+        wire = {"zone": "z1", "seq": 1, "machines": []}
+        raw = wire_codec.encode_zone_report(WireSchema(), wire)
+        return raw, lambda b: wire_codec.decode_zone_report(WireSchema(), b)
+
+
+ELEMENTS = ("elem0", "elem1", "elem2", "late-elem")
+ATTR_POOL = tuple(STANDARD_ATTRS[:4]) + EXTRA_ATTRS
+seqs = st.integers(min_value=0, max_value=12)
+
+
+@st.composite
+def exchanges(draw):
+    """One BATCH_DELTA round: the ack vector, the blocks, the cursor.
+
+    Acks and cursor are arbitrary vectors over the element pool (so
+    they regress, skip and drop keys); half the time the cursor starts
+    from what the decoder can derive and is then perturbed, which is
+    where the implied sections earn their keep.
+    """
+    acked = draw(st.dictionaries(st.sampled_from(ELEMENTS), seqs))
+    blocks = []
+    for element in draw(st.lists(st.sampled_from(ELEMENTS), unique=True)):
+        attrs = tuple(
+            draw(st.lists(st.sampled_from(ATTR_POOL), unique=True, max_size=6))
+        )
+        rows = [
+            (seq, float(i), [float(seq * 10 + j) for j in range(len(attrs))])
+            for i, seq in enumerate(draw(st.lists(seqs, max_size=3)))
+        ]
+        machine = draw(st.sampled_from(("m1", "m1", "m2")))
+        blocks.append((element, machine, attrs, rows))
+    if draw(st.booleans()):
+        cursor = dict(acked)
+        for element, _, _, rows in blocks:
+            if rows:
+                cursor[element] = rows[-1][0]
+        for element in draw(st.lists(st.sampled_from(ELEMENTS), max_size=2)):
+            cursor.pop(element, None)
+        cursor.update(draw(st.dictionaries(st.sampled_from(ELEMENTS), seqs, max_size=2)))
+    else:
+        cursor = draw(st.dictionaries(st.sampled_from(ELEMENTS), seqs))
+    return acked, blocks, cursor
+
+
+def normalized(blocks):
+    return [
+        (e, m, tuple(attrs), [(s, t, tuple(v)) for s, t, v in rows])
+        for e, m, attrs, rows in blocks
+    ]
+
+
+class TestLockstepProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.one_of(exchanges(), st.sampled_from(["reconnect", "rehello"])),
+                    max_size=10))
+    def test_every_exchange_decodes_to_what_was_encoded(self, steps):
+        """Random exchanges over one connection's schema pair, with
+        fresh connections and re-HELLOs mid-sequence: every decoded
+        (acked, blocks, cursor) equals what was encoded."""
+        server, client = paired_schemas()
+        for step in steps:
+            if step == "reconnect":
+                server, client = paired_schemas()
+                continue
+            if step == "rehello":
+                wire_codec.apply_hello_response(
+                    wire_codec.make_hello_response(
+                        "agent@m1", server, "m1", ["elem0", "elem1"], STANDARD_ATTRS
+                    ),
+                    client,
+                )
+                continue
+            acked, blocks, cursor = step
+            got_acked, _ = wire_codec.decode_batch_request(
+                server, wire_codec.encode_batch_request(client, acked)
+            )
+            assert got_acked == acked
+            payload = wire_codec.decode_batch_response(
+                client, wire_codec.encode_batch_response(server, "m1", blocks, cursor)
+            )
+            assert payload.machine == "m1"
+            assert normalized(payload.blocks) == normalized(blocks)
+            assert payload.cursor == cursor
+            assert (client.acked, client.cursor) == (server.acked, server.cursor)
+            assert client.attr_lists == server.attr_lists
+
+
+def flaky_server(server_cls):
+    """``server_cls`` whose handler's ``_serve`` raises exactly once."""
+    left = [1]
+
+    class Handler(server_cls.handler_class):
+        def _serve(self, peer, decoded):
+            if left[0]:
+                left[0] -= 1
+                raise RuntimeError("injected serve failure")
+            return super()._serve(peer, decoded)
+
+    return type(f"Flaky{server_cls.__name__}", (server_cls,), {"handler_class": Handler})
+
+
+class TestRefusalDiscardsConnection:
+    """A JSON refusal of a packed op ends that connection: it is
+    discarded, never checked back in half-used, so a one-slot pool keeps
+    serving (and no stale per-connection codec state is reused)."""
+
+    def test_batch_delta_refusal(self, world):
+        _, _, agent = world
+        with flaky_server(AgentServer)(agent) as server:
+            with RemoteAgentHandle(
+                *server.address, retry=FAST_RETRY, pool_size=1, timeout_s=1.0
+            ) as handle:
+                with pytest.raises(RuntimeError, match="injected serve failure"):
+                    handle.collect_blocks({})
+                blocks, cursor = handle.collect_blocks({})
+                assert blocks and cursor
+                assert (handle.pool.created, handle.pool.discarded) == (2, 1)
+
+    def test_zone_report_refusal(self):
+        fleet = FleetController("root")
+        fleet.register_zone("z1")
+        report = {"zone": "z1", "seq": 1, "machines": []}
+        with flaky_server(FleetServer)(fleet) as server:
+            with ZoneClient(
+                *server.address, retry=FAST_RETRY, pool_size=1, timeout_s=1.0
+            ) as link:
+                with pytest.raises(RuntimeError, match="injected serve failure"):
+                    link.push_report(report)
+                assert link.push_report(report) is True
+                assert (link.pool.created, link.pool.discarded) == (2, 1)
+        assert fleet.zone_record("z1").last_seq == 1
 
 
 #: What a peer that has never heard of HELLO says to it, and what one
