@@ -2,8 +2,8 @@
 
 The one encoding of the exchanges that move volume — the agent sweep →
 ``BATCH_DELTA`` encode → controller mirror apply pipeline, and the
-zone → root ``ZONE_REPORT`` push: fixed-width binary records that
-encode straight out of the store's columnar value arrays
+zone → root ``ZONE_REPORT`` push: binary records that encode straight
+out of the store's columnar value arrays
 (:meth:`~repro.core.store.TimeSeriesStore.drain_blocks`) and apply
 straight back into a mirror's
 (:meth:`~repro.core.store.TimeSeriesStore.apply_blocks`), with zero
@@ -18,10 +18,11 @@ the frame that first uses them.  Ids are per-connection state — each
 pooled connection negotiates its own tables — so there is no global
 registry to corrupt or leak across agents.
 
-**Frame layout** (all integers little-endian; outer 4-byte length
-framing and the 16 MiB cap live in :mod:`repro.core.net.protocol`)::
+**Frame layout** (all fixed-width integers little-endian; ``varint`` is
+unsigned LEB128 of at most 32 bits; outer 4-byte length framing and the
+16 MiB cap live in :mod:`repro.core.net.protocol`)::
 
-    header   := magic u8 (0xB1) | version u8 (2) | kind u8 | flags u8
+    header   := magic u8 (0xB1) | version u8 (3) | kind u8 | flags u8
 
     request  (kind 1, controller -> agent):
       trace_len u16 | trace utf8-json           # 0 = no trace context
@@ -37,11 +38,18 @@ framing and the 16 MiB cap live in :mod:`repro.core.net.protocol`)::
         entry := space u8 (0 elem / 1 attr / 2 machine)
                  | id u32 | name_len u16 | name utf8
       machine_id u32
+      class_count varint                # values of the rows sent on a base
+      classes u8[(class_count + 3) / 4] # 2 bits a value, low bits first
+      deltas16 i16[#class 1] | deltas32 i32[#class 2] | raw f64[#class 3]
       block_count u32
-        block := flags u8 | elem_id u32 | row_count u32
+        block := flags u8 | elem_id varint | row_count varint
                  | machine_id u32                     # flag 0x02 only
                  | attr_count u16 | attr_ids u32[n]   # flag 0x01 only
-                 | rows := (seq i64 | ts f64 | values f64[n])*
+                 | row*
+        row   := seq i64 | ts f64 | values f64[n]     # element has no base
+               | row_flags u8                         # element has a base
+                 | seq i64                            # row flag 0x01 only
+                 | ts f64                             # row flag 0x02 only
       drop_count u32 | elem_id u32[drop_count]
       cursor_count u32
         cur := elem_id u32 | seq i64
@@ -53,12 +61,21 @@ framing and the 16 MiB cap live in :mod:`repro.core.net.protocol`)::
           | (machine_id u32 | count f64 | error f64)*
         | lo f64 | hi f64 | cell_count u16 | cells f64[cell_count]
 
-Every row is a run of fixed-width (element-id, attr-id, value) triples
-with the ids hoisted to the block header: the element id and the attr
-id column vector apply to all rows of the block, so the per-row bytes
-are pure ``i64 + f64 + f64*n`` and pack/unpack as a single precompiled
-:class:`struct.Struct` per stride.  ABSENT cells travel as NaN (see
-:mod:`repro.core.store`).
+A block hoists the element id and the attr-id vector over all its rows.
+A row is sent *against a base*: the last row this connection carried
+for the element.  Its seq is implied when it is the base's + 1, its
+timestamp when it is bit-identical to the base's plus the base's step
+(the base's timestamp minus the one before it), and each value gets a
+class — the base's value (0, decoded as ``base + 0``), the base's plus
+an integer delta that fits i16 (1) or i32 (2), or raw f64 (3).  A class
+is used only when the decoder's sum gives back the value's exact bits,
+so raw is the escape for NaN (ABSENT cells, see
+:mod:`repro.core.store`), ±inf, −0.0, non-integral steps and magnitudes
+past 2⁵³.  The classes and the three value runs of every row in the
+frame are packed once, ahead of the blocks that consume them in order.
+A row with no base — the element's first on the connection, or its
+first since its attr list changed — rides raw: ``i64 + f64 + f64*n``
+in one precompiled :class:`struct.Struct` per stride.
 
 **Implied facts.**  A BATCH_DELTA exchange sends each fact once per
 connection; both ends keep the rest in :class:`WireSchema`:
@@ -67,6 +84,9 @@ connection; both ends keep the rest in :class:`WireSchema`:
   only when the list differs from the last one sent for that element,
   and its own machine id (flag ``BLOCK_MACHINE``) only when it is not
   the frame's;
+* a row carries what its element's base (``bases``: the last row's
+  seq, timestamp, timestamp step and values) does not imply; a block
+  that carries an attr list drops its element's base;
 * the response cursor defaults, per element, to the last row seq of its
   block, else to the request's ack; only entries that differ from that
   ride the frame, plus the ids of defaulted keys the cursor lacks;
@@ -74,22 +94,28 @@ connection; both ends keep the rest in :class:`WireSchema`:
   last response; only acks that differ ride the frame (all of them on
   a fresh connection), plus drops for keys the vector lacks.
 
-Both ends update that state only once a frame encodes or decodes whole,
-and HELLO resets it.  A version-1 frame is refused with a typed error.
+Both ends update that state only once a frame encodes or decodes whole
+— a failed encode or a rejected frame leaves the connection's
+:class:`WireSchema` exactly as it was — and HELLO resets it.  A frame
+of any other version is refused with a typed error.
 
 Decode errors raise :class:`~repro.core.net.protocol.ProtocolError`
 carrying the op and the byte offset where parsing failed; every count
 field is validated against the bytes actually remaining, so a corrupt
 or bit-flipped frame is rejected in O(1) without speculative
-allocation, and a rejected frame leaves the connection's
-:class:`WireSchema` exactly as it was.
+allocation.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
 import struct
+import sys
+from array import array
+from itertools import compress, count, repeat
+from operator import add, ne
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.net.protocol import (
@@ -103,7 +129,7 @@ from repro.core.net.protocol import (
 from repro.core.store import SeriesBlock
 
 #: Binary codec version carried in every frame header.
-BIN_VERSION = 2
+BIN_VERSION = 3
 
 #: Frame kinds.
 KIND_BATCH_REQUEST = 1
@@ -121,6 +147,20 @@ FLAG_ZONE_AGGREGATES = 0x01
 BLOCK_ATTRS = 0x01
 BLOCK_MACHINE = 0x02
 _BLOCK_FLAGS = BLOCK_ATTRS | BLOCK_MACHINE
+
+#: Row flags of a row sent against its element's base: the seq follows
+#: (it is not the base's + 1), the timestamp follows (it is not the
+#: base's plus the base's step).
+ROW_SEQ = 0x01
+ROW_TS = 0x02
+_ROW_FLAGS = ROW_SEQ | ROW_TS
+
+#: Value classes of a row sent against a base, two bits each: the
+#: base's value, the base's plus an i16 / i32 integer delta, raw f64.
+VALUE_SAME = 0
+VALUE_I16 = 1
+VALUE_I32 = 2
+VALUE_F64 = 3
 
 #: Request ack tag bits: the element rides by name (it has no id on
 #: this connection yet), and the entry drops the element from the
@@ -145,8 +185,6 @@ _I64 = struct.Struct("<q")
 _F64 = struct.Struct("<d")
 _ID_SEQ = struct.Struct("<Iq")
 _DICT_HEAD = struct.Struct("<BIH")
-#: Block flags, element id, row count.
-_BLOCK_HEAD = struct.Struct("<BII")
 #: One machine summary's fixed scalar section: health id, confidence
 #: id, five f64 rates (incl. sample age), element/missing counts,
 #: verdict count.
@@ -161,6 +199,25 @@ def _row_struct(stride: int) -> struct.Struct:
     if st is None:
         st = _ROW_STRUCTS[stride] = struct.Struct(f"<qd{stride}d" if stride else "<qd")
     return st
+
+
+@functools.lru_cache(maxsize=256)
+def _run_struct(code: str, count: int) -> struct.Struct:
+    """Packs one frame's run of ``count`` same-typed values at once."""
+    return struct.Struct(f"<{count}{code}")
+
+
+#: Offset of the sign-and-exponent byte in a native ``array("d")``
+#: item, and a ``bytes.translate`` table marking 0x80 there: -0.0, or
+#: a negative below 2**-1007 (so the test can only over-report).
+_SIGN_BYTE = 7 if sys.byteorder == "little" else 0
+_NEGATIVE_TINY = bytes(int(b == 0x80) for b in range(256))
+#: A packed class byte -> its four classes, one byte each.
+_CLASS_QUADS = [bytes((b >> s) & 3 for s in (0, 2, 4, 6)) for b in range(256)]
+
+#: An element's base on one connection: the last row's seq, timestamp,
+#: timestamp step (None until it has a predecessor) and values.
+_Base = Tuple[int, float, Optional[float], Sequence[float]]
 
 
 class _Table:
@@ -237,14 +294,17 @@ class WireSchema:
 
     The id tables, plus what a BATCH_DELTA exchange leaves implied:
     ``attr_lists`` (element -> the attr-name list its last block on
-    this connection carried), ``acked`` (the last request's ack
-    vector) and ``cursor`` (the last response's cursor).  Each side
-    replaces those only after a frame encodes or decodes whole, and
-    HELLO resets them.
+    this connection carried), ``bases`` (element -> the last row sent
+    under that list, as ``(seq, ts, ts step, values)``: what the next
+    row is encoded against), ``acked`` (the last request's ack vector)
+    and ``cursor`` (the last response's cursor).  Each side stages its
+    changes while a frame is encoded or decoded and commits them only
+    once the frame is whole; HELLO resets them.
     """
 
     __slots__ = (
-        "elements", "attrs", "machines", "labels", "attr_lists", "acked", "cursor"
+        "elements", "attrs", "machines", "labels",
+        "attr_lists", "bases", "acked", "cursor",
     )
 
     def __init__(self) -> None:
@@ -256,8 +316,24 @@ class WireSchema:
 
     def reset_deltas(self) -> None:
         self.attr_lists: Dict[str, Tuple[str, ...]] = {}
+        self.bases: Dict[str, _Base] = {}
         self.acked: Dict[str, int] = {}
         self.cursor: Dict[str, int] = {}
+
+    def commit_response(
+        self,
+        attr_lists: Mapping[str, Tuple[str, ...]],
+        bases: Mapping[str, Optional[_Base]],
+        cursor: Mapping[str, int],
+    ) -> None:
+        """Install what a whole BATCH_DELTA response staged (a None
+        base: the element's attr list changed and no row followed)."""
+        self.attr_lists.update(attr_lists)
+        self.bases.update(bases)
+        if None in bases.values():
+            for element_id in [e for e, base in bases.items() if base is None]:
+                del self.bases[element_id]
+        self.cursor = dict(cursor)
 
     def _tables(self) -> Tuple[_Table, ...]:
         return (self.elements, self.attrs, self.machines, self.labels)
@@ -267,7 +343,7 @@ class WireSchema:
         return tuple(len(table.names) for table in self._tables())
 
     def rollback(self, mark: Tuple[int, ...]) -> None:
-        """Drop the ids a rejected frame announced."""
+        """Drop the ids a failed encode assigned or a rejected frame announced."""
         for table, size in zip(self._tables(), mark):
             table.truncate(size)
 
@@ -351,7 +427,37 @@ class _Reader:
         return _F64.unpack_from(self.view, self.need(8, what))[0]
 
     def u8(self, what: str) -> int:
-        return self.raw[self.need(1, what)]
+        at = self.pos
+        if at >= len(self.raw):
+            raise self.fail(f"truncated frame: need 1 byte for {what}, 0 left")
+        self.pos = at + 1
+        return self.raw[at]
+
+    def varint(self, what: str) -> int:
+        """An unsigned LEB128 integer of at most 32 bits."""
+        raw, at = self.raw, self.pos
+        if at < len(raw) and raw[at] < 0x80:
+            self.pos = at + 1
+            return raw[at]
+        value = shift = 0
+        for pos in range(at, min(at + 5, len(raw))):
+            byte = raw[pos]
+            value |= (byte & 0x7F) << shift
+            if byte < 0x80:
+                if value > 0xFFFFFFFF:
+                    raise ProtocolError(
+                        f"{what} {value} does not fit 32 bits", op=self.op, offset=at
+                    )
+                self.pos = pos + 1
+                return value
+            shift += 7
+        if at + 5 <= len(raw):
+            raise ProtocolError(
+                f"{what} runs past 5 varint bytes", op=self.op, offset=at
+            )
+        raise ProtocolError(
+            f"truncated frame: {what} runs past the last byte", op=self.op, offset=at
+        )
 
     def text(self, what: str) -> str:
         n = self.u16(f"{what} length")
@@ -469,20 +575,83 @@ def _read_dictionary(r: _Reader, schema: WireSchema) -> None:
         schema._space(space, r.op, at).learn(ident, name, r.op, at)
 
 
-def _atomic_decode(decode):
-    """Wrap a frame decoder so a rejected frame leaves ``schema`` unchanged.
+def _put_varint(buf: bytearray, value: int) -> None:
+    while value > 0x7F:
+        buf.append(value & 0x7F | 0x80)
+        value >>= 7
+    buf.append(value)
 
-    Dictionary entries are learned as they are read; undoing them on
-    failure is cheaper than staging every lookup.  The implied-state
-    fields are assigned by the decoders only after the frame is whole.
+
+def _pack_classes(classes: Sequence[int]) -> bytes:
+    """Two bits a value class, four a byte, the first in the low bits.
+
+    Each of the four interleaved byte strides becomes one big integer
+    whose bytes hold classes 0..3; shifted into place they cannot carry
+    into a neighbour, so the whole bitmap is a handful of C-level ops.
+    """
+    raw = bytes(classes) + bytes(-len(classes) % 4)
+    packed = 0
+    for k in range(4):
+        packed |= int.from_bytes(raw[k::4], "little") << (2 * k)
+    return packed.to_bytes(len(raw) // 4, "little")
+
+
+def _unpack_classes(packed: bytes) -> bytearray:
+    """Invert :func:`_pack_classes`: one byte per class, padding included."""
+    return bytearray(b"".join(map(_CLASS_QUADS.__getitem__, packed)))
+
+
+def _classify(
+    values: array, bases: array
+) -> Tuple[bytearray, Tuple[List[int], List[int], List[float]]]:
+    """Class each value against its base; returns (classes, value runs).
+
+    The decoder rebuilds a value as ``base + 0`` (same) or ``base +
+    delta``, and such a sum is bit-exact whenever it is ``==`` the value
+    — NaN never is — unless the value is -0.0 (the sum gives +0.0).
+    Such values (found by their sign byte, which can only over-report)
+    are classed against NaN, which sends them raw.  Equal values are
+    found in C; only the ones that differ take the Python loop, and keep
+    class 1 (i16) unless reclassed.
+    """
+    signs = values.tobytes()[_SIGN_BYTE::8]
+    if 0x80 in signs:
+        bases = array("d", bases)
+        for k in compress(count(), signs.translate(_NEGATIVE_TINY)):
+            bases[k] = math.nan
+    classes = bytearray(map(ne, values, bases))
+    deltas16: List[float] = []
+    deltas32: List[float] = []
+    raw64: List[float] = []
+    add16, add32, add64 = deltas16.append, deltas32.append, raw64.append
+    for k, v, b in compress(zip(count(), values, bases), classes):
+        d = v - b
+        if -32768.0 <= d < 32768.0 and d.is_integer() and b + d == v:
+            add16(d)
+        elif -2147483648.0 <= d < 2147483648.0 and d.is_integer() and b + d == v:
+            classes[k] = VALUE_I32
+            add32(d)
+        else:
+            classes[k] = VALUE_F64
+            add64(v)
+    return classes, (list(map(int, deltas16)), list(map(int, deltas32)), raw64)
+
+
+def _atomic(codec_fn):
+    """Wrap an encoder or decoder so a failure leaves ``schema`` unchanged.
+
+    Ids are assigned (or, decoding, learned) as the frame is walked;
+    undoing them on failure is cheaper than staging every lookup.  The
+    implied-state fields are staged by the codec functions themselves
+    and committed only once the frame is whole.
     """
 
-    @functools.wraps(decode)
-    def wrapped(schema: WireSchema, raw: bytes):
+    @functools.wraps(codec_fn)
+    def wrapped(schema: WireSchema, *args, **kwargs):
         mark = schema.checkpoint()
         try:
-            return decode(schema, raw)
-        except ProtocolError:
+            return codec_fn(schema, *args, **kwargs)
+        except BaseException:
             schema.rollback(mark)
             raise
 
@@ -578,6 +747,7 @@ def decode_batch_request(
 # -- response (agent -> controller) --------------------------------------------
 
 
+@_atomic
 def encode_batch_response(
     schema: WireSchema,
     machine: str,
@@ -591,7 +761,9 @@ def encode_batch_response(
     the first time on this connection are announced in this frame's
     dictionary section, so the decoder's tables stay in lockstep; attr
     lists, block machine ids and cursor entries the decoder already
-    holds or can derive are left out.
+    holds or can derive are left out, and each row is sent against its
+    element's base.  A block whose rows do not match its attr count
+    raises :class:`ProtocolError` and leaves ``schema`` as it was.
     """
     pending: List[Tuple[int, int, str]] = []
 
@@ -602,22 +774,31 @@ def encode_batch_response(
         return ident
 
     elements = schema.elements
-    lists = schema.attr_lists
+    lists, bases = schema.attr_lists, schema.bases
+    new_lists: Dict[str, Tuple[str, ...]] = {}
+    new_bases: Dict[str, Optional[_Base]] = {}
     implied = dict(schema.acked)
-    body = bytearray()
-    body += _U32.pack(ident_for(SPACE_MACHINE, schema.machines, machine))
+    # Every value of every row sent on a base, beside what it is sent
+    # against; classified in one pass once the blocks are written.
+    flat_values = array("d")
+    flat_bases = array("d")
+    machine_id = ident_for(SPACE_MACHINE, schema.machines, machine)
     block_list = list(blocks)
-    body += _U32.pack(len(block_list))
+    body = bytearray(_U32.pack(len(block_list)))
     for element_id, block_machine, attr_names, rows in block_list:
         attr_names = tuple(attr_names)
         flags = 0
         if block_machine != machine:
             flags |= BLOCK_MACHINE
-        if lists.get(element_id) != attr_names:
+        if new_lists.get(element_id, lists.get(element_id)) != attr_names:
             flags |= BLOCK_ATTRS
-        body += _BLOCK_HEAD.pack(
-            flags, ident_for(SPACE_ELEMENT, elements, element_id), len(rows)
-        )
+        ident = ident_for(SPACE_ELEMENT, elements, element_id)
+        if ident < 0x80 and len(rows) < 0x80:  # both varints one byte
+            body += bytes((flags, ident, len(rows)))
+        else:
+            body.append(flags)
+            _put_varint(body, ident)
+            _put_varint(body, len(rows))
         if flags & BLOCK_MACHINE:
             body += _U32.pack(ident_for(SPACE_MACHINE, schema.machines, block_machine))
         if flags & BLOCK_ATTRS:
@@ -626,10 +807,43 @@ def encode_batch_response(
             ]
             body += _U16.pack(len(attr_ids))
             body += struct.pack(f"<{len(attr_ids)}I", *attr_ids)
-            lists[element_id] = attr_names
-        pack = _row_struct(len(attr_names)).pack
-        for seq, timestamp, values in rows:
-            body += pack(seq, timestamp, *values)
+            new_lists[element_id] = attr_names
+            base = None
+        elif element_id in new_bases:
+            base = new_bases[element_id]
+        else:
+            base = bases.get(element_id)
+        width = len(attr_names)
+        for seq, ts, values in rows:
+            ts = float(ts)
+            if values.__class__ is not array or values.typecode != "d":
+                values = array("d", values)
+            if len(values) != width:
+                raise ProtocolError(
+                    f"row of {element_id!r} carries {len(values)} value(s) "
+                    f"for {width} attr(s)",
+                    op=OP_BATCH_DELTA,
+                )
+            if base is None:
+                body += _row_struct(width).pack(seq, ts, *values)
+                base = (seq, ts, None, values)
+                continue
+            base_seq, base_ts, step, base_values = base
+            row_flags = 0 if seq == base_seq + 1 else ROW_SEQ
+            # ts must be bit-identical to its prediction: a zero could
+            # differ from it in sign alone.
+            if step is None or not ts or ts != base_ts + step:
+                row_flags |= ROW_TS
+            body.append(row_flags)
+            if row_flags:
+                if row_flags & ROW_SEQ:
+                    body += _I64.pack(seq)
+                if row_flags & ROW_TS:
+                    body += _F64.pack(ts)
+            flat_values += values
+            flat_bases += base_values
+            base = (seq, ts, ts - base_ts, values)
+        new_bases[element_id] = base
         if rows:
             implied[element_id] = rows[-1][0]
 
@@ -644,8 +858,15 @@ def encode_batch_response(
 
     buf = bytearray(_HEADER.pack(BIN_MAGIC, BIN_VERSION, KIND_BATCH_RESPONSE, 0))
     _put_dictionary(buf, pending, OP_BATCH_DELTA)
+    buf += _U32.pack(machine_id)
+    classes, runs = _classify(flat_values, flat_bases)
+    _put_varint(buf, len(classes))
+    buf += _pack_classes(classes)
+    for code, run in zip("hid", runs):
+        if run:
+            buf += _run_struct(code, len(run)).pack(*run)
     buf += body
-    schema.cursor = dict(cursor)
+    schema.commit_response(new_lists, new_bases, cursor)
     return bytes(buf)
 
 
@@ -665,26 +886,71 @@ class BatchPayload:
         self.blocks = blocks
 
 
-@_atomic_decode
+def _read_value_runs(r: _Reader) -> Tuple[bytearray, List[Any]]:
+    """The frame's value section, one class and one operand per value.
+
+    The operand is what the decoder adds to the base — 0 for a value
+    the same as its base, the delta for an i16/i32 one — or, for a raw
+    value, the value itself.  The runs' sizes follow from the classes,
+    so a bitmap that claims more than the frame holds is refused before
+    any run is read.
+    """
+    class_count = r.varint("value class count")
+    size = (class_count + 3) // 4
+    at = r.need(size, "value classes")
+    classes = _unpack_classes(r.view[at: at + size])
+    if any(classes[class_count:]):
+        raise ProtocolError(
+            "value class bitmap has non-zero padding", op=r.op, offset=r.pos - 1
+        )
+    del classes[class_count:]
+    counts = [classes.count(c) for c in (VALUE_I16, VALUE_I32, VALUE_F64)]
+    r.bound_count(
+        2 * counts[0] + 4 * counts[1] + 8 * counts[2], 1, "value delta byte"
+    )
+    sources = [repeat(0)]  # indexed by class: VALUE_SAME adds 0
+    for code, n in zip("hid", counts):
+        run_struct = _run_struct(code, n)
+        run = run_struct.unpack_from(r.view, r.need(run_struct.size, "value run"))
+        sources.append(iter(run))
+    # Each class draws the next item of its source, all in C.
+    return classes, list(map(next, map(sources.__getitem__, classes)))
+
+
+@_atomic
 def decode_batch_response(schema: WireSchema, raw: bytes) -> BatchPayload:
     """Unpack a ``bin1`` BATCH_DELTA response, learning new ids as announced.
 
-    Omitted attr lists come from the connection's last ones, and the
-    cursor is rebuilt from the last request's acks, the blocks' last
-    row seqs and the frame's drops and explicit entries.
+    Omitted attr lists come from the connection's last ones, rows sent
+    against a base from the element's base and the frame's value runs,
+    and the cursor is rebuilt from the last request's acks, the blocks'
+    last row seqs and the frame's drops and explicit entries.
     """
     r = _Reader(raw, OP_BATCH_DELTA)
     _check_header(r, KIND_BATCH_RESPONSE)
     _read_dictionary(r, schema)
     elements = schema.elements
     machine = schema.machines.name_of(r.u32("machine id"), r.op, r.pos - 4)
-    block_count = r.bound_count(r.u32("block count"), _BLOCK_HEAD.size, "block")
-    lists = schema.attr_lists
+    classes, operands = _read_value_runs(r)
+    class_count = len(classes)
+    any_raw = VALUE_F64 in classes
+    used = 0
+    block_count = r.bound_count(r.u32("block count"), 3, "block")
+    lists, bases = schema.attr_lists, schema.bases
+    new_lists: Dict[str, Tuple[str, ...]] = {}
+    new_bases: Dict[str, Optional[_Base]] = {}
     cursor = dict(schema.acked)
     blocks: List[SeriesBlock] = []
     for _ in range(block_count):
-        at = r.need(_BLOCK_HEAD.size, "block header")
-        flags, elem_ident, row_count = _BLOCK_HEAD.unpack_from(r.view, at)
+        at = r.pos
+        head = raw[at: at + 3]
+        if len(head) == 3 and head[1] | head[2] < 0x80:  # both varints one byte
+            flags, elem_ident, row_count = head
+            r.pos = at + 3
+        else:
+            flags = r.u8("block flags")
+            elem_ident = r.varint("block element id")
+            row_count = r.varint("row count")
         if flags & ~_BLOCK_FLAGS:
             raise ProtocolError(
                 f"unknown block flag bits 0x{flags & ~_BLOCK_FLAGS:02x}",
@@ -704,11 +970,10 @@ def decode_batch_response(schema: WireSchema, raw: bytes) -> BatchPayload:
                 schema.attrs.name_of(ident, r.op, ids_at)
                 for ident in struct.unpack_from(f"<{attr_count}I", r.view, ids_at)
             )
-            if lists is schema.attr_lists:
-                lists = dict(lists)  # committed only once the frame is whole
-            lists[element_id] = attr_names
+            new_lists[element_id] = attr_names
+            base = None
         else:
-            attr_names = lists.get(element_id)
+            attr_names = new_lists.get(element_id, lists.get(element_id))
             if attr_names is None:
                 raise ProtocolError(
                     f"block for {element_id!r} omits its attr list, and none "
@@ -716,18 +981,68 @@ def decode_batch_response(schema: WireSchema, raw: bytes) -> BatchPayload:
                     op=r.op,
                     offset=at,
                 )
-        row_struct = _row_struct(len(attr_names))
-        r.bound_count(row_count, row_struct.size, f"{element_id} row")
-        rows_at = r.need(row_struct.size * row_count, "rows")
-        rows: List[Tuple[int, float, Sequence[float]]] = [
-            (rec[0], rec[1], rec[2:])
-            for rec in row_struct.iter_unpack(
-                r.view[rows_at: rows_at + row_struct.size * row_count]
-            )
-        ]
+            if element_id in new_bases:
+                base = new_bases[element_id]
+            else:
+                base = bases.get(element_id)
+        width = len(attr_names)
+        # Every row but a raw one is at least its flags byte.
+        r.bound_count(row_count, 1, "row")
+        rows: List[Tuple[int, float, Sequence[float]]] = []
+        for _ in range(row_count):
+            if base is None:
+                row_struct = _row_struct(width)
+                rec = row_struct.unpack_from(r.view, r.need(row_struct.size, "row"))
+                seq, ts, values = rec[0], rec[1], rec[2:]
+                base = (seq, ts, None, values)
+                rows.append((seq, ts, values))
+                continue
+            base_seq, base_ts, step, base_values = base
+            at = r.pos
+            row_flags = r.u8("row flags")
+            if row_flags & ~_ROW_FLAGS:
+                raise ProtocolError(
+                    f"unknown row flag bits 0x{row_flags & ~_ROW_FLAGS:02x}",
+                    op=r.op,
+                    offset=at,
+                )
+            seq = r.i64("row seq") if row_flags & ROW_SEQ else base_seq + 1
+            if row_flags & ROW_TS:
+                ts = r.f64("row timestamp")
+            elif step is None:
+                raise ProtocolError(
+                    f"row of {element_id!r} implies its timestamp, but its "
+                    f"base has no step",
+                    op=r.op,
+                    offset=at,
+                )
+            else:
+                ts = base_ts + step
+            end = used + width
+            if end > class_count:
+                raise ProtocolError(
+                    f"value classes run out at a row of {element_id!r}: "
+                    f"{class_count - used} left, {width} needed",
+                    op=r.op,
+                    offset=at,
+                )
+            values = tuple(map(add, base_values, operands[used:end]))
+            if any_raw and VALUE_F64 in classes[used:end]:
+                values = tuple([
+                    operand if c == VALUE_F64 else value
+                    for c, operand, value in zip(
+                        classes[used:end], operands[used:end], values
+                    )
+                ])
+            used = end
+            base = (seq, ts, ts - base_ts, values)
+            rows.append((seq, ts, values))
+        new_bases[element_id] = base
         if rows:
             cursor[element_id] = rows[-1][0]
         blocks.append((element_id, block_machine, attr_names, rows))
+    if used != class_count:
+        raise r.fail(f"{class_count - used} value class(es) no row used")
 
     drop_count = r.bound_count(r.u32("cursor drop count"), 4, "cursor drop")
     for _ in range(drop_count):
@@ -745,8 +1060,7 @@ def decode_batch_response(schema: WireSchema, raw: bytes) -> BatchPayload:
         ident, seq = _ID_SEQ.unpack_from(r.view, at)
         cursor[elements.name_of(ident, r.op, at)] = seq
     r.done()
-    schema.attr_lists = lists
-    schema.cursor = dict(cursor)
+    schema.commit_response(new_lists, new_bases, cursor)
     return BatchPayload(machine, cursor, blocks)
 
 
@@ -760,6 +1074,7 @@ def decode_batch_response(schema: WireSchema, raw: bytes) -> BatchPayload:
 # that cycle.
 
 
+@_atomic
 def encode_zone_report(
     schema: WireSchema,
     report: Mapping[str, Any],
@@ -865,7 +1180,7 @@ def encode_zone_report(
     return bytes(buf)
 
 
-@_atomic_decode
+@_atomic
 def decode_zone_report(
     schema: WireSchema, raw: bytes
 ) -> Tuple[Dict[str, Any], Optional[Mapping[str, Any]]]:

@@ -82,7 +82,7 @@ OP_ZONE_REPORT = "zone_report"
 OP_ZONE_FOR = "zone_for"
 
 #: The one data codec: packed binary BATCH_DELTA / ZONE_REPORT payloads
-#: (frame version 2, see :mod:`repro.core.net.codec`).  HELLO responses name it so a client can tell a peer
+#: (frame version 3, see :mod:`repro.core.net.codec`).  HELLO responses name it so a client can tell a peer
 #: that speaks something else apart from one it can talk to.
 CODEC_BIN1 = "bin1"
 

@@ -22,7 +22,7 @@ from repro.core.diagnosis.contention import ContentionDetector
 from repro.core.diagnosis.report import CONFIDENCE_DEGRADED
 from repro.core.health import DEAD, DEGRADED, HEALTHY, HealthPolicy
 from repro.core.net.client import AgentUnreachable, RemoteAgentHandle, RetryPolicy
-from repro.core.net.codec import WireSchema, decode_batch_request
+from repro.core.net.codec import BIN_VERSION, WireSchema, decode_batch_request
 from repro.core.net.protocol import (
     MAX_FRAME_BYTES,
     OP_BATCH_DELTA,
@@ -49,7 +49,7 @@ def no_sleep(_s):
 def packed_request(count: int, entries: bytes) -> bytes:
     """A hand-packed ``bin1`` BATCH_DELTA request: header, no trace
     context, the announced ack count, then the raw ack entries."""
-    return struct.pack("<BBBBHI", 0xB1, 2, 1, 0, 0, count) + entries
+    return struct.pack("<BBBBHI", 0xB1, BIN_VERSION, 1, 0, 0, count) + entries
 
 
 def ack_by_name(name: str, seq: int) -> bytes:

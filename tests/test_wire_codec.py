@@ -17,6 +17,11 @@ Three layers of assurance for the packed ``bin1`` BATCH_DELTA path:
   attr lists that widen and permute, fresh connections, re-HELLOs)
   must decode to exactly what was encoded, with the implied state
   (attr lists, acks, cursor) equal on both ends.
+* **Bit-exact values** — rows sent as deltas against their element's
+  base (NaN payloads, ±0.0, ±inf, subnormals, integers past 2**53,
+  deltas past i32, seq and timestamp irregularities, attr lists that
+  change) decode to the encoded bits, both ends hold the same bases,
+  and an encode that fails leaves the sender's schema as it was.
 * **Handshake** — ``bin1`` is the only data codec: a peer that refuses
   HELLO or answers another codec gets a typed error at once (and a
   health failure through a mirror sync), and a data op sent as JSON is
@@ -32,8 +37,10 @@ equal the agent's own store, byte for byte.
 from __future__ import annotations
 
 import json
+import math
 import random
 import socket
+import struct
 import threading
 from contextlib import contextmanager
 
@@ -43,7 +50,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.agent import Agent
 from repro.core.channels import ChannelFaultPlan
 from repro.core.controller import AgentMirror, FleetController
-from repro.core.counters import STANDARD_ATTRS, CounterSnapshot
+from repro.core.counters import ABSENT, STANDARD_ATTRS, CounterSnapshot
 from repro.core.net import codec as wire_codec
 from repro.core.net.client import RemoteAgentHandle, RetryPolicy, ZoneClient
 from repro.core.net.codec import CODEC_BIN1, WireSchema
@@ -197,9 +204,10 @@ class TestRoundTripProperty:
 
 
 def valid_response_blocks():
+    """A first frame: elem0's second row rides on its first."""
     return [
-        ("elem0", "m1", ("rx_pkts", "tx_pkts"), [(1, 0.1, [1.0, 2.0]),
-                                                 (2, 0.2, [3.0, 4.0])]),
+        ("elem0", "m1", ("rx_pkts", "tx_pkts"), [(1, 0.5, [1.0, 2.0]),
+                                                 (2, 1.0, [3.0, 4.0])]),
         ("elem1", "m1", ("drops", "late.attr"), [(5, 0.3, [0.0, 9.0])]),
     ]
 
@@ -225,8 +233,11 @@ def valid_response_frame():
 def steady_response_frame():
     """A second frame on a warm connection: attr lists and most of the
     cursor implied, one block on another machine, one cursor drop and
-    one explicit cursor entry.  Returns (raw, decoder factory); each
-    decoder has replayed the connection's first exchange."""
+    one explicit cursor entry.  elem0's row is the steady state (seq and
+    ts implied, one value the same and one an i16 delta); elem1's base
+    has no ts step yet and its values take the i32 and raw classes.
+    Returns (raw, decoder factory); each decoder has replayed the
+    connection's first exchange."""
     elements = ("elem0", "elem1", "elem2")
     server, client = paired_schemas(elements)
     first_acked = {}
@@ -241,12 +252,8 @@ def steady_response_frame():
     wire_codec.decode_batch_request(
         server, wire_codec.encode_batch_request(client, acked)
     )
-    blocks = [
-        ("elem0", "m1", ("rx_pkts", "tx_pkts"), [(3, 0.4, [5.0, 6.0])]),
-        ("elem1", "m2", ("drops", "late.attr"), [(6, 0.5, [1.0, 1.0])]),
-    ]
     raw = wire_codec.encode_batch_response(
-        server, "m1", blocks, {"elem0": 3, "elem1": 9}
+        server, "m1", steady_blocks(), {"elem0": 3, "elem1": 9}
     )
 
     def primed_schema():
@@ -259,13 +266,44 @@ def steady_response_frame():
     return raw, primed_schema
 
 
+def steady_blocks():
+    return [
+        ("elem0", "m1", ("rx_pkts", "tx_pkts"), [(3, 1.5, [5.0, 4.0])]),
+        ("elem1", "m2", ("drops", "late.attr"), [(6, 0.5, [1e6, 9.5])]),
+    ]
+
+
+def f64_bits(value) -> bytes:
+    return struct.pack("<d", value)
+
+
+def bases_state(schema: WireSchema):
+    """The value bases as bytes: ``==`` on floats would pass NaN-for-
+    NaN only by identity and +0.0-for--0.0 always."""
+    return {
+        element: (
+            seq,
+            f64_bits(ts),
+            None if step is None else f64_bits(step),
+            b"".join(map(f64_bits, values)),
+        )
+        for element, (seq, ts, step, values) in schema.bases.items()
+    }
+
+
 def schema_state(schema: WireSchema):
     """Everything a connection's schema holds, as comparable values."""
     tables = [
         (list(t.names), dict(t.ids))
         for t in (schema.elements, schema.attrs, schema.machines, schema.labels)
     ]
-    return tables, dict(schema.attr_lists), dict(schema.acked), dict(schema.cursor)
+    return (
+        tables,
+        dict(schema.attr_lists),
+        bases_state(schema),
+        dict(schema.acked),
+        dict(schema.cursor),
+    )
 
 
 def frame_with_version(raw: bytes, version: int) -> bytes:
@@ -344,13 +382,24 @@ class TestFrameFuzz:
         payload = wire_codec.decode_batch_response(primed_schema(), raw)
         assert payload.cursor == {"elem0": 3, "elem1": 9}
         assert payload.blocks[1][1:3] == ("m2", ("drops", "late.attr"))
-        # one dictionary entry (machine "m2"), two 9-byte block heads
-        # + one block machine id, rows, one drop and one explicit
-        # cursor entry: no attr list rides again
+        assert normalized(payload.blocks) == normalized(steady_blocks())
+        # one dictionary entry (machine "m2"); a value section of four
+        # 2-bit classes and one i16, one i32 and one raw f64; two
+        # 3-byte block heads, one block machine id, two row-flag bytes
+        # and elem1's explicit ts (its base has no step yet); one drop
+        # and one explicit cursor entry: no attr list rides again
         assert raw[4:8] == (1).to_bytes(4, "little")
         dictionary = 4 + 7 + len("m2")
-        blocks = (9 + 32) + (9 + 4 + 32)
-        assert len(raw) == 4 + dictionary + 4 + 4 + blocks + (4 + 4) + (4 + 12)
+        values = 1 + 1 + 2 + 4 + 8
+        blocks = (3 + 1) + (3 + 4 + 1 + 8)
+        assert len(raw) == (
+            4 + dictionary + 4 + values + 4 + blocks + (4 + 4) + (4 + 12)
+        )
+        # The steady-state row is its 3-byte block head (flags,
+        # element id, row count) and a zero row-flags byte; its values
+        # cost 2 bits each plus their deltas.
+        elem0 = 0  # first element id HELLO assigned
+        assert bytes([0, elem0, 1, 0]) in raw
 
     def test_every_truncation_rejected_and_schema_untouched(self):
         for raw, make_schema in (steady_response_frame(), valid_response_frame()):
@@ -406,13 +455,105 @@ class TestFrameFuzz:
     @pytest.mark.parametrize("flag", [0x04, 0x80])
     def test_unknown_block_flag_rejected(self, flag):
         raw, primed_schema = steady_response_frame()
-        # header, dictionary ("m2"), machine id, block count
-        at = 4 + (4 + 7 + 2) + 4 + 4
+        # header, dictionary ("m2"), machine id, value section (class
+        # count, classes, i16 + i32 + f64), block count
+        at = 4 + (4 + 7 + 2) + 4 + (1 + 1 + 2 + 4 + 8) + 4
         mutated = bytearray(raw)
         mutated[at] |= flag
         with pytest.raises(ProtocolError, match="unknown block flag") as err:
             wire_codec.decode_batch_response(primed_schema(), bytes(mutated))
         assert err.value.offset == at
+
+    @staticmethod
+    def _value_section_frame(class_count: int, classes: bytes, rest: bytes = b""):
+        """A response on a fresh connection: no dictionary, machine id
+        0, then the given value section and whatever follows."""
+        head = bytes([0xB1, wire_codec.BIN_VERSION, wire_codec.KIND_BATCH_RESPONSE, 0])
+        count = bytearray()
+        wire_codec._put_varint(count, class_count)
+        return head + struct.pack("<II", 0, 0) + bytes(count) + classes + rest
+
+    def test_class_bitmap_claiming_more_than_the_frame_rejected_cheaply(self):
+        """200 classes that all claim a raw f64: 1 600 bytes the frame
+        does not have, refused from the counts before any run is read."""
+        raw = self._value_section_frame(200, b"\xff" * 50)
+        schema = paired_schemas()[1]
+        before = schema_state(schema)
+        with pytest.raises(ProtocolError, match="implausible value delta") as err:
+            wire_codec.decode_batch_response(schema, raw)
+        assert err.value.offset == len(raw)
+        assert schema_state(schema) == before
+
+    @pytest.mark.parametrize(
+        "class_count, classes, rest, message",
+        [
+            (1, b"\x04", b"", "padding"),
+            (4, b"\x00", struct.pack("<III", 0, 0, 0), "no row used"),
+            (300, b"", b"", "truncated"),
+        ],
+        ids=["padding", "unused", "truncated"],
+    )
+    def test_inconsistent_value_section_rejected(
+        self, class_count, classes, rest, message
+    ):
+        raw = self._value_section_frame(class_count, classes, rest)
+        schema = paired_schemas()[1]
+        before = schema_state(schema)
+        with pytest.raises(ProtocolError, match=message) as err:
+            wire_codec.decode_batch_response(schema, raw)
+        assert err.value.offset is not None
+        assert schema_state(schema) == before
+
+    def test_rows_outrunning_the_classes_rejected(self):
+        """A steady frame whose class count was cut: the rows need more
+        classes than the section holds."""
+        raw, primed_schema = steady_response_frame()
+        at = 4 + (4 + 7 + 2) + 4  # the class count
+        assert raw[at] == 4
+        mutated = bytearray(raw)
+        mutated[at] = 2  # same bitmap byte, two fewer classes
+        mutated[at + 1] &= 0x0F  # whose padding must be zero
+        del mutated[at + 2 + 2: at + 2 + 2 + 4 + 8]  # their i32 and f64
+        schema = primed_schema()
+        before = schema_state(schema)
+        with pytest.raises(ProtocolError, match="run out") as err:
+            wire_codec.decode_batch_response(schema, bytes(mutated))
+        assert err.value.offset is not None
+        assert schema_state(schema) == before
+
+    def test_multibyte_varints_round_trip_and_truncate(self):
+        """Element ids and row counts past 127 take multi-byte varints;
+        a cut inside one is a truncation like any other."""
+        server, client = paired_schemas()
+        blocks = [(f"e{i:03d}", "m1", ("x",), [(1, 0.5, [float(i)])]) for i in range(140)]
+        blocks.append(("e000", "m1", ("x",), [(n, 0.5 * n, [float(n)]) for n in range(2, 202)]))
+        first = wire_codec.encode_batch_response(server, "m1", blocks[:140], {})
+        wire_codec.decode_batch_response(client, first)
+        before = schema_state(client)
+        raw = wire_codec.encode_batch_response(server, "m1", blocks[139:], {})
+        for cut in range(0, len(raw), 7):
+            with pytest.raises(ProtocolError) as err:
+                wire_codec.decode_batch_response(client, raw[:cut])
+            assert err.value.offset is not None
+            assert schema_state(client) == before
+        payload = wire_codec.decode_batch_response(client, raw)
+        assert_rows_bit_exact(payload.blocks, blocks[139:])
+        assert bases_state(client) == bases_state(server)
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            (b"\x80\x80\x80\x80\x80\x01", "past 5 varint bytes"),
+            (b"\xff\xff\xff\xff\x1f", "does not fit 32 bits"),
+            (b"\x80\x80", "truncated"),
+        ],
+        ids=["too_long", "too_wide", "truncated"],
+    )
+    def test_varint_limits(self, raw, message):
+        reader = wire_codec._Reader(raw, OP_BATCH_DELTA)
+        with pytest.raises(ProtocolError, match=message) as err:
+            reader.varint("row count")
+        assert err.value.offset == 0
 
     @pytest.mark.parametrize("which", ["request", "response", "zone_report"])
     def test_unknown_header_flag_rejected(self, which):
@@ -436,10 +577,18 @@ class TestFrameFuzz:
     @pytest.mark.parametrize("which", ["request", "response", "zone_report"])
     def test_version_one_frame_typed_error(self, which):
         raw, decode = self._frame(which)
-        assert raw[1] == wire_codec.BIN_VERSION == 2
+        assert raw[1] == wire_codec.BIN_VERSION == 3
         with pytest.raises(ProtocolError, match="version 1") as err:
             decode(frame_with_version(raw, 1))
         assert err.value.offset == 1
+
+    @pytest.mark.parametrize("which", ["request", "response", "zone_report"])
+    def test_version_two_frame_typed_error(self, which):
+        """Version 2 sent rows raw; a version-3 end refuses its frames
+        by number rather than misreading their layout."""
+        raw, decode = self._frame(which)
+        with pytest.raises(ProtocolError, match="unsupported binary codec version 2"):
+            decode(frame_with_version(raw, 2))
 
     def test_drops_must_name_held_keys(self):
         """A request drop (or response cursor drop) for a key the
@@ -548,6 +697,226 @@ class TestLockstepProperty:
             assert payload.cursor == cursor
             assert (client.acked, client.cursor) == (server.acked, server.cursor)
             assert client.attr_lists == server.attr_lists
+
+
+#: Floats no delta can carry, and the edges of the ones a delta can.
+AWKWARD_VALUES = (
+    ABSENT,
+    struct.unpack("<d", b"\x01\x00\x00\x00\x00\x00\xf8\x7f")[0],  # NaN payload
+    0.0,
+    -0.0,
+    math.inf,
+    -math.inf,
+    5e-324,
+    -5e-324,
+    2.2250738585072014e-308,
+    2.0**53,
+    2.0**53 + 2.0,
+    -(2.0**53) - 2.0,
+    2.0**63,
+    0.5,
+    -1.25,
+    1e300,
+)
+VALUE_MOVES = ("same", "same", "small", "wide", "awkward", "any")
+SEQ_MOVES = ("next", "next", "next", "skip", "regress", "repeat")
+TS_MOVES = ("step", "step", "step", "irregular", "awkward")
+BASE_ELEMENTS = ("e0", "e1", "e2")
+BASE_ATTRS = ("a0", "a1", "a2", "a3", "a4", "a5")
+
+
+def next_value(data, prev: float) -> float:
+    move = data.draw(st.sampled_from(VALUE_MOVES))
+    if move == "same":
+        return prev
+    if move == "small":  # i16, spilling into i32
+        return prev + data.draw(st.integers(-40000, 40000))
+    if move == "wide":  # past the i32 range
+        return prev + data.draw(st.integers(-(2**40), 2**40))
+    if move == "awkward":
+        return data.draw(st.sampled_from(AWKWARD_VALUES))
+    return data.draw(st.floats())
+
+
+def next_seq(data, prev: int) -> int:
+    move = data.draw(st.sampled_from(SEQ_MOVES))
+    if move == "next":
+        return prev + 1
+    if move == "skip":
+        return prev + data.draw(st.integers(2, 50))
+    if move == "regress":  # agent restart
+        return data.draw(st.integers(0, max(prev - 1, 0)))
+    return prev
+
+
+def next_ts(data, prev: float, step: float) -> float:
+    move = data.draw(st.sampled_from(TS_MOVES))
+    if move == "step":
+        return prev + step
+    if move == "irregular":
+        return prev + data.draw(st.floats(1e-3, 10.0))
+    return data.draw(st.sampled_from((0.0, -0.0, math.nan, math.inf, 1e-310)))
+
+
+def assert_rows_bit_exact(decoded, encoded):
+    assert len(decoded) == len(encoded)
+    for (e, m, attrs, rows), (e2, m2, attrs2, rows2) in zip(decoded, encoded):
+        assert (e, m, tuple(attrs)) == (e2, m2, tuple(attrs2))
+        assert len(rows) == len(rows2)
+        for (seq, ts, values), (seq2, ts2, values2) in zip(rows, rows2):
+            assert seq == seq2
+            assert f64_bits(ts) == f64_bits(ts2)
+            assert list(map(f64_bits, values)) == list(map(f64_bits, values2))
+
+
+def exchange(server: WireSchema, client: WireSchema, blocks):
+    """One BATCH_DELTA round trip: acks = the client's last cursor, the
+    cursor = each block's last seq.  Returns the decoded payload."""
+    acked, _ = wire_codec.decode_batch_request(
+        server, wire_codec.encode_batch_request(client, dict(client.cursor))
+    )
+    cursor = dict(acked)
+    cursor.update((e, rows[-1][0]) for e, _, _, rows in blocks if rows)
+    return wire_codec.decode_batch_response(
+        client, wire_codec.encode_batch_response(server, "m1", blocks, cursor)
+    )
+
+
+class TestValueBasesProperty:
+    """Rows sent against their element's base decode bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_rows_decode_bit_exact_and_bases_agree(self, data):
+        """NaN payloads, ±0.0, ±inf, subnormals, integers at and past
+        2**53, non-integral floats, deltas past i32, seq regressions and
+        skips, irregular and awkward timestamps, attr lists that widen
+        and narrow (dropping the base), elements that vanish and come
+        back, fresh connections and re-HELLOs: every decoded row equals
+        the encoded one bit for bit, and both ends hold the same bases."""
+        server, client = paired_schemas(BASE_ELEMENTS[:1])
+        # element -> (attrs, seq, ts, ts step, values): the source's own
+        # history, which outlives connections
+        source = {}
+        for _ in range(data.draw(st.integers(1, 8))):
+            step = data.draw(st.sampled_from(("frame",) * 6 + ("rehello", "reconnect")))
+            if step == "reconnect":
+                server, client = paired_schemas(BASE_ELEMENTS[:1])
+                continue
+            if step == "rehello":
+                wire_codec.apply_hello_response(
+                    wire_codec.make_hello_response(
+                        "agent@m1", server, "m1", BASE_ELEMENTS[:1], STANDARD_ATTRS
+                    ),
+                    client,
+                )
+                assert server.bases == client.bases == {}
+                continue
+            blocks = []
+            for element in data.draw(st.lists(st.sampled_from(BASE_ELEMENTS), unique=True)):
+                attrs, seq, ts, ts_step, values = source.get(
+                    element, ((BASE_ATTRS[0],), 0, 1.0, 0.25, [0.0])
+                )
+                shape = data.draw(st.sampled_from(("keep",) * 4 + ("widen", "narrow")))
+                if shape == "widen" and len(attrs) < len(BASE_ATTRS):
+                    attrs = attrs + (BASE_ATTRS[len(attrs)],)
+                    values = values + [data.draw(st.sampled_from(AWKWARD_VALUES))]
+                elif shape == "narrow" and len(attrs) > 1:
+                    attrs, values = attrs[:-1], values[:-1]
+                rows = []
+                for _ in range(data.draw(st.integers(0, 3))):
+                    seq = next_seq(data, seq)
+                    ts = next_ts(data, ts, ts_step)
+                    values = [next_value(data, v) for v in values]
+                    rows.append((seq, ts, values))
+                source[element] = (attrs, seq, ts, ts_step, values)
+                blocks.append((element, "m1", attrs, rows))
+            payload = exchange(server, client, blocks)
+            assert_rows_bit_exact(payload.blocks, blocks)
+            assert bases_state(client) == bases_state(server)
+            assert client.attr_lists == server.attr_lists
+
+    def test_each_awkward_value_round_trips(self):
+        """The escapes one by one: every awkward value against every
+        other as its base, so each class boundary and raw escape is hit
+        without relying on the search above."""
+        server, client = paired_schemas()
+        width = len(AWKWARD_VALUES)
+        attrs = tuple(f"x{i}" for i in range(width))
+        rows = [
+            (seq, 0.5 * seq, AWKWARD_VALUES[seq % width:] + AWKWARD_VALUES[:seq % width])
+            for seq in range(1, 2 * width + 1)
+        ]
+        rows.append((len(rows) + 1, 0.5 * (len(rows) + 1), rows[-1][2]))  # all same
+        blocks = [("elem0", "m1", attrs, rows)]
+        payload = exchange(server, client, blocks)
+        assert_rows_bit_exact(payload.blocks, blocks)
+        assert bases_state(client) == bases_state(server)
+        # the same rows again, one per frame, on the warm connection
+        for row in rows:
+            blocks = [("elem0", "m1", attrs, [row])]
+            assert_rows_bit_exact(exchange(server, client, blocks).blocks, blocks)
+            assert bases_state(client) == bases_state(server)
+
+    def test_zero_timestamps_keep_their_sign(self):
+        """-0.0 == 0.0, so a -0.0 timestamp predicted as 0.0 (two equal
+        zero stamps make a zero step) must still ride explicitly."""
+        server, client = paired_schemas()
+        stamps = (0.0, 0.0, -0.0, -0.0, 0.0, 0.0)
+        rows = [(seq, ts, [1.0]) for seq, ts in enumerate(stamps, 1)]
+        for blocks in ([("elem0", "m1", ("x",), rows)],
+                       *([("elem1", "m1", ("x",), [row])] for row in rows)):
+            assert_rows_bit_exact(exchange(server, client, blocks).blocks, blocks)
+            assert bases_state(client) == bases_state(server)
+
+
+class TestFailedEncodeIsAtomic:
+    """An encode that raises leaves the sender's schema as it was: no
+    id, attr list, base or cursor of a frame that was never sent."""
+
+    def test_batch_response_mismatched_row_rolls_back(self):
+        server, client = paired_schemas()
+        warm = wire_codec.encode_batch_response(
+            server, "m1", valid_response_blocks(), {"elem0": 2, "elem1": 5}
+        )
+        wire_codec.decode_batch_response(client, warm)
+        before = schema_state(server)
+        wire_before = server.to_wire()
+        new_names = [
+            ("e1", "m1", ("a", "b"), [(1, 0.0, [1.0, 2.0])]),
+            ("e2", "m9", ("c",), [(1, 0.0, [1.0, 2.0])]),  # 2 values, 1 attr
+        ]
+        on_a_base = [
+            ("elem0", "m1", ("rx_pkts", "tx_pkts"), [(3, 1.5, [5.0, 6.0])]),
+            ("elem1", "m1", ("drops", "late.attr"), [(6, 0.5, [1.0])]),
+        ]
+        for blocks in (new_names, on_a_base):
+            cursor = {e: rows[-1][0] for e, _, _, rows in blocks}
+            with pytest.raises(ProtocolError, match="value"):
+                wire_codec.encode_batch_response(server, "m1", blocks, cursor)
+            assert server.to_wire() == wire_before
+            assert schema_state(server) == before
+        # the connection carries on in lockstep
+        blocks = steady_blocks()[:1]
+        payload = exchange(server, client, blocks)
+        assert_rows_bit_exact(payload.blocks, blocks)
+        assert schema_state(client)[1:3] == schema_state(server)[1:3]
+
+    def test_zone_report_rolls_back(self):
+        schema = WireSchema()
+        good = {"zone": "z1", "seq": 1, "machines": [{"machine": "m1", "health": "ok"}]}
+        wire_codec.encode_zone_report(schema, good)
+        before = schema.to_wire()
+        bad = {
+            "zone": "z2",
+            "seq": 2,
+            "machines": [
+                {"machine": "m2", "health": "new", "verdicts": [["loc", ["r"], "s"]]}
+            ],
+        }
+        with pytest.raises(ValueError):
+            wire_codec.encode_zone_report(schema, bad)
+        assert schema.to_wire() == before
 
 
 def flaky_server(server_cls):
