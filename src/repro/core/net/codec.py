@@ -38,7 +38,7 @@ unsigned LEB128 of at most 32 bits; outer 4-byte length framing and the
         entry := space u8 (0 elem / 1 attr / 2 machine)
                  | id u32 | name_len u16 | name utf8
       machine_id u32
-      class_count varint                # values of the rows sent on a base
+      class_count varint                # one per value of every row
       classes u8[(class_count + 3) / 4] # 2 bits a value, low bits first
       deltas16 i16[#class 1] | deltas32 i32[#class 2] | raw f64[#class 3]
       block_count u32
@@ -46,8 +46,7 @@ unsigned LEB128 of at most 32 bits; outer 4-byte length framing and the
                  | machine_id u32                     # flag 0x02 only
                  | attr_count u16 | attr_ids u32[n]   # flag 0x01 only
                  | row*
-        row   := seq i64 | ts f64 | values f64[n]     # element has no base
-               | row_flags u8                         # element has a base
+        row   := row_flags u8
                  | seq i64                            # row flag 0x01 only
                  | ts f64                             # row flag 0x02 only
       drop_count u32 | elem_id u32[drop_count]
@@ -67,15 +66,16 @@ for the element.  Its seq is implied when it is the base's + 1, its
 timestamp when it is bit-identical to the base's plus the base's step
 (the base's timestamp minus the one before it), and each value gets a
 class — the base's value (0, decoded as ``base + 0``), the base's plus
-an integer delta that fits i16 (1) or i32 (2), or raw f64 (3).  A class
-is used only when the decoder's sum gives back the value's exact bits,
-so raw is the escape for NaN (ABSENT cells, see
-:mod:`repro.core.store`), ±inf, −0.0, non-integral steps and magnitudes
-past 2⁵³.  The classes and the three value runs of every row in the
-frame are packed once, ahead of the blocks that consume them in order.
-A row with no base — the element's first on the connection, or its
-first since its attr list changed — rides raw: ``i64 + f64 + f64*n``
-in one precompiled :class:`struct.Struct` per stride.
+an integer delta that fits i16 (1) or i32 (2), or raw f64 (3).  A delta
+class is used only when ``base + delta`` gives back the value's exact
+bits; every other value rides raw — NaN (ABSENT cells, see
+:mod:`repro.core.store`), ±inf, −0.0 and non-integral steps among them.
+The classes and the three value runs of every row in the frame are
+packed once, ahead of the blocks that consume them in order.  An
+element with no base — its first row on the connection, or its first
+since its attr list changed — is sent against a row of NaNs with no
+timestamp step: nothing is implied, so its seq (unless it is 1), its
+timestamp and every value ride explicitly.
 
 **Implied facts.**  A BATCH_DELTA exchange sends each fact once per
 connection; both ends keep the rest in :class:`WireSchema`:
@@ -86,7 +86,7 @@ connection; both ends keep the rest in :class:`WireSchema`:
   the frame's;
 * a row carries what its element's base (``bases``: the last row's
   seq, timestamp, timestamp step and values) does not imply; a block
-  that carries an attr list drops its element's base;
+  that carries an attr list resets its element's base to the NaN row;
 * the response cursor defaults, per element, to the last row seq of its
   block, else to the request's ack; only entries that differ from that
   ride the frame, plus the ids of defaulted keys the cursor lacks;
@@ -190,23 +190,6 @@ _DICT_HEAD = struct.Struct("<BIH")
 #: verdict count.
 _SUMMARY_HEAD = struct.Struct("<IIdddddIIH")
 
-#: Precompiled row codecs keyed by attrs-per-row stride.
-_ROW_STRUCTS: Dict[int, struct.Struct] = {}
-
-
-def _row_struct(stride: int) -> struct.Struct:
-    st = _ROW_STRUCTS.get(stride)
-    if st is None:
-        st = _ROW_STRUCTS[stride] = struct.Struct(f"<qd{stride}d" if stride else "<qd")
-    return st
-
-
-@functools.lru_cache(maxsize=256)
-def _run_struct(code: str, count: int) -> struct.Struct:
-    """Packs one frame's run of ``count`` same-typed values at once."""
-    return struct.Struct(f"<{count}{code}")
-
-
 #: Offset of the sign-and-exponent byte in a native ``array("d")``
 #: item, and a ``bytes.translate`` table marking 0x80 there: -0.0, or
 #: a negative below 2**-1007 (so the test can only over-report).
@@ -216,8 +199,14 @@ _NEGATIVE_TINY = bytes(int(b == 0x80) for b in range(256))
 _CLASS_QUADS = [bytes((b >> s) & 3 for s in (0, 2, 4, 6)) for b in range(256)]
 
 #: An element's base on one connection: the last row's seq, timestamp,
-#: timestamp step (None until it has a predecessor) and values.
-_Base = Tuple[int, float, Optional[float], Sequence[float]]
+#: timestamp step (NaN until it has a predecessor) and values.
+_Base = Tuple[int, float, float, Sequence[float]]
+
+
+def _no_base(width: int) -> _Base:
+    """The base of an element with none: a NaN row predicts no
+    timestamp and no value, so the first row after it rides raw."""
+    return (0, math.nan, math.nan, array("d", [math.nan]) * width)
 
 
 class _Table:
@@ -295,8 +284,9 @@ class WireSchema:
     The id tables, plus what a BATCH_DELTA exchange leaves implied:
     ``attr_lists`` (element -> the attr-name list its last block on
     this connection carried), ``bases`` (element -> the last row sent
-    under that list, as ``(seq, ts, ts step, values)``: what the next
-    row is encoded against), ``acked`` (the last request's ack vector)
+    under that list, as ``(seq, ts, ts step, values)``, or a row of NaNs
+    while none has been: what the next row is encoded against),
+    ``acked`` (the last request's ack vector)
     and ``cursor`` (the last response's cursor).  Each side stages its
     changes while a frame is encoded or decoded and commits them only
     once the frame is whole; HELLO resets them.
@@ -323,16 +313,12 @@ class WireSchema:
     def commit_response(
         self,
         attr_lists: Mapping[str, Tuple[str, ...]],
-        bases: Mapping[str, Optional[_Base]],
+        bases: Mapping[str, _Base],
         cursor: Mapping[str, int],
     ) -> None:
-        """Install what a whole BATCH_DELTA response staged (a None
-        base: the element's attr list changed and no row followed)."""
+        """Install what a whole BATCH_DELTA response staged."""
         self.attr_lists.update(attr_lists)
         self.bases.update(bases)
-        if None in bases.values():
-            for element_id in [e for e, base in bases.items() if base is None]:
-                del self.bases[element_id]
         self.cursor = dict(cursor)
 
     def _tables(self) -> Tuple[_Table, ...]:
@@ -427,11 +413,7 @@ class _Reader:
         return _F64.unpack_from(self.view, self.need(8, what))[0]
 
     def u8(self, what: str) -> int:
-        at = self.pos
-        if at >= len(self.raw):
-            raise self.fail(f"truncated frame: need 1 byte for {what}, 0 left")
-        self.pos = at + 1
-        return self.raw[at]
+        return self.raw[self.need(1, what)]
 
     def varint(self, what: str) -> int:
         """An unsigned LEB128 integer of at most 32 bits."""
@@ -776,9 +758,9 @@ def encode_batch_response(
     elements = schema.elements
     lists, bases = schema.attr_lists, schema.bases
     new_lists: Dict[str, Tuple[str, ...]] = {}
-    new_bases: Dict[str, Optional[_Base]] = {}
+    new_bases: Dict[str, _Base] = {}
     implied = dict(schema.acked)
-    # Every value of every row sent on a base, beside what it is sent
+    # Every value of every row, beside the base value it is sent
     # against; classified in one pass once the blocks are written.
     flat_values = array("d")
     flat_bases = array("d")
@@ -792,13 +774,9 @@ def encode_batch_response(
             flags |= BLOCK_MACHINE
         if new_lists.get(element_id, lists.get(element_id)) != attr_names:
             flags |= BLOCK_ATTRS
-        ident = ident_for(SPACE_ELEMENT, elements, element_id)
-        if ident < 0x80 and len(rows) < 0x80:  # both varints one byte
-            body += bytes((flags, ident, len(rows)))
-        else:
-            body.append(flags)
-            _put_varint(body, ident)
-            _put_varint(body, len(rows))
+        body.append(flags)
+        _put_varint(body, ident_for(SPACE_ELEMENT, elements, element_id))
+        _put_varint(body, len(rows))
         if flags & BLOCK_MACHINE:
             body += _U32.pack(ident_for(SPACE_MACHINE, schema.machines, block_machine))
         if flags & BLOCK_ATTRS:
@@ -808,11 +786,9 @@ def encode_batch_response(
             body += _U16.pack(len(attr_ids))
             body += struct.pack(f"<{len(attr_ids)}I", *attr_ids)
             new_lists[element_id] = attr_names
-            base = None
-        elif element_id in new_bases:
-            base = new_bases[element_id]
+            base = _no_base(len(attr_names))
         else:
-            base = bases.get(element_id)
+            base = new_bases.get(element_id) or bases[element_id]
         width = len(attr_names)
         for seq, ts, values in rows:
             ts = float(ts)
@@ -824,15 +800,11 @@ def encode_batch_response(
                     f"for {width} attr(s)",
                     op=OP_BATCH_DELTA,
                 )
-            if base is None:
-                body += _row_struct(width).pack(seq, ts, *values)
-                base = (seq, ts, None, values)
-                continue
             base_seq, base_ts, step, base_values = base
             row_flags = 0 if seq == base_seq + 1 else ROW_SEQ
             # ts must be bit-identical to its prediction: a zero could
             # differ from it in sign alone.
-            if step is None or not ts or ts != base_ts + step:
+            if not ts or ts != base_ts + step:
                 row_flags |= ROW_TS
             body.append(row_flags)
             if row_flags:
@@ -863,8 +835,7 @@ def encode_batch_response(
     _put_varint(buf, len(classes))
     buf += _pack_classes(classes)
     for code, run in zip("hid", runs):
-        if run:
-            buf += _run_struct(code, len(run)).pack(*run)
+        buf += struct.pack(f"<{len(run)}{code}", *run)
     buf += body
     schema.commit_response(new_lists, new_bases, cursor)
     return bytes(buf)
@@ -909,10 +880,9 @@ def _read_value_runs(r: _Reader) -> Tuple[bytearray, List[Any]]:
         2 * counts[0] + 4 * counts[1] + 8 * counts[2], 1, "value delta byte"
     )
     sources = [repeat(0)]  # indexed by class: VALUE_SAME adds 0
-    for code, n in zip("hid", counts):
-        run_struct = _run_struct(code, n)
-        run = run_struct.unpack_from(r.view, r.need(run_struct.size, "value run"))
-        sources.append(iter(run))
+    for code, n, size in zip("hid", counts, (2, 4, 8)):
+        at = r.need(n * size, "value run")
+        sources.append(iter(struct.unpack_from(f"<{n}{code}", r.view, at)))
     # Each class draws the next item of its source, all in C.
     return classes, list(map(next, map(sources.__getitem__, classes)))
 
@@ -938,19 +908,14 @@ def decode_batch_response(schema: WireSchema, raw: bytes) -> BatchPayload:
     block_count = r.bound_count(r.u32("block count"), 3, "block")
     lists, bases = schema.attr_lists, schema.bases
     new_lists: Dict[str, Tuple[str, ...]] = {}
-    new_bases: Dict[str, Optional[_Base]] = {}
+    new_bases: Dict[str, _Base] = {}
     cursor = dict(schema.acked)
     blocks: List[SeriesBlock] = []
     for _ in range(block_count):
         at = r.pos
-        head = raw[at: at + 3]
-        if len(head) == 3 and head[1] | head[2] < 0x80:  # both varints one byte
-            flags, elem_ident, row_count = head
-            r.pos = at + 3
-        else:
-            flags = r.u8("block flags")
-            elem_ident = r.varint("block element id")
-            row_count = r.varint("row count")
+        flags = r.u8("block flags")
+        elem_ident = r.varint("block element id")
+        row_count = r.varint("row count")
         if flags & ~_BLOCK_FLAGS:
             raise ProtocolError(
                 f"unknown block flag bits 0x{flags & ~_BLOCK_FLAGS:02x}",
@@ -971,7 +936,7 @@ def decode_batch_response(schema: WireSchema, raw: bytes) -> BatchPayload:
                 for ident in struct.unpack_from(f"<{attr_count}I", r.view, ids_at)
             )
             new_lists[element_id] = attr_names
-            base = None
+            base = _no_base(attr_count)
         else:
             attr_names = new_lists.get(element_id, lists.get(element_id))
             if attr_names is None:
@@ -981,22 +946,12 @@ def decode_batch_response(schema: WireSchema, raw: bytes) -> BatchPayload:
                     op=r.op,
                     offset=at,
                 )
-            if element_id in new_bases:
-                base = new_bases[element_id]
-            else:
-                base = bases.get(element_id)
+            base = new_bases.get(element_id) or bases[element_id]
         width = len(attr_names)
-        # Every row but a raw one is at least its flags byte.
+        # Every row is at least its flags byte.
         r.bound_count(row_count, 1, "row")
         rows: List[Tuple[int, float, Sequence[float]]] = []
         for _ in range(row_count):
-            if base is None:
-                row_struct = _row_struct(width)
-                rec = row_struct.unpack_from(r.view, r.need(row_struct.size, "row"))
-                seq, ts, values = rec[0], rec[1], rec[2:]
-                base = (seq, ts, None, values)
-                rows.append((seq, ts, values))
-                continue
             base_seq, base_ts, step, base_values = base
             at = r.pos
             row_flags = r.u8("row flags")
@@ -1009,15 +964,15 @@ def decode_batch_response(schema: WireSchema, raw: bytes) -> BatchPayload:
             seq = r.i64("row seq") if row_flags & ROW_SEQ else base_seq + 1
             if row_flags & ROW_TS:
                 ts = r.f64("row timestamp")
-            elif step is None:
-                raise ProtocolError(
-                    f"row of {element_id!r} implies its timestamp, but its "
-                    f"base has no step",
-                    op=r.op,
-                    offset=at,
-                )
             else:
                 ts = base_ts + step
+                if ts != ts:  # the encoder never implies a NaN
+                    raise ProtocolError(
+                        f"row of {element_id!r} implies its timestamp, but its "
+                        f"base predicts none",
+                        op=r.op,
+                        offset=at,
+                    )
             end = used + width
             if end > class_count:
                 raise ProtocolError(

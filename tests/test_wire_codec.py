@@ -284,7 +284,7 @@ def bases_state(schema: WireSchema):
         element: (
             seq,
             f64_bits(ts),
-            None if step is None else f64_bits(step),
+            f64_bits(step),
             b"".join(map(f64_bits, values)),
         )
         for element, (seq, ts, step, values) in schema.bases.items()
@@ -520,6 +520,37 @@ class TestFrameFuzz:
             wire_codec.decode_batch_response(schema, bytes(mutated))
         assert err.value.offset is not None
         assert schema_state(schema) == before
+
+    def test_first_row_rides_raw_against_the_nan_base(self):
+        """An element with no base is sent against a row of NaNs: its
+        values all take the raw class, its ts rides explicitly, and its
+        seq is implied only when it is 1."""
+        server, client = paired_schemas()
+        blocks = [
+            ("elem0", "m1", ("rx_pkts", "tx_pkts"), [(5, 0.5, [1.0, 2.0])]),
+            ("elem1", "m1", ("rx_pkts",), [(1, 0.25, [3.0])]),
+        ]
+        raw = wire_codec.encode_batch_response(server, "m1", blocks, {"elem0": 5, "elem1": 1})
+        at = 4 + 4 + 4  # header, empty dictionary, machine id
+        raw_class = wire_codec.VALUE_F64
+        assert raw[at: at + 2] == bytes([3, raw_class | raw_class << 2 | raw_class << 4])
+        assert raw[at + 2: at + 2 + 24] == struct.pack("<3d", 1.0, 2.0, 3.0)
+        elem0_row = bytes([wire_codec.ROW_SEQ | wire_codec.ROW_TS]) + struct.pack("<qd", 5, 0.5)
+        elem1_row = bytes([wire_codec.ROW_TS]) + struct.pack("<d", 0.25)
+        assert elem0_row in raw and elem1_row in raw
+        payload = wire_codec.decode_batch_response(client, raw)
+        assert_rows_bit_exact(payload.blocks, blocks)
+        assert bases_state(client) == bases_state(server)
+        # The NaN base predicts no timestamp: a row that implies one
+        # anyway is refused, and the connection keeps its state.
+        fresh = paired_schemas()[1]
+        before = schema_state(fresh)
+        at = raw.index(elem1_row)
+        mutated = raw[:at] + b"\x00" + raw[at + len(elem1_row):]
+        with pytest.raises(ProtocolError, match="predicts none") as err:
+            wire_codec.decode_batch_response(fresh, mutated)
+        assert err.value.offset == at
+        assert schema_state(fresh) == before
 
     def test_multibyte_varints_round_trip_and_truncate(self):
         """Element ids and row counts past 127 take multi-byte varints;
