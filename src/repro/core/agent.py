@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import threading
-import time
 from typing import (
     Callable,
     Dict,
@@ -74,15 +73,11 @@ def _default_push_retry():
     return _DEFAULT_PUSH_RETRY
 
 
-#: Self-observability names.  ``agent`` labels are fleet-bounded (one
-#: value per server), matching the cardinality rules in DESIGN.md.
-SWEEP_DURATION_METRIC = "perfsight_agent_sweep_duration_seconds"
-SWEEP_FAULTS_METRIC = "perfsight_agent_sweep_faults_total"
-STORE_SNAPSHOTS_METRIC = "perfsight_agent_store_snapshots"
-QUERIES_METRIC = "perfsight_agent_queries_total"
-PUSHES_METRIC = "perfsight_agent_pushes_total"
+#: The one per-agent metric family.  It is written only when a push
+#: fails and when the streak resets, never per sweep or per successful
+#: push, so a fleet-sized ``agent`` label stays off the hot path (see
+#: the cardinality rule in DESIGN.md).
 PUSH_FAILURES_METRIC = "perfsight_push_consecutive_failures"
-REHOMES_METRIC = "perfsight_agent_rehomes_total"
 
 
 class PushTarget(Protocol):
@@ -291,7 +286,6 @@ class Agent:
             cpu += chan.spec.cpu_cost_s
         self.total_cpu_s += cpu
         self.total_queries += 1
-        obs.counter(QUERIES_METRIC, agent=self.name)
         return records, worst_latency
 
     # -- streaming collection (snapshot -> store -> delta batch) -----------------------
@@ -312,7 +306,6 @@ class Agent:
         contributes no fresh snapshot this sweep, which downstream
         consumers observe as staleness.
         """
-        wall0 = time.perf_counter()
         now = self.sim.now
         stored = 0
         worst_latency = 0.0
@@ -328,11 +321,9 @@ class Agent:
                 except ChannelTimeout as exc:
                     self.total_poll_timeouts += 1
                     worst_latency = max(worst_latency, exc.latency_s)
-                    obs.counter(SWEEP_FAULTS_METRIC, agent=self.name, fault="timeout")
                     continue
                 except ChannelError:
                     self.total_poll_errors += 1
-                    obs.counter(SWEEP_FAULTS_METRIC, agent=self.name, fault="error")
                     continue
                 if append(snap):
                     stored += 1
@@ -342,11 +333,6 @@ class Agent:
             self.total_polls += 1
             sp.set("elements", len(plan))
             sp.set("stored", stored)
-        if obs.enabled():
-            obs.observe(
-                SWEEP_DURATION_METRIC, time.perf_counter() - wall0, agent=self.name
-            )
-            obs.gauge(STORE_SNAPSHOTS_METRIC, len(self.store), agent=self.name)
         return stored, worst_latency
 
     def start_polling(self, period_s: float = DEFAULT_POLL_PERIOD_S) -> PeriodicHandle:
@@ -501,7 +487,6 @@ class Agent:
                 sp.set("error", repr(exc))
                 self.total_push_errors += 1
                 self.push_consecutive_failures += 1
-                obs.counter(PUSHES_METRIC, agent=self.name, ok="false")
                 obs.gauge(
                     PUSH_FAILURES_METRIC,
                     float(self.push_consecutive_failures),
@@ -524,7 +509,6 @@ class Agent:
         self._push_backoff_until = 0.0
         self.total_pushes += 1
         self.total_pushed_rows += rows
-        obs.counter(PUSHES_METRIC, agent=self.name, ok="true")
         return rows
 
     def _rehome(self) -> None:
@@ -553,7 +537,6 @@ class Agent:
         self.push_consecutive_failures = 0
         self._push_backoff_until = 0.0
         self.total_rehomes += 1
-        obs.counter(REHOMES_METRIC, agent=self.name)
         obs.gauge(PUSH_FAILURES_METRIC, 0.0, agent=self.name)
         obs.event("agent.rehomed", obs.WARNING, agent=self.name)
 

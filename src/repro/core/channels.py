@@ -71,10 +71,10 @@ CHANNEL_SPECS: Dict[str, ChannelSpec] = {
 CONTROLLER_CHANNEL = ChannelSpec(4.0e-4, 0.25, 4e-6, "agent-controller RPC")
 
 #: Self-observability: per-kind read latency histogram (the software
-#: analog of Figure 9) and fault counters.  Labelled by element *kind*
-#: — six values — never by element id (cardinality rule; see DESIGN.md).
+#: analog of Figure 9).  Labelled by element *kind* — six values — never
+#: by element id (cardinality rule; see DESIGN.md).  Faults are counted
+#: on the channel itself (``errors``, ``timeouts``, ``stale_reads``).
 READ_LATENCY_METRIC = "perfsight_channel_read_latency_seconds"
-CHANNEL_FAULTS_METRIC = "perfsight_channel_faults_total"
 
 #: A read that takes this multiple of the channel's median latency is
 #: declared timed out (the agent cannot block a sweep on one element).
@@ -214,9 +214,6 @@ class Channel:
         if fault == "error":
             self.errors += 1
             self._account_read()
-            obs.counter(
-                CHANNEL_FAULTS_METRIC, kind=self.element.kind, fault="error"
-            )
             raise ChannelError(
                 f"read error on {self.element.name!r} "
                 f"({self.spec.access_path})"
@@ -226,9 +223,6 @@ class Channel:
             self.reads += 1
             self.total_latency_s += self.timeout_s
             self.total_cpu_s += self.spec.cpu_cost_s
-            obs.counter(
-                CHANNEL_FAULTS_METRIC, kind=self.element.kind, fault="timeout"
-            )
             obs.observe(
                 READ_LATENCY_METRIC, self.timeout_s, kind=self.element.kind
             )
@@ -248,9 +242,6 @@ class Channel:
         stale = self._prefault()
         if stale and self._last_record is not None:
             self.stale_reads += 1
-            obs.counter(
-                CHANNEL_FAULTS_METRIC, kind=self.element.kind, fault="stale"
-            )
             record = self._last_record
         else:
             snap = self.element.snapshot()
@@ -282,9 +273,6 @@ class Channel:
         stale = self._prefault()
         if stale and self._last_snapshot is not None:
             self.stale_reads += 1
-            obs.counter(
-                CHANNEL_FAULTS_METRIC, kind=self.element.kind, fault="stale"
-            )
             snap = self._last_snapshot
         else:
             snap = self.element.snapshot_versioned(timestamp)

@@ -24,8 +24,8 @@ two primitives here:
     which frees their slot immediately.  Idle resources older than
     ``max_idle_s`` are reaped opportunistically on the next checkout.
 
-Neither primitive imports the observability facade: callers that want
-pool gauges pass an ``on_change`` callback (see the wire client), so
+Neither primitive imports the observability facade: occupancy is read
+from :attr:`ConnectionPool.in_use` and :attr:`ConnectionPool.idle`, so
 the module stays dependency-free and unit-testable on its own.
 """
 
@@ -175,9 +175,6 @@ class ConnectionPool(Generic[T]):
     or surplus either way).  ``max_idle_s`` bounds how long an idle
     resource survives between uses; ``None`` keeps them forever.
 
-    ``on_change(in_use, idle)`` fires after every state change so the
-    owner can export gauges without this module knowing about metrics.
-
     The closer is never invoked while the pool lock is held: reaping
     unhooks expired resources under the lock, then closes them outside
     it, so a slow (or pool-re-entrant) closer cannot stall checkouts and
@@ -191,7 +188,6 @@ class ConnectionPool(Generic[T]):
         max_size: int = 4,
         max_idle_s: Optional[float] = None,
         clock: Callable[[], float] = time.monotonic,
-        on_change: Optional[Callable[[int, int], None]] = None,
     ) -> None:
         if max_size < 1:
             raise ValueError(f"max_size must be >= 1: {max_size!r}")
@@ -202,7 +198,6 @@ class ConnectionPool(Generic[T]):
         self.max_size = max_size
         self.max_idle_s = max_idle_s
         self._clock = clock
-        self._on_change = on_change
         self._cond = threading.Condition()
         self._idle: List[Tuple[T, float]] = []  # (resource, checkin time)
         self._in_use = 0
@@ -235,7 +230,6 @@ class ConnectionPool(Generic[T]):
                         resource, _ = self._idle.pop()  # LIFO: warmest first
                         self._in_use += 1
                         self.reused += 1
-                        self._notify_change_locked()
                         return resource
                     if self._in_use < self.max_size:
                         # Create outside the condition so a slow connect
@@ -262,11 +256,9 @@ class ConnectionPool(Generic[T]):
             with self._cond:
                 self._in_use -= 1
                 self._cond.notify()
-                self._notify_change_locked()
             raise
         with self._cond:
             self.created += 1
-            self._notify_change_locked()
         return resource
 
     def checkin(self, resource: T) -> None:
@@ -280,7 +272,6 @@ class ConnectionPool(Generic[T]):
             else:
                 self._idle.append((resource, self._clock()))
             self._cond.notify()
-            self._notify_change_locked()
 
     def discard(self, resource: T) -> None:
         """Drop a broken resource; its slot frees up immediately."""
@@ -291,7 +282,6 @@ class ConnectionPool(Generic[T]):
             self._in_use -= 1
             self.discarded += 1
             self._cond.notify()
-            self._notify_change_locked()
 
     # -- maintenance --------------------------------------------------------------
 
@@ -307,7 +297,6 @@ class ConnectionPool(Generic[T]):
         """
         with self._cond:
             expired = self._take_expired_locked()
-            self._notify_change_locked()
         for resource in expired:
             self._close_quietly(resource)
         return len(expired)
@@ -345,7 +334,6 @@ class ConnectionPool(Generic[T]):
             self._closed = True
             idle, self._idle = self._idle, []
             self._cond.notify_all()
-            self._notify_change_locked()
         for resource, _ in idle:
             self._close_quietly(resource)
 
@@ -359,10 +347,6 @@ class ConnectionPool(Generic[T]):
             self._closer(resource)
         except Exception:
             pass
-
-    def _notify_change_locked(self) -> None:
-        if self._on_change is not None:
-            self._on_change(self._in_use, len(self._idle))
 
     # -- introspection ------------------------------------------------------------
 

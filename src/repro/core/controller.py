@@ -102,16 +102,11 @@ from repro.core.tiers import TieredWindowStore
 #: error) still propagates.
 COLLECTION_ERRORS = (AgentUnreachable, ProtocolError, ConnectionError, OSError)
 
-#: Self-observability names (``machine`` labels are fleet-bounded).
-SYNC_TOTAL_METRIC = "perfsight_mirror_syncs_total"
-SYNC_SNAPSHOTS_METRIC = "perfsight_mirror_snapshots_total"
-STALENESS_METRIC = "perfsight_mirror_staleness_seconds"
-REFRESH_WORKERS_METRIC = "perfsight_controller_refresh_workers"
-PUSH_ROWS_METRIC = "perfsight_zone_pushed_rows_total"
-ZONE_REPORTS_METRIC = "perfsight_fleet_zone_reports_total"
+#: Self-observability names.  Labels are ``zone`` (one value per zone
+#: controller) and ``tier``; no family here takes a ``machine`` label.
+#: Per-mirror and per-zone counts live on the objects themselves
+#: (``AgentMirror.syncs``, ``ZoneRecord.reports_dropped``, ...).
 FAILOVERS_METRIC = "perfsight_fleet_failovers_total"
-REHOMED_METRIC = "perfsight_fleet_rehomed_machines_total"
-ZONE_AGE_METRIC = "perfsight_fleet_zone_report_age_seconds"
 ZONE_ACTIVE_METRIC = "perfsight_fleet_zone_active"
 STORE_BYTES_METRIC = "perfsight_store_bytes"
 
@@ -192,7 +187,6 @@ class AgentMirror:
                 self.failed_syncs += 1
                 self.last_error = exc
                 self.health.record_failure(exc)
-                obs.counter(SYNC_TOTAL_METRIC, machine=self.machine, ok="false")
                 obs.event(
                     "mirror.sync_failed", obs.WARNING,
                     machine=self.machine, error=repr(exc),
@@ -205,10 +199,6 @@ class AgentMirror:
             self.syncs += 1
             self.snapshots_received += received
             self.health.record_success()
-            obs.counter(SYNC_TOTAL_METRIC, machine=self.machine, ok="true")
-            obs.counter(
-                SYNC_SNAPSHOTS_METRIC, float(received), machine=self.machine
-            )
             sp.set("snapshots", received)
             return received
 
@@ -218,7 +208,6 @@ class AgentMirror:
         age = None
         if now is not None and last_ts is not None:
             age = max(0.0, now - last_ts)
-            obs.gauge(STALENESS_METRIC, age, machine=self.machine)
         return DataQuality(
             machine=self.machine,
             state=self.health.state,
@@ -486,7 +475,6 @@ class ZoneController:
             sp.set("rows", shipped)
         with self._registry_lock:
             self.pushed_rows += shipped
-        obs.counter(PUSH_ROWS_METRIC, float(shipped), machine=machine_name)
         return shipped
 
     def refresh_report(
@@ -555,8 +543,8 @@ class ZoneController:
         """Run ``fn(label)`` for every (label, fn) over the worker pool.
 
         Returns results keyed by label plus the peak number of
-        simultaneously-active workers (the saturation figure exported on
-        :data:`REFRESH_WORKERS_METRIC`).  The submitting thread's trace
+        simultaneously-active workers (the saturation figure reported as
+        :attr:`RefreshReport.peak_workers`).  The submitting thread's trace
         context is copied into each worker, so spans opened inside the
         work parent on the caller's span — one fresh context copy per
         task, since a single Context cannot be entered concurrently.
@@ -569,22 +557,18 @@ class ZoneController:
         if width < 1:
             raise ValueError(f"max_workers must be >= 1: {width!r}")
         width = min(width, max(len(tasks), 1))
-        gauge_state = {"active": 0, "peak": 0}
-        gauge_lock = threading.Lock()
+        workers = {"active": 0, "peak": 0}
+        workers_lock = threading.Lock()
 
         def tracked(fn: Callable[[str], "T"], label: str) -> "T":
-            with gauge_lock:
-                gauge_state["active"] += 1
-                gauge_state["peak"] = max(gauge_state["peak"], gauge_state["active"])
-                active = gauge_state["active"]
-            obs.gauge(REFRESH_WORKERS_METRIC, float(active))
+            with workers_lock:
+                workers["active"] += 1
+                workers["peak"] = max(workers["peak"], workers["active"])
             try:
                 return fn(label)
             finally:
-                with gauge_lock:
-                    gauge_state["active"] -= 1
-                    active = gauge_state["active"]
-                obs.gauge(REFRESH_WORKERS_METRIC, float(active))
+                with workers_lock:
+                    workers["active"] -= 1
 
         with ThreadPoolExecutor(
             max_workers=width, thread_name_prefix=f"{self.name}-worker"
@@ -599,7 +583,7 @@ class ZoneController:
                 for label, fn in tasks
             ]
             results = {label: future.result() for label, future in futures}
-        return results, gauge_state["peak"]
+        return results, workers["peak"]
 
     # -- fleet diagnosis -------------------------------------------------------------
 
@@ -1194,9 +1178,7 @@ class FleetController:
         before = self._assignment()
         if not self._evict(record, reason):
             return {}
-        moves = moved_keys(before, self._assignment())
-        obs.counter(REHOMED_METRIC, float(len(moves)))
-        return moves
+        return moved_keys(before, self._assignment())
 
     def reactivate_zone(
         self, zone: str
@@ -1212,9 +1194,7 @@ class FleetController:
         before = self._assignment()
         if not self._readmit(record, self._clock()):
             return {}
-        moves = moved_keys(before, self._assignment())
-        obs.counter(REHOMED_METRIC, float(len(moves)))
-        return moves
+        return moved_keys(before, self._assignment())
 
     def _evict(self, record: ZoneRecord, reason: str) -> bool:
         """Take an active zone off the ring; False if it already was off.
@@ -1278,9 +1258,6 @@ class FleetController:
                 if state == HEALTHY and self._readmit(record, now):
                     recovered.append(record.zone)
             states[record.zone] = state
-            age = record.health.age_s(now)
-            if age is not None:
-                obs.gauge(ZONE_AGE_METRIC, age, zone=record.zone)
             # Steady-state export (not just on transition): a freshly
             # scraped root always shows every zone's current liveness.
             obs.gauge(
@@ -1294,8 +1271,6 @@ class FleetController:
         moves = moved_keys(before, self._assignment()) if (
             failed_over or recovered
         ) else {}
-        if moves:
-            obs.counter(REHOMED_METRIC, float(len(moves)))
         return ZoneCheck(
             now=now,
             states=states,
@@ -1360,13 +1335,11 @@ class FleetController:
                 raise KeyError(f"zone {report.zone!r} is not registered")
             if report.seq <= record.last_seq:
                 record.reports_dropped += 1
-                obs.counter(ZONE_REPORTS_METRIC, zone=report.zone, ok="replay")
                 return False
             record.last_seq = report.seq
             record.latest = report
             record.reports_accepted += 1
         record.health.record_report(now)
-        obs.counter(ZONE_REPORTS_METRIC, zone=report.zone, ok="true")
         return True
 
     def zone_record(self, zone: str) -> ZoneRecord:

@@ -17,7 +17,6 @@ Overloaded survivor of the propagation analysis.
 
 from __future__ import annotations
 
-import time
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import obs
@@ -27,8 +26,6 @@ from repro.core.diagnosis.report import (
     CONFIDENCE_DEGRADED,
     CONFIDENCE_FULL,
     CONFIDENCE_MISSING,
-    DIAGNOSIS_RUNS_METRIC,
-    DIAGNOSIS_RUNTIME_METRIC,
 )
 from repro.core.diagnosis.states import classify_window
 from repro.core.store import StoreError
@@ -66,7 +63,6 @@ class BottleneckDetector:
         entries are never confirmed as bottlenecks — absence of data is
         not absence of drops, so they stay unconfirmed but flagged).
         """
-        wall0 = time.perf_counter()
         confidence = CONFIDENCE_FULL
         with obs.span("diagnosis.bottleneck", tenant=tenant_id) as sp:
             out = self._run(tenant_id, suspicious, window_s)
@@ -81,13 +77,6 @@ class BottleneckDetector:
             sp.set("bottlenecks", ",".join(confirmed))
             sp.set("confidence", confidence)
             sp.set("evaluated", len(out))
-        obs.observe(
-            DIAGNOSIS_RUNTIME_METRIC, time.perf_counter() - wall0,
-            algorithm="bottleneck",
-        )
-        obs.counter(
-            DIAGNOSIS_RUNS_METRIC, algorithm="bottleneck", confidence=confidence
-        )
         return out
 
     def _run(

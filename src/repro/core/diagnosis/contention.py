@@ -15,7 +15,6 @@ Cost is linear in the number of elements, as the paper notes.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
@@ -25,8 +24,6 @@ from repro.core.counters import CounterSnapshot, CounterWindow
 from repro.core.diagnosis.report import (
     CONFIDENCE_DEGRADED,
     CONFIDENCE_FULL,
-    DIAGNOSIS_RUNS_METRIC,
-    DIAGNOSIS_RUNTIME_METRIC,
     ContentionReport,
     ElementLoss,
 )
@@ -51,8 +48,6 @@ class ContentionScan:
     ids: List[str]
     starts: Dict[str, CounterSnapshot] = field(default_factory=dict)
     missing: List[str] = field(default_factory=list)
-    #: ``time.perf_counter()`` at begin, for the runtime histogram.
-    started_at: float = 0.0
 
 
 class ContentionDetector:
@@ -107,7 +102,6 @@ class ContentionDetector:
             self.advance(scan.window_s)
             report = self.finish(scan)
             self._annotate(sp, report)
-        self._record_run(scan.started_at, report)
         return report
 
     # -- split-phase scan (fleet mode) -------------------------------------------
@@ -125,7 +119,6 @@ class ContentionDetector:
             machine=machine_name,
             window_s=window,
             ids=self._stack_element_ids(machine_name),
-            started_at=time.perf_counter(),
         )
         self.controller.refresh(machine_name)
         for eid in scan.ids:
@@ -173,17 +166,14 @@ class ContentionDetector:
         return report
 
     def finish_observed(self, scan: ContentionScan) -> ContentionReport:
-        """:meth:`finish` wrapped in the per-machine span and metrics.
+        """:meth:`finish` wrapped in the per-machine span.
 
         Used by fleet mode, where begin and finish run in different
-        worker threads so one span cannot bracket the whole scan; the
-        runtime histogram still measures begin-to-finish via
-        ``scan.started_at``.
+        worker threads so one span cannot bracket the whole scan.
         """
         with obs.span("diagnosis.contention", machine=scan.machine) as sp:
             report = self.finish(scan)
             self._annotate(sp, report)
-        self._record_run(scan.started_at, report)
         return report
 
     @staticmethod
@@ -192,17 +182,6 @@ class ContentionDetector:
         sp.set("verdicts", len(report.verdicts))
         if report.worst is not None:
             sp.set("worst", report.worst.element_id)
-
-    @staticmethod
-    def _record_run(started_at: float, report: ContentionReport) -> None:
-        obs.observe(
-            DIAGNOSIS_RUNTIME_METRIC, time.perf_counter() - started_at,
-            algorithm="contention",
-        )
-        obs.counter(
-            DIAGNOSIS_RUNS_METRIC,
-            algorithm="contention", confidence=report.confidence,
-        )
 
     def _disambiguate(self, machine_name: str, verdicts) -> Optional[str]:
         """Resolve a CPU-vs-memory-bandwidth verdict with host gauges.

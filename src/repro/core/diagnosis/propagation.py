@@ -18,7 +18,6 @@ Figure 7.
 
 from __future__ import annotations
 
-import time
 from typing import Callable, Dict, List, Optional
 
 from repro import obs
@@ -29,8 +28,6 @@ from repro.core.diagnosis.report import (
     CONFIDENCE_DEGRADED,
     CONFIDENCE_FULL,
     CONFIDENCE_MISSING,
-    DIAGNOSIS_RUNS_METRIC,
-    DIAGNOSIS_RUNTIME_METRIC,
     MiddleboxVerdict,
     RootCauseReport,
 )
@@ -66,24 +63,15 @@ class RootCauseLocator:
         verdicts but at ``degraded`` confidence (the Read/WriteBlocked
         classification may rest on a stale window).
         """
-        wall0 = time.perf_counter()
-        confidence = CONFIDENCE_FULL
         with obs.span("diagnosis.propagation", tenant=tenant_id) as sp:
             report = self._run(tenant_id, window_s)
-            confidence = (
-                CONFIDENCE_DEGRADED if report.degraded else CONFIDENCE_FULL
-            )
             # Verdict provenance: who was blamed and on what data.
             sp.set("root_causes", ",".join(report.root_causes))
-            sp.set("confidence", confidence)
+            sp.set(
+                "confidence",
+                CONFIDENCE_DEGRADED if report.degraded else CONFIDENCE_FULL,
+            )
             sp.set("missing", len(report.missing))
-        obs.observe(
-            DIAGNOSIS_RUNTIME_METRIC, time.perf_counter() - wall0,
-            algorithm="propagation",
-        )
-        obs.counter(
-            DIAGNOSIS_RUNS_METRIC, algorithm="propagation", confidence=confidence
-        )
         return report
 
     def _run(self, tenant_id: str, window_s: Optional[float]) -> RootCauseReport:

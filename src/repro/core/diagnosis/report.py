@@ -30,13 +30,6 @@ CONFIDENCE_FULL = "full"
 CONFIDENCE_DEGRADED = "degraded"
 CONFIDENCE_MISSING = "missing"
 
-#: Self-observability names shared by the diagnosis algorithms: every
-#: run is counted by (algorithm, confidence) and its wall-clock runtime
-#: lands in one histogram per algorithm — the per-algorithm cost
-#: surface the paper's §6 evaluation prices.
-DIAGNOSIS_RUNS_METRIC = "perfsight_diagnosis_runs_total"
-DIAGNOSIS_RUNTIME_METRIC = "perfsight_diagnosis_runtime_seconds"
-
 
 @dataclass(frozen=True)
 class ElementLoss:

@@ -95,10 +95,9 @@ def worst_state(states: Iterable[str]) -> str:
             worst, worst_rank = state, rank
     return worst
 
-#: Self-observability: every state-machine edge is counted and emitted
-#: as a structured event (severity scales with how bad the new state is).
-TRANSITIONS_METRIC = "perfsight_health_transitions_total"
-
+#: Self-observability: every state-machine edge is kept in
+#: ``transitions`` and emitted as a structured event (severity scales
+#: with how bad the new state is).
 _TRANSITION_SEVERITY = {HEALTHY: obs.INFO, DEGRADED: obs.WARNING, DEAD: obs.ERROR}
 
 
@@ -183,7 +182,6 @@ class AgentHealth:
 
     def _transition(self, new_state: str) -> None:
         self.transitions.append((self.state, new_state))
-        obs.counter(TRANSITIONS_METRIC, to=new_state)
         obs.event(
             "health.transition",
             _TRANSITION_SEVERITY[new_state],
@@ -253,12 +251,11 @@ class DataQuality:
 
 # -- zone liveness (the root tier's view of its aggregators) ------------------
 
-#: Self-observability names for the zone state machine.
-ZONE_TRANSITIONS_METRIC = "perfsight_zone_health_transitions_total"
+#: Self-observability name for the zone state machine (its edges are
+#: kept in ``transitions``).
 ZONE_LIVENESS_METRIC = "perfsight_fleet_zone_liveness_state"
 
 #: Numeric encoding of zone liveness for the labelled root gauge —
-#: same style as the wire circuit gauge (closed=0/half_open=1/open=2):
 #: dashboards alert on ``> 0`` without parsing state strings.
 ZONE_STATE_VALUES = {HEALTHY: 0.0, SUSPECT: 1.0, DEAD: 2.0}
 
@@ -376,7 +373,6 @@ class ZoneHealth:
 
     def _transition(self, new_state: str) -> None:
         self.transitions.append((self.state, new_state))
-        obs.counter(ZONE_TRANSITIONS_METRIC, to=new_state)
         obs.gauge(ZONE_LIVENESS_METRIC, ZONE_STATE_VALUES[new_state], zone=self.name)
         obs.event(
             "zone_health.transition",

@@ -71,31 +71,22 @@ from repro.core.net.protocol import (
 from repro.core.records import StatRecord
 from repro.core.store import SeriesBlock
 
-#: Self-observability names; the ``op`` label is bounded by the
-#: protocol's op inventory, ``agent`` by the fleet size.
-WIRE_OP_LATENCY_METRIC = "perfsight_wire_op_latency_seconds"
+#: Self-observability: retries per op.  The ``op`` label is bounded by
+#: the protocol's op inventory.  Pool occupancy, breaker state and
+#: give-ups are kept on the objects (``ConnectionPool.in_use``/``idle``,
+#: ``CircuitBreaker.state``/``opens``/``fast_fails``) and in the
+#: ``wire.unreachable`` event.
 WIRE_RETRIES_METRIC = "perfsight_wire_retries_total"
-WIRE_UNREACHABLE_METRIC = "perfsight_wire_unreachable_total"
-POOL_IN_USE_METRIC = "perfsight_client_pool_in_use"
-POOL_IDLE_METRIC = "perfsight_client_pool_idle"
 
 #: Default connection-pool shape per handle: enough parallelism for a
 #: controller's fan-out against one agent without hoarding sockets.
 DEFAULT_POOL_SIZE = 4
 DEFAULT_POOL_IDLE_S = 60.0
 
-#: Circuit-breaker observability.  The state gauge encodes
-#: closed=0 / half_open=1 / open=2 so dashboards can plot it directly.
-CIRCUIT_STATE_METRIC = "perfsight_wire_circuit_state"
-CIRCUIT_FASTFAIL_METRIC = "perfsight_wire_circuit_fast_fails_total"
-CIRCUIT_OPENS_METRIC = "perfsight_wire_circuit_opens_total"
-
 #: Circuit states, in escalation order.
 CIRCUIT_CLOSED = "closed"
 CIRCUIT_HALF_OPEN = "half_open"
 CIRCUIT_OPEN = "open"
-
-_CIRCUIT_GAUGE = {CIRCUIT_CLOSED: 0.0, CIRCUIT_HALF_OPEN: 1.0, CIRCUIT_OPEN: 2.0}
 
 
 class AgentUnreachable(ConnectionError):
@@ -261,11 +252,6 @@ class CircuitBreaker:
         self.opens = 0
         #: Every (from_state, to_state) edge taken, in order.
         self.transitions: List[Tuple[str, str]] = []
-        # Export the initial CLOSED state so a scraped exposition shows
-        # every endpoint's breaker, not just the ones that tripped.
-        obs.gauge(
-            CIRCUIT_STATE_METRIC, _CIRCUIT_GAUGE[self.state], agent=self.name
-        )
 
     def allow(self) -> Tuple[bool, float]:
         """May a call proceed?  Returns (allowed, cooldown remaining).
@@ -330,9 +316,6 @@ class CircuitBreaker:
         obs.event(
             "wire.circuit_transition", severity,
             agent=self.name, from_state=self.state, to_state=new_state,
-        )
-        obs.gauge(
-            CIRCUIT_STATE_METRIC, _CIRCUIT_GAUGE[new_state], agent=self.name
         )
         self.state = new_state
 
@@ -414,7 +397,6 @@ class WireClient:
             closer=self._close_conn,
             max_size=pool_size,
             max_idle_s=DEFAULT_POOL_IDLE_S,
-            on_change=self._export_pool_gauges,
         )
 
     # -- connection management ----------------------------------------------------
@@ -427,10 +409,6 @@ class WireClient:
     @staticmethod
     def _close_conn(conn: _WireConn) -> None:
         conn.sock.close()
-
-    def _export_pool_gauges(self, in_use: int, idle: int) -> None:
-        obs.gauge(POOL_IN_USE_METRIC, float(in_use), agent=self.name)
-        obs.gauge(POOL_IDLE_METRIC, float(idle), agent=self.name)
 
     def close(self) -> None:
         """Close every pooled connection.
@@ -475,15 +453,12 @@ class WireClient:
         if breaker is not None:
             allowed, remaining = breaker.allow()
             if not allowed:
-                obs.counter(CIRCUIT_FASTFAIL_METRIC, op=op, agent=self.name)
                 raise CircuitOpenError(self.name, op, remaining)
         try:
             result = self._exchange_once(op, perform)
         except AgentUnreachable:
             if breaker is not None:
                 breaker.record_failure()
-                if breaker.state == CIRCUIT_OPEN:
-                    obs.counter(CIRCUIT_OPENS_METRIC, agent=self.name)
             raise
         except Exception:
             # A peer speaking garbage, or refusing the op, is reachable:
@@ -540,7 +515,6 @@ class WireClient:
                         self.pool.discard(conn)
                     raise
             sp.set("attempts", attempts + 1)
-            obs.observe(WIRE_OP_LATENCY_METRIC, self._clock() - started, op=op)
         return result
 
     def _call(self, request: dict) -> dict:
@@ -569,7 +543,6 @@ class WireClient:
     ) -> None:
         """Exhausted retry budget: record it, raise AgentUnreachable."""
         elapsed = self._clock() - started
-        obs.counter(WIRE_UNREACHABLE_METRIC, op=op)
         obs.event(
             "wire.unreachable", obs.ERROR,
             agent=self.name, op=op, attempts=attempts, error=repr(exc),

@@ -25,7 +25,6 @@ from __future__ import annotations
 import socket
 import socketserver
 import threading
-import time
 from typing import Optional, Tuple, Union
 
 from repro import obs
@@ -52,10 +51,6 @@ from repro.core.net.protocol import (
     send_frame,
     send_message,
 )
-
-#: Self-observability names (``op`` bounded by the protocol inventory).
-SERVER_REQUESTS_METRIC = "perfsight_server_requests_total"
-SERVER_LATENCY_METRIC = "perfsight_server_request_latency_seconds"
 
 
 class _RequestHandler(socketserver.BaseRequestHandler):
@@ -109,7 +104,6 @@ class _RequestHandler(socketserver.BaseRequestHandler):
             # The handler span parents on the caller's wire trace
             # context, so a controller-side query span and this span
             # share a trace id across the process boundary.
-            wall0 = time.perf_counter()
             with obs.span_from_wire(
                 "wire.serve", trace_raw, op=op, agent=peer.name
             ) as sp:
@@ -122,15 +116,7 @@ class _RequestHandler(socketserver.BaseRequestHandler):
                 except Exception as exc:  # surfaced to client, not server
                     reply = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
                     sp.set("error", f"{type(exc).__name__}: {exc}")
-                ok = isinstance(reply, bytes) or bool(reply.get("ok"))
-                sp.set("ok", ok)
-            if obs.enabled():
-                obs.observe(
-                    SERVER_LATENCY_METRIC, time.perf_counter() - wall0, op=op
-                )
-                obs.counter(
-                    SERVER_REQUESTS_METRIC, op=op, ok="true" if ok else "false"
-                )
+                sp.set("ok", isinstance(reply, bytes) or bool(reply.get("ok")))
             if not self._respond(reply, op):
                 return
 

@@ -12,10 +12,12 @@ Naming and cardinality follow the Prometheus conventions, scoped down:
 * metric names are ``perfsight_<component>_<what>_<unit>`` (snake case,
   base units — seconds, bytes);
 * labels identify bounded dimensions only — a channel *kind* (6 values),
-  a wire *op* (5), a *machine* (fleet-sized) — never per-element or
-  per-flow ids, whose cardinality grows with the workload.  A family
-  refuses to grow past :data:`MAX_CHILDREN` label combinations so a
-  mislabelled hot path fails loudly instead of eating memory.
+  a wire *op*, a *zone* — never per-element or per-flow ids, whose
+  cardinality grows with the workload.  A family refuses to grow past
+  :data:`MAX_CHILDREN` label combinations so a mislabelled hot path
+  fails loudly instead of eating memory.  A fleet may be larger than
+  that, so a family written on every sweep, sync, push or RPC takes no
+  *agent* or *machine* label.
 
 Histograms use fixed buckets (no per-sample storage) so observation is
 O(buckets) in the worst case and O(log buckets) via bisect; quantiles

@@ -246,18 +246,15 @@ class TestConnectionPool:
         pool.reopen()
         assert pool.checkout(timeout_s=1.0)
 
-    def test_on_change_reports_gauge_pairs(self):
-        seen = []
+    def test_in_use_and_idle_track_checkout_and_checkin(self):
         f = CountingFactory()
-        pool = ConnectionPool(
-            f.make, f.close, max_size=2, on_change=lambda u, i: seen.append((u, i))
-        )
+        pool = ConnectionPool(f.make, f.close, max_size=2)
         a = pool.checkout()
-        assert seen[-1] == (1, 0)
+        assert (pool.in_use, pool.idle) == (1, 0)
         pool.checkin(a)
-        assert seen[-1] == (0, 1)
+        assert (pool.in_use, pool.idle) == (0, 1)
         pool.checkout()
-        assert seen[-1] == (1, 0)
+        assert (pool.in_use, pool.idle) == (1, 0)
 
     def test_concurrent_checkouts_respect_bound(self):
         f = CountingFactory()

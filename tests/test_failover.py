@@ -263,7 +263,12 @@ class TestFleetLiveness:
         assert fleet.ingest_zone_report(sample_report("z1", 1))
         fleet.ingest_zone_report(sample_report("z2", 1))
         clock[0] = 1.9
+        record = fleet.zone_record("z1")
+        accepted = record.reports_accepted
         assert not fleet.ingest_zone_report(sample_report("z1", 1))  # replay
+        # The record's own counters are the only count of the replay.
+        assert record.reports_dropped == 1
+        assert record.reports_accepted == accepted
         fleet.ingest_zone_report(sample_report("z2", 2))
         clock[0] = 2.0
         check = fleet.check_zones()

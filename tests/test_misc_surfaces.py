@@ -167,3 +167,34 @@ class TestEnvKnobTable:
             r"^\| `(PERFSIGHT_[A-Z_]+)` \|", (root / "DESIGN.md").read_text(), re.M
         )
         assert in_table == []
+
+
+class TestMetricFamiliesAreRead:
+    def test_every_metric_family_in_src_is_read(self):
+        """Every ``*_METRIC = "perfsight_..."`` family under ``src/`` has
+        a reader: a test names its constant or its string, or
+        ``repro/cli.py`` names its string.  ``perfsight_daemon_*``
+        families count as read because ``cli watch`` prints every line
+        with that prefix.  A fact an object already counts in a field
+        is not counted a second time as a metric nobody reads."""
+        import re
+        from pathlib import Path
+
+        root = Path(__file__).resolve().parent.parent
+        decl = re.compile(r'^([A-Z_]+_METRIC) = "(perfsight_[a-z_]+)"', re.M)
+        families = {}
+        for path in sorted((root / "src").rglob("*.py")):
+            families.update(decl.findall(path.read_text()))
+        assert families
+        tests_text = "\n".join(
+            p.read_text() for p in sorted((root / "tests").rglob("*.py"))
+        )
+        cli_text = (root / "src" / "repro" / "cli.py").read_text()
+        unread = sorted(
+            f"{const} ({name})"
+            for const, name in families.items()
+            if not re.search(rf"\b({const}|{name})\b", tests_text)
+            and not re.search(rf"\b{name}\b", cli_text)
+            and not name.startswith("perfsight_daemon_")
+        )
+        assert unread == []

@@ -5,6 +5,9 @@ import json
 import pytest
 
 from repro import obs
+from repro.core.agent import PUSH_FAILURES_METRIC
+from repro.core.channels import READ_LATENCY_METRIC
+from repro.core.controller import ZoneController
 from repro.obs.events import DEFAULT_MAX_EVENTS, EventLog
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
@@ -14,6 +17,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
 )
 from repro.obs.spans import SpanRecorder, TraceContext
+from repro.scenarios.common import Harness
 from repro.simnet.trace import Series
 
 
@@ -394,3 +398,31 @@ class TestFacade:
                 pass
             assert sp2.parent_id is None
         assert len(hub.spans.finished()) == 2
+
+
+class TestFleetLargerThanLabelBound:
+    """A fleet of more agents than a family may hold label sets."""
+
+    def test_collection_steps_under_a_hub_take_no_per_agent_label(self):
+        h = Harness()
+        names = [f"m{i:03d}" for i in range(MAX_CHILDREN + 1)]
+        for name in names:
+            h.add_machine(name)
+        push_zone = ZoneController("push-zone")
+        with obs.installed() as hub:
+            for name in names:
+                h.agents[name].poll_once()
+            for name in names:
+                agent = h.agents[name]
+                assert h.controller.refresh(name) > 0
+                push_zone.register_local_agent(agent)
+                agent.start_pushing(push_zone)  # one immediate push_once
+                agent.stop_pushing()
+                assert agent.total_pushes == 1
+                quality = h.controller.data_quality(name, now=h.sim.now)
+                assert quality.age_s is not None
+        assert push_zone.pushed_rows > 0
+        # Read latency is labelled by element kind, never by agent; the
+        # per-agent push-failure gauge is written only when a push fails.
+        assert 0 < len(hub.metrics.children(READ_LATENCY_METRIC)) <= 6
+        assert PUSH_FAILURES_METRIC not in hub.metrics.names()
