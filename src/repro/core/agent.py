@@ -395,8 +395,16 @@ class Agent:
         an idle machine costs the zone nothing.  The zone's poll path
         stays on as the fallback/catch-up mechanism: a push the network
         eats is re-shipped by the next push tick (the cursor only
-        advances on success) or picked up by the next poll, and the
-        mirror's per-sequence dedup makes the overlap harmless.
+        advances on success) or picked up by the next poll.
+
+        Known limitation: the overlap is not harmless.  The push cursor
+        and the poll's ack vector are separate, and the mirror dedups
+        only against an element's latest sequence number, reading an
+        older one as a producer restart.  So a push that replays rows a
+        poll already delivered re-baselines that element's mirror
+        series and drops its earlier history (``sim_chain`` in
+        ``benchmarks/e2e`` counts 252 re-baselines with no restart).
+        One cursor per (agent, mirror) is ROADMAP item 2.
 
         ``period_s`` defaults to :data:`DEFAULT_PUSH_PERIOD_S`; a
         non-finite or non-positive value raises ``ValueError`` (a
@@ -410,9 +418,12 @@ class Agent:
         the optional ``resolver`` is asked which zone owns this machine
         now.  A resolver answering with a *different* target re-homes
         the agent: the cursor resets so the full retained history
-        replays at the new zone's empty mirror (per-sequence dedup makes
-        any overlap with the old zone harmless — no loss, no
-        duplicates).
+        replays at the new zone's mirror.  An empty mirror takes it
+        whole; one that already holds rows for an element (from a poll)
+        re-baselines it on the first replayed row older than its
+        newest: the mirror drops what it held for that element, coarse
+        tiers included, and counts a restart that did not happen — the
+        same limitation as above.
         """
         if period_s is None:
             period_s = DEFAULT_PUSH_PERIOD_S

@@ -112,8 +112,7 @@ class _ElementSeries:
         "_memo_cols",
         "_memo_sentinels",
         "_absent_row",
-        "_snap_cache",
-        "version",
+        "_recent",
         "_win_memo",
         "on_evict",
         "on_clear",
@@ -135,15 +134,16 @@ class _ElementSeries:
         self._memo_cols: List[int] = []
         self._memo_sentinels: List[Tuple[int, int]] = []
         self._absent_row = array("d")
-        # Rows are write-once until their slot is recycled, so the
-        # dict-shaped view of each slot is memoized: the Figure-6
-        # lookups (window_ending_now et al.) materialize each row once
-        # per residency instead of once per query.
-        self._snap_cache: List[Optional[CounterSnapshot]] = [None] * capacity
-        # Bumped on every mutation; lets read-side memos (trailing
-        # windows) validate in O(1) instead of re-deriving per query.
-        self.version = 0
-        self._win_memo: Dict[float, Tuple[int, "CounterWindow"]] = {}
+        # The dict-shaped views of the two newest rows, [second newest,
+        # newest]: a trailing window starts where the previous one ended,
+        # so the Figure-6 lookups (window_ending_now et al.) re-read only
+        # these and materialize each row about once.  Older rows are
+        # materialized on demand and not retained, so the memo stays two
+        # snapshots whatever the ring size or history length.
+        self._recent: List[Optional[CounterSnapshot]] = [None, None]
+        # The last trailing window read, as (duration_s, window): one
+        # entry, dropped by every push and clear.
+        self._win_memo: Optional[Tuple[float, CounterWindow]] = None
         # Tiering hooks (see repro.core.tiers): ``on_evict(series,
         # slot)`` fires while a recycled slot still holds its dying
         # row; ``on_clear(series)`` fires on a re-baseline.  Both run
@@ -216,6 +216,12 @@ class _ElementSeries:
         names: Sequence[str],
         row_values: Sequence[float],
     ) -> None:
+        recent = self._recent
+        # The newest row becomes the second newest; a machine change
+        # drops it, since a fresh view would carry the new machine.
+        recent[0] = recent[1] if machine == self.machine else None
+        recent[1] = None
+        self._win_memo = None
         self.machine = machine
         cols = self._columns_for(names)
         stride = len(self.attr_names)
@@ -229,8 +235,6 @@ class _ElementSeries:
             self.count += 1
         self.seqs[slot] = seq
         self.stamps[slot] = timestamp
-        self._snap_cache[slot] = None
-        self.version += 1
         base = slot * stride
         if stride:
             self.values[base: base + stride] = self._absent_row
@@ -241,8 +245,8 @@ class _ElementSeries:
     def clear(self) -> None:
         self.start = 0
         self.count = 0
-        self._snap_cache = [None] * self.capacity
-        self.version += 1
+        self._recent = [None, None]
+        self._win_memo = None
         if self.on_clear is not None:
             self.on_clear(self)
 
@@ -268,17 +272,23 @@ class _ElementSeries:
         return self.values[base: base + stride]
 
     def materialize(self, i: int) -> CounterSnapshot:
+        # 1 for the newest row, 0 for the one before it, < 0 for older
+        k = i - self.count + 2
+        if k >= 0:
+            snap = self._recent[k]
+            if snap is not None:
+                return snap
         slot = self._slot(i)
-        snap = self._snap_cache[slot]
-        if snap is None:
-            snap = self._snap_cache[slot] = CounterSnapshot.from_columns(
-                self.element_id,
-                self.machine,
-                self.seqs[slot],
-                self.stamps[slot],
-                self.attr_names,
-                self.row_values(i),
-            )
+        snap = CounterSnapshot.from_columns(
+            self.element_id,
+            self.machine,
+            self.seqs[slot],
+            self.stamps[slot],
+            self.attr_names,
+            self.row_values(i),
+        )
+        if k >= 0:
+            self._recent[k] = snap
         return snap
 
     def is_reset_against_latest(
@@ -461,7 +471,9 @@ class TimeSeriesStore:
         """History buffer bytes by tier; a flat store is all ``fine``.
 
         Counts the ring arrays only (snapshot/window caches are
-        derived views).  Tiered subclasses add per-coarse-tier keys;
+        derived views, bounded per series: the snapshots of its two
+        newest rows and one trailing window, so they do not grow with
+        ring size or history).  Tiered subclasses add per-coarse-tier keys;
         every shape carries ``fine`` and ``total`` so accounting
         consumers (gauges, benchmarks) read one schema.
         """
@@ -543,8 +555,8 @@ class TimeSeriesStore:
             raise ValueError(f"window duration must be positive: {duration_s!r}")
         with self._lock:
             series = self._get_series(element_id)
-            memo = series._win_memo.get(duration_s)
-            if memo is not None and memo[0] == series.version:
+            memo = series._win_memo
+            if memo is not None and memo[0] == duration_s:
                 return memo[1]
             last = series.count - 1
             stamps, start, cap = series.stamps, series.start, series.capacity
@@ -557,7 +569,7 @@ class TimeSeriesStore:
             win = CounterWindow(
                 start=series.materialize(start_i), end=series.materialize(last)
             )
-            series._win_memo[duration_s] = (series.version, win)
+            series._win_memo = (duration_s, win)
             return win
 
     # -- delta-batched collection -------------------------------------------------

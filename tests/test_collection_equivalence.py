@@ -1,13 +1,14 @@
 """Equivalence tests for the change-proportional collection path.
 
 Each fast path (state-stamp short-circuit, early seq-dedup, suffix-walk
-drain, hoisted latency constant, the agent's sweep plan) is checked
-against a reference written
+drain, hoisted latency constant, the agent's sweep plan, the store's
+read-side memos) is checked against a reference written
 out here the slow way — rebuild and compare everything, scan every row —
 over random interleavings, so the shortcut can only ever agree with the
 exact pass it screens for.
 """
 
+import gc
 import math
 import random
 from array import array
@@ -24,9 +25,9 @@ from repro.core.channels import (
     ChannelFaultPlan,
     ChannelTimeout,
 )
-from repro.core.counters import CounterSnapshot
+from repro.core.counters import CounterSnapshot, CounterWindow
 from repro.core.extensions import PacketSizeHistogram
-from repro.core.store import TimeSeriesStore, _ElementSeries
+from repro.core.store import StoreError, TimeSeriesStore, _ElementSeries
 from repro.core.tiers import TierConfig, TieredWindowStore
 from repro.dataplane.machine import PhysicalMachine
 from repro.dataplane.queue_element import QueueElement
@@ -754,3 +755,171 @@ def test_sweep_plan_is_reused_until_the_walk_changes():
     assert "late-app" in agent._sweep_plan() and "late-app" not in plan
     machine.remove_vm("v1")
     assert "tun-v1@m1" not in agent._sweep_plan()
+
+
+# -- (f) the read-side memos vs materializing every read afresh ----------------------
+
+
+def held(root, kind, skip=None):
+    """Distinct ``kind`` objects reachable from ``root``, whatever the
+    fields holding them are called.
+
+    Follows containers and ``repro`` objects only (never functions,
+    types or modules), so a series' tiering hooks do not lead out into
+    the rest of its store.  ``skip`` is one object not to follow.
+    """
+    seen, found, stack = {id(skip)}, set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, kind):
+            found.add(id(obj))
+        follow = isinstance(obj, (dict, list, tuple, set))
+        if follow or type(obj).__module__.startswith("repro."):
+            stack.extend(gc.get_referents(obj))
+    return len(found)
+
+
+def assert_memos_bounded(store):
+    for series in store._series.values():
+        rows = held(series, CounterSnapshot, skip=series._win_memo)
+        assert rows <= 2, f"{series.element_id}: {rows} memoized row snapshots"
+        assert held(series._win_memo, CounterWindow) <= 1
+
+
+def fresh(store, snap):
+    """``snap``'s row rebuilt from the store's columns, past every memo."""
+    series = store._series[snap.element_id]
+    for i in range(series.count):
+        if series.seq_at(i) == snap.seq:
+            return CounterSnapshot.from_columns(
+                snap.element_id, series.machine, snap.seq, series.stamp_at(i),
+                series.attr_names, series.row_values(i),
+            )
+    coarse = getattr(store, "coarse_buckets", lambda eid: [])
+    for bucket in coarse(snap.element_id):
+        if bucket.last_seq == snap.seq:
+            return CounterSnapshot(
+                snap.element_id, series.machine, bucket.last_seq, bucket.last_ts,
+                bucket.lasts,
+            )
+    raise AssertionError(f"{snap} is not a row the store holds")
+
+
+#: One step: an ingest (entrance, element, seq step — 0 re-observes, a
+#: negative one restarts —, counter growth — a negative one resets —,
+#: whether a new drop location widens the schema, rows) or a read (kind,
+#: element, how far back it reaches in seconds).
+memo_steps = st.lists(
+    st.one_of(
+        st.tuples(
+            st.sampled_from(["append", "append_row", "apply_blocks"]),
+            st.sampled_from(["a", "b"]),
+            st.sampled_from([0, 1, 1, 1, 2, -3]),
+            st.sampled_from([0.0, 1.0, 7.0, -100.0]),
+            st.booleans(),
+            st.integers(min_value=1, max_value=3),
+        ),
+        st.tuples(
+            st.sampled_from(
+                ["latest", "at_or_before", "window", "window_ending_now",
+                 "changed_since"]
+            ),
+            st.sampled_from(["a", "b"]),
+            st.sampled_from([0.05, 0.1, 0.25, 0.7, 3.0]),
+        ),
+    ),
+    max_size=80,
+)
+
+
+@pytest.mark.parametrize("kind", sorted(STORES))
+@prop
+@given(cap=st.integers(min_value=2, max_value=6), steps=memo_steps)
+def test_memoized_reads_equal_fresh_rows(kind, cap, steps):
+    store = STORES[kind](cap)
+    seqs, levels, t = {}, {}, 0
+    for step in steps:
+        op, eid = step[0], step[1]
+        if len(step) == 6:
+            _, _, seq_step, growth, widen, n = step
+            rows = []
+            for _ in range(n):
+                seqs[eid] = seq = max(0, seqs.get(eid, 0) + seq_step)
+                levels[eid] = max(0.0, levels.get(eid, 0.0) + growth)
+                attrs = {"rx_pkts": levels[eid], "tx_pkts": 1.0}
+                if widen:
+                    attrs[f"drops.loc{t % 3}"] = float(t)
+                rows.append((seq, 0.1 * t, attrs))
+                t += 1
+            if op == "apply_blocks":
+                # one block per run of rows under one schema
+                blocks = []
+                for seq, ts, attrs in rows:
+                    names = tuple(attrs)
+                    if not blocks or blocks[-1][2] != names:
+                        blocks.append((eid, "m1", names, []))
+                    blocks[-1][3].append((seq, ts, list(attrs.values())))
+                store.apply_blocks(blocks)
+            elif op == "append":
+                for seq, ts, attrs in rows:
+                    store.append(CounterSnapshot(eid, "m1", seq, ts, attrs))
+            else:
+                for seq, ts, attrs in rows:
+                    store.append_row(
+                        eid, "m1", seq, ts, tuple(attrs), list(attrs.values())
+                    )
+        else:
+            back, now = step[2], 0.1 * t
+            try:
+                if op == "latest":
+                    got = [store.latest(eid)]
+                elif op == "at_or_before":
+                    got = [store.at_or_before(eid, now - back)]
+                elif op == "window":
+                    win = store.window(eid, now - back, now - back / 2)
+                    got = [win.start, win.end]
+                elif op == "window_ending_now":
+                    win = store.window_ending_now(eid, back)
+                    got = [win.start, win.end]
+                else:
+                    cursor = store.cursor()
+                    got = store.changed_since(
+                        {e: s - int(back * 3) for e, s in cursor.items()}
+                    )
+            except StoreError:
+                got = []
+            for snap in got:
+                assert snap == fresh(store, snap)
+        assert_memos_bounded(store)
+
+
+def test_trailing_window_memo_keeps_one_width():
+    """Asking at many widths pins one window, not one per width, and a
+    re-baseline drops it."""
+    store = TimeSeriesStore(capacity_per_element=64)
+    for seq in range(50):
+        store.append_row("e", "m1", seq, 0.1 * seq, ("rx_pkts",), [float(seq)])
+    series, now = store._series["e"], 4.9
+    rng = random.Random(3)
+    for _ in range(1000):
+        width = rng.uniform(0.01, 6.0)
+        assert store.window_ending_now("e", width) == store.window("e", now - width, now)
+        assert held(series._win_memo, CounterWindow) <= 1
+        assert_memos_bounded(store)
+    store.append_row("e", "m1", 0, 5.0, ("rx_pkts",), [0.0])  # producer restart
+    assert store.resets == {"e": 1}
+    assert held(series, CounterWindow) == 0
+    assert held(series, CounterSnapshot) == 0
+
+
+def test_memo_follows_a_re_homed_element():
+    """A row memoized before its element moved reads as a fresh build."""
+    store = TimeSeriesStore()
+    store.append_row("e", "m1", 1, 1.0, ("rx_pkts",), [1.0])
+    assert store.latest("e").machine == "m1"
+    store.append_row("e", "m2", 2, 2.0, ("rx_pkts",), [2.0])
+    first = store.at_or_before("e", 1.0)
+    assert first == fresh(store, first) and first.machine == "m2"

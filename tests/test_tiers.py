@@ -7,8 +7,10 @@ from array import array
 import pytest
 
 from repro.core.controller import ZoneController
+from repro.core.counters import CounterSnapshot
 from repro.core.store import StoreError, TimeSeriesStore
 from repro.core.tiers import TierConfig, TieredWindowStore
+from tests.test_collection_equivalence import held
 
 
 def feed(store, n, element="e1", machine="m1", t0=0.0, dt=1.0, seq0=0):
@@ -347,3 +349,24 @@ class TestAccounting:
         feed(tiered, 2048)
         feed(flat, 2048)
         assert tiered.nbytes()["total"] * 10 < flat.nbytes()["total"]
+
+
+class TestResidentMemory:
+    def test_default_shape_retains_three_snapshots_per_element(self):
+        """At the default 256-slot shape, one machine's trailing-window
+        reads leave a constant number of snapshots per element behind,
+        not one per ring row.  Counted in objects, not bytes: object
+        sizes differ between Python versions."""
+        store = TieredWindowStore(config=TierConfig())
+        elements = [f"e{k}" for k in range(20)]
+        for r in range(300):
+            for k, eid in enumerate(elements):
+                store.append_row(
+                    eid, "m1", r, 0.1 * r, ("rx_pkts", "tx_pkts"),
+                    [float(10 * r + k), float(9 * r)],
+                )
+            for eid in elements:
+                store.window_ending_now(eid, 0.25)
+        assert store.nbytes()["fine"] == 20 * 256 * (8 + 8 + 2 * 8)
+        for eid in elements:
+            assert held(store._series[eid], CounterSnapshot) <= 3, eid
