@@ -1,19 +1,7 @@
-"""Concurrency primitives for the collection plane.
+"""The wire client's connection pool.
 
-The controller fans ``mirror.sync()`` out over a worker pool, the wire
-client multiplexes concurrent callers over a small connection pool, and
-the agent server lets read-only ops run side by side — all built on the
-two primitives here:
-
-:class:`RWLock`
-    A reader/writer lock with writer preference.  Any number of readers
-    share the lock; a writer excludes everyone.  A waiting writer blocks
-    *new* readers so a steady read stream cannot starve the write side
-    (the agent's sweep/drain path must never wait forever behind query
-    traffic).  The lock keeps acquisition statistics —
-    :attr:`RWLock.max_concurrent_readers` in particular — so tests can
-    *assert* that reads really did overlap instead of eyeballing
-    timings.
+The wire client multiplexes concurrent callers over a small pool of
+connections to one peer:
 
 :class:`ConnectionPool`
     A bounded checkout/checkin pool of homogeneous resources (sockets,
@@ -23,24 +11,23 @@ two primitives here:
     one in.  Broken resources are *discarded* rather than checked in,
     which frees their slot immediately.  Idle resources older than
     ``max_idle_s`` are reaped opportunistically on the next checkout.
+    :meth:`ConnectionPool.close_all` retires every resource that exists
+    at that moment, idle or checked out.
 
-Neither primitive imports the observability facade: occupancy is read
+The pool does not import the observability facade: occupancy is read
 from :attr:`ConnectionPool.in_use` and :attr:`ConnectionPool.idle`, so
-the module stays dependency-free and unit-testable on its own.
+the module stays dependency-free and unit-testable on its own.  The
+servers the pool connects to need no primitive from here: each serves
+all its connections from one thread (:mod:`repro.core.net.server`).
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager
-from typing import Callable, Generic, Iterator, List, Optional, Tuple, TypeVar
+from typing import Callable, Dict, Generic, List, Optional, Tuple, TypeVar
 
 T = TypeVar("T")
-
-
-class LockTimeout(RuntimeError):
-    """An RWLock acquisition gave up before the lock became free."""
 
 
 class PoolTimeout(OSError):
@@ -50,120 +37,6 @@ class PoolTimeout(OSError):
     exhausted pool looks like any other transient transport failure —
     the request never left the process, so retrying it is always safe.
     """
-
-
-class PoolClosed(OSError):
-    """Checkout against a pool that has been shut down."""
-
-
-class RWLock:
-    """A reader/writer lock with writer preference and visible stats.
-
-    Not reentrant on either side, and deliberately so: the collection
-    plane's critical sections are small and flat, and reentrancy would
-    hide lock-ordering mistakes instead of deadlocking loudly in tests.
-    """
-
-    def __init__(self) -> None:
-        self._cond = threading.Condition()
-        self._active_readers = 0
-        self._writer_active = False
-        self._writers_waiting = 0
-        #: Acquisition statistics, readable without the lock (ints are
-        #: only ever written under ``_cond``; torn reads are impossible
-        #: under the GIL and staleness is fine for telemetry).
-        self.read_acquisitions = 0
-        self.write_acquisitions = 0
-        self.max_concurrent_readers = 0
-
-    # -- read side ----------------------------------------------------------------
-
-    def acquire_read(self, timeout_s: Optional[float] = None) -> None:
-        deadline = None if timeout_s is None else time.monotonic() + timeout_s
-        with self._cond:
-            # A waiting writer gates new readers (writer preference).
-            while self._writer_active or self._writers_waiting:
-                if not self._wait(deadline):
-                    raise LockTimeout("timed out waiting for read lock")
-            self._active_readers += 1
-            self.read_acquisitions += 1
-            self.max_concurrent_readers = max(
-                self.max_concurrent_readers, self._active_readers
-            )
-
-    def release_read(self) -> None:
-        with self._cond:
-            if self._active_readers <= 0:
-                raise RuntimeError("release_read without a matching acquire_read")
-            self._active_readers -= 1
-            if self._active_readers == 0:
-                self._cond.notify_all()
-
-    # -- write side ---------------------------------------------------------------
-
-    def acquire_write(self, timeout_s: Optional[float] = None) -> None:
-        deadline = None if timeout_s is None else time.monotonic() + timeout_s
-        with self._cond:
-            self._writers_waiting += 1
-            try:
-                while self._writer_active or self._active_readers:
-                    if not self._wait(deadline):
-                        raise LockTimeout("timed out waiting for write lock")
-            finally:
-                self._writers_waiting -= 1
-            self._writer_active = True
-            self.write_acquisitions += 1
-
-    def release_write(self) -> None:
-        with self._cond:
-            if not self._writer_active:
-                raise RuntimeError("release_write without a matching acquire_write")
-            self._writer_active = False
-            self._cond.notify_all()
-
-    def _wait(self, deadline: Optional[float]) -> bool:
-        """One condition wait against ``deadline``; False when expired."""
-        if deadline is None:
-            self._cond.wait()
-            return True
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            return False
-        return self._cond.wait(remaining) or deadline > time.monotonic()
-
-    # -- context managers ---------------------------------------------------------
-
-    @contextmanager
-    def read_locked(self, timeout_s: Optional[float] = None) -> Iterator[None]:
-        self.acquire_read(timeout_s)
-        try:
-            yield
-        finally:
-            self.release_read()
-
-    @contextmanager
-    def write_locked(self, timeout_s: Optional[float] = None) -> Iterator[None]:
-        self.acquire_write(timeout_s)
-        try:
-            yield
-        finally:
-            self.release_write()
-
-    # -- introspection ------------------------------------------------------------
-
-    @property
-    def readers(self) -> int:
-        return self._active_readers
-
-    @property
-    def writer_active(self) -> bool:
-        return self._writer_active
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"RWLock(readers={self._active_readers}, "
-            f"writer={self._writer_active}, waiting={self._writers_waiting})"
-        )
 
 
 class ConnectionPool(Generic[T]):
@@ -201,7 +74,10 @@ class ConnectionPool(Generic[T]):
         self._cond = threading.Condition()
         self._idle: List[Tuple[T, float]] = []  # (resource, checkin time)
         self._in_use = 0
-        self._closed = False
+        #: Bumped by :meth:`close_all`; a resource checked out in an
+        #: older generation is closed when it comes back.
+        self._generation = 0
+        self._lent: Dict[int, int] = {}  # id(resource) -> its generation
         #: Lifetime counters.
         self.created = 0
         self.reused = 0
@@ -223,19 +99,19 @@ class ConnectionPool(Generic[T]):
         try:
             with self._cond:
                 while True:
-                    if self._closed:
-                        raise PoolClosed("pool is closed")
                     expired.extend(self._take_expired_locked())
                     if self._idle:
                         resource, _ = self._idle.pop()  # LIFO: warmest first
                         self._in_use += 1
                         self.reused += 1
+                        self._lent[id(resource)] = self._generation
                         return resource
                     if self._in_use < self.max_size:
                         # Create outside the condition so a slow connect
                         # does not block peers returning resources; the
                         # slot is reserved first so the bound holds.
                         self._in_use += 1
+                        generation = self._generation
                         break
                     if deadline is not None:
                         remaining = deadline - self._clock()
@@ -259,19 +135,27 @@ class ConnectionPool(Generic[T]):
             raise
         with self._cond:
             self.created += 1
+            # The generation of the slot's reservation: a close_all while
+            # the connect ran retires this resource too.
+            self._lent[id(resource)] = generation
         return resource
 
     def checkin(self, resource: T) -> None:
-        """Return a healthy resource for reuse."""
+        """Return a healthy resource for reuse.
+
+        A resource checked out before the last :meth:`close_all` is
+        closed instead of pooled.
+        """
         with self._cond:
             if self._in_use <= 0:
                 raise RuntimeError("checkin without a matching checkout")
             self._in_use -= 1
-            if self._closed:
-                self._close_quietly(resource)
-            else:
+            retired = self._lent.pop(id(resource), self._generation) < self._generation
+            if not retired:
                 self._idle.append((resource, self._clock()))
             self._cond.notify()
+        if retired:
+            self._close_quietly(resource)
 
     def discard(self, resource: T) -> None:
         """Drop a broken resource; its slot frees up immediately."""
@@ -280,6 +164,7 @@ class ConnectionPool(Generic[T]):
             if self._in_use <= 0:
                 raise RuntimeError("discard without a matching checkout")
             self._in_use -= 1
+            self._lent.pop(id(resource), None)
             self.discarded += 1
             self._cond.notify()
 
@@ -325,22 +210,17 @@ class ConnectionPool(Generic[T]):
         return expired
 
     def close_all(self) -> None:
-        """Close every idle resource and refuse new checkouts.
+        """Retire every resource that exists now; the pool stays usable.
 
-        Checked-out resources stay with their borrowers; returning them
-        closes them instead of pooling them.
+        Idle resources are closed at once.  Checked-out ones stay with
+        their borrowers and are closed when they come back, instead of
+        being pooled.  The next checkout creates a fresh resource.
         """
         with self._cond:
-            self._closed = True
+            self._generation += 1
             idle, self._idle = self._idle, []
-            self._cond.notify_all()
         for resource, _ in idle:
             self._close_quietly(resource)
-
-    def reopen(self) -> None:
-        """Allow checkouts again after :meth:`close_all` (reconnect path)."""
-        with self._cond:
-            self._closed = False
 
     def _close_quietly(self, resource: T) -> None:
         try:
@@ -357,10 +237,6 @@ class ConnectionPool(Generic[T]):
     @property
     def idle(self) -> int:
         return len(self._idle)
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -411,15 +411,15 @@ class WireClient:
         conn.sock.close()
 
     def close(self) -> None:
-        """Close every pooled connection.
+        """Close every connection this handle has open.
 
-        In-flight operations keep the connection they checked out (it is
-        closed when they finish); the next call after ``close`` simply
-        reconnects — with a fresh HELLO, since the id tables die with
-        their connection.
+        Idle connections close now.  In-flight operations keep the
+        connection they checked out, and it is closed when they finish
+        instead of going back to the pool.  The next call after
+        ``close`` simply reconnects — with a fresh HELLO, since the id
+        tables die with their connection.
         """
         self.pool.close_all()
-        self.pool.reopen()
 
     def _backoff(self, attempt: int) -> float:
         # The shared RNG is the one piece of cross-connection state;

@@ -187,6 +187,28 @@ def recv_frame(sock: socket.socket) -> bytes:
     return _recv_exact(sock, length)
 
 
+def pop_frame(buf: bytearray) -> Optional[bytes]:
+    """Take one whole frame's payload off the front of ``buf``.
+
+    The non-blocking counterpart of :func:`recv_frame`, for a reader
+    that buffers whatever bytes have arrived: returns None while ``buf``
+    holds less than one whole frame.  The length header is validated
+    against :data:`MAX_FRAME_BYTES` as soon as it is complete, before
+    the caller keeps buffering that frame's payload.
+    """
+    if len(buf) < _HEADER.size:
+        return None
+    (length,) = _HEADER.unpack_from(buf)
+    if length > MAX_FRAME_BYTES:
+        raise ProtocolError(f"peer announced oversized frame: {length} bytes")
+    end = _HEADER.size + length
+    if len(buf) < end:
+        return None
+    raw = bytes(buf[_HEADER.size:end])
+    del buf[:end]
+    return raw
+
+
 def parse_json_frame(raw: bytes, op: Optional[str] = None) -> Dict[str, Any]:
     """Decode one JSON payload; raises ProtocolError on malformed input."""
     if is_binary_frame(raw):

@@ -40,13 +40,11 @@ from the incoming snapshot, counting the event in :attr:`resets`.
 Diagnosis windows then never straddle a restart.
 
 The store is thread-safe: an internal lock covers every ingest and
-lookup, so an agent's cadence sweep can append while server handler
-threads answer window queries (and, controller-side, while the fleet
-refresh pool syncs one mirror as diagnosis threads read another)
+lookup, so an agent's cadence sweep can append while its server's loop
+thread drains and answers queries (and, controller-side, while the
+fleet refresh pool syncs one mirror as diagnosis threads read another)
 without torn reads.  The critical sections are tiny — a dict probe and
-a ring scan — so the lock does not serialize anything that matters; the
-wire-level reader/writer discipline lives in
-:mod:`repro.core.net.server`.
+a ring scan — so the lock does not serialize anything that matters.
 """
 
 from __future__ import annotations

@@ -5,13 +5,7 @@ import time
 
 import pytest
 
-from repro.core.concurrency import (
-    ConnectionPool,
-    LockTimeout,
-    PoolClosed,
-    PoolTimeout,
-    RWLock,
-)
+from repro.core.concurrency import ConnectionPool, PoolTimeout
 
 
 def run_threads(targets, timeout_s=5.0):
@@ -21,105 +15,6 @@ def run_threads(targets, timeout_s=5.0):
     for t in threads:
         t.join(timeout=timeout_s)
         assert not t.is_alive(), "worker thread deadlocked"
-
-
-class TestRWLock:
-    def test_readers_share_the_lock(self):
-        lock = RWLock()
-        inside = threading.Barrier(4, timeout=5.0)
-
-        def reader():
-            with lock.read_locked():
-                inside.wait()  # all four must be inside at once to pass
-
-        run_threads([reader] * 4)
-        assert lock.max_concurrent_readers == 4
-        assert lock.read_acquisitions == 4
-        assert lock.readers == 0
-
-    def test_writer_excludes_readers_and_writers(self):
-        lock = RWLock()
-        active = []
-        errors = []
-
-        def writer():
-            with lock.write_locked():
-                active.append("w")
-                if len(active) != 1:
-                    errors.append(f"writer overlapped: {active}")
-                time.sleep(0.01)
-                active.remove("w")
-
-        def reader():
-            with lock.read_locked():
-                active.append("r")
-                if "w" in active:
-                    errors.append(f"reader overlapped writer: {active}")
-                time.sleep(0.005)
-                active.remove("r")
-
-        run_threads([writer, reader, writer, reader, writer])
-        assert not errors
-        assert lock.write_acquisitions == 3
-
-    def test_waiting_writer_gates_new_readers(self):
-        lock = RWLock()
-        order = []
-        first_reader_in = threading.Event()
-        writer_waiting = threading.Event()
-
-        def long_reader():
-            with lock.read_locked():
-                first_reader_in.set()
-                # Hold until the writer is provably queued behind us.
-                writer_waiting.wait(timeout=5.0)
-                time.sleep(0.02)
-
-        def writer():
-            first_reader_in.wait(timeout=5.0)
-            writer_waiting.set()
-            with lock.write_locked():
-                order.append("writer")
-
-        def late_reader():
-            first_reader_in.wait(timeout=5.0)
-            writer_waiting.wait(timeout=5.0)
-            time.sleep(0.005)  # arrive while the writer is waiting
-            with lock.read_locked():
-                order.append("late_reader")
-
-        run_threads([long_reader, writer, late_reader])
-        # Writer preference: the queued writer went before the reader
-        # that arrived after it.
-        assert order == ["writer", "late_reader"]
-
-    def test_read_acquire_times_out_under_writer(self):
-        lock = RWLock()
-        lock.acquire_write()
-        try:
-            with pytest.raises(LockTimeout):
-                lock.acquire_read(timeout_s=0.02)
-        finally:
-            lock.release_write()
-
-    def test_write_acquire_times_out_under_reader(self):
-        lock = RWLock()
-        lock.acquire_read()
-        try:
-            with pytest.raises(LockTimeout):
-                lock.acquire_write(timeout_s=0.02)
-        finally:
-            lock.release_read()
-        # And succeeds once the reader is gone.
-        with lock.write_locked(timeout_s=1.0):
-            assert lock.writer_active
-
-    def test_unmatched_releases_raise(self):
-        lock = RWLock()
-        with pytest.raises(RuntimeError):
-            lock.release_read()
-        with pytest.raises(RuntimeError):
-            lock.release_write()
 
 
 class CountingFactory:
@@ -231,20 +126,37 @@ class TestConnectionPool:
         assert pool.checkout() != a  # reaped inline, never handed back out
         assert pool.reaped == 1
 
-    def test_close_all_refuses_checkout_and_reopen_recovers(self):
+    def test_close_all_retires_idle_and_checked_out_resources(self):
         f = CountingFactory()
-        pool = ConnectionPool(f.make, f.close, max_size=2)
+        pool = ConnectionPool(f.make, f.close, max_size=3)
         a = pool.checkout()
         b = pool.checkout()
         pool.checkin(a)
         pool.close_all()
         assert f.closed == [a]  # idle closed immediately
-        with pytest.raises(PoolClosed):
-            pool.checkout()
-        pool.checkin(b)  # borrower returns after close -> closed, not pooled
+        c = pool.checkout(timeout_s=1.0)  # the pool stays usable ...
+        assert c not in (a, b)  # ... with a fresh resource
+        pool.checkin(b)  # borrowed before close_all -> closed, not pooled
         assert f.closed == [a, b]
-        pool.reopen()
-        assert pool.checkout(timeout_s=1.0)
+        pool.checkin(c)  # borrowed after close_all -> pooled as usual
+        assert f.closed == [a, b]
+        assert (pool.in_use, pool.idle) == (0, 1)
+        assert pool.checkout() == c
+
+    def test_close_all_during_a_connect_retires_the_new_resource(self):
+        f = CountingFactory()
+        box = {}
+
+        def make():
+            resource = f.make()
+            box["pool"].close_all()  # a close lands while connecting
+            return resource
+
+        pool = ConnectionPool(make, f.close, max_size=1)
+        box["pool"] = pool
+        a = pool.checkout()
+        pool.checkin(a)
+        assert f.closed == [a] and pool.idle == 0
 
     def test_in_use_and_idle_track_checkout_and_checkin(self):
         f = CountingFactory()

@@ -1,11 +1,11 @@
-"""Wire-level concurrency: pooled clients against the RW-locked server.
+"""Wire-level concurrency: pooled clients against one-loop servers.
 
-The acceptance claims of the concurrent fleet plane, asserted rather
-than eyeballed: read-only ops (QUERY) really do run concurrently with
-each other and with an in-flight collection sweep (the server lock's
-``max_concurrent_readers`` statistic is the proof), concurrent queries
-see no torn snapshots, one pooled handle serves many threads, and
-seeded handles retry with reproducible backoff jitter.
+A server serves all its connections from one thread, so concurrent
+callers are served one request at a time and each gets the right
+answer; concurrent queries racing collection sweeps see no torn
+snapshots; one pooled handle serves many threads, and closing it
+retires even the connections checked out at that moment; seeded
+handles retry with reproducible backoff jitter.
 """
 
 import socket
@@ -54,17 +54,36 @@ def closed_port() -> int:
     return port
 
 
+class TestOneLoopServer:
+    def test_one_thread_serves_every_connection(self, served_agent):
+        _, agent, _ = served_agent
+        # Compared as sets, so a thread some earlier test left behind
+        # that ends meanwhile cannot mask an extra one.
+        before = set(threading.enumerate())
+        with AgentServer(agent) as server:
+            handles = [
+                RemoteAgentHandle(*server.address, retry=FAST_RETRY)
+                for _ in range(3)
+            ]
+            for handle in handles:
+                assert handle.ping() == agent.name
+            started = set(threading.enumerate()) - before
+            for handle in handles:
+                handle.close()
+        assert len(started) == 1, sorted(t.name for t in started)
+
+
 class TestConcurrentReads:
-    def test_parallel_queries_share_the_read_lock(self, served_agent):
+    def test_parallel_queries_through_one_handle(self, served_agent):
         _, agent, server = served_agent
         host, port = server.address
         results = []
         errors = []
         gate = threading.Barrier(4, timeout=10.0)
 
-        # Widen the read critical section so the overlap is guaranteed
-        # rather than a scheduling coin-flip: each query dwells 10 ms
-        # inside the lock, and 4 threads issue 10 each.
+        # Each query dwells 10 ms at the agent, so the 4 threads'
+        # requests wait at the server together and its one loop serves
+        # them from several pooled connections in turn.
         orig_query = agent.query
 
         def slow_query(element_ids=None, attrs=None):
@@ -74,6 +93,8 @@ class TestConcurrentReads:
         agent.query = slow_query
 
         with RemoteAgentHandle(host, port, retry=FAST_RETRY) as handle:
+            expected = [r.to_dict() for r in handle.query(None, ["rx_bytes"])]
+
             def reader():
                 try:
                     gate.wait()
@@ -90,9 +111,8 @@ class TestConcurrentReads:
                 assert not t.is_alive()
         assert not errors
         assert len(results) == 40
-        # The lock saw genuinely overlapping readers — the whole point
-        # of replacing the global mutex.
-        assert server.lock.max_concurrent_readers >= 2
+        for records in results:
+            assert [r.to_dict() for r in records] == expected
 
     def test_concurrent_queries_see_no_torn_snapshots(self, served_agent):
         """QUERYs racing BATCH_DELTA sweeps all see identical state.
@@ -146,50 +166,6 @@ class TestConcurrentReads:
         for records in query_results:
             assert [r.to_dict() for r in records] == expected
 
-    def test_query_completes_while_sweep_is_in_flight(self, served_agent):
-        """Read-only ops are not serialized behind a slow sweep."""
-        _, agent, server = served_agent
-        host, port = server.address
-        sweep_started = threading.Event()
-        sweep_finished = threading.Event()
-        orig_poll = agent.poll_once
-
-        def slow_poll():
-            sweep_started.set()
-            time.sleep(0.4)  # a pathologically slow channel sweep
-            try:
-                return orig_poll()
-            finally:
-                sweep_finished.set()
-
-        agent.poll_once = slow_poll
-        errors = []
-
-        def collector():
-            try:
-                with RemoteAgentHandle(host, port, retry=FAST_RETRY) as h:
-                    h.collect_blocks({})
-            except Exception as exc:  # noqa: BLE001
-                errors.append(exc)
-
-        collector_thread = threading.Thread(target=collector)
-        with RemoteAgentHandle(host, port, retry=FAST_RETRY) as handle:
-            handle.ping()  # warm a connection before the sweep starts
-            collector_thread.start()
-            assert sweep_started.wait(timeout=10.0)
-            records = handle.query(None, ["rx_bytes"])
-            # The query came back while the sweep still held its read
-            # slot — under the old global lock it would have queued
-            # behind the full 0.4 s sweep.
-            assert not sweep_finished.is_set(), (
-                "query was serialized behind the sweep"
-            )
-            assert records
-        collector_thread.join(timeout=30.0)
-        assert not collector_thread.is_alive()
-        assert not errors
-        assert server.lock.max_concurrent_readers >= 2
-
 
 class TestPooledHandle:
     def test_one_handle_many_threads_reuses_connections(self, served_agent):
@@ -228,6 +204,20 @@ class TestPooledHandle:
         handle.close()
         # Matches the old single-socket semantics: close then reconnect.
         assert handle.ping() == agent.name
+        handle.close()
+
+    def test_close_retires_a_checked_out_connection(self, served_agent):
+        """A connection in flight across ``close()`` is closed on its
+        return, never pooled and reused."""
+        _, agent, server = served_agent
+        handle = RemoteAgentHandle(*server.address, retry=FAST_RETRY)
+        conn = handle.pool.checkout()
+        handle.close()
+        handle.pool.checkin(conn)
+        assert handle.pool.idle == 0
+        assert conn.sock.fileno() == -1  # closed on checkin
+        assert handle.ping() == agent.name
+        assert handle.pool.created == 2  # the ping reconnected
         handle.close()
 
 

@@ -7,6 +7,7 @@ severs lingering handler sockets, and the full agent-crash-and-restart
 arc observed through the controller's health tracking.
 """
 
+import json
 import random
 import socket
 import struct
@@ -346,14 +347,45 @@ class TestServerMalformedInput:
         assert response["ok"] is False and "oversize" in response["error"]
         sock.close()
 
-    def test_truncated_header_does_not_wedge_the_server(self, wire_server):
+    @pytest.mark.parametrize("sent", [2, 4 + 6], ids=["half-header", "half-payload"])
+    def test_truncated_header_does_not_wedge_the_server(self, wire_server, sent):
+        """A peer stalled mid-frame holds up no other connection, and is
+        answered once its frame is whole."""
         agent, server = wire_server
-        sock = connect_raw(server)
-        sock.sendall(b"\x00\x00")  # half a header ...
-        sock.close()  # ... and the client dies
-        host, port = server.address
-        with RemoteAgentHandle(host, port) as handle:
+        payload = json.dumps({"op": "ping"}).encode()
+        frame = struct.pack(">I", len(payload)) + payload
+        assert sent < len(frame)
+        stalled = connect_raw(server)
+        stalled.sendall(frame[:sent])  # part of a frame, then silence
+        # One attempt with a short timeout: a loop waiting on the
+        # stalled socket fails this instead of being retried around.
+        impatient = RetryPolicy(max_attempts=1)
+        with RemoteAgentHandle(
+            *server.address, timeout_s=1.0, retry=impatient
+        ) as handle:
             assert handle.ping() == agent.name  # still serving
+            blocks, _ = handle.collect_blocks({})
+            assert blocks
+        stalled.sendall(frame[sent:])
+        assert recv_message(stalled) == {"ok": True, "agent": agent.name}
+        stalled.close()
+
+    def test_fault_outside_serve_cuts_only_that_connection(self, machine, capsys):
+        class BrokenDecoder(AgentServer):
+            def _decode(self, conn, raw):
+                raise RuntimeError("decoder bug")
+
+        agent = Agent(machine.sim, machine)
+        with BrokenDecoder(agent) as server:
+            sock = connect_raw(server)
+            frame = packed_request(1, ack_by_name("e1", 3))
+            sock.sendall(struct.pack(">I", len(frame)) + frame)
+            with pytest.raises((ConnectionError, OSError)):
+                recv_message(sock)
+            sock.close()
+            with RemoteAgentHandle(*server.address) as handle:
+                assert handle.ping() == agent.name  # the loop lives on
+        assert "decoder bug" in capsys.readouterr().err
 
     def test_unknown_op_keeps_connection_alive(self, wire_server):
         _, server = wire_server

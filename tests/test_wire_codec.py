@@ -951,17 +951,17 @@ class TestFailedEncodeIsAtomic:
 
 
 def flaky_server(server_cls):
-    """``server_cls`` whose handler's ``_serve`` raises exactly once."""
+    """``server_cls`` whose ``_serve`` raises exactly once."""
     left = [1]
 
-    class Handler(server_cls.handler_class):
-        def _serve(self, peer, decoded):
+    class Flaky(server_cls):
+        def _serve(self, conn, decoded):
             if left[0]:
                 left[0] -= 1
                 raise RuntimeError("injected serve failure")
-            return super()._serve(peer, decoded)
+            return super()._serve(conn, decoded)
 
-    return type(f"Flaky{server_cls.__name__}", (server_cls,), {"handler_class": Handler})
+    return Flaky
 
 
 class TestRefusalDiscardsConnection:
