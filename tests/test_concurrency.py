@@ -126,7 +126,10 @@ class TestConnectionPool:
         assert pool.checkout() != a  # reaped inline, never handed back out
         assert pool.reaped == 1
 
-    def test_close_all_retires_idle_and_checked_out_resources(self):
+    def test_close_all_refuses_checkout_and_reopen_recovers(self):
+        """``close_all`` refuses every resource checked out before it a
+        way back into the pool; the pool recovers on its own, with fresh
+        resources (there is no separate reopen step)."""
         f = CountingFactory()
         pool = ConnectionPool(f.make, f.close, max_size=3)
         a = pool.checkout()

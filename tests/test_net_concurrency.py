@@ -74,7 +74,10 @@ class TestOneLoopServer:
 
 
 class TestConcurrentReads:
-    def test_parallel_queries_through_one_handle(self, served_agent):
+    def test_parallel_queries_share_the_read_lock(self, served_agent):
+        """Many readers share one server: 4 threads issue 10 queries each
+        through one handle, and all 40 come back correct.  The server
+        takes no lock for a query; its loop serves them in turn."""
         _, agent, server = served_agent
         host, port = server.address
         results = []
@@ -165,6 +168,48 @@ class TestConcurrentReads:
         expected = [r.to_dict() for r in baseline]
         for records in query_results:
             assert [r.to_dict() for r in records] == expected
+
+    def test_query_completes_while_sweep_is_in_flight(self, served_agent):
+        """A query is not serialized behind a slow cadence sweep.
+
+        The sweep runs on another thread (the simulator's, in a live
+        agent) and holds the agent's sweep lock for its whole body; the
+        server's loop answers a query meanwhile, since a query takes
+        neither that lock nor the store's.
+        """
+        _, agent, server = served_agent
+        host, port = server.address
+        sweep_started = threading.Event()
+        sweep_finished = threading.Event()
+        orig_append = agent.store.append
+
+        def slow_append(snap):
+            if not sweep_started.is_set():
+                sweep_started.set()
+                time.sleep(0.4)  # a pathologically slow sweep, lock held
+            return orig_append(snap)
+
+        agent.store.append = slow_append
+
+        def sweep():
+            try:
+                agent.poll_once()
+            finally:
+                sweep_finished.set()
+
+        sweeper = threading.Thread(target=sweep)
+        with RemoteAgentHandle(host, port, retry=FAST_RETRY) as handle:
+            handle.ping()  # warm a connection before the sweep starts
+            sweeper.start()
+            assert sweep_started.wait(timeout=10.0)
+            records = handle.query(None, ["rx_bytes"])
+            assert not sweep_finished.is_set(), (
+                "query was serialized behind the sweep"
+            )
+            assert records
+        sweeper.join(timeout=30.0)
+        assert not sweeper.is_alive()
+        assert agent.total_polls == 1
 
 
 class TestPooledHandle:

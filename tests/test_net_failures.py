@@ -319,6 +319,26 @@ def connect_raw(server) -> socket.socket:
     return sock
 
 
+def assert_stalled_peer_wedges_nothing(agent, server, sent):
+    """A peer stalled after ``sent`` bytes of a frame holds up no other
+    connection, and is answered once its frame is whole."""
+    payload = json.dumps({"op": "ping"}).encode()
+    frame = struct.pack(">I", len(payload)) + payload
+    assert sent < len(frame)
+    stalled = connect_raw(server)
+    stalled.sendall(frame[:sent])  # part of a frame, then silence
+    # One attempt with a short timeout: a loop waiting on the stalled
+    # socket fails this instead of being retried around.
+    impatient = RetryPolicy(max_attempts=1)
+    with RemoteAgentHandle(*server.address, timeout_s=1.0, retry=impatient) as handle:
+        assert handle.ping() == agent.name  # still serving
+        blocks, _ = handle.collect_blocks({})
+        assert blocks
+    stalled.sendall(frame[sent:])
+    assert recv_message(stalled) == {"ok": True, "agent": agent.name}
+    stalled.close()
+
+
 class TestServerMalformedInput:
     """The agent server answers garbage with an error frame, then hangs up."""
 
@@ -347,28 +367,11 @@ class TestServerMalformedInput:
         assert response["ok"] is False and "oversize" in response["error"]
         sock.close()
 
-    @pytest.mark.parametrize("sent", [2, 4 + 6], ids=["half-header", "half-payload"])
-    def test_truncated_header_does_not_wedge_the_server(self, wire_server, sent):
-        """A peer stalled mid-frame holds up no other connection, and is
-        answered once its frame is whole."""
-        agent, server = wire_server
-        payload = json.dumps({"op": "ping"}).encode()
-        frame = struct.pack(">I", len(payload)) + payload
-        assert sent < len(frame)
-        stalled = connect_raw(server)
-        stalled.sendall(frame[:sent])  # part of a frame, then silence
-        # One attempt with a short timeout: a loop waiting on the
-        # stalled socket fails this instead of being retried around.
-        impatient = RetryPolicy(max_attempts=1)
-        with RemoteAgentHandle(
-            *server.address, timeout_s=1.0, retry=impatient
-        ) as handle:
-            assert handle.ping() == agent.name  # still serving
-            blocks, _ = handle.collect_blocks({})
-            assert blocks
-        stalled.sendall(frame[sent:])
-        assert recv_message(stalled) == {"ok": True, "agent": agent.name}
-        stalled.close()
+    def test_truncated_header_does_not_wedge_the_server(self, wire_server):
+        assert_stalled_peer_wedges_nothing(*wire_server, sent=2)
+
+    def test_truncated_payload_does_not_wedge_the_server(self, wire_server):
+        assert_stalled_peer_wedges_nothing(*wire_server, sent=4 + 6)
 
     def test_fault_outside_serve_cuts_only_that_connection(self, machine, capsys):
         class BrokenDecoder(AgentServer):
