@@ -519,6 +519,8 @@ def _run_scale_scenario(n_machines: int, n_zones: int, window_s: float):
             "worst_health": rollup.worst_health,
             "throughput_pps": rollup.throughput_pps,
             "total_loss_pkts": rollup.total_loss_pkts,
+            "top_droppers": rollup.top_droppers(5),
+            "loss_rate_p99": rollup.loss_rate_quantile(0.99),
             "verdicts": [(m, v.describe()) for m, v in rollup.verdicts],
             "summary": rollup.summary(),
         },
@@ -563,6 +565,10 @@ def cmd_scale(args: argparse.Namespace) -> int:
         f"loss {r['total_loss_pkts']:.0f} pkt(s), "
         f"worst health {r['worst_health']}"
     )
+    droppers = ", ".join(f"{m} {pkts:.0f}" for m, pkts in r["top_droppers"])
+    print(f"  top droppers (pkts): {droppers or 'none'}")
+    if r["loss_rate_p99"] is not None:
+        print(f"  p99 loss rate: {r['loss_rate_p99']:.4f}")
     for machine, verdict in r["verdicts"]:
         print(f"  {machine}: {verdict}")
     return 0 if result["verdicts_equal_flat"] else 1

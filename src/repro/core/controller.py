@@ -748,7 +748,6 @@ class ZoneController:
             CONFIDENCE_DEGRADED,
             CONFIDENCE_FULL,
             MachineSummary,
-            ZoneAggregates,
             ZoneReport,
         )
 
@@ -805,7 +804,6 @@ class ZoneController:
             seq=seq,
             window_s=window_s,
             machines=summaries,
-            aggregates=ZoneAggregates.from_summaries(summaries),
         )
 
     # -- memory accounting -----------------------------------------------------------

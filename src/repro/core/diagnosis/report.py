@@ -10,6 +10,7 @@ say so.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
@@ -23,7 +24,6 @@ from repro.core.health import (
     worst_state,
 )
 from repro.core.rulebook import Verdict
-from repro.core.sketches import QuantileSketch, SpaceSavingTopK
 
 #: Verdict confidence labels used across the diagnosis reports.
 CONFIDENCE_FULL = "full"
@@ -340,66 +340,44 @@ class MachineSummary:
         )
 
 
-#: Tracked heavy hitters per zone sketch.  The root's merged view can
-#: therefore answer "top droppers" for the whole fleet from O(zones × k)
-#: state instead of O(machines).
-DEFAULT_TOPK = 10
-
-
-@dataclass
+@dataclass(frozen=True)
 class ZoneAggregates:
-    """Sketch-backed shard aggregates riding a :class:`ZoneReport`.
+    """Exact fleet aggregates over a set of machine summaries.
 
-    Bounded-memory stand-ins for the per-machine scans the root used
-    to do: ``top_droppers`` space-saves machine loss totals over the
-    report window, ``loss_rate`` histograms the shard's per-machine
-    packet-loss-rate distribution.  Both merge across zones (exactly,
-    since shards are disjoint) and pack flat for the ``bin1`` wire.
+    ``losses`` holds the ``(machine, loss_pkts)`` pairs with a positive
+    loss, heaviest first (ties by name); ``loss_rates`` every machine's
+    packet-loss rate, ascending.  The root already holds each machine's
+    summary, so there is nothing to approximate.
     """
 
-    top_droppers: SpaceSavingTopK = field(
-        default_factory=lambda: SpaceSavingTopK(DEFAULT_TOPK)
-    )
-    loss_rate: QuantileSketch = field(default_factory=QuantileSketch)
+    losses: Tuple[Tuple[str, float], ...] = ()
+    loss_rates: Tuple[float, ...] = ()
 
     @classmethod
     def from_summaries(
-        cls, summaries: Mapping[str, "MachineSummary"], k: int = DEFAULT_TOPK
+        cls, summaries: Mapping[str, "MachineSummary"]
     ) -> "ZoneAggregates":
-        agg = cls(top_droppers=SpaceSavingTopK(k))
-        for machine in sorted(summaries):
-            summary = summaries[machine]
-            if summary.loss_pkts > 0:
-                agg.top_droppers.add(machine, summary.loss_pkts)
-            agg.loss_rate.add(max(0.0, summary.pkt_loss_rate))
-        return agg
-
-    def merge(self, other: "ZoneAggregates") -> "ZoneAggregates":
-        self.top_droppers.merge(other.top_droppers)
-        self.loss_rate.merge(other.loss_rate)
-        return self
-
-    def copy(self) -> "ZoneAggregates":
-        return ZoneAggregates(
-            top_droppers=self.top_droppers.copy(),
-            loss_rate=self.loss_rate.copy(),
-        )
-
-    def nbytes(self) -> int:
-        return self.top_droppers.nbytes() + self.loss_rate.nbytes()
-
-    def to_wire(self) -> Dict[str, Any]:
-        return {
-            "topk": self.top_droppers.to_wire(),
-            "loss_rate": self.loss_rate.to_wire(),
-        }
-
-    @classmethod
-    def from_wire(cls, payload: Mapping[str, Any]) -> "ZoneAggregates":
+        losses = [
+            (machine, summary.loss_pkts)
+            for machine, summary in summaries.items()
+            if summary.loss_pkts > 0
+        ]
+        losses.sort(key=lambda pair: (-pair[1], pair[0]))
         return cls(
-            top_droppers=SpaceSavingTopK.from_wire(payload["topk"]),
-            loss_rate=QuantileSketch.from_wire(payload["loss_rate"]),
+            losses=tuple(losses),
+            loss_rates=tuple(
+                sorted(max(0.0, s.pkt_loss_rate) for s in summaries.values())
+            ),
         )
+
+    def quantile(self, q: float) -> Optional[float]:
+        """Nearest-rank ``q``-quantile of the loss rates; None when empty."""
+        if not 0.0 <= q <= 1.0:
+            raise ValueError(f"quantile must be in [0, 1]: {q!r}")
+        if not self.loss_rates:
+            return None
+        rank = max(1, math.ceil(q * len(self.loss_rates)))
+        return self.loss_rates[rank - 1]
 
 
 @dataclass
@@ -416,9 +394,6 @@ class ZoneReport:
     window_s: float
     machines: Dict[str, MachineSummary] = field(default_factory=dict)
     generated_ts: float = 0.0
-    #: Sketch-backed shard aggregates; None for pre-sketch producers
-    #: (old peers stay readable — the wire defaults are additive).
-    aggregates: Optional[ZoneAggregates] = None
 
     # -- zone-level aggregates (what the root reads most) -----------------
 
@@ -472,7 +447,7 @@ class ZoneReport:
     # -- wire form ---------------------------------------------------------
 
     def to_wire(self) -> Dict[str, Any]:
-        wire = {
+        return {
             "zone": self.zone,
             "seq": self.seq,
             "window_s": self.window_s,
@@ -481,25 +456,18 @@ class ZoneReport:
                 self.machines[m].to_wire() for m in self.machine_names
             ],
         }
-        if self.aggregates is not None:
-            wire["aggregates"] = self.aggregates.to_wire()
-        return wire
 
     @classmethod
     def from_wire(cls, payload: Mapping[str, Any]) -> "ZoneReport":
         summaries = [
             MachineSummary.from_wire(row) for row in payload.get("machines", ())
         ]
-        raw_agg = payload.get("aggregates")
         return cls(
             zone=str(payload["zone"]),
             seq=int(payload["seq"]),
             window_s=float(payload.get("window_s", 0.0)),
             machines={s.machine: s for s in summaries},
             generated_ts=float(payload.get("generated_ts", 0.0)),
-            aggregates=(
-                ZoneAggregates.from_wire(raw_agg) if raw_agg else None
-            ),
         )
 
 
@@ -598,34 +566,21 @@ class FleetRollup:
         }
 
     @property
-    def aggregates(self) -> Optional[ZoneAggregates]:
-        """The zones' sketch aggregates merged fleet-wide.
-
-        O(zones × sketch size) — never touches per-machine summaries.
-        Exact under disjoint shards; None when no merged zone carried
-        aggregates (pre-sketch producers).
-        """
-        merged: Optional[ZoneAggregates] = None
-        for zone in self.zone_names:
-            agg = self.zones[zone].aggregates
-            if agg is None:
-                continue
-            merged = agg.copy() if merged is None else merged.merge(agg)
-        return merged
+    def aggregates(self) -> ZoneAggregates:
+        """Exact aggregates over every merged zone's machine summaries."""
+        return ZoneAggregates.from_summaries(
+            {m: s for zone in self.zones.values() for m, s in zone.machines.items()}
+        )
 
     def top_droppers(self, n: int = 5) -> List[Tuple[str, float]]:
-        """Heaviest-loss machines fleet-wide, from the merged sketches."""
-        agg = self.aggregates
-        if agg is None:
-            return []
-        return [(m, cnt) for m, cnt, _err in agg.top_droppers.top(n)]
+        """The ``n`` heaviest-loss machines fleet-wide, with their losses."""
+        if n < 0:
+            raise ValueError(f"n must be >= 0: {n!r}")
+        return list(self.aggregates.losses[:n])
 
     def loss_rate_quantile(self, q: float) -> Optional[float]:
-        """Fleet loss-rate quantile from the merged sketches (or None)."""
-        agg = self.aggregates
-        if agg is None:
-            return None
-        return agg.loss_rate.quantile(q)
+        """Nearest-rank fleet loss-rate quantile (None with no machines)."""
+        return self.aggregates.quantile(q)
 
     @property
     def worst_machine(self) -> Optional[str]:

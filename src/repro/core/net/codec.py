@@ -23,6 +23,7 @@ unsigned LEB128 of at most 32 bits; outer 4-byte length framing and the
 16 MiB cap live in :mod:`repro.core.net.protocol`)::
 
     header   := magic u8 (0xB1) | version u8 (3) | kind u8 | flags u8
+                # flags is 0 on every kind; any set bit is refused
 
     request  (kind 1, controller -> agent):
       trace_len u16 | trace utf8-json           # 0 = no trace context
@@ -53,12 +54,19 @@ unsigned LEB128 of at most 32 bits; outer 4-byte length framing and the
       cursor_count u32
         cur := elem_id u32 | seq i64
 
-    zone report (kind 3, zone -> root): machine summaries + verdicts;
-      header flag bit 0 (``FLAG_ZONE_AGGREGATES``) appends a sketch
-      section after the summaries:
-        topk_k u16 | entry_count u16
-          | (machine_id u32 | count f64 | error f64)*
-        | lo f64 | hi f64 | cell_count u16 | cells f64[cell_count]
+    zone report (kind 3, zone -> root):
+      trace_len u16 | trace utf8-json
+      dict_count u32 | entry*           # as in the response; space 3 = label
+      zone_label u32 | seq i64 | window_s f64 | generated_ts f64
+      machine_count u32
+        summary := machine_id u32 | health_label u32 | confidence_label u32
+                   | loss_pkts f64 | throughput_pps f64 | pkt_loss_rate f64
+                   | avg_pkt_size f64 | age_s f64
+                   | elements u32 | missing_elements u32
+                   | verdict_count u16 | verdict*
+        verdict := location_label u32 | scope_label u32
+                   | resource_count u16 | resource_label u32[n]
+                   | signal_count u16 | signal_label u32[n]
 
 A block hoists the element id and the attr-id vector over all its rows.
 A row is sent *against a base*: the last row this connection carried
@@ -135,11 +143,6 @@ BIN_VERSION = 3
 KIND_BATCH_REQUEST = 1
 KIND_BATCH_RESPONSE = 2
 KIND_ZONE_REPORT = 3
-
-#: Header flag on KIND_ZONE_REPORT frames: a sketch-aggregates section
-#: (top-k droppers + loss-rate quantile histogram) follows the machine
-#: summaries.
-FLAG_ZONE_AGGREGATES = 0x01
 
 #: Block flags of a BATCH_DELTA response: the element's attr-id list
 #: follows (it differs from the last one this connection carried), and
@@ -468,13 +471,12 @@ class _Reader:
             )
 
 
-def _check_header(r: _Reader, expected_kind: int, known_flags: int = 0) -> int:
-    """Validate the frame header; returns its ``flags`` byte.
+def _check_header(r: _Reader, expected_kind: int) -> None:
+    """Validate the frame header.
 
-    Flags are per-kind feature bits (``FLAG_ZONE_AGGREGATES`` on zone
-    reports); a bit outside ``known_flags`` is a corrupt frame.  The
-    format grows by :data:`BIN_VERSION`, and a frame of any other
-    version is refused.
+    No kind defines a header flag, so any non-zero flags byte is a
+    corrupt frame.  The format grows by :data:`BIN_VERSION`, and a
+    frame of any other version is refused.
     """
     at = r.need(4, "frame header")
     magic, version, kind, flags = _HEADER.unpack_from(r.view, at)
@@ -495,13 +497,12 @@ def _check_header(r: _Reader, expected_kind: int, known_flags: int = 0) -> int:
             op=r.op,
             offset=at + 2,
         )
-    if flags & ~known_flags:
+    if flags:
         raise ProtocolError(
-            f"unknown header flag bits 0x{flags & ~known_flags:02x}",
+            f"unknown header flag bits 0x{flags:02x}",
             op=r.op,
             offset=at + 3,
         )
-    return flags
 
 
 def _put_text(buf: bytearray, text: str) -> None:
@@ -1090,44 +1091,8 @@ def encode_zone_report(
             for sig in signals:
                 body += _U32.pack(ident_for(SPACE_LABEL, labels, str(sig)))
 
-    # Sketch aggregates (flagged): top-k droppers as (machine id,
-    # count, error) rows, then the loss-rate quantile histogram.  The
-    # machine names were just written by the summaries loop, so the
-    # steady state adds no dictionary entries.
-    aggregates = report.get("aggregates")
-    flags = 0
-    if aggregates:
-        flags |= FLAG_ZONE_AGGREGATES
-        topk = aggregates["topk"]
-        entries = list(topk.get("entries", ()))
-        if len(entries) > 0xFFFF:
-            raise ProtocolError(
-                f"too many top-k entries for wire: {len(entries)}",
-                op=OP_ZONE_REPORT,
-            )
-        body += _U16.pack(int(topk["k"]))
-        body += _U16.pack(len(entries))
-        for key, count, err in entries:
-            body += _U32.pack(
-                ident_for(SPACE_MACHINE, schema.machines, str(key))
-            )
-            body += _F64.pack(float(count))
-            body += _F64.pack(float(err))
-        qsketch = aggregates["loss_rate"]
-        counts = list(qsketch.get("counts", ()))
-        if len(counts) > 0xFFFF:
-            raise ProtocolError(
-                f"too many quantile cells for wire: {len(counts)}",
-                op=OP_ZONE_REPORT,
-            )
-        body += _F64.pack(float(qsketch["lo"]))
-        body += _F64.pack(float(qsketch["hi"]))
-        body += _U16.pack(len(counts))
-        for cell in counts:
-            body += _F64.pack(float(cell))
-
     buf = bytearray(
-        _HEADER.pack(BIN_MAGIC, BIN_VERSION, KIND_ZONE_REPORT, flags)
+        _HEADER.pack(BIN_MAGIC, BIN_VERSION, KIND_ZONE_REPORT, 0)
     )
     _put_trace(buf, trace_wire)
     _put_dictionary(buf, pending, OP_ZONE_REPORT)
@@ -1141,7 +1106,7 @@ def decode_zone_report(
 ) -> Tuple[Dict[str, Any], Optional[Mapping[str, Any]]]:
     """Unpack a ``bin1`` zone report into (wire dict, trace context)."""
     r = _Reader(raw, OP_ZONE_REPORT)
-    flags = _check_header(r, KIND_ZONE_REPORT, FLAG_ZONE_AGGREGATES)
+    _check_header(r, KIND_ZONE_REPORT)
     trace = _read_trace(r)
     _read_dictionary(r, schema)
 
@@ -1199,37 +1164,14 @@ def decode_zone_report(
                 "verdicts": verdicts,
             }
         )
-    aggregates: Optional[Dict[str, Any]] = None
-    if flags & FLAG_ZONE_AGGREGATES:
-        k = r.u16("top-k k")
-        entries: List[List[Any]] = []
-        for _ in range(r.bound_count(r.u16("top-k entry count"), 20, "top-k entry")):
-            key = schema.machines.name_of(r.u32("top-k machine id"), r.op, r.pos - 4)
-            entries.append([key, r.f64("top-k count"), r.f64("top-k error")])
-        lo = r.f64("quantile lo")
-        hi = r.f64("quantile hi")
-        counts_len = r.bound_count(r.u16("quantile cell count"), 8, "quantile cell")
-        counts = [r.f64("quantile cell") for _ in range(counts_len)]
-        aggregates = {
-            "topk": {"k": k, "entries": entries},
-            "loss_rate": {
-                "lo": lo,
-                "hi": hi,
-                "buckets": counts_len - 2,
-                "counts": counts,
-            },
-        }
     r.done()
-    report = {
+    return {
         "zone": zone,
         "seq": seq,
         "window_s": window_s,
         "generated_ts": generated_ts,
         "machines": machines,
-    }
-    if aggregates is not None:
-        report["aggregates"] = aggregates
-    return report, trace
+    }, trace
 
 
 # -- HELLO handshake --------------------------------------------------------------

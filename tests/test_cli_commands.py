@@ -102,6 +102,13 @@ class TestHeavyCommands:
         assert doc["verdicts_equal_flat"] is True
         assert sum(doc["shard_sizes"].values()) == 6
         assert doc["wire_reports_accepted"] == 2
+        rollup = doc["rollup"]
+        droppers = rollup["top_droppers"]
+        assert 0 < len(droppers) <= 5
+        losses = [pkts for _m, pkts in droppers]
+        assert losses == sorted(losses, reverse=True)
+        assert droppers[0][0] == rollup["worst_machine"]
+        assert 0.0 <= rollup["loss_rate_p99"] <= 1.0
 
     def test_chaos_json_self_heals_and_writes_nothing(self, capsys):
         out_dir = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "out"

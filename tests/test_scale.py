@@ -19,6 +19,7 @@ from repro.core.controller import AgentMirror, FleetController, ZoneController
 from repro.core.diagnosis.report import (
     FleetRollup,
     MachineSummary,
+    ZoneAggregates,
     ZoneReport,
 )
 from repro.core.net import FleetServer, ZoneClient
@@ -26,6 +27,7 @@ from repro.core.rulebook import VM_BOTTLENECK, Verdict
 from repro.core.sharding import HashRing
 from repro.middleboxes.http import HttpServer
 from repro.scenarios.common import Harness
+from repro.scenarios.fleet import EVERY_THIRD_OVERDRIVEN, add_receivers, shard
 from repro.simnet.packet import Flow
 from repro.workloads.traffic import ExternalTrafficSource
 
@@ -224,6 +226,112 @@ class TestHierarchyEqualsFlat:
                 ), (machine, name)
         assert all(s.throughput_pps > 0 for s in full.machines.values())
         assert any(s.pkt_loss_rate > 0 for s in full.machines.values())
+
+
+def lossy_summary(machine, loss_pkts, rate):
+    return MachineSummary(
+        machine=machine, health="healthy", loss_pkts=loss_pkts, pkt_loss_rate=rate
+    )
+
+
+def rollup_of(*reports):
+    """The root's roll-up after it accepted each zone report once."""
+    fleet = FleetController("root")
+    for report in reports:
+        fleet.register_zone(report.zone)
+        assert fleet.ingest_zone_report(report)
+    return fleet.rollup()
+
+
+class TestFleetAggregates:
+    """Top droppers and loss-rate quantiles, read exactly from the
+    machine summaries the root already holds."""
+
+    def test_top_droppers_and_quantiles_are_exact(self):
+        # More lossy machines than a 10-entry top-k sketch tracks.
+        losses = {f"m{i:02d}": 111.0 - i for i in range(12)}
+        rates = {m: loss / 1000 for m, loss in losses.items()}
+        report = ZoneReport(
+            zone="z0",
+            seq=1,
+            window_s=WINDOW_S,
+            machines={m: lossy_summary(m, losses[m], rates[m]) for m in losses},
+        )
+        rollup = rollup_of(report)
+
+        assert rollup.top_droppers(3) == [
+            ("m00", 111.0), ("m01", 110.0), ("m02", 109.0)
+        ]
+        assert rollup.top_droppers(0) == []
+        assert len(rollup.top_droppers(20)) == 12
+        # Nearest rank: the ceil(q * 12)-th smallest rate (the first at q=0).
+        assert rollup.loss_rate_quantile(0.0) == rates["m11"]
+        assert rollup.loss_rate_quantile(0.5) == rates["m06"]
+        assert rollup.loss_rate_quantile(0.99) == rates["m00"]
+        assert rollup.loss_rate_quantile(1.0) == rates["m00"]
+        for q in (-0.01, 1.01, float("nan")):
+            with pytest.raises(ValueError):
+                rollup.loss_rate_quantile(q)
+        with pytest.raises(ValueError):
+            rollup.top_droppers(-1)
+
+    def test_from_summaries(self):
+        agg = ZoneAggregates.from_summaries(
+            {
+                "m1": lossy_summary("m1", 100.0, 0.01),
+                "m2": lossy_summary("m2", 0.0, 0.0),
+                "m3": lossy_summary("m3", 500.0, 0.2),
+                "m4": lossy_summary("m4", 100.0, -0.5),
+            }
+        )
+        # Loss-free machines are not droppers; ties go by name.
+        assert agg.losses == (("m3", 500.0), ("m1", 100.0), ("m4", 100.0))
+        # Every machine has a rate; a negative one counts as zero.
+        assert agg.loss_rates == (0.0, 0.0, 0.01, 0.2)
+        assert ZoneAggregates.from_summaries({}).quantile(0.5) is None
+
+    def test_merge_across_zones(self):
+        rollup = rollup_of(
+            ZoneReport(zone="z1", seq=1, window_s=WINDOW_S,
+                       machines={"m1": lossy_summary("m1", 10.0, 0.1)}),
+            ZoneReport(zone="z2", seq=1, window_s=WINDOW_S,
+                       machines={"m2": lossy_summary("m2", 30.0, 0.3)}),
+        )
+        assert rollup.top_droppers() == [("m2", 30.0), ("m1", 10.0)]
+        assert rollup.loss_rate_quantile(0.0) == 0.1
+        assert rollup.loss_rate_quantile(1.0) == 0.3
+
+    def test_root_answers_fleet_aggregates_exactly(self):
+        """Zone reports from a real two-zone diagnosis round: the root's
+        fleet answers equal what its per-machine summaries say."""
+        h = Harness()
+        add_receivers(h, 6, EVERY_THIRD_OVERDRIVEN)
+        h.advance(0.25)
+        fleet = FleetController("root")
+        zones, _ = shard(fleet, h.agents, 2)
+        scans = {z: zc.begin_fleet_scan(0.25) for z, zc in zones.items()}
+        h.advance(0.25)
+        for z, scan in scans.items():
+            report = zones[z].build_zone_report(zones[z].finish_fleet_scan(scan))
+            assert fleet.ingest_zone_report(report)
+
+        rollup = fleet.rollup()
+        assert len(rollup.zones) == 2
+        by_machine = rollup.loss_by_machine
+        expected = sorted(
+            ((m, loss) for m, loss in by_machine.items() if loss > 0),
+            key=lambda pair: (-pair[1], pair[0]),
+        )
+        assert rollup.top_droppers(len(by_machine)) == expected
+        # Only the overdriven machines (every third) lose whole packets;
+        # the rest carry floating-point residue at most.
+        lossy = {m for m, pkts in rollup.top_droppers(5) if pkts >= 1.0}
+        assert lossy == {"host-000", "host-003"}
+        rates = sorted(
+            rollup.summary_for(m).pkt_loss_rate for m in rollup.machines
+        )
+        assert rollup.loss_rate_quantile(0.5) == rates[2]
+        assert rollup.loss_rate_quantile(1.0) == rates[-1] > 0
 
 
 class TestPushOnChange:

@@ -57,6 +57,7 @@ from repro.core.net.codec import CODEC_BIN1, WireSchema
 from repro.core.net.protocol import (
     OP_BATCH_DELTA,
     OP_HELLO,
+    OP_ZONE_REPORT,
     ProtocolError,
     recv_message,
     send_message,
@@ -1249,15 +1250,11 @@ class TestRestartRenegotiation:
 
 
 class TestZoneReportAggregates:
-    """The flagged sketch-aggregates section of bin1 zone reports."""
+    """Kind-3 frames carry machine summaries only and no header flag."""
 
     @staticmethod
-    def sample_report(with_aggregates=True):
-        from repro.core.diagnosis.report import (
-            MachineSummary,
-            ZoneAggregates,
-            ZoneReport,
-        )
+    def sample_report():
+        from repro.core.diagnosis.report import MachineSummary, ZoneReport
 
         summaries = {
             "m1": MachineSummary(
@@ -1270,26 +1267,8 @@ class TestZoneReportAggregates:
             ),
         }
         return ZoneReport(
-            zone="z0", seq=5, window_s=0.5, machines=summaries,
-            aggregates=(
-                ZoneAggregates.from_summaries(summaries)
-                if with_aggregates else None
-            ),
+            zone="z0", seq=5, window_s=0.5, machines=summaries
         ).to_wire()
-
-    def test_roundtrip_preserves_sketches(self):
-        from repro.core.diagnosis.report import ZoneReport
-
-        wire = self.sample_report()
-        schema_tx, schema_rx = WireSchema(), WireSchema()
-        raw = wire_codec.encode_zone_report(schema_tx, wire)
-        decoded, trace = wire_codec.decode_zone_report(schema_rx, raw)
-        assert trace is None
-        back = ZoneReport.from_wire(decoded)
-        orig = ZoneReport.from_wire(wire)
-        assert back.aggregates is not None
-        assert back.aggregates.top_droppers == orig.aggregates.top_droppers
-        assert back.aggregates.loss_rate == orig.aggregates.loss_rate
 
     def test_reencode_is_byte_identical(self):
         wire = self.sample_report()
@@ -1298,18 +1277,15 @@ class TestZoneReportAggregates:
         again = wire_codec.encode_zone_report(WireSchema(), decoded)
         assert again == raw
 
-    def test_aggregate_less_frame_has_no_flag(self):
-        wire = self.sample_report(with_aggregates=False)
-        raw = wire_codec.encode_zone_report(WireSchema(), wire)
-        assert raw[3] == 0  # flags byte
-        decoded, _ = wire_codec.decode_zone_report(WireSchema(), raw)
-        assert "aggregates" not in decoded
-
-    def test_aggregates_frame_truncations_rejected(self):
+    def test_any_flag_bit_refused(self):
         raw = wire_codec.encode_zone_report(WireSchema(), self.sample_report())
-        plain = wire_codec.encode_zone_report(
-            WireSchema(), self.sample_report(with_aggregates=False)
-        )
-        for cut in range(len(plain), len(raw)):
-            with pytest.raises(ProtocolError):
-                wire_codec.decode_zone_report(WireSchema(), raw[:cut])
+        assert raw[3] == 0
+        for bit in range(8):
+            mutated = bytearray(raw)
+            mutated[3] = 1 << bit
+            with pytest.raises(
+                ProtocolError, match=f"unknown header flag bits 0x{1 << bit:02x}"
+            ) as err:
+                wire_codec.decode_zone_report(WireSchema(), bytes(mutated))
+            assert err.value.offset == 3
+            assert err.value.op == OP_ZONE_REPORT
