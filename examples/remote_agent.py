@@ -4,8 +4,10 @@
 The other examples hold agents in-process; this one exercises the real
 deployment shape of Figure 4 — an agent serving its machine's counters
 behind a socket, a controller connecting over the (here: loopback)
-management network with the length-prefixed JSON protocol, and the
-Figure-6 utility routines running unchanged on top.
+management network with the length-prefixed wire protocol (JSON control
+ops; a HELLO negotiates the packed-binary ``bin1`` codec that every
+telemetry delta travels in), and the Figure-6 utility routines running
+unchanged on top.
 
 Run:  python examples/remote_agent.py
 """

@@ -3,13 +3,16 @@
 ``python -m repro.cli scale``, ``chaos`` and ``watch`` all diagnose the
 same kind of fleet: ``host-NNN`` machines, each with one ``vm0`` UDP
 receiver, sharded over ``zone-N`` controllers by the fleet root's hash
-ring.  This module builds it once.  What differs between fleets — each
+ring.  This module builds it once, together with the parts every
+hierarchy arc drives it with — the split-phase scan round, a push
+target that can be killed, and the agent teardown — so the demos and
+the tests run the same arc.  What differs between fleets — each
 machine's vNIC cap and offered rate — is passed in as data.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from repro.core.controller import FleetController, ZoneController
 from repro.middleboxes.http import HttpServer
@@ -75,3 +78,68 @@ def shard(
         for name in machines:
             zones[zone_name].register_local_agent(agents[name])
     return zones, shard_sizes
+
+
+def split_round(
+    h: Harness,
+    zones: Mapping[str, ZoneController],
+    window_s: float,
+    flat: bool = True,
+    live: Optional[Iterable[str]] = None,
+):
+    """One split-phase scan: every tier measures the same interval.
+
+    The flat baseline ``h.controller`` (unless ``flat`` is False) and
+    each zone in ``live`` (default: all) open their Algorithm-1
+    windows, ONE ``h.advance(window_s)`` runs, and each closes them.  A
+    zone dropped from ``live`` during the advance (killed mid-scan)
+    builds no report.  Returns (flat diagnosis or None, zone -> report);
+    the caller delivers the reports.
+    """
+    live = zones if live is None else live
+    flat_scan = h.controller.begin_fleet_scan(window_s) if flat else None
+    scans = {z: zones[z].begin_fleet_scan(window_s) for z in zones if z in live}
+    h.advance(window_s)
+    baseline = h.controller.finish_fleet_scan(flat_scan) if flat else None
+    reports = {
+        z: zones[z].build_zone_report(zones[z].finish_fleet_scan(scan))
+        for z, scan in scans.items()
+        if z in live
+    }
+    return baseline, reports
+
+
+class ZoneTarget:
+    """A zone's push endpoint that survives the zone being killed.
+
+    Agents keep it as their push target while the zone behind it dies
+    (``alive = False``) and is replaced (``zone = ...``).  A dead zone,
+    like a dead TCP peer, refuses a push with :class:`ConnectionError`,
+    and so does a zone that no longer owns the machine: both feed the
+    agent's backoff and re-home loop.  ``calls`` counts pushes offered.
+    """
+
+    def __init__(self, zone: ZoneController) -> None:
+        self.zone = zone
+        self.alive = True
+        self.calls = 0
+
+    def ingest_push(self, machine, blocks, cursor=None, trace=None):
+        self.calls += 1
+        if not self.alive:
+            raise ConnectionError(f"zone {self.zone.name} is down")
+        try:
+            return self.zone.ingest_push(machine, blocks, cursor, trace=trace)
+        except KeyError:
+            raise ConnectionError(
+                f"zone {self.zone.name} no longer owns {machine}"
+            ) from None
+
+
+def stop_cadences(agents: Mapping[str, object]) -> None:
+    """Stop every agent's push and poll cadence: an arc's teardown."""
+    for agent in agents.values():
+        if agent.pushing:
+            agent.stop_pushing()
+        if agent.polling:
+            agent.stop_polling()

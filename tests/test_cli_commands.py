@@ -1,10 +1,11 @@
-"""CLI command coverage beyond the smoke tests in test_extensions.
+"""CLI command coverage: the parser, and every command's printers.
 
-The heavier commands run real scenarios, so each is exercised once with
-its fastest configuration.  ``fig12`` and ``table1`` only print what a
-scenario returns — test_scenarios_smoke checks the scenarios — so here
-their entry points are patched down to quick shapes and the tests check
-wiring and rendering.
+Each demo (``obs``, ``fleet``, ``scale``, ``chaos``, ``watch``) runs its
+scenario once, in a module-scoped fixture, and its ``--json`` and text
+printers are both checked against that one result.  ``fig10``,
+``fig12`` and ``table1`` only print what a scenario returns —
+test_scenarios_smoke checks the scenarios — so their entry points are
+patched down to quick shapes and the tests check wiring and rendering.
 """
 
 import functools
@@ -13,7 +14,11 @@ import pathlib
 
 import pytest
 
+from repro import cli, obs
 from repro.cli import EXPERIMENTS, build_parser, main
+from repro.scenarios import demo_chaos, demo_fleet, demo_obs, demo_scale, demo_watch
+
+OUT_DIR = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "out"
 
 
 class TestParser:
@@ -34,10 +39,27 @@ class TestParser:
         assert not build_parser().parse_args(["obs"]).json
         assert build_parser().parse_args(["obs", "--json"]).json
 
-    def test_obs_in_inventory(self, capsys):
-        assert main(["list"]) == 0
-        assert "obs" in capsys.readouterr().out
-        assert "obs" in EXPERIMENTS
+    def test_unknown_command_rejected(self):
+        with pytest.raises(SystemExit):
+            main(["frobnicate"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "scale --machines 0",
+            "chaos --zones 1 --quick",
+            "watch --fault-round 0",
+            "watch --rounds 0",
+            "fleet --agents 0",
+        ],
+    )
+    def test_bad_count_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split())
+        assert exc.value.code == 2
+        errors = [x for x in capsys.readouterr().err.splitlines() if "error:" in x]
+        assert len(errors) == 1
+        assert f"argument {argv.split()[1]}: must be at least" in errors[0]
 
     def test_fleet_flags(self):
         args = build_parser().parse_args(["fleet"])
@@ -60,6 +82,65 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["watch", "--fault", "nope"])
         assert "watch" in EXPERIMENTS
+
+
+class TestLightCommands:
+    def test_list_command(self, capsys):
+        assert main(["list"]) == 0
+        out = capsys.readouterr().out
+        assert "fig12" in out and "table1" in out
+        assert "obs" in out
+        assert "obs" in EXPERIMENTS
+
+    def test_fig16_command(self, capsys):
+        assert main(["fig16"]) == 0
+        assert "agent CPU" in capsys.readouterr().out
+
+    def test_fig10_command(self, capsys, monkeypatch):
+        from repro.scenarios import fig10_backlog_contention as fig10
+
+        flow1 = [(5.0, 500.0), (20.0, 170.0)]  # (t, Mbps): before, during
+        drops = {"pcpu_backlog": 9.6e6, "pnic": 3.0}
+        result = fig10.Fig10Result(flow1, [], drops, False)
+        monkeypatch.setattr(fig10, "build_and_run", lambda: result)
+        assert main(["fig10"]) == 0
+        out = capsys.readouterr().out
+        assert "flow1: 500 Mbps before the flood, 170 Mbps during" in out
+        assert "NIC saturated: False" in out
+        assert "drop locations: {'pcpu_backlog': 9600000}" in out
+
+
+@pytest.fixture(scope="module")
+def obs_run():
+    hub = obs.Observability()
+    with obs.installed(hub):
+        report, quality = demo_obs.run_obs()
+    return report, quality, hub
+
+
+@pytest.fixture(scope="module")
+def fleet_run():
+    return demo_fleet.run_fleet(2, 0.002)  # fleet --agents 2 --latency-ms 2
+
+
+@pytest.fixture(scope="module")
+def scale_run():
+    return demo_scale.run_scale(6, 2, 0.5)  # scale --machines 6 --zones 2
+
+
+@pytest.fixture(scope="module")
+def chaos_run():
+    before = sorted(OUT_DIR.iterdir())
+    # chaos --machines 4 --zones 2 --arcs 1
+    return demo_chaos.run_chaos(4, 2, 0.25, 1), before
+
+
+@pytest.fixture(scope="module")
+def watch_run():
+    hub = obs.Observability()
+    with obs.installed(hub):
+        result, incidents = demo_watch.run_watch(4, 2, 12, 4, 0.25)  # watch --quick
+    return result, incidents, hub
 
 
 @pytest.mark.slow
@@ -96,8 +177,8 @@ class TestHeavyCommands:
         assert "outgoing-bandwidth" in out
         assert "pcpu_backlog" in out
 
-    def test_scale_json_verdicts_equal_flat(self, capsys):
-        assert main(["scale", "--machines", "6", "--zones", "2", "--json"]) == 0
+    def test_scale_json_verdicts_equal_flat(self, capsys, scale_run):
+        assert cli.print_scale(scale_run, as_json=True) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["verdicts_equal_flat"] is True
         assert sum(doc["shard_sizes"].values()) == 6
@@ -110,29 +191,43 @@ class TestHeavyCommands:
         assert droppers[0][0] == rollup["worst_machine"]
         assert 0.0 <= rollup["loss_rate_p99"] <= 1.0
 
-    def test_chaos_json_self_heals_and_writes_nothing(self, capsys):
-        out_dir = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "out"
-        before = sorted(out_dir.iterdir())
-        code = main(
-            ["chaos", "--machines", "4", "--zones", "2", "--arcs", "1", "--json"]
-        )
+    def test_scale_human_report(self, capsys, scale_run):
+        assert cli.print_scale(scale_run, as_json=False) == 0
+        out = capsys.readouterr().out
+        assert "hierarchical control plane: 6 machines across 2 zone(s)" in out
+        assert "verdicts vs flat controller on the same window: EQUAL" in out
+        assert "rebalance: last zone left" in out
+        assert f"top droppers (pkts): {scale_run['rollup']['worst_machine']} " in out
+
+    def test_chaos_json_self_heals_and_writes_nothing(self, capsys, chaos_run):
+        result, before = chaos_run
+        assert cli.print_chaos(result, as_json=True) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert code == 0 and doc["ok"] is True
+        assert doc["ok"] is True
         (arc,) = doc["arcs"]
         assert arc["only_dead_shard_moved"] and arc["healed"]
         assert "bench" not in doc and "bench_path" not in doc
-        assert sorted(out_dir.iterdir()) == before
+        assert sorted(OUT_DIR.iterdir()) == before
 
-    def test_obs_human_report(self, capsys):
-        assert main(["obs"]) == 0
+    def test_chaos_human_report(self, capsys, chaos_run):
+        assert cli.print_chaos(chaos_run[0], as_json=False) == 0
+        out = capsys.readouterr().out
+        assert "baseline verdicts vs flat controller: EQUAL" in out
+        assert "== kill/restart arc 0: victim zone-0" in out
+        assert "only the dead shard moved" in out
+        assert "!!" not in out  # every arc step healed
+        assert out.rstrip().endswith("== RECONVERGED")
+
+    def test_obs_human_report(self, capsys, obs_run):
+        assert cli.print_obs(*obs_run, as_json=False) == 0
         out = capsys.readouterr().out
         assert "ROOT CAUSE" in out and "proxy" in out
         assert "^wire" in out  # the span tree shows the wire crossing
         assert "health.transition" in out
         assert "perfsight_channel_read_latency_seconds" in out
 
-    def test_obs_json_document(self, capsys):
-        assert main(["obs", "--json"]) == 0
+    def test_obs_json_document(self, capsys, obs_run):
+        assert cli.print_obs(*obs_run, as_json=True) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["root_causes"] == ["proxy"]
         assert doc["trace_id"]
@@ -141,8 +236,8 @@ class TestHeavyCommands:
         assert "perfsight_channel_read_latency_seconds_bucket" in doc["prometheus"]
         assert any(e["name"] == "health.transition" for e in doc["events"])
 
-    def test_fleet_json_document(self, capsys):
-        assert main(["fleet", "--agents", "2", "--latency-ms", "2", "--json"]) == 0
+    def test_fleet_json_document(self, capsys, fleet_run):
+        assert cli.print_fleet(fleet_run, as_json=True) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["agents"] == 2
         assert doc["peak_workers"] >= 2
@@ -150,8 +245,16 @@ class TestHeavyCommands:
         assert all(m["ok"] for m in doc["machines"].values())
         assert doc["diagnosis"]["degraded_machines"] == []
 
-    def test_watch_json_detects_injected_fault(self, capsys):
-        assert main(["watch", "--quick", "--json"]) == 0
+    def test_fleet_human_report(self, capsys, fleet_run):
+        assert cli.print_fleet(fleet_run, as_json=False) == 0
+        out = capsys.readouterr().out
+        assert "concurrent fleet collection: 2 TCP agents, 2 ms emulated RTT" in out
+        assert "  host-0: " in out and "  host-1: " in out
+        assert "FAILED" not in out
+        assert "Fleet diagnosis over 2 machine(s)" in out
+
+    def test_watch_json_detects_injected_fault(self, capsys, watch_run):
+        assert cli.print_watch(*watch_run, as_json=True) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["detected"]
         assert doc["detection_rounds"] <= 3
@@ -166,8 +269,11 @@ class TestHeavyCommands:
         assert "perfsight_daemon_incidents_total" in doc["prometheus"]
         assert any(e["name"] == "incident.opened" for e in doc["events"])
 
-    def test_watch_human_report_renders_the_trace(self, capsys):
-        assert main(["watch", "--quick"]) == 0
+    def test_watch_human_report_renders_the_trace(self, capsys, watch_run):
+        result, _, _ = watch_run
+        for entry in result["rounds"]:  # the live feed, replayed
+            cli.print_watch_round(entry)
+        assert cli.print_watch(*watch_run, as_json=False) == 0
         out = capsys.readouterr().out
         assert "OPEN host-000" in out
         assert "incident #1: host-000" in out

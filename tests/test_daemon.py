@@ -17,7 +17,6 @@ from repro.core.controller import (
     FAILOVERS_METRIC,
     ZONE_ACTIVE_METRIC,
     FleetController,
-    ZoneController,
 )
 from repro.core.daemon import (
     ACTIVE_INCIDENTS_METRIC,
@@ -44,11 +43,8 @@ from repro.core.health import (
     ZONE_STATE_VALUES,
     ZoneHealthPolicy,
 )
-from repro.core.sharding import HashRing
-from repro.middleboxes.http import HttpServer
 from repro.scenarios.common import Harness
-from repro.simnet.packet import Flow
-from repro.workloads.traffic import ExternalTrafficSource
+from repro.scenarios.fleet import ALL_UNDER_CAP, add_receivers, shard, stop_cadences
 
 WINDOW_S = 0.25
 #: Rounds from fault injection to an opened incident, inclusive.
@@ -143,42 +139,35 @@ class TestMachineDetector:
         assert det2.update(summary(loss=0.2), WINDOW_S, 4) == REASON_LOSS
 
 
-def build_world(n_machines=4, zone_names=("z1", "z2")):
-    """Capped receivers behind pushed zone mirrors and a fleet root."""
-    h = Harness()
-    sources = {}
-    for i in range(n_machines):
-        name = f"m{i:02d}"
-        machine = h.add_machine(name)
-        vm = machine.add_vm(f"v-{name}", vcpu_cores=1.0, vnic_bps=100e6)
-        app = HttpServer(h.sim, vm, f"app-{name}", cpu_per_byte=1e-9)
-        flow = Flow(f"rx-{name}", dst_vm=f"v-{name}", kind="udp")
-        vm.bind_udp(flow, app.socket)
-        sources[name] = ExternalTrafficSource(
-            h.sim, f"src-{name}", flow, machine.inject, rate_bps=60e6
-        )
-    h.advance(0.5)
-    for agent in h.agents.values():
-        agent.poll_once()
+@pytest.fixture
+def pushed_fleet():
+    """Factory: capped receivers pushing to zone mirrors, under a fleet
+    root.  Every agent's cadences stop at teardown."""
+    harnesses = []
 
-    fleet = FleetController(
-        "test-root",
-        zone_policy=ZoneHealthPolicy(heartbeat_s=2 * WINDOW_S),
-        clock=lambda: h.sim.now,
-    )
-    fleet.track_machines(h.agents)
-    ring = HashRing()
-    zones = {}
-    for z in zone_names:
-        ring.add_node(z)
-        fleet.register_zone(z)
-        zones[z] = ZoneController(z)
-    for name, agent in h.agents.items():
-        zone = zones[ring.node_for(name)]
-        zone.register_local_agent(agent)
-        agent.start_pushing(zone, period_s=0.05)
-    h.advance(0.2)
-    return h, sources, zones, fleet
+    def build(n_machines=4, n_zones=2):
+        h = Harness()
+        sources = add_receivers(h, n_machines, ALL_UNDER_CAP)
+        h.advance(0.5)
+        for agent in h.agents.values():
+            agent.poll_once()
+
+        fleet = FleetController(
+            "test-root",
+            zone_policy=ZoneHealthPolicy(heartbeat_s=2 * WINDOW_S),
+            clock=lambda: h.sim.now,
+        )
+        zones, _ = shard(fleet, h.agents, n_zones)
+        for zone in zones.values():
+            for name in zone.machines():
+                h.agents[name].start_pushing(zone, period_s=0.05)
+        h.advance(0.2)
+        harnesses.append(h)
+        return h, sources, zones, fleet
+
+    yield build
+    for h in harnesses:
+        stop_cadences(h.agents)
 
 
 def make_daemon(h, zones, fleet, **cfg_kwargs):
@@ -192,14 +181,6 @@ def make_daemon(h, zones, fleet, **cfg_kwargs):
         agents=h.agents,
         clock=lambda: h.sim.now,
     )
-
-
-def stop_agents(h):
-    for agent in h.agents.values():
-        if agent.pushing:
-            agent.stop_pushing()
-        if agent.polling:
-            agent.stop_polling()
 
 
 def run_drop_arc(daemon, sources, victim, rounds=12, fault_round=3):
@@ -222,15 +203,12 @@ def run_drop_arc(daemon, sources, victim, rounds=12, fault_round=3):
 
 
 class TestIncidentArc:
-    def test_drop_fault_escalates_diagnoses_and_deescalates(self):
-        h, sources, zones, fleet = build_world()
+    def test_drop_fault_escalates_diagnoses_and_deescalates(self, pushed_fleet):
+        h, sources, zones, fleet = pushed_fleet()
         daemon = make_daemon(h, zones, fleet)
-        victim = "m00"
-        try:
-            with obs.installed() as hub:
-                detected = run_drop_arc(daemon, sources, victim)
-        finally:
-            stop_agents(h)
+        victim = "host-000"
+        with obs.installed() as hub:
+            detected = run_drop_arc(daemon, sources, victim)
 
         assert detected is not None
         assert detected - 3 + 1 <= MAX_DETECTION_ROUNDS  # injected at 3
@@ -257,14 +235,11 @@ class TestIncidentArc:
         assert hub.events.events(name="incident.opened")
         assert hub.events.events(name="incident.resolved")
 
-    def test_incident_is_one_linked_trace(self):
-        h, sources, zones, fleet = build_world()
+    def test_incident_is_one_linked_trace(self, pushed_fleet):
+        h, sources, zones, fleet = pushed_fleet()
         daemon = make_daemon(h, zones, fleet)
-        try:
-            with obs.installed() as hub:
-                run_drop_arc(daemon, sources, "m00")
-        finally:
-            stop_agents(h)
+        with obs.installed() as hub:
+            run_drop_arc(daemon, sources, "host-000")
 
         (incident,) = daemon.incidents
         assert incident.trace_id is not None
@@ -292,57 +267,51 @@ class TestIncidentArc:
         assert tree.splitlines()[0].startswith("incident ")
         assert "incident.verdict" in tree
 
-    def test_escalation_tightens_and_restores_agent_cadence(self):
-        h, sources, zones, fleet = build_world()
+    def test_escalation_tightens_and_restores_agent_cadence(self, pushed_fleet):
+        h, sources, zones, fleet = pushed_fleet()
         daemon = make_daemon(h, zones, fleet, escalated_poll_period_s=0.02)
-        victim = "m00"
+        victim = "host-000"
         agent = h.agents[victim]
         assert not agent.polling
-        try:
-            with obs.installed():
-                detected = None
-                for r in range(1, 13):
-                    if r == 3:
-                        sources[victim].set_rate(rate_bps=400e6)
-                    res = daemon.tick()
-                    if res.opened and detected is None:
-                        detected = r
-                        # escalated: sweep cadence tightened NOW
-                        assert agent.polling
-                        assert agent.poll_period_s == pytest.approx(0.02)
-                    if detected is not None and r >= detected + 2:
-                        sources[victim].set_rate(rate_bps=60e6)
-                    if res.resolved:
-                        break
-            assert detected is not None
-            # de-escalated: the daemon put the cadence back (the agent
-            # was not polling before, so it is not polling after)
-            assert not agent.polling
-        finally:
-            stop_agents(h)
+        with obs.installed():
+            detected = None
+            for r in range(1, 13):
+                if r == 3:
+                    sources[victim].set_rate(rate_bps=400e6)
+                res = daemon.tick()
+                if res.opened and detected is None:
+                    detected = r
+                    # escalated: sweep cadence tightened NOW
+                    assert agent.polling
+                    assert agent.poll_period_s == pytest.approx(0.02)
+                if detected is not None and r >= detected + 2:
+                    sources[victim].set_rate(rate_bps=60e6)
+                if res.resolved:
+                    break
+        assert detected is not None
+        # de-escalated: the daemon put the cadence back (the agent
+        # was not polling before, so it is not polling after)
+        assert not agent.polling
 
-    def test_quiet_agent_trips_staleness_then_false_alarm(self):
+    def test_quiet_agent_trips_staleness_then_false_alarm(self, pushed_fleet):
         """An agent that stops pushing looks crashed; escalation's own
         mirror sync finds nothing wrong, so the incident closes as a
         false alarm (no verdicts) and says so in metrics and events."""
-        h, sources, zones, fleet = build_world()
+        h, sources, zones, fleet = pushed_fleet()
         daemon = make_daemon(h, zones, fleet)
-        victim = "m00"
-        try:
-            with obs.installed() as hub:
-                opened = None
-                resolved = False
-                for r in range(1, 13):
-                    if r == 3:
-                        h.agents[victim].stop_pushing()
-                    res = daemon.tick()
-                    if res.opened and opened is None:
-                        opened = r
-                    if res.resolved:
-                        resolved = True
-                        break
-        finally:
-            stop_agents(h)
+        victim = "host-000"
+        with obs.installed() as hub:
+            opened = None
+            resolved = False
+            for r in range(1, 13):
+                if r == 3:
+                    h.agents[victim].stop_pushing()
+                res = daemon.tick()
+                if res.opened and opened is None:
+                    opened = r
+                if res.resolved:
+                    resolved = True
+                    break
 
         assert resolved
         assert opened - 3 + 1 <= MAX_DETECTION_ROUNDS  # quiet from 3
@@ -353,46 +322,40 @@ class TestIncidentArc:
         assert hub.metrics.get(FALSE_ALARMS_METRIC).value == 1
         assert hub.events.events(name="incident.false_alarm")
 
-    def test_thinner_monitor_cadence_trades_sweeps_for_latency(self):
+    def test_thinner_monitor_cadence_trades_sweeps_for_latency(self, pushed_fleet):
         """``monitor_every`` runs the coarse phase every Nth round: fewer
         sweeps, detection delayed by at most N - 1 rounds."""
         rounds, fault_round = 6, 3
         sweeps = {}
         for every in (1, 2, 4):
-            h, sources, zones, fleet = build_world(n_machines=2)
+            h, sources, zones, fleet = pushed_fleet(n_machines=2)
             daemon = make_daemon(h, zones, fleet, monitor_every=every)
             detected = None
             sweeps[every] = 0
-            try:
-                for r in range(1, rounds + 1):
-                    if r == fault_round:
-                        sources["m00"].set_rate(rate_bps=400e6)
-                    res = daemon.tick()
-                    sweeps[every] += bool(res.signals)  # coarse rounds only
-                    if res.opened and detected is None:
-                        detected = r
-            finally:
-                stop_agents(h)
+            for r in range(1, rounds + 1):
+                if r == fault_round:
+                    sources["host-000"].set_rate(rate_bps=400e6)
+                res = daemon.tick()
+                sweeps[every] += bool(res.signals)  # coarse rounds only
+                if res.opened and detected is None:
+                    detected = r
             assert detected is not None
             assert detected - fault_round + 1 <= MAX_DETECTION_ROUNDS + every - 1
         assert sweeps == {1: 6, 2: 3, 4: 2}
 
-    def test_escalation_beyond_cap_is_deferred(self):
-        h, sources, zones, fleet = build_world()
+    def test_escalation_beyond_cap_is_deferred(self, pushed_fleet):
+        h, sources, zones, fleet = pushed_fleet()
         daemon = make_daemon(h, zones, fleet, max_escalated=1)
-        try:
-            with obs.installed() as hub:
-                deferred = []
-                for r in range(1, 7):
-                    if r == 3:
-                        sources["m00"].set_rate(rate_bps=400e6)
-                        sources["m01"].set_rate(rate_bps=400e6)
-                    res = daemon.tick()
-                    deferred.extend(res.deferred)
-                    if deferred:
-                        break
-        finally:
-            stop_agents(h)
+        with obs.installed() as hub:
+            deferred = []
+            for r in range(1, 7):
+                if r == 3:
+                    sources["host-000"].set_rate(rate_bps=400e6)
+                    sources["host-001"].set_rate(rate_bps=400e6)
+                res = daemon.tick()
+                deferred.extend(res.deferred)
+                if deferred:
+                    break
 
         assert len(daemon.active_incidents()) == 1
         assert deferred, "second trip was not deferred"
@@ -400,72 +363,67 @@ class TestIncidentArc:
 
 
 class TestFleetArc:
-    def test_zone_kill_failover_and_post_reconverge_escalation(self):
+    def test_zone_kill_failover_and_post_reconverge_escalation(self, pushed_fleet):
         """Satellite arc: a zone dies, the root's liveness sweep (run
         from the daemon's own tick) detects it and fails its shard
         over; after the machines re-home, a fault on a moved machine
         still escalates — under its NEW zone."""
-        h, sources, zones, fleet = build_world(
-            n_machines=6, zone_names=("z1", "z2", "z3")
-        )
+        h, sources, zones, fleet = pushed_fleet(n_machines=6, n_zones=3)
         daemon = make_daemon(h, zones, fleet)
-        try:
-            with obs.installed() as hub:
-                for _ in range(3):  # steady state, all zones reporting
-                    res = daemon.tick()
-                assert set(res.zone_states.values()) == {HEALTHY}
+        with obs.installed() as hub:
+            for _ in range(3):  # steady state, all zones reporting
+                res = daemon.tick()
+            assert set(res.zone_states.values()) == {HEALTHY}
 
-                # Kill z3: its process is gone, so the daemon stops
-                # getting coarse reports from it and its shard's pushes
-                # go nowhere.
-                victim_zone = "z3"
-                moved = list(zones[victim_zone].machines())
-                assert moved, "degenerate shard"
-                for name in moved:
-                    h.agents[name].stop_pushing()
-                zones.pop(victim_zone)  # daemon.zones is this same dict
+            # Kill zone-2: its process is gone, so the daemon stops
+            # getting coarse reports from it and its shard's pushes
+            # go nowhere.
+            victim_zone = "zone-2"
+            moved = list(zones[victim_zone].machines())
+            assert moved, "degenerate shard"
+            for name in moved:
+                h.agents[name].stop_pushing()
+            zones.pop(victim_zone)  # daemon.zones is this same dict
 
-                for _ in range(8):
-                    res = daemon.tick()
-                    if res.zone_states.get(victim_zone) == DEAD:
-                        break
-                assert res.zone_states.get(victim_zone) == DEAD
+            for _ in range(8):
+                res = daemon.tick()
+                if res.zone_states.get(victim_zone) == DEAD:
+                    break
+            assert res.zone_states.get(victim_zone) == DEAD
 
-                # liveness exported as labelled gauges from the root
-                assert hub.metrics.get(
-                    ZONE_LIVENESS_METRIC, zone=victim_zone
-                ).value == ZONE_STATE_VALUES[DEAD]
-                assert hub.metrics.get(
-                    ZONE_ACTIVE_METRIC, zone=victim_zone
-                ).value == 0.0
-                assert hub.metrics.get(
-                    FAILOVERS_METRIC, zone=victim_zone
-                ).value >= 1
-                assert hub.events.events(name="fleet.zone_failed_over")
+            # liveness exported as labelled gauges from the root
+            assert hub.metrics.get(
+                ZONE_LIVENESS_METRIC, zone=victim_zone
+            ).value == ZONE_STATE_VALUES[DEAD]
+            assert hub.metrics.get(
+                ZONE_ACTIVE_METRIC, zone=victim_zone
+            ).value == 0.0
+            assert hub.metrics.get(
+                FAILOVERS_METRIC, zone=victim_zone
+            ).value >= 1
+            assert hub.events.events(name="fleet.zone_failed_over")
 
-                # Reconverge: re-home the dead shard where the root's
-                # ring now points, and resume pushes.
-                for name in moved:
-                    new_zone = zones[fleet.zone_for(name)]
-                    new_zone.register_local_agent(h.agents[name])
-                    h.agents[name].start_pushing(new_zone, period_s=0.05)
-                daemon.tick()
+            # Reconverge: re-home the dead shard where the root's
+            # ring now points, and resume pushes.
+            for name in moved:
+                new_zone = zones[fleet.zone_for(name)]
+                new_zone.register_local_agent(h.agents[name])
+                h.agents[name].start_pushing(new_zone, period_s=0.05)
+            daemon.tick()
 
-                # Post-reconverge escalation on a moved machine.
-                fault_machine = moved[0]
-                sources[fault_machine].set_rate(rate_bps=400e6)
-                opened = None
-                for _ in range(6):
-                    res = daemon.tick()
-                    if res.opened:
-                        opened = res.opened[0]
-                        break
-                assert opened is not None
-                assert opened.machine == fault_machine
-                assert opened.zone == fleet.zone_for(fault_machine)
-                assert opened.zone != victim_zone
-        finally:
-            stop_agents(h)
+            # Post-reconverge escalation on a moved machine.
+            fault_machine = moved[0]
+            sources[fault_machine].set_rate(rate_bps=400e6)
+            opened = None
+            for _ in range(6):
+                res = daemon.tick()
+                if res.opened:
+                    opened = res.opened[0]
+                    break
+            assert opened is not None
+            assert opened.machine == fault_machine
+            assert opened.zone == fleet.zone_for(fault_machine)
+            assert opened.zone != victim_zone
 
 
 class _StubMirror:
@@ -534,14 +492,11 @@ class TestRetentionValidation:
 
 
 class TestStoreBytesSurface:
-    def test_round_result_carries_history_bytes(self):
-        h, sources, zones, fleet = build_world(n_machines=2)
+    def test_round_result_carries_history_bytes(self, pushed_fleet):
+        h, sources, zones, fleet = pushed_fleet(n_machines=2)
         daemon = make_daemon(h, zones, fleet)
-        try:
-            with obs.installed() as hub:
-                res = daemon.tick()
-        finally:
-            stop_agents(h)
+        with obs.installed() as hub:
+            res = daemon.tick()
         assert res.store_bytes["total"] > 0
         assert res.store_bytes["fine"] > 0
         assert "coarse" in res.store_bytes

@@ -171,24 +171,3 @@ class TestTicketAggregation:
         assert q.get(t.ticket_id).resolution == "scaled out the LB"
         with pytest.raises(KeyError):
             q.get("ghost")
-
-
-class TestCli:
-    def test_list_command(self, capsys):
-        from repro.cli import main
-
-        assert main(["list"]) == 0
-        out = capsys.readouterr().out
-        assert "fig12" in out and "table1" in out
-
-    def test_fig16_command(self, capsys):
-        from repro.cli import main
-
-        assert main(["fig16"]) == 0
-        assert "agent CPU" in capsys.readouterr().out
-
-    def test_unknown_command_rejected(self):
-        from repro.cli import main
-
-        with pytest.raises(SystemExit):
-            main(["frobnicate"])

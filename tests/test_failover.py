@@ -41,9 +41,14 @@ from repro.core.net.client import (
     ZoneClient,
 )
 from repro.core.net.server import FleetServer
-from repro.middleboxes.http import HttpServer
 from repro.scenarios.common import Harness
-from repro.simnet.packet import Flow
+from repro.scenarios.fleet import (
+    EVERY_THIRD_OVERDRIVEN,
+    ZoneTarget,
+    add_receivers,
+    shard,
+    split_round,
+)
 from repro.workloads.faults import (
     kill_zone,
     partition_phase,
@@ -51,27 +56,15 @@ from repro.workloads.faults import (
     zone_kill_phase,
     zone_restart_phase,
 )
-from repro.workloads.traffic import ExternalTrafficSource
 
 WINDOW_S = 0.25
 HEARTBEAT_S = 2 * WINDOW_S
 
 
-def build_world(n_machines=6, faulty_every=3):
-    """A fleet where every ``faulty_every``-th machine has a capped VM."""
+def receivers(n_machines):
+    """``host-000``.. receivers, every third overdriven, settled 0.5 s."""
     h = Harness(seed=5)
-    for i in range(n_machines):
-        name = f"m{i:02d}"
-        machine = h.add_machine(name)
-        capped = 50e6 if i % faulty_every == 0 else None
-        vm = machine.add_vm("vm0", vcpu_cores=1.0, vnic_bps=capped)
-        app = HttpServer(h.sim, vm, f"app-{name}", cpu_per_byte=1e-9)
-        flow = Flow(f"rx-{name}", dst_vm="vm0", kind="udp")
-        vm.bind_udp(flow, app.socket)
-        ExternalTrafficSource(
-            h.sim, f"src-{name}", flow, machine.inject,
-            rate_bps=200e6 if capped else 100e6,
-        )
+    add_receivers(h, n_machines, EVERY_THIRD_OVERDRIVEN)
     h.advance(0.5)
     return h
 
@@ -304,7 +297,7 @@ class TestFleetLiveness:
 
 class TestApplyShardMoves:
     def test_moves_handles_between_zones(self):
-        h = build_world(n_machines=4, faulty_every=100)
+        h = receivers(4)
         zones = {"z1": ZoneController("z1"), "z2": ZoneController("z2")}
         for name in h.agents:
             zones["z1"].register_local_agent(h.agents[name])
@@ -315,24 +308,24 @@ class TestApplyShardMoves:
         assert zones["z2"].machines() == sorted(h.agents)
 
     def test_handle_for_fallback_when_source_is_gone(self):
-        h = build_world(n_machines=1, faulty_every=100)
+        h = receivers(1)
         zones = {"z2": ZoneController("z2")}  # z1 crashed and is gone
         applied = apply_shard_moves(
-            {"m00": ("z1", "z2")}, zones, handle_for=lambda m: h.agents[m]
+            {"host-000": ("z1", "z2")}, zones, handle_for=lambda m: h.agents[m]
         )
-        assert applied == {"m00": "z2"}
-        assert zones["z2"].machines() == ["m00"]
+        assert applied == {"host-000": "z2"}
+        assert zones["z2"].machines() == ["host-000"]
 
     def test_unresolvable_handle_raises(self):
         zones = {"z2": ZoneController("z2")}
         with pytest.raises(KeyError):
-            apply_shard_moves({"m00": ("z1", "z2")}, zones)
+            apply_shard_moves({"host-000": ("z1", "z2")}, zones)
 
     def test_move_to_unknown_zone_is_skipped(self):
-        h = build_world(n_machines=1, faulty_every=100)
+        h = receivers(1)
         zones = {"z1": ZoneController("z1")}
-        zones["z1"].register_local_agent(h.agents["m00"])
-        applied = apply_shard_moves({"m00": ("z1", "zX")}, zones)
+        zones["z1"].register_local_agent(h.agents["host-000"])
+        applied = apply_shard_moves({"host-000": ("z1", "zX")}, zones)
         assert applied == {}
         assert zones["z1"].machines() == []  # still pulled off the corpse
 
@@ -340,17 +333,20 @@ class TestApplyShardMoves:
 class TestFailoverEqualsFlat:
     """The acceptance arc: kill 1 of 3 zones, verdicts reconverge."""
 
+    def setup_arc(self):
+        h = receivers(6)
+        fleet = FleetController(
+            "root",
+            zone_policy=ZoneHealthPolicy(heartbeat_s=HEARTBEAT_S),
+            clock=lambda: h.sim.now,
+        )
+        zones, _ = shard(fleet, h.agents, 3)
+        return h, fleet, zones
+
     def run_round(self, h, fleet, zones, reporting):
-        flat_scan = h.controller.begin_fleet_scan(WINDOW_S)
-        zone_scans = {
-            z: zones[z].begin_fleet_scan(WINDOW_S) for z in sorted(reporting)
-        }
-        h.advance(WINDOW_S)
-        flat = h.controller.finish_fleet_scan(flat_scan)
-        for z, scan in zone_scans.items():
-            fleet.ingest_zone_report(
-                zones[z].build_zone_report(zones[z].finish_fleet_scan(scan))
-            )
+        flat, reports = split_round(h, zones, WINDOW_S, live=reporting)
+        for report in reports.values():
+            fleet.ingest_zone_report(report)
         h.advance(HEARTBEAT_S - WINDOW_S)
         check = fleet.check_zones()
         if check.moves:
@@ -358,20 +354,8 @@ class TestFailoverEqualsFlat:
         return flat, check, fleet.rollup()
 
     def test_verdicts_over_failover_arc_equal_flat_baseline(self):
-        h = build_world(n_machines=6)
-        fleet = FleetController(
-            "root",
-            zone_policy=ZoneHealthPolicy(heartbeat_s=HEARTBEAT_S),
-            clock=lambda: h.sim.now,
-        )
-        fleet.track_machines(h.agents)
-        zones = {z: ZoneController(z) for z in ("z1", "z2", "z3")}
-        for z in zones:
-            fleet.register_zone(z)
+        h, fleet, zones = self.setup_arc()
         shards = fleet.shards()
-        for z, machines in shards.items():
-            for name in machines:
-                zones[z].register_local_agent(h.agents[name])
         reporting = set(zones)
 
         flat, check, rollup = self.run_round(h, fleet, zones, reporting)
@@ -409,20 +393,8 @@ class TestFailoverEqualsFlat:
             assert mirror.store.cursor() == h.agents[name].store.cursor()
 
     def test_recovery_arc_restores_the_original_assignment(self):
-        h = build_world(n_machines=6)
-        fleet = FleetController(
-            "root",
-            zone_policy=ZoneHealthPolicy(heartbeat_s=HEARTBEAT_S),
-            clock=lambda: h.sim.now,
-        )
-        fleet.track_machines(h.agents)
-        zones = {z: ZoneController(z) for z in ("z1", "z2", "z3")}
-        for z in zones:
-            fleet.register_zone(z)
+        h, fleet, zones = self.setup_arc()
         shards = fleet.shards()
-        for z, machines in shards.items():
-            for name in machines:
-                zones[z].register_local_agent(h.agents[name])
         reporting = set(zones)
         victim = max(shards, key=lambda z: len(shards[z]))
 
@@ -451,31 +423,13 @@ class TestFailoverEqualsFlat:
         assert rollup.verdicts == flat.verdicts
 
 
-class _FlakyTarget:
-    """In-process PushTarget that can die and refuse unowned machines."""
-
-    def __init__(self, zone):
-        self.zone = zone
-        self.alive = True
-        self.calls = 0
-
-    def ingest_push(self, machine, blocks, cursor=None, trace=None):
-        self.calls += 1
-        if not self.alive:
-            raise ConnectionError("zone down")
-        try:
-            return self.zone.ingest_push(machine, blocks, cursor, trace=trace)
-        except KeyError:
-            raise ConnectionError(f"not my machine: {machine}") from None
-
-
 class TestAgentRehoming:
     def test_rehome_after_consecutive_failures_replays_fully(self):
-        h = build_world(n_machines=1, faulty_every=100)
-        agent = h.agents["m00"]
+        h = receivers(1)
+        agent = h.agents["host-000"]
         z1, z2 = ZoneController("z1"), ZoneController("z2")
         z1.register_local_agent(agent)
-        t1 = _FlakyTarget(z1)
+        t1 = ZoneTarget(z1)
         consults = []
 
         def resolver(machine):
@@ -491,27 +445,27 @@ class TestAgentRehoming:
 
         # The zone dies and its shard moves: z2 owns the machine now.
         t1.alive = False
-        z2.register_agent("m00", z1.unregister_agent("m00"))
-        t2 = _FlakyTarget(z2)
+        z2.register_agent("host-000", z1.unregister_agent("host-000"))
+        t2 = ZoneTarget(z2)
         h.advance(1.0)
 
-        assert consults and consults[0] == "m00"
+        assert consults and consults[0] == "host-000"
         assert agent.total_rehomes == 1
         assert agent._push_target is t2
         # Full replay at the new zone: no loss (ack cursor and replica
         # store match the agent's cursor) and no duplicates (seq dedup).
         agent.push_once()
-        mirror = z2.mirror_for("m00")
+        mirror = z2.mirror_for("host-000")
         assert mirror.acked == agent.store.cursor()
         assert mirror.store.cursor() == agent.store.cursor()
         agent.stop_pushing()
 
     def test_same_target_answer_keeps_cursor(self):
-        h = build_world(n_machines=1, faulty_every=100)
-        agent = h.agents["m00"]
+        h = receivers(1)
+        agent = h.agents["host-000"]
         z1 = ZoneController("z1")
         z1.register_local_agent(agent)
-        t1 = _FlakyTarget(z1)
+        t1 = ZoneTarget(z1)
         agent.start_pushing(
             t1, period_s=0.05, resolver=lambda m: t1, rehome_after=1,
             retry=RetryPolicy(max_attempts=1, base_delay_s=0.01,
@@ -525,9 +479,9 @@ class TestAgentRehoming:
         agent.stop_pushing()
 
     def test_backoff_skips_ticks_without_touching_the_network(self):
-        h = build_world(n_machines=1, faulty_every=100)
-        agent = h.agents["m00"]
-        dead = _FlakyTarget(ZoneController("z1"))
+        h = receivers(1)
+        agent = h.agents["host-000"]
+        dead = ZoneTarget(ZoneController("z1"))
         dead.alive = False
         agent.start_pushing(
             dead, period_s=0.05,
@@ -544,11 +498,11 @@ class TestAgentRehoming:
     def test_consecutive_failure_gauge_exported_and_reset(self):
         hub = obs.Observability()
         with obs.installed(hub):
-            h = build_world(n_machines=1, faulty_every=100)
-            agent = h.agents["m00"]
+            h = receivers(1)
+            agent = h.agents["host-000"]
             z1 = ZoneController("z1")
             z1.register_local_agent(agent)
-            target = _FlakyTarget(z1)
+            target = ZoneTarget(z1)
             agent.start_pushing(
                 target, period_s=0.05,
                 retry=RetryPolicy(max_attempts=1, base_delay_s=0.01,
@@ -580,8 +534,8 @@ class TestPushEnvValidation:
         ],
     )
     def test_bad_period_rejected_at_startup(self, period):
-        h = build_world(n_machines=1, faulty_every=100)
-        agent = h.agents["m00"]
+        h = receivers(1)
+        agent = h.agents["host-000"]
         zone = ZoneController("z1")
         zone.register_local_agent(agent)
         with pytest.raises((TypeError, ValueError)):
@@ -589,8 +543,8 @@ class TestPushEnvValidation:
         assert not agent.pushing
 
     def test_blank_period_falls_back_to_default(self):
-        h = build_world(n_machines=1, faulty_every=100)
-        agent = h.agents["m00"]
+        h = receivers(1)
+        agent = h.agents["host-000"]
         zone = ZoneController("z1")
         zone.register_local_agent(agent)
         assert agent.start_pushing(zone, period_s=None) is not None
@@ -598,10 +552,10 @@ class TestPushEnvValidation:
         agent.stop_pushing()
 
     def test_bad_rehome_after_rejected(self):
-        h = build_world(n_machines=1, faulty_every=100)
-        agent = h.agents["m00"]
+        h = receivers(1)
+        agent = h.agents["host-000"]
         with pytest.raises(ValueError):
-            agent.start_pushing(_FlakyTarget(None), rehome_after=0)
+            agent.start_pushing(ZoneTarget(ZoneController("z1")), rehome_after=0)
 
 
 class TestCircuitBreaker:
@@ -776,22 +730,19 @@ class TestCircuitOnTheWire:
 
 class TestZoneRestartOverTCP:
     def test_restarted_zone_resumes_past_the_seq_floor(self):
-        h = build_world(n_machines=2, faulty_every=100)
+        h = receivers(2)
         fleet = FleetController(
             "root",
             zone_policy=ZoneHealthPolicy(heartbeat_s=HEARTBEAT_S),
             clock=lambda: h.sim.now,
         )
-        fleet.track_machines(h.agents)
-        fleet.register_zone("z1")
-        zc = ZoneController("z1")
-        for name in h.agents:
-            zc.register_local_agent(h.agents[name])
+        zones, _ = shard(fleet, h.agents, 1)
+        zc = zones["zone-0"]
 
         with FleetServer(fleet) as server:
             host, port = server.address
-            with ZoneClient(host, port, name="z1-link") as link:
-                assert link.subscribe("z1") == 0
+            with ZoneClient(host, port, name="zone-0-link") as link:
+                assert link.subscribe("zone-0") == 0
                 for _ in range(2):
                     diag = zc.diagnose_fleet(h.advance, window_s=WINDOW_S)
                     assert link.push_report(
@@ -800,11 +751,11 @@ class TestZoneRestartOverTCP:
 
             # Crash. The replacement process starts its counter at zero;
             # an un-resumed report replays a seq the root already holds.
-            fresh = ZoneController("z1")
+            fresh = ZoneController("zone-0")
             for name in h.agents:
                 fresh.register_local_agent(h.agents[name])
-            with ZoneClient(host, port, name="z1-link2") as link:
-                floor = link.subscribe("z1")
+            with ZoneClient(host, port, name="zone-0-link2") as link:
+                floor = link.subscribe("zone-0")
                 assert floor == 2
                 diag = fresh.diagnose_fleet(h.advance, window_s=WINDOW_S)
                 stale = fresh.build_zone_report(diag)
@@ -818,7 +769,7 @@ class TestZoneRestartOverTCP:
                 resumed = fresh.build_zone_report(diag)
                 assert resumed.seq == floor + 1
                 assert link.push_report(resumed.to_wire())
-        assert fleet.zone_record("z1").last_seq == floor + 1
+        assert fleet.zone_record("zone-0").last_seq == floor + 1
 
     def test_resume_never_rewinds_and_rejects_negatives(self):
         zc = ZoneController("z1")
@@ -826,8 +777,8 @@ class TestZoneRestartOverTCP:
         zc.resume_reporting_from(2)  # no rewind
         with pytest.raises(ValueError):
             zc.resume_reporting_from(-1)
-        h = build_world(n_machines=1, faulty_every=100)
-        zc.register_local_agent(h.agents["m00"])
+        h = receivers(1)
+        zc.register_local_agent(h.agents["host-000"])
         diag = zc.diagnose_fleet(h.advance, window_s=WINDOW_S)
         assert zc.build_zone_report(diag).seq == 6
 

@@ -24,85 +24,44 @@ from repro.core.diagnosis.report import (
 )
 from repro.core.net import FleetServer, ZoneClient
 from repro.core.rulebook import VM_BOTTLENECK, Verdict
-from repro.core.sharding import HashRing
-from repro.middleboxes.http import HttpServer
 from repro.scenarios.common import Harness
-from repro.scenarios.fleet import EVERY_THIRD_OVERDRIVEN, add_receivers, shard
-from repro.simnet.packet import Flow
-from repro.workloads.traffic import ExternalTrafficSource
+from repro.scenarios.fleet import (
+    EVERY_THIRD_OVERDRIVEN,
+    ZoneTarget,
+    add_receivers,
+    shard,
+    split_round,
+)
 
 WINDOW_S = 0.5
 
 
-def receiver(h, machine, vm_id, rate_bps, vnic_bps=None):
-    vm = machine.add_vm(vm_id, vcpu_cores=1.0, vnic_bps=vnic_bps)
-    app = HttpServer(h.sim, vm, f"app-{vm_id}", cpu_per_byte=1e-9)
-    flow = Flow(f"rx-{vm_id}", dst_vm=vm_id, kind="udp")
-    vm.bind_udp(flow, app.socket)
-    ExternalTrafficSource(
-        h.sim, f"src-{vm_id}", flow, machine.inject, rate_bps=rate_bps
-    )
-    return vm
-
-
-def build_world(n_machines=6, faulty_every=3):
-    """A fleet where every ``faulty_every``-th machine has a capped VM.
-
-    The capped vNIC produces an individual-scope VM_BOTTLENECK verdict
-    (the Table-1 arc the equality test needs to be non-trivial: some
-    machines verdict-clean, some not).
-    """
+def receivers(n_machines):
+    """``host-000``.. receivers, polled once.  Every third is overdriven
+    past its vNIC cap: a VM_BOTTLENECK verdict among clean machines."""
     h = Harness()
-    for i in range(n_machines):
-        name = f"m{i:02d}"
-        machine = h.add_machine(name)
-        if i % faulty_every == 0:
-            receiver(h, machine, f"v-{name}", 200e6, vnic_bps=50e6)
-            receiver(h, machine, f"w-{name}", 100e6)
-        else:
-            receiver(h, machine, f"v-{name}", 100e6)
+    add_receivers(h, n_machines, EVERY_THIRD_OVERDRIVEN)
     h.advance(0.5)
     for agent in h.agents.values():
         agent.poll_once()
     return h
 
 
-def shard_into_zones(h, zone_names):
-    """Zone controllers owning consistent-hash shards of the harness."""
-    ring = HashRing()
-    for zone in zone_names:
-        ring.add_node(zone)
-    zones = {zone: ZoneController(zone) for zone in zone_names}
-    for name, agent in h.agents.items():
-        zones[ring.node_for(name)].register_local_agent(agent)
-    return ring, zones
-
-
 class TestHierarchyEqualsFlat:
     def test_zone_rollup_verdicts_equal_flat_controller(self):
-        h = build_world(n_machines=6)
-        flat = h.controller  # registered with every agent by the harness
-        _, zones = shard_into_zones(h, ["z1", "z2"])
+        h = receivers(6)
+        fleet = FleetController("root")
+        zones, _ = shard(fleet, h.agents, 2)
         assert all(z.machines() for z in zones.values()), "degenerate shard"
 
         # Split-phase scan: every tier opens its windows, ONE shared
         # advance moves time, every tier closes.  All reports measure
         # the exact same interval — the equality below is exact, not
-        # approximate.
-        flat_scan = flat.begin_fleet_scan(WINDOW_S)
-        zone_scans = {z: zc.begin_fleet_scan(WINDOW_S) for z, zc in zones.items()}
-        h.advance(WINDOW_S)
-        flat_diag = flat.finish_fleet_scan(flat_scan)
-        zone_diags = {
-            z: zones[z].finish_fleet_scan(scan) for z, scan in zone_scans.items()
-        }
-
-        fleet = FleetController("root")
-        fleet.track_machines(h.agents)
-        for zone in zones:
-            fleet.register_zone(zone)
-        for zone, diag in zone_diags.items():
-            assert fleet.ingest_zone_report(zones[zone].build_zone_report(diag))
+        # approximate.  h.controller is registered with every agent by
+        # the harness: it is the flat baseline.
+        flat_diag, reports = split_round(h, zones, WINDOW_S)
+        for report in reports.values():
+            assert fleet.ingest_zone_report(report)
         rollup = fleet.rollup()
 
         assert isinstance(rollup, FleetRollup)
@@ -114,18 +73,16 @@ class TestHierarchyEqualsFlat:
             assert rollup.loss_by_machine[machine] == pytest.approx(loss)
         assert rollup.worst_machine == flat_diag.worst_machine
         # The faulted machines really are the ones carrying verdicts.
-        assert {m for m, _ in rollup.verdicts} == {"m00", "m03"}
+        assert {m for m, _ in rollup.verdicts} == {"host-000", "host-003"}
         for _, verdict in rollup.verdicts:
             assert isinstance(verdict, Verdict)
             assert VM_BOTTLENECK in verdict.resources
 
     def test_root_never_materializes_per_machine_state(self):
-        h = build_world(n_machines=4, faulty_every=100)
-        _, zones = shard_into_zones(h, ["z1", "z2"])
+        h = receivers(4)
         fleet = FleetController("root")
-        fleet.track_machines(h.agents)
-        for zone, zc in zones.items():
-            fleet.register_zone(zone)
+        zones, _ = shard(fleet, h.agents, 2)
+        for zc in zones.values():
             diag = zc.diagnose_fleet(h.advance, window_s=0.25)
             fleet.ingest_zone_report(zc.build_zone_report(diag))
 
@@ -151,16 +108,11 @@ class TestHierarchyEqualsFlat:
     def test_root_holds_scalars_zones_hold_series(self):
         """The memory split the hierarchy exists for: the root keeps a
         bounded roll-up per machine, the zones keep the time series."""
-        h = build_world(n_machines=4)
-        _, zones = shard_into_zones(h, ["z1", "z2"])
+        h = receivers(4)
         fleet = FleetController("root")
-        fleet.track_machines(h.agents)
-        for zone in zones:
-            fleet.register_zone(zone)
-        scans = {z: zc.begin_fleet_scan(WINDOW_S) for z, zc in zones.items()}
-        h.advance(WINDOW_S)
-        for z, scan in scans.items():
-            report = zones[z].build_zone_report(zones[z].finish_fleet_scan(scan))
+        zones, _ = shard(fleet, h.agents, 2)
+        _, reports = split_round(h, zones, WINDOW_S, flat=False)
+        for report in reports.values():
             assert fleet.ingest_zone_report(report)
 
         machines = len(h.agents)
@@ -176,15 +128,9 @@ class TestHierarchyEqualsFlat:
         assert zone_rows > machines
 
     def test_zone_leave_rebalances_only_departed_shard(self):
-        h = build_world(n_machines=6, faulty_every=100)
+        h = receivers(6)
         fleet = FleetController("root")
-        fleet.track_machines(h.agents)
-        zones = {z: ZoneController(z) for z in ("z1", "z2", "z3")}
-        for zone in zones:
-            fleet.register_zone(zone)
-        for zone, machines in fleet.shards().items():
-            for name in machines:
-                zones[zone].register_local_agent(h.agents[name])
+        zones, _ = shard(fleet, h.agents, 3)
 
         victim = next(z for z in fleet.zones() if zones[z].machines())
         departed = set(zones[victim].machines())
@@ -209,7 +155,7 @@ class TestHierarchyEqualsFlat:
         """Both report kinds summarize one trailing mirror window per
         machine: over the same mirrors and window their rates, element
         counts and health are equal, and they share one seq."""
-        h = build_world(n_machines=4)
+        h = receivers(4)
         zone = ZoneController("z1")
         for agent in h.agents.values():
             zone.register_local_agent(agent)
@@ -304,15 +250,11 @@ class TestFleetAggregates:
     def test_root_answers_fleet_aggregates_exactly(self):
         """Zone reports from a real two-zone diagnosis round: the root's
         fleet answers equal what its per-machine summaries say."""
-        h = Harness()
-        add_receivers(h, 6, EVERY_THIRD_OVERDRIVEN)
-        h.advance(0.25)
+        h = receivers(6)
         fleet = FleetController("root")
         zones, _ = shard(fleet, h.agents, 2)
-        scans = {z: zc.begin_fleet_scan(0.25) for z, zc in zones.items()}
-        h.advance(0.25)
-        for z, scan in scans.items():
-            report = zones[z].build_zone_report(zones[z].finish_fleet_scan(scan))
+        _, reports = split_round(h, zones, 0.25, flat=False)
+        for report in reports.values():
             assert fleet.ingest_zone_report(report)
 
         rollup = fleet.rollup()
@@ -336,8 +278,8 @@ class TestFleetAggregates:
 
 class TestPushOnChange:
     def test_push_ships_deltas_and_skips_when_clean(self):
-        h = build_world(n_machines=1, faulty_every=100)
-        agent = h.agents["m00"]
+        h = receivers(1)
+        agent = h.agents["host-000"]
         zone = ZoneController("z1")
         zone.register_local_agent(agent)
 
@@ -346,7 +288,7 @@ class TestPushOnChange:
         assert handle is not None and agent.pushing
         # start_pushing fires one immediate catch-up push.
         assert agent.total_pushes == 1
-        mirror = zone.mirror_for("m00")
+        mirror = zone.mirror_for("host-000")
         assert mirror.acked == agent.store.cursor()
 
         # Nothing changed since: the next tick skips, no rows cross.
@@ -368,8 +310,8 @@ class TestPushOnChange:
     def test_poll_after_push_is_harmless_catchup(self):
         # The poll path stays on as fallback; after a push converged
         # the mirror, a full refresh finds nothing new to apply.
-        h = build_world(n_machines=1, faulty_every=100)
-        agent = h.agents["m00"]
+        h = receivers(1)
+        agent = h.agents["host-000"]
         zone = ZoneController("z1")
         zone.register_local_agent(agent)
         agent.start_pushing(zone, period_s=0.05)
@@ -379,14 +321,12 @@ class TestPushOnChange:
         agent.stop_pushing()
 
     def test_push_failure_keeps_cursor_for_retry(self):
-        h = build_world(n_machines=1, faulty_every=100)
-        agent = h.agents["m00"]
+        h = receivers(1)
+        agent = h.agents["host-000"]
 
-        class DownZone:
-            def ingest_push(self, machine_name, blocks, cursor=None, trace=None):
-                raise ConnectionError("zone link down")
-
-        agent.start_pushing(DownZone(), period_s=0.05)
+        down = ZoneTarget(ZoneController("z1"))
+        down.alive = False
+        agent.start_pushing(down, period_s=0.05)
         assert agent.total_push_errors == 1
         assert agent._push_acked == {}  # cursor not advanced past failure
 
@@ -395,12 +335,12 @@ class TestPushOnChange:
         zone = ZoneController("z1")
         zone.register_local_agent(agent)
         agent.start_pushing(zone, period_s=0.05)
-        assert zone.mirror_for("m00").acked == agent.store.cursor()
+        assert zone.mirror_for("host-000").acked == agent.store.cursor()
         agent.stop_pushing()
 
     def test_push_period_defaults(self):
-        h = build_world(n_machines=1, faulty_every=100)
-        agent = h.agents["m00"]
+        h = receivers(1)
+        agent = h.agents["host-000"]
         zone = ZoneController("z1")
         zone.register_local_agent(agent)
         assert agent.start_pushing(zone, period_s=0.25) is not None
