@@ -253,9 +253,7 @@ def print_fleet(result, as_json: bool) -> int:
 def cmd_scale(args: argparse.Namespace) -> int:
     from repro.scenarios.demo_scale import run_scale
 
-    return print_scale(
-        run_scale(args.machines, args.zones, args.window_s), args.json
-    )
+    return print_scale(run_scale(args.machines, args.zones, args.window_s), args.json)
 
 
 def print_scale(result, as_json: bool) -> int:
@@ -308,9 +306,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
     machines = min(args.machines, 8) if args.quick else args.machines
     arcs = 1 if args.quick else args.arcs
-    return print_chaos(
-        run_chaos(machines, args.zones, args.window_s, arcs), args.json
-    )
+    return print_chaos(run_chaos(machines, args.zones, args.window_s, arcs), args.json)
 
 
 def print_chaos(result, as_json: bool) -> int:

@@ -334,6 +334,8 @@ class TestFailoverEqualsFlat:
     """The acceptance arc: kill 1 of 3 zones, verdicts reconverge."""
 
     def setup_arc(self):
+        """Six receivers sharded over three zones: (h, root, zones,
+        shards, the zones still reporting)."""
         h = receivers(6)
         fleet = FleetController(
             "root",
@@ -341,7 +343,7 @@ class TestFailoverEqualsFlat:
             clock=lambda: h.sim.now,
         )
         zones, _ = shard(fleet, h.agents, 3)
-        return h, fleet, zones
+        return h, fleet, zones, fleet.shards(), set(zones)
 
     def run_round(self, h, fleet, zones, reporting):
         flat, reports = split_round(h, zones, WINDOW_S, live=reporting)
@@ -354,9 +356,7 @@ class TestFailoverEqualsFlat:
         return flat, check, fleet.rollup()
 
     def test_verdicts_over_failover_arc_equal_flat_baseline(self):
-        h, fleet, zones = self.setup_arc()
-        shards = fleet.shards()
-        reporting = set(zones)
+        h, fleet, zones, shards, reporting = self.setup_arc()
 
         flat, check, rollup = self.run_round(h, fleet, zones, reporting)
         assert rollup.verdicts == flat.verdicts  # healthy baseline
@@ -393,9 +393,7 @@ class TestFailoverEqualsFlat:
             assert mirror.store.cursor() == h.agents[name].store.cursor()
 
     def test_recovery_arc_restores_the_original_assignment(self):
-        h, fleet, zones = self.setup_arc()
-        shards = fleet.shards()
-        reporting = set(zones)
+        h, fleet, zones, shards, reporting = self.setup_arc()
         victim = max(shards, key=lambda z: len(shards[z]))
 
         self.run_round(h, fleet, zones, reporting)
