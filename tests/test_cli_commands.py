@@ -39,6 +39,11 @@ class TestParser:
         assert not build_parser().parse_args(["obs"]).json
         assert build_parser().parse_args(["obs", "--json"]).json
 
+    def test_obs_in_inventory(self, capsys):
+        assert main(["list"]) == 0
+        assert "obs" in capsys.readouterr().out
+        assert "obs" in EXPERIMENTS
+
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
@@ -85,13 +90,6 @@ class TestParser:
 
 
 class TestLightCommands:
-    def test_list_command(self, capsys):
-        assert main(["list"]) == 0
-        out = capsys.readouterr().out
-        assert "fig12" in out and "table1" in out
-        assert "obs" in out
-        assert "obs" in EXPERIMENTS
-
     def test_fig16_command(self, capsys):
         assert main(["fig16"]) == 0
         assert "agent CPU" in capsys.readouterr().out

@@ -171,3 +171,12 @@ class TestTicketAggregation:
         assert q.get(t.ticket_id).resolution == "scaled out the LB"
         with pytest.raises(KeyError):
             q.get("ghost")
+
+
+class TestCli:
+    def test_list_command(self, capsys):
+        from repro.cli import main
+
+        assert main(["list"]) == 0
+        out = capsys.readouterr().out
+        assert "fig12" in out and "table1" in out
