@@ -12,7 +12,7 @@ machine's vNIC cap and offered rate — is passed in as data.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Container, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.core.controller import FleetController, ZoneController
 from repro.middleboxes.http import HttpServer
@@ -85,14 +85,15 @@ def split_round(
     zones: Mapping[str, ZoneController],
     window_s: float,
     flat: bool = True,
-    live: Optional[Iterable[str]] = None,
+    live: Optional[Container[str]] = None,
 ):
     """One split-phase scan: every tier measures the same interval.
 
     The flat baseline ``h.controller`` (unless ``flat`` is False) and
     each zone in ``live`` (default: all) open their Algorithm-1
-    windows, ONE ``h.advance(window_s)`` runs, and each closes them.  A
-    zone dropped from ``live`` during the advance (killed mid-scan)
+    windows, ONE ``h.advance(window_s)`` runs, and each closes them.
+    ``live`` is read again after the advance, so it must be a container,
+    not an iterator: a zone dropped from it meanwhile (killed mid-scan)
     builds no report.  Returns (flat diagnosis or None, zone -> report);
     the caller delivers the reports.
     """

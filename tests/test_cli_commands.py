@@ -89,6 +89,71 @@ class TestParser:
         assert "watch" in EXPERIMENTS
 
 
+class Stop(Exception):
+    """Raised by a recording stand-in to end a command after its call."""
+
+
+def recorder(calls, result=None):
+    """A scenario stand-in: records its arguments and the installed obs
+    hub, then returns ``result`` (or raises :class:`Stop` if None)."""
+
+    def run(*args, **kwargs):
+        calls.append((args, kwargs, obs.current()))
+        if result is None:
+            raise Stop
+        return result
+
+    return run
+
+
+class TestDemoWiring:
+    """``main`` turns argv into each scenario's arguments.  The scenarios
+    are replaced by recorders, so no demo runs again here."""
+
+    def test_scale_chaos_fleet_arguments(self, monkeypatch, capsys):
+        calls = []
+        for module, name, result in [
+            (demo_scale, "run_scale", {"verdicts_equal_flat": True}),
+            (demo_chaos, "run_chaos", {"ok": True}),
+            (demo_fleet, "run_fleet", {"agents": 3}),
+        ]:
+            monkeypatch.setattr(module, name, recorder(calls, result))
+        for argv in [
+            "scale --machines 9 --zones 3",
+            "chaos --quick --machines 20 --zones 3 --arcs 5",
+            "chaos --machines 20 --arcs 2 --window-s 0.5",
+            "fleet --agents 3 --latency-ms 2",
+        ]:
+            assert main(argv.split() + ["--json"]) == 0
+        assert [args for args, _, _ in calls] == [
+            (9, 3, 0.5), (8, 3, 0.25, 1), (20, 4, 0.5, 2), (3, 0.002),
+        ]
+        assert '"agents": 3' in capsys.readouterr().out
+
+    def test_watch_and_obs_run_under_an_installed_hub(self, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(
+            demo_watch, "run_watch", recorder(calls, ({"detected": True}, []))
+        )
+        assert main("watch --quick --json --machines 9 --zones 3 --rounds 20 "
+                    "--fault-round 30 --fault crash".split()) == 0
+        assert "prometheus" in json.loads(capsys.readouterr().out)
+        # Without --json every round is printed live as it closes.
+        monkeypatch.setattr(demo_watch, "run_watch", recorder(calls))
+        monkeypatch.setattr(demo_obs, "run_obs", recorder(calls))
+        for argv in ["watch --rounds 7", "obs --json"]:
+            with pytest.raises(Stop):
+                main(argv.split())
+        assert [(args, kwargs) for args, kwargs, _ in calls] == [
+            ((4, 3, 12, 12, 0.25), {"fault": "crash", "on_round": None}),
+            ((6, 2, 7, 4, 0.25),
+             {"fault": "drop", "on_round": cli.print_watch_round}),
+            ((), {}),
+        ]
+        assert all(hub is not None for _, _, hub in calls)
+        assert obs.current() is None
+
+
 class TestLightCommands:
     def test_fig16_command(self, capsys):
         assert main(["fig16"]) == 0

@@ -24,6 +24,7 @@ from repro.core.diagnosis.report import (
 )
 from repro.core.net import FleetServer, ZoneClient
 from repro.core.rulebook import VM_BOTTLENECK, Verdict
+from repro.middleboxes.http import HttpServer
 from repro.scenarios.common import Harness
 from repro.scenarios.fleet import (
     EVERY_THIRD_OVERDRIVEN,
@@ -32,15 +33,30 @@ from repro.scenarios.fleet import (
     shard,
     split_round,
 )
+from repro.simnet.packet import Flow
+from repro.workloads.traffic import ExternalTrafficSource
 
 WINDOW_S = 0.5
 
 
-def receivers(n_machines):
+def receivers(n_machines, two_vms=()):
     """``host-000``.. receivers, polled once.  Every third is overdriven
-    past its vNIC cap: a VM_BOTTLENECK verdict among clean machines."""
+    past its vNIC cap: a VM_BOTTLENECK verdict among clean machines.
+
+    Each machine named in ``two_vms`` also hosts a clean ``vm1``
+    receiver beside ``vm0``, so its summary rolls up several VMs.
+    """
     h = Harness()
     add_receivers(h, n_machines, EVERY_THIRD_OVERDRIVEN)
+    for name in two_vms:
+        machine = h.machines[name]
+        vm = machine.add_vm("vm1", vcpu_cores=1.0)
+        app = HttpServer(h.sim, vm, f"app1-{name}", cpu_per_byte=1e-9)
+        flow = Flow(f"rx1-{name}", dst_vm="vm1", kind="udp")
+        vm.bind_udp(flow, app.socket)
+        ExternalTrafficSource(
+            h.sim, f"src1-{name}", flow, machine.inject, rate_bps=100e6
+        )
     h.advance(0.5)
     for agent in h.agents.values():
         agent.poll_once()
@@ -49,7 +65,9 @@ def receivers(n_machines):
 
 class TestHierarchyEqualsFlat:
     def test_zone_rollup_verdicts_equal_flat_controller(self):
-        h = receivers(6)
+        # The faulted machines carry a second, clean VM: their loss rate
+        # and verdict scope are rolled up over more than one VM.
+        h = receivers(6, two_vms=("host-000", "host-003"))
         fleet = FleetController("root")
         zones, _ = shard(fleet, h.agents, 2)
         assert all(z.machines() for z in zones.values()), "degenerate shard"
@@ -63,6 +81,10 @@ class TestHierarchyEqualsFlat:
         for report in reports.values():
             assert fleet.ingest_zone_report(report)
         rollup = fleet.rollup()
+        summaries = {
+            m: s for report in reports.values() for m, s in report.machines.items()
+        }
+        assert summaries["host-000"].elements > summaries["host-001"].elements
 
         assert isinstance(rollup, FleetRollup)
         assert rollup.machines == flat_diag.machines
