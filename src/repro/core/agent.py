@@ -348,7 +348,10 @@ class Agent:
             raise RuntimeError(f"agent {self.name!r} is already polling")
         self.poll_period_s = period_s
         self.poll_once()
-        self._poll_handle = self.sim.schedule_every(period_s, self.poll_once)
+        # A closure, not the bound method: ``poll_once`` is looked up at
+        # each firing, so a wrapper installed on the class later (a
+        # stage tracer's) still sees the periodic calls.
+        self._poll_handle = self.sim.schedule_every(period_s, lambda: self.poll_once())
         return self._poll_handle
 
     def set_poll_period(self, period_s: float) -> PeriodicHandle:
@@ -365,7 +368,7 @@ class Agent:
         if self._poll_handle is not None and self._poll_handle.active:
             self._poll_handle.cancel()
         self.poll_period_s = period_s
-        self._poll_handle = self.sim.schedule_every(period_s, self.poll_once)
+        self._poll_handle = self.sim.schedule_every(period_s, lambda: self.poll_once())
         return self._poll_handle
 
     def stop_polling(self) -> None:
@@ -441,7 +444,8 @@ class Agent:
         self.push_consecutive_failures = 0
         self.push_period_s = period_s
         self.push_once()
-        self._push_handle = self.sim.schedule_every(period_s, self.push_once)
+        # Late-bound like the poll tick (see start_polling).
+        self._push_handle = self.sim.schedule_every(period_s, lambda: self.push_once())
         return self._push_handle
 
     def stop_pushing(self) -> None:

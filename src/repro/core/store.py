@@ -83,33 +83,106 @@ class StoreError(KeyError):
     """Raised for lookups against data the store does not (yet) hold."""
 
 
+#: (stored column per incoming name, (incoming index, stored column) per
+#: reset sentinel among the incoming names) — how one incoming names
+#: tuple lands in one schema's columns.
+_Layout = Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...]]
+
+
+class _Schema:
+    """The column layout of one distinct attr-names tuple, interned.
+
+    Every series storing the same names — across an agent store, its
+    zone mirrors and their coarse tiers — points at one ``_Schema``
+    (see :func:`_schema_for`), so a fleet whose thousands of elements
+    export a handful of attr tuples holds a handful of schemas.  The
+    layout fields never change; ``layouts`` only gains entries, each an
+    immutable :data:`_Layout` for one incoming names tuple.  A series
+    whose schema must grow moves to the union schema instead of
+    editing this one.
+    """
+
+    __slots__ = ("names", "index", "stride", "sentinel_cols", "absent_row", "layouts")
+
+    def __init__(self, names: Tuple[str, ...]) -> None:
+        self.names = names
+        self.index: Dict[str, int] = {name: i for i, name in enumerate(names)}
+        self.stride = len(names)
+        self.sentinel_cols: Tuple[Tuple[str, int], ...] = tuple(
+            (name, self.index[name])
+            for name in RESET_SENTINEL_ATTRS
+            if name in self.index
+        )
+        self.absent_row = array("d", [ABSENT]) * self.stride
+        self.layouts: Dict[Tuple[str, ...], _Layout] = {}
+
+    def sentinel_pairs(self, names: Sequence[str]) -> Tuple[Tuple[int, int], ...]:
+        """(incoming index, stored column) for each sentinel in ``names``."""
+        sentinel = dict(self.sentinel_cols)
+        return tuple(
+            (i, sentinel[name])
+            for i, name in enumerate(names)
+            if name in sentinel
+        )
+
+    def layout(self, names: Tuple[str, ...]) -> _Layout:
+        """Where ``names`` (all already columns here) land, memoized."""
+        layout = self.layouts.get(names)
+        if layout is None:
+            index = self.index
+            # setdefault: racing writers on two stores agree on one entry
+            layout = self.layouts.setdefault(
+                names, (tuple(index[n] for n in names), self.sentinel_pairs(names))
+            )
+        return layout
+
+
+#: names tuple -> its one schema, for the life of the process.  Bounded
+#: by the distinct attr tuples ever stored, which a deployment's element
+#: kinds fix at a handful.  Process-wide so an agent store and its
+#: mirrors share; the sharing cannot be observed, since a schema's
+#: layout is a function of its names alone.
+_SCHEMAS: Dict[Tuple[str, ...], _Schema] = {}
+
+
+def _schema_for(names: Tuple[str, ...]) -> _Schema:
+    """The interned schema of ``names``; safe under concurrent stores."""
+    schema = _SCHEMAS.get(names)
+    if schema is None:
+        schema = _SCHEMAS.setdefault(names, _Schema(names))
+    return schema
+
+
 class _ElementSeries:
     """Fixed-capacity columnar ring of one element's snapshots.
 
     Logical row ``i`` (0 = oldest) lives at physical slot
     ``(start + i) % capacity``; the value matrix is row-major with
-    stride ``len(attr_names)``.  Growing the attribute schema (a new
-    ``drops.<location>`` appearing mid-flight) rebuilds the value array
-    with the wider stride and back-fills old rows with ABSENT — rare,
-    and invisible to readers because materialization strips ABSENT.
+    stride ``schema.stride``.  Growing the attribute schema (a new
+    ``drops.<location>`` appearing mid-flight) moves the series to the
+    interned union schema and rebuilds only its own value array with
+    the wider stride, back-filling old rows with ABSENT — rare, and
+    invisible to readers because materialization strips ABSENT.
+
+    The schema (names, column index, sentinels, ABSENT row and the
+    incoming-names layouts) is shared with every series of the same
+    names, so what a series holds on its own is its rows, a one-entry
+    layout memo, the read-side snapshot and window memos, and one
+    schema reference.
     """
 
     __slots__ = (
         "element_id",
         "machine",
         "capacity",
-        "attr_names",
-        "attr_index",
+        "schema",
         "seqs",
         "stamps",
         "values",
         "start",
         "count",
-        "_sentinel_cols",
         "_memo_names",
-        "_memo_cols",
-        "_memo_sentinels",
-        "_absent_row",
+        "_memo_layout",
         "_recent",
         "_win_memo",
         "on_evict",
@@ -120,18 +193,17 @@ class _ElementSeries:
         self.element_id = element_id
         self.machine = machine
         self.capacity = capacity
-        self.attr_names: Tuple[str, ...] = ()
-        self.attr_index: Dict[str, int] = {}
+        self.schema = _schema_for(())
         self.seqs = array("q", bytes(8 * capacity))
         self.stamps = array("d", bytes(8 * capacity))
         self.values = array("d")
         self.start = 0
         self.count = 0
-        self._sentinel_cols: Tuple[Tuple[str, int], ...] = ()
+        # The last incoming names tuple and its entry in the schema's
+        # shared layouts: one entry, since a producer re-sends one
+        # names tuple row after row.
         self._memo_names: Optional[Tuple[str, ...]] = None
-        self._memo_cols: List[int] = []
-        self._memo_sentinels: List[Tuple[int, int]] = []
-        self._absent_row = array("d")
+        self._memo_layout: _Layout = ((), ())
         # The dict-shaped views of the two newest rows, [second newest,
         # newest]: a trailing window starts where the previous one ended,
         # so the Figure-6 lookups (window_ending_now et al.) re-read only
@@ -155,54 +227,42 @@ class _ElementSeries:
         return (self.start + i) % self.capacity
 
     def _widen(self, new_names: Sequence[str]) -> None:
-        """Add columns for never-seen attrs; back-fill old rows with ABSENT."""
-        old_stride = len(self.attr_names)
-        self.attr_names = self.attr_names + tuple(new_names)
-        for name in new_names:
-            self.attr_index[name] = len(self.attr_index)
-        stride = len(self.attr_names)
+        """Add columns for never-seen attrs; back-fill old rows with ABSENT.
+
+        The series moves to the union schema; the one it leaves is
+        shared and stays as it was.
+        """
+        old_stride = self.schema.stride
+        self.schema = _schema_for(self.schema.names + tuple(new_names))
+        stride = self.schema.stride
         widened = array("d", [ABSENT]) * (self.capacity * stride)
         for slot in range(self.capacity):
             widened[slot * stride: slot * stride + old_stride] = self.values[
                 slot * old_stride: (slot + 1) * old_stride
             ]
         self.values = widened
-        self._sentinel_cols = tuple(
-            (name, self.attr_index[name])
-            for name in RESET_SENTINEL_ATTRS
-            if name in self.attr_index
-        )
         self._memo_names = None
-        self._absent_row = array("d", [ABSENT]) * stride
 
-    def _columns_for(self, names: Sequence[str]) -> List[int]:
-        """Column index per incoming attr name, widening on new names.
+    def _layout(self, names: Sequence[str]) -> _Layout:
+        """Columns and sentinel pairs of incoming names, widening on new ones.
 
         The wire-apply path hands in the *same* names tuple for every
         row of a block and an agent store sees an *equal* fresh tuple
         per stored snapshot, so a one-entry memo keyed by value makes
-        the per-row mapping one identity check or one tuple compare.
+        the per-row mapping one identity check or one tuple compare; a
+        miss reads the shared schema's layouts.
         """
         if names is self._memo_names or names == self._memo_names:
-            return self._memo_cols
-        missing = [n for n in names if n not in self.attr_index]
+            return self._memo_layout
+        key = names if isinstance(names, tuple) else tuple(names)
+        index = self.schema.index
+        missing = [n for n in key if n not in index]
         if missing:
             self._widen(missing)
-        cols = [self.attr_index[n] for n in names]
-        if isinstance(names, tuple):
-            self._memo_names = names
-            self._memo_cols = cols
-            self._memo_sentinels = self._sentinel_pairs(names)
-        return cols
-
-    def _sentinel_pairs(self, names: Sequence[str]) -> List[Tuple[int, int]]:
-        """(incoming index, stored column) for each sentinel in ``names``."""
-        sentinel = dict(self._sentinel_cols)
-        return [
-            (i, sentinel[name])
-            for i, name in enumerate(names)
-            if name in sentinel
-        ]
+        layout = self.schema.layout(key)
+        self._memo_names = key
+        self._memo_layout = layout
+        return layout
 
     # -- ingest -----------------------------------------------------------------
 
@@ -221,8 +281,9 @@ class _ElementSeries:
         recent[1] = None
         self._win_memo = None
         self.machine = machine
-        cols = self._columns_for(names)
-        stride = len(self.attr_names)
+        cols = self._layout(names)[0]
+        schema = self.schema
+        stride = schema.stride
         if self.count == self.capacity:
             slot = self.start
             if self.on_evict is not None:
@@ -235,7 +296,7 @@ class _ElementSeries:
         self.stamps[slot] = timestamp
         base = slot * stride
         if stride:
-            self.values[base: base + stride] = self._absent_row
+            self.values[base: base + stride] = schema.absent_row
             values = self.values
             for col, value in zip(cols, row_values):
                 values[base + col] = value
@@ -265,7 +326,7 @@ class _ElementSeries:
         return self.stamps[self._slot(i)]
 
     def row_values(self, i: int) -> array:
-        stride = len(self.attr_names)
+        stride = self.schema.stride
         base = self._slot(i) * stride
         return self.values[base: base + stride]
 
@@ -282,7 +343,7 @@ class _ElementSeries:
             self.machine,
             self.seqs[slot],
             self.stamps[slot],
-            self.attr_names,
+            self.schema.names,
             self.row_values(i),
         )
         if k >= 0:
@@ -303,15 +364,16 @@ class _ElementSeries:
         last_slot = (self.start + self.count - 1) % self.capacity
         if seq < self.seqs[last_slot]:
             return True
-        if not self._sentinel_cols:
+        schema = self.schema
+        if not schema.sentinel_cols:
             return False
         # (incoming index, stored column) pairs — memoized per names
         # tuple, so the mapping is paid once per schema, not per row
         if names is self._memo_names or names == self._memo_names:
-            pairs = self._memo_sentinels
+            pairs = self._memo_layout[1]
         else:
-            pairs = self._sentinel_pairs(names)
-        base = last_slot * len(self.attr_names)
+            pairs = schema.sentinel_pairs(names)
+        base = last_slot * schema.stride
         values = self.values
         # Any comparison with NaN is false, so an ABSENT cell on either
         # side never votes.
@@ -640,7 +702,7 @@ class TimeSeriesStore:
                         (series.seq_at(i), series.stamp_at(i), series.row_values(i))
                         for i in range(first, series.count)
                     ]
-                    out.append((eid, series.machine, series.attr_names, rows))
+                    out.append((eid, series.machine, series.schema.names, rows))
             return out
 
     def drain_blocks(

@@ -119,7 +119,8 @@ class _CoarseBucket:
     stitched window is the difference of its two retained raw samples
     over their time span.  So the bucket's last row is all any read
     uses, and it is all the bucket keeps: ``vlast`` is that row
-    *verbatim* (ABSENT cells preserved), position-aligned to ``names``.
+    *verbatim* (ABSENT cells preserved), position-aligned to ``names``,
+    the evicting series' interned schema names (shared, never copied).
     ``units`` counts the fine rows the bucket spans.
     """
 
@@ -290,12 +291,13 @@ class TieredWindowStore(TimeSeriesStore):
 
     def _absorb_evicted(self, series: _ElementSeries, slot: int) -> None:
         """Fold one dying fine row into the element's tier chain."""
-        names = series.attr_names
-        stride = len(names)
+        schema = series.schema
+        stride = schema.stride
         base = slot * stride
-        # The ring slice is already a copy: it becomes the bucket's row.
+        # The ring slice is already a copy: it becomes the bucket's row;
+        # the names are the interned schema's, shared, not copied.
         bucket = _CoarseBucket(
-            names,
+            schema.names,
             series.seqs[slot],
             series.stamps[slot],
             series.values[base: base + stride],

@@ -140,3 +140,37 @@ class TestAgent:
         _, _, agent, _ = agent_world
         with pytest.raises(ValueError):
             agent.cpu_usage_at_frequency(-1)
+
+    @pytest.mark.parametrize(
+        "start, method",
+        [
+            (lambda agent: agent.start_polling(0.05), "poll_once"),
+            (lambda agent: agent.set_poll_period(0.05), "poll_once"),
+            (lambda agent: agent.start_pushing(_NullZone(), 0.05), "push_once"),
+        ],
+        ids=["start_polling", "set_poll_period", "start_pushing"],
+    )
+    def test_periodic_tick_runs_a_method_patched_after_start(
+        self, agent_world, monkeypatch, start, method
+    ):
+        """A class-level wrapper installed once the cadence runs (a stage
+        tracer's) still sees the ticks: each firing looks the method up."""
+        sim, _, agent, _ = agent_world
+        start(agent)
+        original = getattr(Agent, method)
+        fired = []
+
+        def wrapped(self):
+            fired.append(sim.now)
+            return original(self)
+
+        monkeypatch.setattr(Agent, method, wrapped)
+        sim.run(0.1)
+        assert fired
+
+
+class _NullZone:
+    """A push target that accepts every delivery."""
+
+    def ingest_push(self, machine_name, blocks, cursor=None, trace=None):
+        return sum(len(rows) for _, _, _, rows in blocks)

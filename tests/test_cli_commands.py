@@ -301,7 +301,10 @@ class TestHeavyCommands:
         assert cli.print_fleet(fleet_run, as_json=True) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["agents"] == 2
-        assert doc["peak_workers"] >= 2
+        # Overlap itself is proven deterministically in test_fleet.py
+        # (a two-party barrier); two 2 ms sleeps need not overlap here.
+        assert type(doc["peak_workers"]) is int
+        assert 1 <= doc["peak_workers"] <= doc["agents"]
         assert set(doc["machines"]) == {"host-0", "host-1"}
         assert all(m["ok"] for m in doc["machines"].values())
         assert doc["diagnosis"]["degraded_machines"] == []

@@ -253,7 +253,7 @@ def scan_changed_blocks(store, acked):
             if series.seq_at(i) > floor
         ]
         if rows:
-            out.append((eid, series.machine, series.attr_names, rows))
+            out.append((eid, series.machine, series.schema.names, rows))
     return out
 
 
@@ -458,8 +458,8 @@ class _LoopSeries(_ElementSeries):
         last_slot = (self.start + self.count - 1) % self.capacity
         if seq < self.seqs[last_slot]:
             return True
-        sentinel = dict(self._sentinel_cols)
-        base = last_slot * len(self.attr_names)
+        sentinel = dict(self.schema.sentinel_cols)
+        base = last_slot * self.schema.stride
         for i, name in enumerate(names):
             if name not in sentinel:
                 continue
@@ -539,7 +539,7 @@ def _schema_row(t, eid, seq, names, level, absent, container):
 def _rings(store):
     return {
         eid: (
-            s.attr_names, s.start, s.count,
+            s.schema.names, s.start, s.count,
             s.seqs.tobytes(), s.stamps.tobytes(), s.values.tobytes(),
         )
         for eid, s in store._series.items()
@@ -796,7 +796,7 @@ def fresh(store, snap):
         if series.seq_at(i) == snap.seq:
             return CounterSnapshot.from_columns(
                 snap.element_id, series.machine, snap.seq, series.stamp_at(i),
-                series.attr_names, series.row_values(i),
+                series.schema.names, series.row_values(i),
             )
     coarse = getattr(store, "coarse_buckets", lambda eid: [])
     for bucket in coarse(snap.element_id):

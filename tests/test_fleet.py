@@ -64,6 +64,18 @@ class SlowHandle(FlakyHandle):
         super()._check()
 
 
+class BarrierHandle(FlakyHandle):
+    """FlakyHandle whose collection waits for a second sync to arrive."""
+
+    def __init__(self, agent, barrier):
+        super().__init__(agent)
+        self.barrier = barrier
+
+    def collect_blocks(self, acked=None):
+        self.barrier.wait()
+        return super().collect_blocks(acked)
+
+
 def build_fleet(n_machines=3, handle_cls=FlakyHandle, **handle_kwargs):
     """A fleet harness whose controller sees wrapped agent handles."""
     h = Harness()
@@ -111,6 +123,17 @@ class TestConcurrentRefresh:
         # Wall clock is bounded by max not sum: 4 x 30 ms serial would
         # be >= 120 ms; generous slack for CI scheduling jitter.
         assert report.wall_s < 0.09
+
+    def test_fan_out_runs_two_syncs_at_once(self):
+        """Overlap without timing: each sync waits at a two-party barrier
+        only a simultaneous second sync can release, so a pool that ran
+        the syncs one after another would break it."""
+        barrier = threading.Barrier(2, timeout=10)
+        _, controller, _ = build_fleet(2, handle_cls=BarrierHandle, barrier=barrier)
+        report = controller.refresh_report(max_workers=2)
+        assert not barrier.broken
+        assert report.failed == []
+        assert report.peak_workers == 2
 
     def test_parent_and_child_spans_cross_the_pool(self):
         _, controller, _ = build_fleet(3)

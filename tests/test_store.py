@@ -1,9 +1,13 @@
 """Typed snapshots, counter windows, and the agent time-series store."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.core.counters import CounterSet, CounterSnapshot, CounterWindow
 from repro.core.store import StoreError, TimeSeriesStore
+from repro.core.tiers import TierConfig, TieredWindowStore
 
 
 def snap(seq, t, element="e1", machine="m1", **attrs):
@@ -228,3 +232,110 @@ class TestTimeSeriesStore:
         assert [s.to_dict() for s in mirror.changed_since({})] == [
             s.to_dict() for s in st.changed_since({})
         ]
+
+
+def _ring(series):
+    return (
+        series.schema.names, series.start, series.count,
+        series.seqs.tobytes(), series.stamps.tobytes(), series.values.tobytes(),
+    )
+
+
+class TestSchemaInterning:
+    """Series storing the same attr names share one immutable schema."""
+
+    def test_same_names_share_one_schema_across_agent_mirror_and_tiers(self):
+        agent = TimeSeriesStore(capacity_per_element=2)
+        mirror = TieredWindowStore(
+            config=TierConfig(fine_slots=2, fanout=2, coarse_slots=2, coarse_tiers=2)
+        )
+        for i in range(1, 9):  # a fresh attrs dict per snapshot, as a sweep makes
+            for eid in ("e1", "e2", "e3"):
+                agent.append(snap(i, float(i), element=eid, rx_pkts=i, tx_pkts=i))
+            mirror.apply_blocks(agent.changed_blocks(mirror.cursor()))
+        series = [*agent._series.values(), *mirror._series.values()]
+        schema = series[0].schema
+        assert all(s.schema is schema for s in series)
+        assert schema.names == ("rx_pkts", "tx_pkts")
+        buckets = [
+            bucket
+            for tiers in mirror._tiers.values()
+            for _, bucket in tiers.samples_oldest_first()
+        ]
+        assert buckets and all(b.names is schema.names for b in buckets)
+        other = TimeSeriesStore()
+        other.append(snap(1, 0.0, element="e1", rx_pkts=1.0, drops=0.0))
+        assert other._series["e1"].schema is not schema
+
+    def test_widening_one_series_leaves_its_sibling_untouched(self):
+        st = TimeSeriesStore(capacity_per_element=4)
+        for i in (1, 2):
+            for eid in ("e1", "e2"):
+                st.append(snap(i, float(i), element=eid, rx_pkts=i, drops=0.0))
+        e1, e2 = st._series["e1"], st._series["e2"]
+        shared = e2.schema
+        before = (
+            shared.names, dict(shared.index), shared.stride, shared.sentinel_cols,
+            shared.absent_row.tobytes(), dict(shared.layouts), _ring(e2),
+        )
+        late = {"drops.late": 1.0}
+        st.append(snap(3, 3.0, element="e1", rx_pkts=3.0, drops=0.0, **late))
+        assert e1.schema is not shared
+        assert e1.schema.names == shared.names + ("drops.late",)
+        assert e2.schema is shared
+        assert (
+            shared.names, dict(shared.index), shared.stride, shared.sentinel_cols,
+            shared.absent_row.tobytes(), dict(shared.layouts), _ring(e2),
+        ) == before
+        # the widened series still reads its pre-widen rows
+        assert st.at_or_before("e1", 1.0).attrs == {"rx_pkts": 1.0, "drops": 0.0}
+        assert st.latest("e1").attrs["drops.late"] == 1.0
+
+    def test_mirror_rings_equal_the_agents_after_a_mid_history_widen(self):
+        agent = TimeSeriesStore(capacity_per_element=4)
+        mirror = TieredWindowStore(
+            config=TierConfig(fine_slots=4, fanout=2, coarse_slots=2, coarse_tiers=2)
+        )
+        for i in range(1, 12):
+            late = {"drops.late": float(i)} if i >= 5 else {}
+            for eid in ("e1", "e2"):
+                extra = late if eid == "e1" else {}
+                agent.append(snap(i, float(i), element=eid, rx_pkts=i, **extra))
+            if i % 3 == 0:  # the sync straddles the widen at row 5
+                mirror.apply_blocks(agent.changed_blocks(mirror.cursor()))
+        mirror.apply_blocks(agent.changed_blocks(mirror.cursor()))
+        for eid in ("e1", "e2"):
+            mine, theirs = agent._series[eid], mirror._series[eid]
+            assert mine.schema is theirs.schema
+            assert _ring(mine) == _ring(theirs)
+        assert agent._series["e1"].schema is not agent._series["e2"].schema
+
+    def test_concurrent_stores_intern_one_schema(self):
+        """Fan-out threads meeting a new attr tuple at once agree on one
+        schema and one layout entry; a lost interning race would leave
+        two stores holding different ones."""
+        tag = f"race{id(self)}"
+        names = [("rx_pkts", f"drops.{tag}.{k}") for k in range(100)]
+        stores = [TimeSeriesStore() for _ in range(4)]  # more threads than cores
+        gate = threading.Barrier(len(stores), timeout=10)
+
+        def write(store):
+            gate.wait()
+            for k, row_names in enumerate(names):
+                store.append_row(f"e{k}", "m1", 1, 0.0, row_names, [1.0, 0.0])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=write, args=(st,)) for st in stores]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for k in range(len(names)):
+            series = [st._series[f"e{k}"] for st in stores]
+            assert len({id(s.schema) for s in series}) == 1
+            assert len({id(s._memo_layout) for s in series}) == 1
