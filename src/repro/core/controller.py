@@ -121,12 +121,6 @@ class AgentHandle(Protocol):
 
     name: str
 
-    def query(
-        self,
-        element_ids: Optional[Iterable[str]] = None,
-        attrs: Optional[Iterable[str]] = None,
-    ) -> List[StatRecord]: ...
-
     def element_ids(self) -> List[str]: ...
 
     def collect_blocks(
@@ -950,17 +944,6 @@ class ZoneController:
         win = self.mirror_for(machine).store.window_ending_now(element_id, window_s)
         return win.avg_pkt_size(bytes_attr, pkts_attr)
 
-    # -- raw pull path (legacy escape hatch) -----------------------------------------------
-
-    def query_machine(
-        self,
-        machine_name: str,
-        element_ids: Optional[Iterable[str]] = None,
-        attrs: Optional[Iterable[str]] = None,
-    ) -> List[StatRecord]:
-        """Raw synchronous per-machine pull, bypassing the mirror."""
-        return self.agent_for(machine_name).query(element_ids, attrs)
-
 
 @dataclass
 class ZoneScan:
@@ -1314,10 +1297,9 @@ class FleetController:
     def ingest_zone_report(self, report, now: Optional[float] = None) -> bool:
         """Accept one pushed zone roll-up; False for a stale replay.
 
-        The idempotency contract behind OP_ZONE_REPORT's membership in
-        the retry-safe op set: a duplicate delivery (client retry after
-        a lost response) carries the same ``seq`` and is dropped here
-        without disturbing the accepted state.
+        What makes a retried OP_ZONE_REPORT safe: a duplicate delivery
+        (client retry after a lost response) carries the same ``seq``
+        and is dropped here without disturbing the accepted state.
 
         Any accepted report is proof of life: it feeds the zone's
         liveness clock and snaps its health back to HEALTHY from any

@@ -16,7 +16,6 @@ from repro.core.net.client import (
     ZoneClient,
 )
 from repro.core.net.protocol import (
-    IDEMPOTENT_OPS,
     ProtocolError,
     recv_message,
     send_message,
@@ -27,7 +26,6 @@ __all__ = [
     "AgentServer",
     "AgentUnreachable",
     "FleetServer",
-    "IDEMPOTENT_OPS",
     "ProtocolError",
     "RemoteAgentHandle",
     "RetryPolicy",

@@ -4,25 +4,21 @@ The management network between controller and agents is not reliable:
 connections are refused while an agent restarts, reset when it crashes
 mid-exchange, and stall when the network partitions.  The handle
 therefore wraps every operation in a bounded retry loop with jittered
-exponential backoff and a per-operation deadline.  Only idempotent ops
-(:data:`~repro.core.net.protocol.IDEMPOTENT_OPS` — PING, the listings,
-HELLO, and BATCH_DELTA, whose ack vector makes replay safe) are retried
-blindly; a non-idempotent op is retried only when the failure provably
-happened before the request reached the peer (the connect failed).
-When the budget is exhausted the caller gets a typed
-:class:`AgentUnreachable` so the controller can feed its health state
-machine instead of crashing the collection plane.
+exponential backoff and a per-operation deadline.  Every op on the
+wire is idempotent (:mod:`repro.core.net.protocol`), so any transport
+failure is retried within that budget.  When it is exhausted the caller
+gets a typed :class:`AgentUnreachable` so the controller can feed its
+health state machine instead of crashing the collection plane.
 
 Concurrency: one handle is safe to share across threads.  Instead of a
 single persistent socket (which would serialize concurrent callers),
 the handle keeps a small :class:`~repro.core.concurrency.ConnectionPool`
 of connections — each operation checks one out for its request/response
 exchange and returns it, so up to ``pool_size`` operations against the
-same agent run in parallel.  The retry and idempotency rules above are
-enforced *per connection*: a failed exchange discards exactly the
-connection it happened on (the rest of the pool keeps serving), and the
-"did the request reach the peer" judgment is made against that
-connection's own send.
+same agent run in parallel.  The connection is the unit of failure: a
+failed exchange — a transport error, a protocol violation, a refusal —
+discards exactly the connection it happened on, codec state and all,
+and the rest of the pool keeps serving.
 
 Wire codec: data ops (BATCH_DELTA, ZONE_REPORT) travel as ``bin1``
 frames (:mod:`repro.core.net.codec`) and as nothing else.  Each pooled
@@ -40,7 +36,7 @@ import random
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 import socket
 
@@ -49,12 +45,10 @@ from repro.core.concurrency import ConnectionPool
 from repro.core.net import codec as wire_codec
 from repro.core.net.codec import CODEC_BIN1, WireSchema
 from repro.core.net.protocol import (
-    IDEMPOTENT_OPS,
     OP_BATCH_DELTA,
     OP_HELLO,
     OP_LIST_ELEMENTS,
     OP_PING,
-    OP_QUERY,
     OP_STACK_ELEMENTS,
     OP_ZONE_FOR,
     OP_ZONE_REPORT,
@@ -67,8 +61,8 @@ from repro.core.net.protocol import (
     recv_message,
     send_frame,
     send_message,
+    wire_int,
 )
-from repro.core.records import StatRecord
 from repro.core.store import SeriesBlock
 
 #: Self-observability: retries per op.  The ``op`` label is bounded by
@@ -349,8 +343,8 @@ class WireClient:
     The transport core shared by every client in the control plane —
     the controller's per-agent handle and the zone tier's link to the
     fleet root: a small connection pool (``pool_size``) so concurrent
-    callers pipeline instead of serializing on one socket, the
-    retry/idempotency loop of :meth:`_exchange` per operation, and the
+    callers pipeline instead of serializing on one socket, the retry
+    loop of :meth:`_exchange` per operation, and the
     lazy per-connection HELLO handshake.  ``sleep``, ``clock`` and
     ``rng`` are injectable so tests can drive the retry loop
     deterministically without real waiting; passing ``seed`` instead of
@@ -430,17 +424,15 @@ class WireClient:
 
     # -- the retry-looped exchange core --------------------------------------------
 
-    def _exchange(self, op: str, perform: Callable[[_WireConn, List[bool]], Any]) -> Any:
+    def _exchange(self, op: str, perform: Callable[[_WireConn], Any]) -> Any:
         """Run one request/response exchange under the retry policy.
 
-        ``perform(conn, sent)`` does the actual wire work on a
-        checked-out connection; it must flip ``sent[0]`` once its
-        request bytes have hit the socket, which is what the
-        idempotency judgment keys on.  Transport failures
-        (ConnectionError/OSError) discard the connection and retry
-        within budget; any other failure (a protocol violation, a
-        refusal) discards the connection — its stream and its codec
-        state can no longer be trusted — and propagates.
+        ``perform(conn)`` does the actual wire work on a checked-out
+        connection.  Transport failures (ConnectionError/OSError)
+        discard the connection and retry within budget; any other
+        failure (a protocol violation, a refusal) discards the
+        connection — its stream and its codec state can no longer be
+        trusted — and propagates.
 
         With a circuit breaker configured, an OPEN circuit fast-fails
         here — one :class:`CircuitOpenError`, no socket touched, no
@@ -471,21 +463,17 @@ class WireClient:
             breaker.record_success()
         return result
 
-    def _exchange_once(
-        self, op: str, perform: Callable[[_WireConn, List[bool]], Any]
-    ) -> Any:
+    def _exchange_once(self, op: str, perform: Callable[[_WireConn], Any]) -> Any:
         """The pre-breaker exchange core: retry loop + give-up."""
-        blind_retry = op in IDEMPOTENT_OPS
         started = self._clock()
         deadline = started + self.retry.deadline_s
         attempts = 0
         with obs.span("wire.call", op=op, agent=self.name) as sp:
             while True:
-                sent = [False]
                 conn: Optional[_WireConn] = None
                 try:
                     conn = self.pool.checkout(timeout_s=self.timeout_s)
-                    result = perform(conn, sent)
+                    result = perform(conn)
                     self.pool.checkin(conn)
                     break
                 except (ConnectionError, OSError) as exc:
@@ -496,10 +484,7 @@ class WireClient:
                     if conn is not None:
                         self.pool.discard(conn)
                     attempts += 1
-                    # A non-idempotent request that may have reached the peer
-                    # must not be replayed: the failure is terminal.
-                    retryable = blind_retry or not sent[0]
-                    if not retryable or attempts >= self.retry.max_attempts:
+                    if attempts >= self.retry.max_attempts:
                         self._give_up(op, attempts, started, exc)
                     delay = self._backoff(attempts - 1)
                     if self._clock() + delay > deadline:
@@ -525,9 +510,8 @@ class WireClient:
         # same context, so both server attempts land in one trace.
         inject_trace(request, obs.current_trace())
 
-        def perform(conn: _WireConn, sent: List[bool]) -> dict:
+        def perform(conn: _WireConn) -> dict:
             send_message(conn.sock, request)
-            sent[0] = True
             return recv_message(conn.sock)
 
         response = self._exchange(op, perform)
@@ -551,7 +535,7 @@ class WireClient:
 
     # -- HELLO handshake ------------------------------------------------------------
 
-    def _negotiate(self, conn: _WireConn, sent: List[bool]) -> None:
+    def _negotiate(self, conn: _WireConn) -> None:
         """HELLO on one connection; seeds its id tables for its lifetime.
 
         Gets its own ``wire.hello`` span (nested under whatever
@@ -562,7 +546,6 @@ class WireClient:
         with obs.span("wire.hello", agent=self.name):
             request = inject_trace({"op": OP_HELLO}, obs.current_trace())
             send_message(conn.sock, request)
-            sent[0] = True
             response = recv_message(conn.sock)
             if not response.get("ok"):
                 raise ProtocolError(
@@ -585,9 +568,9 @@ class WireClient:
         HELLO lazily inside the first data op on each connection.
         """
 
-        def perform(conn: _WireConn, sent: List[bool]) -> str:
+        def perform(conn: _WireConn) -> str:
             if not conn.greeted:
-                self._negotiate(conn, sent)
+                self._negotiate(conn)
             return CODEC_BIN1
 
         return self._exchange(OP_HELLO, perform)
@@ -603,8 +586,8 @@ class RemoteAgentHandle(WireClient):
     """Controller-side proxy for an agent behind an :class:`AgentServer`.
 
     The :class:`WireClient` transport core plus the ``AgentHandle``
-    surface the controller mirrors against: element listings, raw
-    queries, and the packed BATCH_DELTA collection exchange.
+    surface the controller mirrors against: element listings and the
+    packed BATCH_DELTA collection exchange.
     """
 
     peer_kind = "remote-agent"
@@ -612,26 +595,16 @@ class RemoteAgentHandle(WireClient):
     # -- AgentHandle interface ---------------------------------------------------------
 
     def element_ids(self) -> List[str]:
-        return [str(e) for e in self._call({"op": OP_LIST_ELEMENTS})["elements"]]
+        return self._listing(OP_LIST_ELEMENTS)
 
     def stack_element_ids(self) -> List[str]:
-        return [str(e) for e in self._call({"op": OP_STACK_ELEMENTS})["elements"]]
+        return self._listing(OP_STACK_ELEMENTS)
 
-    def query(
-        self,
-        element_ids: Optional[Iterable[str]] = None,
-        attrs: Optional[Iterable[str]] = None,
-    ) -> List[StatRecord]:
-        request = {
-            "op": OP_QUERY,
-            "elements": list(element_ids) if element_ids is not None else None,
-            "attrs": list(attrs) if attrs is not None else None,
-        }
-        response = self._call(request)
-        records = response.get("records")
-        if not isinstance(records, list):
-            raise ProtocolError("query response missing records", op=OP_QUERY)
-        return [StatRecord.from_dict(r) for r in records]
+    def _listing(self, op: str) -> List[str]:
+        elements = self._call({"op": op}).get("elements")
+        if not isinstance(elements, list):
+            raise ProtocolError(f"reply has no elements list: {elements!r}", op=op)
+        return [str(e) for e in elements]
 
     def collect_blocks(
         self, acked: Optional[Mapping[str, int]] = None
@@ -645,19 +618,15 @@ class RemoteAgentHandle(WireClient):
         """
         acked = dict(acked) if acked else {}
 
-        def perform(
-            conn: _WireConn, sent: List[bool]
-        ) -> Tuple[List[SeriesBlock], Dict[str, int]]:
+        def perform(conn: _WireConn) -> Tuple[List[SeriesBlock], Dict[str, int]]:
             if not conn.greeted:
-                self._negotiate(conn, sent)
-                sent[0] = False  # the delta request itself not yet sent
+                self._negotiate(conn)
             # Captured here — inside the wire.call span — so the agent's
             # serve span parents on this exchange, not on our caller.
             trace = obs.current_trace()
             trace_wire = trace.to_wire() if trace is not None else None
             raw = wire_codec.encode_batch_request(conn.schema, acked, trace_wire)
             send_frame(conn.sock, raw, op=OP_BATCH_DELTA)
-            sent[0] = True
             reply = recv_frame(conn.sock)
             if is_binary_frame(reply):
                 payload = wire_codec.decode_batch_response(conn.schema, reply)
@@ -690,7 +659,7 @@ class ZoneClient(WireClient):
     def subscribe(self, zone: str) -> int:
         """Announce the zone; returns the root's last accepted seq."""
         response = self._call({"op": OP_ZONE_SUBSCRIBE, "zone": zone})
-        return int(response.get("zone_seq", 0))
+        return wire_int(response.get("zone_seq"), "zone_seq", OP_ZONE_SUBSCRIBE)
 
     def zone_for(self, machine: str) -> str:
         """Ask the root which zone currently owns a machine.
@@ -699,8 +668,10 @@ class ZoneClient(WireClient):
         asks here, and the answer reflects the ring *after* any
         failover — i.e. the surviving zone its shard moved to.
         """
-        response = self._call({"op": OP_ZONE_FOR, "machine": machine})
-        return str(response["zone"])
+        zone = self._call({"op": OP_ZONE_FOR, "machine": machine}).get("zone")
+        if not isinstance(zone, str):
+            raise ProtocolError(f"reply has no zone name: {zone!r}", op=OP_ZONE_FOR)
+        return zone
 
     def push_report(self, report_wire: Mapping[str, Any]) -> bool:
         """Push one zone roll-up (wire-dict form); True when accepted.
@@ -710,15 +681,13 @@ class ZoneClient(WireClient):
         stale counter.  Either way the root's state is current.
         """
 
-        def perform(conn: _WireConn, sent: List[bool]) -> bool:
+        def perform(conn: _WireConn) -> bool:
             if not conn.greeted:
-                self._negotiate(conn, sent)
-                sent[0] = False  # the report itself not yet sent
+                self._negotiate(conn)
             trace = obs.current_trace()
             trace_wire = trace.to_wire() if trace is not None else None
             raw = wire_codec.encode_zone_report(conn.schema, report_wire, trace_wire)
             send_frame(conn.sock, raw, op=OP_ZONE_REPORT)
-            sent[0] = True
             # Acks are small and always JSON — same convention as
             # BATCH_DELTA errors.
             response = parse_json_frame(recv_frame(conn.sock), op=OP_ZONE_REPORT)

@@ -102,10 +102,11 @@ connection; both ends keep the rest in :class:`WireSchema`:
   last response; only acks that differ ride the frame (all of them on
   a fresh connection), plus drops for keys the vector lacks.
 
-Both ends update that state only once a frame encodes or decodes whole
-— a failed encode or a rejected frame leaves the connection's
-:class:`WireSchema` exactly as it was — and HELLO resets it.  A frame
-of any other version is refused with a typed error.
+Both ends write that state as they walk a frame, and HELLO resets it.
+A failed encode or a rejected frame can leave the two ends out of step,
+so it ends its connection (:mod:`repro.core.net.server`); the next
+connection starts over at HELLO.  A frame of any other version is
+refused with a typed error.
 
 Decode errors raise :class:`~repro.core.net.protocol.ProtocolError`
 carrying the op and the byte offset where parsing failed; every count
@@ -116,7 +117,6 @@ allocation.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import struct
@@ -133,6 +133,7 @@ from repro.core.net.protocol import (
     OP_HELLO,
     OP_ZONE_REPORT,
     ProtocolError,
+    wire_int,
 )
 from repro.core.store import SeriesBlock
 
@@ -266,17 +267,14 @@ class _Table:
                 offset=offset,
             ) from None
 
-    def truncate(self, size: int) -> None:
-        """Forget every id from ``size`` on (undo of a partial decode)."""
-        for name in self.names[size:]:
-            del self.ids[name]
-        del self.names[size:]
-
     def to_wire(self) -> Dict[str, int]:
         return dict(self.ids)
 
     def load_wire(self, raw: Mapping[str, Any]) -> None:
-        entries = sorted(((int(v), str(k)) for k, v in raw.items()))
+        entries = sorted(
+            (wire_int(v, f"hello id of {k!r}", OP_HELLO), str(k))
+            for k, v in raw.items()
+        )
         for ident, name in entries:
             self.learn(ident, name, OP_HELLO, 0)
 
@@ -290,9 +288,8 @@ class WireSchema:
     under that list, as ``(seq, ts, ts step, values)``, or a row of NaNs
     while none has been: what the next row is encoded against),
     ``acked`` (the last request's ack vector)
-    and ``cursor`` (the last response's cursor).  Each side stages its
-    changes while a frame is encoded or decoded and commits them only
-    once the frame is whole; HELLO resets them.
+    and ``cursor`` (the last response's cursor).  Each side writes them
+    as it encodes or decodes a frame; HELLO resets them.
     """
 
     __slots__ = (
@@ -312,29 +309,6 @@ class WireSchema:
         self.bases: Dict[str, _Base] = {}
         self.acked: Dict[str, int] = {}
         self.cursor: Dict[str, int] = {}
-
-    def commit_response(
-        self,
-        attr_lists: Mapping[str, Tuple[str, ...]],
-        bases: Mapping[str, _Base],
-        cursor: Mapping[str, int],
-    ) -> None:
-        """Install what a whole BATCH_DELTA response staged."""
-        self.attr_lists.update(attr_lists)
-        self.bases.update(bases)
-        self.cursor = dict(cursor)
-
-    def _tables(self) -> Tuple[_Table, ...]:
-        return (self.elements, self.attrs, self.machines, self.labels)
-
-    def checkpoint(self) -> Tuple[int, ...]:
-        """The id tables' sizes, for :meth:`rollback`."""
-        return tuple(len(table.names) for table in self._tables())
-
-    def rollback(self, mark: Tuple[int, ...]) -> None:
-        """Drop the ids a failed encode assigned or a rejected frame announced."""
-        for table, size in zip(self._tables(), mark):
-            table.truncate(size)
 
     def _space(self, space: int, op: str, offset: int) -> _Table:
         if space == SPACE_ELEMENT:
@@ -358,15 +332,13 @@ class WireSchema:
         }
 
     def load_wire(self, raw: Mapping[str, Any]) -> None:
-        # "labels" is absent from pre-hierarchy peers; get() keeps the
-        # HELLO exchange compatible in both directions.
         for key, table in (
             ("elements", self.elements),
             ("attrs", self.attrs),
             ("machines", self.machines),
             ("labels", self.labels),
         ):
-            part = raw.get(key, {})
+            part = raw.get(key)
             if not isinstance(part, Mapping):
                 raise ProtocolError(
                     f"hello schema {key!r} must be a mapping", op=OP_HELLO
@@ -620,27 +592,6 @@ def _classify(
     return classes, (list(map(int, deltas16)), list(map(int, deltas32)), raw64)
 
 
-def _atomic(codec_fn):
-    """Wrap an encoder or decoder so a failure leaves ``schema`` unchanged.
-
-    Ids are assigned (or, decoding, learned) as the frame is walked;
-    undoing them on failure is cheaper than staging every lookup.  The
-    implied-state fields are staged by the codec functions themselves
-    and committed only once the frame is whole.
-    """
-
-    @functools.wraps(codec_fn)
-    def wrapped(schema: WireSchema, *args, **kwargs):
-        mark = schema.checkpoint()
-        try:
-            return codec_fn(schema, *args, **kwargs)
-        except BaseException:
-            schema.rollback(mark)
-            raise
-
-    return wrapped
-
-
 # -- request (controller -> agent) ---------------------------------------------
 
 
@@ -730,7 +681,6 @@ def decode_batch_request(
 # -- response (agent -> controller) --------------------------------------------
 
 
-@_atomic
 def encode_batch_response(
     schema: WireSchema,
     machine: str,
@@ -746,7 +696,7 @@ def encode_batch_response(
     lists, block machine ids and cursor entries the decoder already
     holds or can derive are left out, and each row is sent against its
     element's base.  A block whose rows do not match its attr count
-    raises :class:`ProtocolError` and leaves ``schema`` as it was.
+    raises :class:`ProtocolError`.
     """
     pending: List[Tuple[int, int, str]] = []
 
@@ -758,8 +708,6 @@ def encode_batch_response(
 
     elements = schema.elements
     lists, bases = schema.attr_lists, schema.bases
-    new_lists: Dict[str, Tuple[str, ...]] = {}
-    new_bases: Dict[str, _Base] = {}
     implied = dict(schema.acked)
     # Every value of every row, beside the base value it is sent
     # against; classified in one pass once the blocks are written.
@@ -773,7 +721,7 @@ def encode_batch_response(
         flags = 0
         if block_machine != machine:
             flags |= BLOCK_MACHINE
-        if new_lists.get(element_id, lists.get(element_id)) != attr_names:
+        if lists.get(element_id) != attr_names:
             flags |= BLOCK_ATTRS
         body.append(flags)
         _put_varint(body, ident_for(SPACE_ELEMENT, elements, element_id))
@@ -786,10 +734,10 @@ def encode_batch_response(
             ]
             body += _U16.pack(len(attr_ids))
             body += struct.pack(f"<{len(attr_ids)}I", *attr_ids)
-            new_lists[element_id] = attr_names
+            lists[element_id] = attr_names
             base = _no_base(len(attr_names))
         else:
-            base = new_bases.get(element_id) or bases[element_id]
+            base = bases[element_id]
         width = len(attr_names)
         for seq, ts, values in rows:
             ts = float(ts)
@@ -816,7 +764,7 @@ def encode_batch_response(
             flat_values += values
             flat_bases += base_values
             base = (seq, ts, ts - base_ts, values)
-        new_bases[element_id] = base
+        bases[element_id] = base
         if rows:
             implied[element_id] = rows[-1][0]
 
@@ -838,7 +786,7 @@ def encode_batch_response(
     for code, run in zip("hid", runs):
         buf += struct.pack(f"<{len(run)}{code}", *run)
     buf += body
-    schema.commit_response(new_lists, new_bases, cursor)
+    schema.cursor = dict(cursor)
     return bytes(buf)
 
 
@@ -888,7 +836,6 @@ def _read_value_runs(r: _Reader) -> Tuple[bytearray, List[Any]]:
     return classes, list(map(next, map(sources.__getitem__, classes)))
 
 
-@_atomic
 def decode_batch_response(schema: WireSchema, raw: bytes) -> BatchPayload:
     """Unpack a ``bin1`` BATCH_DELTA response, learning new ids as announced.
 
@@ -908,8 +855,6 @@ def decode_batch_response(schema: WireSchema, raw: bytes) -> BatchPayload:
     used = 0
     block_count = r.bound_count(r.u32("block count"), 3, "block")
     lists, bases = schema.attr_lists, schema.bases
-    new_lists: Dict[str, Tuple[str, ...]] = {}
-    new_bases: Dict[str, _Base] = {}
     cursor = dict(schema.acked)
     blocks: List[SeriesBlock] = []
     for _ in range(block_count):
@@ -936,10 +881,10 @@ def decode_batch_response(schema: WireSchema, raw: bytes) -> BatchPayload:
                 schema.attrs.name_of(ident, r.op, ids_at)
                 for ident in struct.unpack_from(f"<{attr_count}I", r.view, ids_at)
             )
-            new_lists[element_id] = attr_names
+            lists[element_id] = attr_names
             base = _no_base(attr_count)
         else:
-            attr_names = new_lists.get(element_id, lists.get(element_id))
+            attr_names = lists.get(element_id)
             if attr_names is None:
                 raise ProtocolError(
                     f"block for {element_id!r} omits its attr list, and none "
@@ -947,7 +892,7 @@ def decode_batch_response(schema: WireSchema, raw: bytes) -> BatchPayload:
                     op=r.op,
                     offset=at,
                 )
-            base = new_bases.get(element_id) or bases[element_id]
+            base = bases[element_id]
         width = len(attr_names)
         # Every row is at least its flags byte.
         r.bound_count(row_count, 1, "row")
@@ -993,7 +938,7 @@ def decode_batch_response(schema: WireSchema, raw: bytes) -> BatchPayload:
             used = end
             base = (seq, ts, ts - base_ts, values)
             rows.append((seq, ts, values))
-        new_bases[element_id] = base
+        bases[element_id] = base
         if rows:
             cursor[element_id] = rows[-1][0]
         blocks.append((element_id, block_machine, attr_names, rows))
@@ -1016,7 +961,7 @@ def decode_batch_response(schema: WireSchema, raw: bytes) -> BatchPayload:
         ident, seq = _ID_SEQ.unpack_from(r.view, at)
         cursor[elements.name_of(ident, r.op, at)] = seq
     r.done()
-    schema.commit_response(new_lists, new_bases, cursor)
+    schema.cursor = dict(cursor)
     return BatchPayload(machine, cursor, blocks)
 
 
@@ -1030,7 +975,6 @@ def decode_batch_response(schema: WireSchema, raw: bytes) -> BatchPayload:
 # that cycle.
 
 
-@_atomic
 def encode_zone_report(
     schema: WireSchema,
     report: Mapping[str, Any],
@@ -1100,7 +1044,6 @@ def encode_zone_report(
     return bytes(buf)
 
 
-@_atomic
 def decode_zone_report(
     schema: WireSchema, raw: bytes
 ) -> Tuple[Dict[str, Any], Optional[Mapping[str, Any]]]:

@@ -5,8 +5,8 @@ payload encodings share the framing, split by what they carry:
 
 * **JSON** for control: a UTF-8 JSON object.  Requests carry an ``op``
   (see the ``OP_*`` constants), responses carry ``ok`` plus either
-  results or ``error``.  PING, the listings, QUERY, HELLO,
-  ZONE_SUBSCRIBE, ZONE_FOR, every ack and every error reply are JSON.
+  results or ``error``.  PING, the listings, HELLO, ZONE_SUBSCRIBE,
+  ZONE_FOR, every ack and every error reply are JSON.
 * **Packed binary** (``bin1``, :mod:`repro.core.net.codec`) for data:
   ``BATCH_DELTA`` requests and responses and ``ZONE_REPORT`` requests
   travel as fixed-width element-id/attr-id/value records and as
@@ -31,9 +31,14 @@ known.
 The workhorse op is ``BATCH_DELTA``: the controller sends its
 per-element acknowledged sequence numbers and the agent replies with one
 machine-batched frame holding only the counter rows that changed
-since — the streaming collection pipeline of the statistics plane.  The
-older per-query ``query`` op remains as the synchronous pull escape
-hatch.
+since — the streaming collection pipeline of the statistics plane, and
+the only way counters cross the wire.
+
+Every op is idempotent: PING, the listings, HELLO, ZONE_SUBSCRIBE and
+ZONE_FOR are pure reads, a replayed BATCH_DELTA carries the same ack
+vector (at worst the mirror dedupes re-sent rows), and the root drops a
+ZONE_REPORT whose sequence it already holds.  So a client may retry any
+request after a transport failure.
 
 Every request frame may additionally carry a :data:`TRACE_FIELD`
 holding the caller's serialized trace context
@@ -64,7 +69,6 @@ BIN_MAGIC = 0xB1
 OP_PING = "ping"
 OP_LIST_ELEMENTS = "list_elements"
 OP_STACK_ELEMENTS = "stack_elements"
-OP_QUERY = "query"
 OP_BATCH_DELTA = "batch_delta"
 OP_HELLO = "hello"
 
@@ -85,29 +89,6 @@ OP_ZONE_FOR = "zone_for"
 #: (frame version 3, see :mod:`repro.core.net.codec`).  HELLO responses name it so a client can tell a peer
 #: that speaks something else apart from one it can talk to.
 CODEC_BIN1 = "bin1"
-
-#: Ops a client may retry blindly after a transport failure.  PING, the
-#: listings and HELLO are pure reads; BATCH_DELTA carries the
-#: collector's ack vector, so replaying it at worst re-sends snapshots
-#: the mirror dedupes.  QUERY is excluded: it perturbs the agent's
-#: per-query overhead accounting (the Figure 16 surface), so a client
-#: must not replay one it cannot prove went unprocessed.
-#: ZONE_SUBSCRIBE is a pure read of the root's ack floor, and
-#: ZONE_REPORT carries the zone's monotonic report sequence — the root
-#: drops any replayed sequence, so a blind retry after a lost response
-#: cannot double-apply a roll-up.  ZONE_FOR is a pure read of the ring.
-IDEMPOTENT_OPS = frozenset(
-    {
-        OP_PING,
-        OP_LIST_ELEMENTS,
-        OP_STACK_ELEMENTS,
-        OP_BATCH_DELTA,
-        OP_HELLO,
-        OP_ZONE_SUBSCRIBE,
-        OP_ZONE_REPORT,
-        OP_ZONE_FOR,
-    }
-)
 
 #: Optional request field carrying the caller's trace context.
 TRACE_FIELD = "trace"
@@ -159,6 +140,16 @@ class ProtocolError(Exception):
         )
         self.op = op
         self.offset = offset
+
+
+def wire_int(value: Any, what: str, op: str) -> int:
+    """``value`` when it is a non-negative int (never a bool), else a
+    :class:`ProtocolError`: a garbled reply is a typed error, not a crash."""
+    if type(value) is not int or value < 0:
+        raise ProtocolError(
+            f"{what} must be a non-negative int, got {value!r}", op=op
+        )
+    return value
 
 
 def is_binary_frame(raw: bytes) -> bool:

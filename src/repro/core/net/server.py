@@ -10,7 +10,12 @@ control ops it dispatches.
 Each connection carries its own id tables: a HELLO exchange seeds them
 before the first packed frame (:mod:`repro.core.net.codec`).  Data ops
 (BATCH_DELTA at an agent, ZONE_REPORT at the root) are ``bin1`` frames
-or they are refused; control ops, acks and error replies are JSON.
+or they are refused; control ops, acks and error replies are JSON.  A
+binary frame the server rejects — it does not decode, or serving it
+fails — gets its JSON error reply and then ends its connection, since
+the two ends' codec state may no longer agree; the client reconnects
+with a fresh HELLO.  A refused JSON control op carries no codec state
+and keeps its connection.
 
 One thread serves every connection, so a server answers one request at
 a time and needs no lock to order its requests against each other.  The
@@ -40,7 +45,6 @@ from repro.core.net.protocol import (
     OP_HELLO,
     OP_LIST_ELEMENTS,
     OP_PING,
-    OP_QUERY,
     OP_STACK_ELEMENTS,
     OP_ZONE_FOR,
     OP_ZONE_REPORT,
@@ -268,9 +272,8 @@ class _WireServer:
             try:
                 decoded, trace_raw = self._decode(conn, raw)
             except ProtocolError as exc:
-                # Malformed binary frames surface to the client as a
-                # JSON error response; the connection survives.
-                return self._respond(conn, {"ok": False, "error": str(exc)})
+                self._respond(conn, {"ok": False, "error": str(exc)})
+                return False
         else:
             try:
                 request = parse_json_frame(raw)
@@ -280,7 +283,7 @@ class _WireServer:
             op = str(request.get("op"))
             trace_raw = request.get(TRACE_FIELD)
         # The serve span parents on the caller's wire trace context, so
-        # a controller-side query span and this span share a trace id
+        # a controller-side call span and this span share a trace id
         # across the process boundary.
         with obs.span_from_wire(
             "wire.serve", trace_raw, op=op, agent=self.peer.name
@@ -294,8 +297,9 @@ class _WireServer:
             except Exception as exc:  # surfaced to client, not server
                 reply = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
                 sp.set("error", f"{type(exc).__name__}: {exc}")
-            sp.set("ok", isinstance(reply, bytes) or bool(reply.get("ok")))
-        return self._respond(conn, reply, op)
+            ok = isinstance(reply, bytes) or bool(reply.get("ok"))
+            sp.set("ok", ok)
+        return self._respond(conn, reply, op) and (ok or not binary)
 
     def _respond(
         self, conn: _Connection, reply: Union[bytes, dict], op: Optional[str] = None
@@ -316,7 +320,7 @@ class _WireServer:
 
 class AgentServer(_WireServer):
     """Runs an agent behind a localhost TCP endpoint: packed BATCH_DELTA,
-    JSON query/list ops."""
+    JSON ping, HELLO and element listings."""
 
     bin_op = OP_BATCH_DELTA
 
@@ -351,9 +355,6 @@ class AgentServer(_WireServer):
         if op == OP_STACK_ELEMENTS:
             ids = [e.name for e in agent.machine.stack_elements()]
             return {"ok": True, "elements": ids}
-        if op == OP_QUERY:
-            records = agent.query(request.get("elements"), request.get("attrs"))
-            return {"ok": True, "records": [r.to_dict() for r in records]}
         return {"ok": False, "error": f"unknown op: {op!r}"}
 
 

@@ -6,14 +6,14 @@ Agents return element statistics to the controller in one generic shape::
 
 which abstracts over the heterogeneity of the underlying elements (kernel
 devices, vswitch rules, QEMU, middlebox software).  :class:`StatRecord` is
-that shape.  It serializes to/from plain JSON-compatible dicts so the same
-object crosses the in-process transport and the TCP wire protocol.
+that shape, as an agent's in-process query returns it; over the wire the
+same counters travel as packed ``bin1`` rows (:mod:`repro.core.net.codec`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, Mapping, Tuple
+from dataclasses import dataclass
+from typing import Iterator, Mapping, Tuple
 
 
 @dataclass(frozen=True)
@@ -53,25 +53,3 @@ class StatRecord:
         """
         picked = {a: float(self.attrs[a]) for a in attrs if a in self.attrs}
         return StatRecord(self.timestamp, self.element_id, picked, self.machine)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "timestamp": self.timestamp,
-            "element": self.element_id,
-            "machine": self.machine,
-            "attrs": dict(self.attrs),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, object]) -> "StatRecord":
-        try:
-            timestamp = float(payload["timestamp"])  # type: ignore[arg-type]
-            element_id = str(payload["element"])
-            attrs_raw = payload["attrs"]
-        except KeyError as exc:
-            raise ValueError(f"stat record missing field: {exc}") from exc
-        if not isinstance(attrs_raw, Mapping):
-            raise ValueError("stat record attrs must be a mapping")
-        attrs = {str(k): float(v) for k, v in attrs_raw.items()}
-        machine = str(payload.get("machine", ""))
-        return cls(timestamp, element_id, attrs, machine)

@@ -40,10 +40,6 @@ class _DelayedHandle:
         if self._latency_s > 0:
             time.sleep(self._latency_s)
 
-    def query(self, element_ids=None, attrs=None):
-        self._delay()
-        return self._handle.query(element_ids, attrs)
-
     def collect_blocks(self, acked=None):
         self._delay()
         return self._handle.collect_blocks(acked)

@@ -65,12 +65,6 @@ class TestController:
         _, _, controller, _ = world
         assert controller.machines() == ["m1"]
 
-    def test_query_machine_raw(self, world):
-        sim, _, controller, _ = world
-        sim.run(0.2)
-        records = controller.query_machine("m1", ["pnic@m1", "tun-v1@m1"])
-        assert [r.element_id for r in records] == ["pnic@m1", "tun-v1@m1"]
-
 
 class TestQueryRoutines:
     def test_get_throughput(self, world):

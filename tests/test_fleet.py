@@ -35,10 +35,6 @@ class FlakyHandle:
         if self.down:
             raise ConnectionError(f"{self.name} is down")
 
-    def query(self, element_ids=None, attrs=None):
-        self._check()
-        return self._agent.query(element_ids, attrs)
-
     def element_ids(self):
         self._check()
         return self._agent.element_ids()

@@ -107,15 +107,6 @@ class TestAgentOverTcp:
         with RemoteAgentHandle(host, port) as handle:
             assert handle.ping() == agent.name
 
-    def test_remote_query_matches_local(self, served_agent):
-        _, _, agent, server = served_agent
-        host, port = server.address
-        with RemoteAgentHandle(host, port) as handle:
-            remote = handle.query(["pnic@m1"], ["rx_bytes"])
-        local = agent.query(["pnic@m1"], ["rx_bytes"])
-        assert remote[0]["rx_bytes"] == local[0]["rx_bytes"]
-        assert remote[0].machine == "m1"
-
     def test_element_listing(self, served_agent):
         _, _, agent, server = served_agent
         host, port = server.address
@@ -128,13 +119,6 @@ class TestAgentOverTcp:
         with RemoteAgentHandle(host, port) as handle:
             ids = handle.stack_element_ids()
         assert ids == [e.name for e in machine.stack_elements()]
-
-    def test_error_surfaces_to_client(self, served_agent):
-        _, _, _, server = served_agent
-        host, port = server.address
-        with RemoteAgentHandle(host, port) as handle:
-            with pytest.raises(RuntimeError, match="KeyError"):
-                handle.query(["ghost-element"])
 
     def test_controller_works_through_remote_handle(self, served_agent):
         sim, _, _, server = served_agent
@@ -159,14 +143,18 @@ class TestAgentOverTcp:
         def worker():
             with RemoteAgentHandle(host, port) as h:
                 for _ in range(10):
-                    results.append(len(h.query(["pnic@m1"])))
+                    _, cursor = h.collect_blocks({})
+                    results.append(cursor)
 
         threads = [threading.Thread(target=worker) for _ in range(4)]
         for t in threads:
             t.start()
         for t in threads:
             t.join(timeout=10)
-        assert results == [1] * 40
+        # Simulated time stands still, so every full drain answers the
+        # same cursor.
+        assert len(results) == 40 and "pnic@m1" in results[0]
+        assert all(cursor == results[0] for cursor in results)
 
     def test_reconnect_after_server_side_close(self, served_agent):
         _, _, _, server = served_agent

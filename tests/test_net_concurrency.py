@@ -2,8 +2,8 @@
 
 A server serves all its connections from one thread, so concurrent
 callers are served one request at a time and each gets the right
-answer; concurrent queries racing collection sweeps see no torn
-snapshots; one pooled handle serves many threads, and closing it
+answer; concurrent BATCH_DELTA reads racing collection sweeps see no
+torn rows; one pooled handle serves many threads, and closing it
 retires even the connections checked out at that moment; seeded
 handles retry with reproducible backoff jitter.
 """
@@ -11,6 +11,7 @@ handles retry with reproducible backoff jitter.
 import socket
 import threading
 import time
+from array import array
 
 import pytest
 
@@ -75,34 +76,35 @@ class TestOneLoopServer:
 
 class TestConcurrentReads:
     def test_parallel_queries_share_the_read_lock(self, served_agent):
-        """Many readers share one server: 4 threads issue 10 queries each
-        through one handle, and all 40 come back correct.  The server
-        takes no lock for a query; its loop serves them in turn."""
+        """Many readers share one server: 4 threads issue 10 listings
+        each through one handle, and all 40 come back correct.  The
+        server takes no lock for a listing; its loop serves them in
+        turn."""
         _, agent, server = served_agent
         host, port = server.address
         results = []
         errors = []
         gate = threading.Barrier(4, timeout=10.0)
 
-        # Each query dwells 10 ms at the agent, so the 4 threads'
+        # Each listing dwells 10 ms at the agent, so the 4 threads'
         # requests wait at the server together and its one loop serves
         # them from several pooled connections in turn.
-        orig_query = agent.query
+        expected = agent.element_ids()
+        orig_element_ids = agent.element_ids
 
-        def slow_query(element_ids=None, attrs=None):
+        def slow_element_ids():
             time.sleep(0.01)
-            return orig_query(element_ids, attrs)
+            return orig_element_ids()
 
-        agent.query = slow_query
+        agent.element_ids = slow_element_ids
 
         with RemoteAgentHandle(host, port, retry=FAST_RETRY) as handle:
-            expected = [r.to_dict() for r in handle.query(None, ["rx_bytes"])]
 
             def reader():
                 try:
                     gate.wait()
                     for _ in range(10):
-                        results.append(handle.query(None, ["rx_bytes"]))
+                        results.append(handle.element_ids())
                 except Exception as exc:  # noqa: BLE001 - surfaced below
                     errors.append(exc)
 
@@ -114,47 +116,54 @@ class TestConcurrentReads:
                 assert not t.is_alive()
         assert not errors
         assert len(results) == 40
-        for records in results:
-            assert [r.to_dict() for r in records] == expected
+        for ids in results:
+            assert ids == expected
 
     def test_concurrent_queries_see_no_torn_snapshots(self, served_agent):
-        """QUERYs racing BATCH_DELTA sweeps all see identical state.
+        """BATCH_DELTA reads racing cadence sweeps all see identical rows.
 
-        Simulated time is frozen while the threads run, so every query
-        must return byte-identical records no matter how many sweeps
-        and drains interleave with it; any divergence would be a torn
-        read through the agent's store or channels.
+        Simulated time is frozen while the threads run, so every row any
+        reader collects must carry byte-identical values and timestamp
+        for its element, no matter how many sweeps and drains interleave
+        with it; any divergence would be a torn read through the agent's
+        store or channels.
         """
         _, agent, server = served_agent
         host, port = server.address
         stop = threading.Event()
         errors = []
-        query_results = []
+        rows_seen = []
+
+        def row_state(blocks):
+            return {
+                (element, attrs, ts, array("d", values).tobytes())
+                for element, _, attrs, rows in blocks
+                for _, ts, values in rows
+            }
 
         with RemoteAgentHandle(host, port, retry=FAST_RETRY) as handle:
-            baseline = handle.query(None, ["rx_bytes", "rx_pkts", "drops"])
+            baseline = row_state(handle.collect_blocks({})[0])
 
             def sweeper():
-                acked = {}
                 try:
                     while not stop.is_set():
-                        _, acked = handle.collect_blocks(acked)
+                        agent.poll_once()
                 except Exception as exc:  # noqa: BLE001
                     errors.append(exc)
 
-            def querier():
+            def reader():
+                acked = {}
                 try:
                     while not stop.is_set():
-                        query_results.append(
-                            handle.query(None, ["rx_bytes", "rx_pkts", "drops"])
-                        )
+                        blocks, acked = handle.collect_blocks(acked)
+                        rows_seen.append(row_state(blocks))
                 except Exception as exc:  # noqa: BLE001
                     errors.append(exc)
 
             threads = [
                 threading.Thread(target=sweeper),
-                threading.Thread(target=querier),
-                threading.Thread(target=querier),
+                threading.Thread(target=reader),
+                threading.Thread(target=reader),
             ]
             for t in threads:
                 t.start()
@@ -164,17 +173,17 @@ class TestConcurrentReads:
                 t.join(timeout=30.0)
                 assert not t.is_alive()
         assert not errors
-        assert query_results, "queriers never completed a round"
-        expected = [r.to_dict() for r in baseline]
-        for records in query_results:
-            assert [r.to_dict() for r in records] == expected
+        assert rows_seen, "readers never completed a round"
+        assert rows_seen[0] == baseline  # a fresh cursor gets every element
+        for rows in rows_seen:
+            assert rows <= baseline
 
     def test_query_completes_while_sweep_is_in_flight(self, served_agent):
-        """A query is not serialized behind a slow cadence sweep.
+        """A read is not serialized behind a slow cadence sweep.
 
         The sweep runs on another thread (the simulator's, in a live
         agent) and holds the agent's sweep lock for its whole body; the
-        server's loop answers a query meanwhile, since a query takes
+        server's loop answers a listing meanwhile, since a listing takes
         neither that lock nor the store's.
         """
         _, agent, server = served_agent
@@ -202,11 +211,11 @@ class TestConcurrentReads:
             handle.ping()  # warm a connection before the sweep starts
             sweeper.start()
             assert sweep_started.wait(timeout=10.0)
-            records = handle.query(None, ["rx_bytes"])
+            ids = handle.element_ids()
             assert not sweep_finished.is_set(), (
-                "query was serialized behind the sweep"
+                "the listing was serialized behind the sweep"
             )
-            assert records
+            assert ids == agent.element_ids()
         sweeper.join(timeout=30.0)
         assert not sweeper.is_alive()
         assert agent.total_polls == 1

@@ -35,29 +35,5 @@ class TestStatRecord:
         assert sub.timestamp == 2.0
         assert sub.element_id == "e"
 
-    def test_roundtrip_dict(self):
-        r = StatRecord(3.25, "tun-vm1", {"drops": 17.0}, machine="host-7")
-        r2 = StatRecord.from_dict(r.to_dict())
-        assert r2.timestamp == r.timestamp
-        assert r2.element_id == r.element_id
-        assert r2.machine == r.machine
-        assert dict(r2.items()) == dict(r.items())
-
-    def test_from_dict_coerces_values_to_float(self):
-        r = StatRecord.from_dict(
-            {"timestamp": "1.0", "element": "e", "attrs": {"x": "3"}}
-        )
-        assert r["x"] == 3.0
-        assert isinstance(r["x"], float)
-
-    def test_from_dict_missing_field(self):
-        with pytest.raises(ValueError, match="missing"):
-            StatRecord.from_dict({"timestamp": 1.0, "attrs": {}})
-
-    def test_from_dict_bad_attrs(self):
-        with pytest.raises(ValueError, match="mapping"):
-            StatRecord.from_dict({"timestamp": 1.0, "element": "e", "attrs": [1, 2]})
-
     def test_machine_defaults_empty(self):
-        r = StatRecord.from_dict({"timestamp": 0.0, "element": "e", "attrs": {}})
-        assert r.machine == ""
+        assert StatRecord(0.0, "e", {}).machine == ""

@@ -10,8 +10,7 @@ Three layers of assurance for the packed ``bin1`` BATCH_DELTA path:
 * **Fuzzing** — every truncation of a valid frame, and random bit
   flips, must be rejected with :class:`ProtocolError` (op + byte
   offset) and never anything else: no IndexError deep in struct, no
-  giant speculative allocation, no silent garbage — and a rejected
-  frame leaves the connection's :class:`WireSchema` as it was.
+  giant speculative allocation, no silent garbage.
 * **Lockstep** — random exchange sequences over one connection's
   schema pair (acks and cursors that regress, skip and drop keys,
   attr lists that widen and permute, fresh connections, re-HELLOs)
@@ -20,13 +19,18 @@ Three layers of assurance for the packed ``bin1`` BATCH_DELTA path:
 * **Bit-exact values** — rows sent as deltas against their element's
   base (NaN payloads, ±0.0, ±inf, subnormals, integers past 2**53,
   deltas past i32, seq and timestamp irregularities, attr lists that
-  change) decode to the encoded bits, both ends hold the same bases,
-  and an encode that fails leaves the sender's schema as it was.
+  change) decode to the encoded bits, and both ends hold the same
+  bases.
 * **Handshake** — ``bin1`` is the only data codec: a peer that refuses
   HELLO or answers another codec gets a typed error at once (and a
   health failure through a mirror sync), and a data op sent as JSON is
-  refused without costing the connection.  A packed op the server
-  refuses costs the client exactly that connection.
+  refused without costing the connection.  A packed frame either end
+  rejects — a malformed request or report, a serve that fails, a
+  corrupt response — ends its connection on both ends, and the client
+  carries on over a fresh one with a fresh HELLO.
+* **Malformed control replies** — a HELLO, listing or zone reply with
+  a missing or mistyped field is a typed :class:`ProtocolError`, and
+  through a mirror one recorded health failure, never a crash.
 
 The acceptance scenario at the bottom drives the full TCP stack — a
 mirror over the wire beside an in-process one, against one faulty
@@ -57,7 +61,11 @@ from repro.core.net.codec import CODEC_BIN1, WireSchema
 from repro.core.net.protocol import (
     OP_BATCH_DELTA,
     OP_HELLO,
+    OP_LIST_ELEMENTS,
+    OP_STACK_ELEMENTS,
+    OP_ZONE_FOR,
     OP_ZONE_REPORT,
+    OP_ZONE_SUBSCRIBE,
     ProtocolError,
     recv_message,
     send_message,
@@ -405,13 +413,10 @@ class TestFrameFuzz:
     def test_every_truncation_rejected_and_schema_untouched(self):
         for raw, make_schema in (steady_response_frame(), valid_response_frame()):
             for cut in range(len(raw)):
-                schema = make_schema()
-                before = schema_state(schema)
                 with pytest.raises(ProtocolError) as err:
-                    wire_codec.decode_batch_response(schema, raw[:cut])
+                    wire_codec.decode_batch_response(make_schema(), raw[:cut])
                 assert err.value.op == OP_BATCH_DELTA
                 assert err.value.offset is not None and 0 <= err.value.offset <= cut
-                assert schema_state(schema) == before
 
     def test_bit_flips_raise_with_offset_and_leave_schema_untouched(self):
         rng = random.Random(2028)
@@ -419,13 +424,10 @@ class TestFrameFuzz:
             for _ in range(300):
                 mutated = bytearray(raw)
                 mutated[rng.randrange(len(raw))] ^= 1 << rng.randrange(8)
-                schema = make_schema()
-                before = schema_state(schema)
                 try:
-                    wire_codec.decode_batch_response(schema, bytes(mutated))
+                    wire_codec.decode_batch_response(make_schema(), bytes(mutated))
                 except ProtocolError as exc:
                     assert exc.offset is not None
-                    assert schema_state(schema) == before
 
     def test_request_truncations_and_flips_leave_schema_untouched(self):
         server_schema, client_schema = paired_schemas()
@@ -515,12 +517,9 @@ class TestFrameFuzz:
         mutated[at] = 2  # same bitmap byte, two fewer classes
         mutated[at + 1] &= 0x0F  # whose padding must be zero
         del mutated[at + 2 + 2: at + 2 + 2 + 4 + 8]  # their i32 and f64
-        schema = primed_schema()
-        before = schema_state(schema)
         with pytest.raises(ProtocolError, match="run out") as err:
-            wire_codec.decode_batch_response(schema, bytes(mutated))
+            wire_codec.decode_batch_response(primed_schema(), bytes(mutated))
         assert err.value.offset is not None
-        assert schema_state(schema) == before
 
     def test_first_row_rides_raw_against_the_nan_base(self):
         """An element with no base is sent against a row of NaNs: its
@@ -543,15 +542,12 @@ class TestFrameFuzz:
         assert_rows_bit_exact(payload.blocks, blocks)
         assert bases_state(client) == bases_state(server)
         # The NaN base predicts no timestamp: a row that implies one
-        # anyway is refused, and the connection keeps its state.
-        fresh = paired_schemas()[1]
-        before = schema_state(fresh)
+        # anyway is refused.
         at = raw.index(elem1_row)
         mutated = raw[:at] + b"\x00" + raw[at + len(elem1_row):]
         with pytest.raises(ProtocolError, match="predicts none") as err:
-            wire_codec.decode_batch_response(fresh, mutated)
+            wire_codec.decode_batch_response(paired_schemas()[1], mutated)
         assert err.value.offset == at
-        assert schema_state(fresh) == before
 
     def test_multibyte_varints_round_trip_and_truncate(self):
         """Element ids and row counts past 127 take multi-byte varints;
@@ -561,13 +557,17 @@ class TestFrameFuzz:
         blocks.append(("e000", "m1", ("x",), [(n, 0.5 * n, [float(n)]) for n in range(2, 202)]))
         first = wire_codec.encode_batch_response(server, "m1", blocks[:140], {})
         wire_codec.decode_batch_response(client, first)
-        before = schema_state(client)
         raw = wire_codec.encode_batch_response(server, "m1", blocks[139:], {})
+
+        def warm_client():
+            schema = paired_schemas()[1]
+            wire_codec.decode_batch_response(schema, first)
+            return schema
+
         for cut in range(0, len(raw), 7):
             with pytest.raises(ProtocolError) as err:
-                wire_codec.decode_batch_response(client, raw[:cut])
+                wire_codec.decode_batch_response(warm_client(), raw[:cut])
             assert err.value.offset is not None
-            assert schema_state(client) == before
         payload = wire_codec.decode_batch_response(client, raw)
         assert_rows_bit_exact(payload.blocks, blocks[139:])
         assert bases_state(client) == bases_state(server)
@@ -601,10 +601,8 @@ class TestFrameFuzz:
         element's list: the omitted list cannot be implied."""
         raw, _ = steady_response_frame()
         fresh = paired_schemas(("elem0", "elem1", "elem2"))[1]
-        before = schema_state(fresh)
         with pytest.raises(ProtocolError, match="omits its attr list"):
             wire_codec.decode_batch_response(fresh, raw)
-        assert schema_state(fresh) == before
 
     @pytest.mark.parametrize("which", ["request", "response", "zone_report"])
     def test_version_one_frame_typed_error(self, which):
@@ -902,55 +900,6 @@ class TestValueBasesProperty:
             assert bases_state(client) == bases_state(server)
 
 
-class TestFailedEncodeIsAtomic:
-    """An encode that raises leaves the sender's schema as it was: no
-    id, attr list, base or cursor of a frame that was never sent."""
-
-    def test_batch_response_mismatched_row_rolls_back(self):
-        server, client = paired_schemas()
-        warm = wire_codec.encode_batch_response(
-            server, "m1", valid_response_blocks(), {"elem0": 2, "elem1": 5}
-        )
-        wire_codec.decode_batch_response(client, warm)
-        before = schema_state(server)
-        wire_before = server.to_wire()
-        new_names = [
-            ("e1", "m1", ("a", "b"), [(1, 0.0, [1.0, 2.0])]),
-            ("e2", "m9", ("c",), [(1, 0.0, [1.0, 2.0])]),  # 2 values, 1 attr
-        ]
-        on_a_base = [
-            ("elem0", "m1", ("rx_pkts", "tx_pkts"), [(3, 1.5, [5.0, 6.0])]),
-            ("elem1", "m1", ("drops", "late.attr"), [(6, 0.5, [1.0])]),
-        ]
-        for blocks in (new_names, on_a_base):
-            cursor = {e: rows[-1][0] for e, _, _, rows in blocks}
-            with pytest.raises(ProtocolError, match="value"):
-                wire_codec.encode_batch_response(server, "m1", blocks, cursor)
-            assert server.to_wire() == wire_before
-            assert schema_state(server) == before
-        # the connection carries on in lockstep
-        blocks = steady_blocks()[:1]
-        payload = exchange(server, client, blocks)
-        assert_rows_bit_exact(payload.blocks, blocks)
-        assert schema_state(client)[1:3] == schema_state(server)[1:3]
-
-    def test_zone_report_rolls_back(self):
-        schema = WireSchema()
-        good = {"zone": "z1", "seq": 1, "machines": [{"machine": "m1", "health": "ok"}]}
-        wire_codec.encode_zone_report(schema, good)
-        before = schema.to_wire()
-        bad = {
-            "zone": "z2",
-            "seq": 2,
-            "machines": [
-                {"machine": "m2", "health": "new", "verdicts": [["loc", ["r"], "s"]]}
-            ],
-        }
-        with pytest.raises(ValueError):
-            wire_codec.encode_zone_report(schema, bad)
-        assert schema.to_wire() == before
-
-
 def flaky_server(server_cls):
     """``server_cls`` whose ``_serve`` raises exactly once."""
     left = [1]
@@ -997,6 +946,95 @@ class TestRefusalDiscardsConnection:
         assert fleet.zone_record("z1").last_seq == 1
 
 
+def greeted_socket(server):
+    """A raw connection that has said HELLO, and its client schema."""
+    sock = socket.create_connection(server.address, timeout=5)
+    send_message(sock, {"op": OP_HELLO})
+    schema = WireSchema()
+    wire_codec.apply_hello_response(recv_message(sock), schema)
+    return sock, schema
+
+
+def assert_error_then_close(sock, raw: bytes, match: str) -> None:
+    """Send one packed frame: a JSON error comes back, then EOF."""
+    sock.sendall(struct.pack(">I", len(raw)) + raw)
+    response = recv_message(sock)
+    assert response["ok"] is False and match in response["error"]
+    sock.settimeout(2.0)
+    with pytest.raises(ConnectionError):
+        recv_message(sock)  # the server closed the connection
+    sock.close()
+
+
+class TestRejectedFrameEndsConnection:
+    """A packed frame that either end rejects leaves the two ends' codec
+    state out of step, so it ends its connection: the server answers
+    with a JSON error and hangs up, the client discards the connection,
+    and the next exchange starts over on a fresh one with HELLO."""
+
+    def test_malformed_request_closes_agent_connection(self, world):
+        _, _, agent = world
+        with AgentServer(agent) as server:
+            sock, schema = greeted_socket(server)
+            raw = wire_codec.encode_batch_request(schema, {"pnic@m1": 1})
+            assert_error_then_close(sock, raw[:-1], "op=batch_delta")
+
+    def test_serve_failure_closes_agent_connection(self, world):
+        _, _, agent = world
+        with flaky_server(AgentServer)(agent) as server:
+            sock, schema = greeted_socket(server)
+            raw = wire_codec.encode_batch_request(schema, {})
+            assert_error_then_close(sock, raw, "injected serve failure")
+
+    def test_malformed_zone_report_closes_fleet_connection(self):
+        """A report cut off after its dictionary section: the root has
+        learned labels the zone will not announce again on this
+        connection, so the connection ends rather than lives on to fail
+        the next report with an unknown id."""
+        fleet = FleetController("root")
+        fleet.register_zone("z1")
+        report = {"zone": "z1", "seq": 1, "machines": [{"machine": "m1"}]}
+        with FleetServer(fleet) as server:
+            sock, schema = greeted_socket(server)
+            raw = wire_codec.encode_zone_report(schema, report)
+            assert_error_then_close(
+                sock, raw[: -wire_codec._SUMMARY_HEAD.size], "op=zone_report"
+            )
+        assert fleet.zone_record("z1").last_seq == 0
+
+    def test_corrupt_response_rehellos_on_a_fresh_connection(self, world):
+        _, _, agent = world
+        hellos = []
+        corrupt = [1]
+
+        class Corrupting(AgentServer):
+            def _dispatch(self, conn, request):
+                hellos.append(request.get("op") == OP_HELLO)
+                return super()._dispatch(conn, request)
+
+            def _serve(self, conn, acked):
+                raw = super()._serve(conn, acked)
+                if corrupt:
+                    corrupt.pop()
+                    return raw[:-1]
+                return raw
+
+        with Corrupting(agent) as server:
+            with RemoteAgentHandle(
+                *server.address, retry=FAST_RETRY, pool_size=1, timeout_s=1.0
+            ) as handle:
+                with pytest.raises(ProtocolError) as err:
+                    handle.collect_blocks({})
+                assert err.value.op == OP_BATCH_DELTA
+                assert handle.pool.discarded == 1
+                mirror = AgentMirror("m1", handle, store=TimeSeriesStore())
+                assert mirror.sync() > 0
+                assert (handle.pool.created, handle.pool.discarded) == (2, 1)
+        assert hellos == [True, True]
+        assert dump(mirror.store) == dump(agent.store)
+        assert mirror.acked == agent.store.cursor()
+
+
 #: What a peer that has never heard of HELLO says to it, and what one
 #: that speaks some other data codec says.
 REFUSES_HELLO = {"ok": False, "error": "unknown op: 'hello'"}
@@ -1004,12 +1042,10 @@ ANSWERS_JSON = {"ok": True, "agent": "old", "codec": "json", "schema": {}}
 
 
 @contextmanager
-def old_peer(hello_reply):
-    """A peer this build has no data codec in common with.
-
-    Answers HELLO with ``hello_reply`` and refuses everything else;
-    yields its address and the ops it was asked, in order.
-    """
+def scripted_peer(replies):
+    """A peer that answers each op in ``replies`` with its canned reply
+    and refuses everything else; yields its address and the ops it was
+    asked, in order."""
     lsock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     lsock.bind(("127.0.0.1", 0))
     lsock.listen(4)
@@ -1020,8 +1056,8 @@ def old_peer(hello_reply):
         while not stop.is_set():
             op = recv_message(conn).get("op")
             asked.append(op)
-            if op == OP_HELLO:
-                send_message(conn, hello_reply)
+            if op in replies:
+                send_message(conn, replies[op])
             else:
                 send_message(conn, {"ok": False, "error": f"unknown op: {op!r}"})
 
@@ -1066,8 +1102,38 @@ def world(sim_with_transport):
     return sim, machine, agent
 
 
+def hello_with(schema):
+    return {"ok": True, "agent": "a", "codec": CODEC_BIN1, "schema": schema}
+
+
+NO_TABLES = {"elements": {}, "attrs": {}, "machines": {}, "labels": {}}
+
+#: HELLO replies that name ``bin1`` but carry a garbled schema: each
+#: must be a typed error, not a ValueError, TypeError or IndexError that
+#: escapes a mirror sync and aborts a zone's whole refresh.
+MALFORMED_HELLOS = {
+    "id_str": hello_with({**NO_TABLES, "elements": {"e": "x"}}),
+    "id_null": hello_with({**NO_TABLES, "elements": {"e": None}}),
+    "id_negative": hello_with({**NO_TABLES, "elements": {"e": -1}}),
+    "id_bool": hello_with({**NO_TABLES, "elements": {"e": False}}),
+    "id_float": hello_with({**NO_TABLES, "elements": {"e": 0.0}}),
+    "table_not_mapping": hello_with({**NO_TABLES, "elements": ["e"]}),
+    "labels_missing": hello_with({"elements": {}, "attrs": {}, "machines": {}}),
+    "schema_missing": {"ok": True, "agent": "a", "codec": CODEC_BIN1},
+}
+
+#: Each JSON control op's client and the call that sends it.
+CONTROL_CALLS = {
+    OP_LIST_ELEMENTS: (RemoteAgentHandle, RemoteAgentHandle.element_ids),
+    OP_STACK_ELEMENTS: (RemoteAgentHandle, RemoteAgentHandle.stack_element_ids),
+    OP_ZONE_FOR: (ZoneClient, lambda link: link.zone_for("m1")),
+    OP_ZONE_SUBSCRIBE: (ZoneClient, lambda link: link.subscribe("z1")),
+}
+
 unusable_peers = pytest.mark.parametrize(
-    "hello_reply", [REFUSES_HELLO, ANSWERS_JSON], ids=["refuses_hello", "answers_json"]
+    "hello_reply",
+    [REFUSES_HELLO, ANSWERS_JSON, *MALFORMED_HELLOS.values()],
+    ids=["refuses_hello", "answers_json", *MALFORMED_HELLOS],
 )
 
 
@@ -1085,7 +1151,7 @@ class TestNegotiation:
         """No downgrade: a data op fails with a typed HELLO error at
         once — each attempt asks one HELLO on a connection that is then
         discarded; nothing is retried or sent in some other format."""
-        with old_peer(hello_reply) as (addr, asked):
+        with scripted_peer({OP_HELLO: hello_reply}) as (addr, asked):
             with RemoteAgentHandle(*addr, retry=FAST_RETRY) as handle:
                 with pytest.raises(ProtocolError) as err:
                     handle.collect_blocks({})
@@ -1099,7 +1165,7 @@ class TestNegotiation:
     def test_peer_without_bin1_is_a_health_failure(self, hello_reply):
         """Through a mirror the typed error is one failed sync and one
         recorded health failure, not an exception."""
-        with old_peer(hello_reply) as (addr, asked):
+        with scripted_peer({OP_HELLO: hello_reply}) as (addr, asked):
             with RemoteAgentHandle(*addr, retry=FAST_RETRY) as handle:
                 mirror = AgentMirror("m1", handle)
                 assert mirror.sync() == 0
@@ -1109,6 +1175,32 @@ class TestNegotiation:
         assert isinstance(mirror.last_error, ProtocolError)
         assert mirror.last_error.op == OP_HELLO
         assert len(mirror.store) == 0
+
+    @pytest.mark.parametrize(
+        "op, reply",
+        [
+            (OP_LIST_ELEMENTS, {"ok": True}),
+            (OP_LIST_ELEMENTS, {"ok": True, "elements": "eth0"}),
+            (OP_STACK_ELEMENTS, {"ok": True, "elements": None}),
+            (OP_ZONE_FOR, {"ok": True}),
+            (OP_ZONE_FOR, {"ok": True, "zone": 3}),
+            (OP_ZONE_SUBSCRIBE, {"ok": True}),
+            (OP_ZONE_SUBSCRIBE, {"ok": True, "zone_seq": "7"}),
+            (OP_ZONE_SUBSCRIBE, {"ok": True, "zone_seq": -1}),
+            (OP_ZONE_SUBSCRIBE, {"ok": True, "zone_seq": True}),
+        ],
+        ids=[
+            "listing_missing", "listing_str", "stack_null", "zone_missing",
+            "zone_int", "seq_missing", "seq_str", "seq_negative", "seq_bool",
+        ],
+    )
+    def test_malformed_control_reply_is_a_protocol_error(self, op, reply):
+        client_cls, call = CONTROL_CALLS[op]
+        with scripted_peer({op: reply}) as (addr, _):
+            with client_cls(*addr, retry=FAST_RETRY) as client:
+                with pytest.raises(ProtocolError) as err:
+                    call(client)
+        assert err.value.op == op
 
     def test_json_data_ops_refused_connection_survives(self, world):
         """BATCH_DELTA and ZONE_REPORT exist only as bin1 frames: the
