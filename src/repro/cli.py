@@ -10,8 +10,8 @@ Runs the reproduction's experiments and demos from a shell:
 * ``obs``               — self-observability demo: spans/metrics/events
 * ``fleet``             — concurrent fleet collection demo over real TCP
 * ``scale``             — hierarchical control plane demo (zones + root)
-* ``chaos``             — self-healing demo: zone kill/restart + root
-  partition with failover, re-homing and circuit breakers
+* ``chaos``             — self-healing demo: zone kill/restart with
+  failover and re-homing, then a root partition that only goes stale
 * ``watch``             — always-on streaming diagnosis: one injected
   fault detected, escalated and rendered as one incident trace
 * ``list``              — the experiment inventory with paper references
@@ -52,7 +52,7 @@ EXPERIMENTS = {
     "chaos": "self-healing fleet: kill a zone mid-diagnosis, watch the "
              "root detect it, fail its shard over, re-home agents and "
              "reconverge to the flat controller's verdicts; then a root "
-             "partition exercises staleness and circuit breakers",
+             "partition goes stale without failing over",
     "watch": "always-on streaming diagnosis: the DiagnosisDaemon's "
              "coarse monitoring loop over real TCP, an injected fault "
              "tripping the detector, two-phase escalation to "
@@ -350,12 +350,6 @@ def print_chaos(result, as_json: bool) -> int:
     p = result["partition"]
     print("\n== root partition arc (alive but unreachable)")
     print(f"  stale zones while partitioned: {p.get('stale_zones')}")
-    print(f"  circuit breakers opened: {p.get('breakers_open')}")
-    if p.get("fast_fail_s") is not None and p.get("slow_fail_s"):
-        print(
-            f"  fast-fail {p['fast_fail_s'] * 1e3:.2f} ms vs "
-            f"{p['slow_fail_s'] * 1e3:.1f} ms for the full retry ladder"
-        )
     healed = "healed without failover" if p.get("healed_without_failover") \
         else "!! did not heal cleanly"
     print(f"  after heal: {healed}")
@@ -571,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
         "chaos",
         help="self-healing fleet demo: kill a zone mid-diagnosis over "
         "TCP, failover + re-homing + reconvergence, then a root "
-        "partition with circuit breakers",
+        "partition that goes stale without failing over",
     )
     p_chaos.add_argument(
         "--machines", type=_count(2), default=12, help="fleet size (default 12)"

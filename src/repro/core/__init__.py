@@ -7,7 +7,12 @@ registry, the utility query routines of Figure 6, the Table-1 rule book,
 and the two diagnostic applications (Algorithms 1 and 2).
 """
 
-from repro.core.counters import CounterOverheadModel, CounterSet, IOTimeCounter
+from repro.core.counters import (
+    CounterOverheadModel,
+    CounterSet,
+    CounterSnapshot,
+    IOTimeCounter,
+)
 from repro.core.health import (
     DEAD,
     DEGRADED,
@@ -16,17 +21,16 @@ from repro.core.health import (
     DataQuality,
     HealthPolicy,
 )
-from repro.core.records import StatRecord
 
 __all__ = [
     "AgentHealth",
     "CounterOverheadModel",
     "CounterSet",
+    "CounterSnapshot",
     "DEAD",
     "DEGRADED",
     "DataQuality",
     "HEALTHY",
     "HealthPolicy",
     "IOTimeCounter",
-    "StatRecord",
 ]

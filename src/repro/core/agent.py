@@ -3,16 +3,14 @@
 One agent runs on each physical server.  It discovers the machine's
 dataplane elements (plus any registered middlebox apps), owns one
 collection channel per element, and normalizes counters into the
-unified :class:`StatRecord` format.
+unified :class:`~repro.core.counters.CounterSnapshot` record.
 
 Collection is streaming: the agent sweeps every channel on a cadence
 (:meth:`start_polling`, or implicitly when a collector pulls through)
 and appends typed snapshots to its :class:`TimeSeriesStore`; the
 controller drains only the rows that changed since its last
 acknowledged sequence numbers, as columnar ``SeriesBlock``s
-(:meth:`collect_blocks`) — the one delta shape, pulled or pushed.  The
-legacy per-query pull path (:meth:`query`) remains for tests and tools that
-need synchronous pull semantics.
+(:meth:`collect_blocks`) — the one delta shape, pulled or pushed.
 
 The agent keeps its own bookkeeping — reads per channel, simulated
 response latency, CPU consumed — because the paper evaluates exactly
@@ -27,7 +25,6 @@ import threading
 from typing import (
     Callable,
     Dict,
-    Iterable,
     List,
     Mapping,
     Optional,
@@ -37,7 +34,6 @@ from typing import (
 
 from repro import obs
 from repro.core.channels import Channel, ChannelError, ChannelTimeout
-from repro.core.records import StatRecord
 from repro.core.store import SeriesBlock, TimeSeriesStore
 from repro.simnet.element import Element
 from repro.simnet.engine import PeriodicHandle, Simulator
@@ -113,7 +109,7 @@ class Agent:
         ] = None
         # Sweeps serialize against each other (two interleaved sweeps
         # would double-charge CPU and race the per-poll accounting), but
-        # NOT against queries or store readers — the store has its own
+        # NOT against store readers — the store has its own
         # lock, so read-only ops run beside an in-flight sweep.
         self._sweep_lock = threading.Lock()
         # Channel creation is the one structural mutation shared by the
@@ -121,7 +117,6 @@ class Agent:
         self._channels_lock = threading.Lock()
         self.store = TimeSeriesStore()
         self.total_cpu_s = 0.0
-        self.total_queries = 0
         self.total_polls = 0
         self.total_poll_errors = 0
         self.total_poll_timeouts = 0
@@ -195,8 +190,8 @@ class Agent:
         self._sweep_cache = (walk, n_extra, plan)
         return plan
 
-    def host_stats(self) -> "StatRecord":
-        """Machine-level utilization gauges as a synthetic record.
+    def host_stats(self) -> Dict[str, float]:
+        """Machine-level utilization gauges, by name.
 
         Section 5.1: when the rule book returns an ambiguous verdict
         (CPU vs memory bandwidth both drop at the TUNs), "the operator
@@ -205,13 +200,12 @@ class Agent:
         are those other symptoms.
         """
         machine = self.machine
-        attrs = {
+        return {
             "cpu_utilization": machine.cpu.last_utilization,
             "membus_utilization": machine.membus.last_utilization,
             "nic_rx_bytes": machine.pnic_rx.counters.rx_bytes,
             "nic_tx_bytes": machine.pnic_tx.counters.tx_bytes,
         }
-        return StatRecord(self.sim.now, f"host@{machine.name}", attrs, machine.name)
 
     def element_ids(self) -> List[str]:
         return list(self._sweep_plan())
@@ -238,64 +232,15 @@ class Agent:
             raise KeyError(f"agent {self.name!r} has no element {element_id!r}")
         return entry[0]
 
-    # -- queries ---------------------------------------------------------------------
-
-    def query(
-        self,
-        element_ids: Optional[Iterable[str]] = None,
-        attrs: Optional[Iterable[str]] = None,
-    ) -> List[StatRecord]:
-        """Pull counters; unknown element ids raise KeyError."""
-        records, _ = self.query_timed(element_ids, attrs)
-        return records
-
-    def query_timed(
-        self,
-        element_ids: Optional[Iterable[str]] = None,
-        attrs: Optional[Iterable[str]] = None,
-    ) -> Tuple[List[StatRecord], float]:
-        """Like :meth:`query` but also returns the simulated latency.
-
-        Channel reads happen concurrently in the real agent (independent
-        file descriptors), so the query latency is the max across the
-        touched channels, not the sum.
-
-        Unlike the streaming sweep (:meth:`poll_once`), this synchronous
-        pull path propagates :class:`~repro.core.channels.ChannelFault`
-        to the caller — a pull that cannot read its target has nothing
-        to return.
-        """
-        elements = self.elements()
-        if element_ids is None:
-            targets = [elements[eid] for eid in sorted(elements)]
-        else:
-            targets = []
-            for eid in element_ids:
-                if eid not in elements:
-                    raise KeyError(f"agent {self.name!r} has no element {eid!r}")
-                targets.append(elements[eid])
-        attr_list = list(attrs) if attrs is not None else None
-        records: List[StatRecord] = []
-        worst_latency = 0.0
-        cpu = 0.0
-        for element in targets:
-            chan = self._channel(element)
-            record, latency = chan.read(self.sim.now, attr_list)
-            records.append(record)
-            worst_latency = max(worst_latency, latency)
-            cpu += chan.spec.cpu_cost_s
-        self.total_cpu_s += cpu
-        self.total_queries += 1
-        return records, worst_latency
-
     # -- streaming collection (snapshot -> store -> delta batch) -----------------------
 
     def poll_once(self) -> Tuple[int, float]:
         """Sweep every channel into the store; returns (stored, latency).
 
-        One sweep costs exactly what one full-machine :meth:`query` costs
-        (same channels, same latency draws, same CPU accounting), so the
-        Figure 9/16 overhead model carries over unchanged.  Snapshots of
+        Every channel is read once: the sweep's latency is the max
+        across channels, not the sum (the real agent reads independent
+        file descriptors concurrently), and its CPU is the sum of the
+        reads' costs — the Figure 9/16 overhead model.  Snapshots of
         elements whose state did not change are delta-compressed away by
         the store.
 

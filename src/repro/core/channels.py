@@ -26,11 +26,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro import obs
 from repro.core.counters import CounterSnapshot
-from repro.core.records import StatRecord
 from repro.simnet.element import (
     KIND_GUEST,
     KIND_MIDDLEBOX,
@@ -175,7 +174,6 @@ class Channel:
         self.timeouts = 0
         self.stale_reads = 0
         self._last_snapshot: Optional[CounterSnapshot] = None
-        self._last_record: Optional[StatRecord] = None
 
     def sample_latency(self) -> float:
         """One latency draw from the channel's lognormal profile."""
@@ -235,35 +233,12 @@ class Channel:
 
     # -- reads --------------------------------------------------------------------
 
-    def read(
-        self, timestamp: float, attrs: Optional[Iterable[str]] = None
-    ) -> Tuple[StatRecord, float]:
-        """Fetch a snapshot; returns (record, simulated latency seconds)."""
-        stale = self._prefault()
-        if stale and self._last_record is not None:
-            self.stale_reads += 1
-            record = self._last_record
-        else:
-            snap = self.element.snapshot()
-            record = StatRecord(
-                timestamp=timestamp,
-                element_id=self.element.name,
-                attrs=snap,
-                machine=self.element.machine,
-            )
-            self._last_record = record
-        if attrs is not None:
-            record = record.subset(attrs)
-        latency = self._account_read()
-        return record, latency
-
     def read_versioned(self, timestamp: float) -> Tuple[CounterSnapshot, float]:
-        """Fetch a typed, versioned snapshot over the same access path.
+        """Fetch a typed, versioned snapshot; returns (snapshot, latency s).
 
-        Identical latency/CPU accounting to :meth:`read` — the cost is a
-        property of the access path, not of the record format — so the
-        Figure 9/16 overhead results are unchanged when the agent store
-        polls through this instead of per-query pulls.
+        Every read draws one latency from the access path's profile and
+        charges its CPU cost — the Figure 9 response time and the
+        Figure 16 per-poll cost.
 
         A stale fault re-serves the previously read snapshot unchanged
         (same seq, original observation time), which the store then

@@ -90,17 +90,19 @@ from repro.core.health import (
     ZoneHealth,
     ZoneHealthPolicy,
 )
-from repro.core.net.client import AgentUnreachable
+from repro.core.net.client import AgentUnreachable, PeerRefused
 from repro.core.net.protocol import ProtocolError
-from repro.core.records import StatRecord
 from repro.core.sharding import DEFAULT_REPLICAS, HashRing, moved_keys
 from repro.core.store import SeriesBlock, StoreError, TimeSeriesStore
 from repro.core.tiers import TieredWindowStore
 
-#: Failures of the collection path itself — swallowed into health
-#: tracking.  Anything else (an agent *refusing* an op, a programming
-#: error) still propagates.
-COLLECTION_ERRORS = (AgentUnreachable, ProtocolError, ConnectionError, OSError)
+#: Failures of the collection path — swallowed into health tracking,
+#: one failed sync each.  A peer that answers but refuses the op (an
+#: agent-side fault while serving it) is one of them.  Anything else (a
+#: programming error on this side) still propagates.
+COLLECTION_ERRORS = (
+    AgentUnreachable, PeerRefused, ProtocolError, ConnectionError, OSError
+)
 
 #: Self-observability names.  Labels are ``zone`` (one value per zone
 #: controller) and ``tier``; no family here takes a ``machine`` label.
@@ -864,15 +866,17 @@ class ZoneController:
         tenant_id: str,
         element_logical: str,
         attrs: Optional[Iterable[str]] = None,
-    ) -> StatRecord:
+    ) -> CounterSnapshot:
         """``vNet[tenantID].elem[elementID].attr[attributes]``.
 
         Answered from the controller mirror — no agent RPC.  An element
         never seen before triggers one lazy refresh of its machine's
-        mirror so cold starts behave like the old pull path.
+        mirror.  With ``attrs`` the snapshot holds only those that the
+        element exports.
         """
         machine, element_id = self._locate(tenant_id, element_logical)
-        return self.mirror_latest(machine, element_id).to_record(attrs)
+        snap = self.mirror_latest(machine, element_id)
+        return snap if attrs is None else snap.subset(attrs)
 
     def get_attr_with_quality(
         self,
@@ -880,16 +884,16 @@ class ZoneController:
         element_logical: str,
         attrs: Optional[Iterable[str]] = None,
         now: Optional[float] = None,
-    ) -> Tuple[StatRecord, DataQuality]:
+    ) -> Tuple[CounterSnapshot, DataQuality]:
         """:meth:`get_attr` plus the serving mirror's quality annotation.
 
         This is how a diagnosis application keeps getting answers while
-        an agent is down — the record is the mirror's last knowledge,
+        an agent is down — the snapshot is the mirror's last knowledge,
         and the annotation says exactly how much to trust it.
         """
-        machine, element_id = self._locate(tenant_id, element_logical)
-        record = self.mirror_latest(machine, element_id).to_record(attrs)
-        return record, self.data_quality(machine, now)
+        machine, _ = self._locate(tenant_id, element_logical)
+        snap = self.get_attr(tenant_id, element_logical, attrs)
+        return snap, self.data_quality(machine, now)
 
     def window(
         self,

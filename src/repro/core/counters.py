@@ -26,8 +26,6 @@ from dataclasses import dataclass
 from math import isnan
 from typing import Dict, Iterable, Mapping, Optional, Sequence
 
-from repro.core.records import StatRecord
-
 #: Attribute-value sentinel meaning "this element does not export this
 #: counter".  The array-backed store and the binary wire codec keep every
 #: row at a fixed stride, so absent cells travel as NaN and are stripped
@@ -93,6 +91,18 @@ class CounterOverheadModel:
 class CounterSnapshot:
     """One element's typed, versioned counter snapshot.
 
+    This is the paper's unified statistics record (Section 4.2)::
+
+        <TimeStamp, Element, (attr1, value1), (attr2, value2), ...>
+
+    which abstracts over the heterogeneity of the underlying elements
+    (kernel devices, vswitch rules, QEMU, middlebox software).  Every
+    sweep, store, wire frame and verdict uses it; over the wire the same
+    counters travel as packed ``bin1`` rows (:mod:`repro.core.net.codec`).
+    ``element_id`` is the agent-local element identifier (e.g. ``eth0``,
+    ``tun-vm3``, ``qemu-vm3``) and ``machine`` names the physical server
+    whose agent produced it.
+
     ``seq`` is a per-element monotonic sequence number that advances only
     when the observable counter state changes, which is what makes
     delta-batched collection possible: a collector that has acknowledged
@@ -122,12 +132,17 @@ class CounterSnapshot:
             self.element_id, self.machine, self.seq, timestamp, self.attrs
         )
 
-    def to_record(self, attrs: Optional[Iterable[str]] = None) -> StatRecord:
-        """Downgrade to the unified wire record format (Section 4.2)."""
-        record = StatRecord(self.timestamp, self.element_id, self.attrs, self.machine)
-        if attrs is not None:
-            record = record.subset(attrs)
-        return record
+    def subset(self, attrs: Iterable[str]) -> "CounterSnapshot":
+        """The same snapshot restricted to the requested attributes.
+
+        Missing attributes are left out (not defaulted), so callers can
+        tell "element does not export this counter" from "counter is
+        zero".
+        """
+        picked = {a: float(self.attrs[a]) for a in attrs if a in self.attrs}
+        return CounterSnapshot(
+            self.element_id, self.machine, self.seq, self.timestamp, picked
+        )
 
     def to_dict(self) -> Dict[str, object]:
         return {

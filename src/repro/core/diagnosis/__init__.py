@@ -21,7 +21,7 @@ from repro.core.diagnosis.report import (
     MiddleboxVerdict,
     RootCauseReport,
 )
-from repro.core.diagnosis.states import MiddleboxState, classify_state
+from repro.core.diagnosis.states import MiddleboxState, classify_window
 
 __all__ = [
     "BottleneckDetector",
@@ -32,5 +32,5 @@ __all__ = [
     "MiddleboxVerdict",
     "RootCauseLocator",
     "RootCauseReport",
-    "classify_state",
+    "classify_window",
 ]

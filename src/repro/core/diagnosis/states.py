@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.counters import CounterWindow
-from repro.core.records import StatRecord
 
 
 @dataclass(frozen=True)
@@ -64,25 +63,6 @@ def _rate(d_bytes: float, d_time: float) -> Optional[float]:
     return 8.0 * d_bytes / d_time
 
 
-def classify_state(
-    name: str,
-    before: StatRecord,
-    after: StatRecord,
-    capacity_bps: float,
-    theta: float = 0.9,
-) -> MiddleboxState:
-    """Classify one middlebox from a pair of counter samples."""
-    return _classify_deltas(
-        name,
-        after.get("inBytes") - before.get("inBytes"),
-        after.get("inTime") - before.get("inTime"),
-        after.get("outBytes") - before.get("outBytes"),
-        after.get("outTime") - before.get("outTime"),
-        capacity_bps,
-        theta,
-    )
-
-
 def classify_window(
     window: CounterWindow,
     capacity_bps: float,
@@ -90,37 +70,17 @@ def classify_window(
     name: Optional[str] = None,
 ) -> MiddleboxState:
     """Classify one middlebox from a mirrored counter window."""
-    return _classify_deltas(
-        name if name is not None else window.element_id,
-        window.delta("inBytes"),
-        window.delta("inTime"),
-        window.delta("outBytes"),
-        window.delta("outTime"),
-        capacity_bps,
-        theta,
-    )
-
-
-def _classify_deltas(
-    name: str,
-    d_bi: float,
-    d_ti: float,
-    d_bo: float,
-    d_to: float,
-    capacity_bps: float,
-    theta: float,
-) -> MiddleboxState:
     if capacity_bps <= 0:
         raise ValueError(f"capacity must be positive: {capacity_bps!r}")
     if not 0 < theta <= 1.0:
         raise ValueError(f"theta must be in (0, 1]: {theta!r}")
-    in_rate = _rate(d_bi, d_ti)
-    out_rate = _rate(d_bo, d_to)
+    in_rate = _rate(window.delta("inBytes"), window.delta("inTime"))
+    out_rate = _rate(window.delta("outBytes"), window.delta("outTime"))
     threshold = theta * capacity_bps
     read_blocked = in_rate is not None and in_rate < threshold
     write_blocked = out_rate is not None and out_rate < threshold
     return MiddleboxState(
-        name=name,
+        name=name if name is not None else window.element_id,
         read_blocked=read_blocked,
         write_blocked=write_blocked,
         in_rate_bps=in_rate,

@@ -234,11 +234,6 @@ class DataQuality:
         """True when the answer may lag the dataplane's true state."""
         return self.state != HEALTHY
 
-    @property
-    def degraded(self) -> bool:
-        """Alias of :attr:`stale` — verdict-level naming."""
-        return self.stale
-
     def describe(self) -> str:
         if not self.stale:
             return f"{self.machine}: fresh ({self.state})"

@@ -10,6 +10,7 @@ end-to-end (on localhost) by the integration tests.
 
 from repro.core.net.client import (
     AgentUnreachable,
+    PeerRefused,
     RemoteAgentHandle,
     RetryPolicy,
     WireClient,
@@ -26,6 +27,7 @@ __all__ = [
     "AgentServer",
     "AgentUnreachable",
     "FleetServer",
+    "PeerRefused",
     "ProtocolError",
     "RemoteAgentHandle",
     "RetryPolicy",

@@ -66,9 +66,8 @@ from repro.core.net.protocol import (
 from repro.core.store import SeriesBlock
 
 #: Self-observability: retries per op.  The ``op`` label is bounded by
-#: the protocol's op inventory.  Pool occupancy, breaker state and
-#: give-ups are kept on the objects (``ConnectionPool.in_use``/``idle``,
-#: ``CircuitBreaker.state``/``opens``/``fast_fails``) and in the
+#: the protocol's op inventory.  Pool occupancy and give-ups are kept on
+#: the pool (``ConnectionPool.in_use``/``idle``) and in the
 #: ``wire.unreachable`` event.
 WIRE_RETRIES_METRIC = "perfsight_wire_retries_total"
 
@@ -76,12 +75,6 @@ WIRE_RETRIES_METRIC = "perfsight_wire_retries_total"
 #: controller's fan-out against one agent without hoarding sockets.
 DEFAULT_POOL_SIZE = 4
 DEFAULT_POOL_IDLE_S = 60.0
-
-#: Circuit states, in escalation order.
-CIRCUIT_CLOSED = "closed"
-CIRCUIT_HALF_OPEN = "half_open"
-CIRCUIT_OPEN = "open"
-
 
 class AgentUnreachable(ConnectionError):
     """An agent stayed unreachable through an operation's retry budget."""
@@ -103,6 +96,26 @@ class AgentUnreachable(ConnectionError):
         self.attempts = attempts
         self.elapsed_s = elapsed_s
         self.last_error = last_error
+
+
+class PeerRefused(RuntimeError):
+    """The peer answered, but refused the operation (``ok: false``).
+
+    The peer is reachable and the stream is intact up to the refusal;
+    what failed is the operation itself — an agent-side fault while
+    serving it, a request the peer rejects.  ``error`` is the peer's
+    own description.
+    """
+
+    def __init__(self, peer: str, op: str, error: str) -> None:
+        super().__init__(f"{peer} refused {op!r}: {error}")
+        self.peer = peer
+        self.op = op
+        self.error = error
+
+
+def _refused(peer: str, op: str, response: Mapping[str, Any]) -> PeerRefused:
+    return PeerRefused(peer, op, str(response.get("error", "unknown error")))
 
 
 @dataclass(frozen=True)
@@ -143,182 +156,6 @@ class RetryPolicy:
         if self.jitter > 0:
             delay *= 1.0 - self.jitter * rng.random()
         return delay
-
-
-class CircuitOpenError(AgentUnreachable):
-    """Fast-fail: the endpoint's circuit is open, no attempt was made.
-
-    Subclasses :class:`AgentUnreachable` deliberately — callers that
-    feed collection failures into health tracking (``COLLECTION_ERRORS``
-    in the controller) handle a fast-fail identically to an exhausted
-    retry ladder; the only difference is that this one cost
-    microseconds instead of the full backoff schedule.
-    """
-
-    def __init__(
-        self,
-        agent: str,
-        op: str,
-        retry_after_s: float,
-        last_error: Optional[BaseException] = None,
-    ) -> None:
-        ConnectionError.__init__(
-            self,
-            f"agent {agent} circuit open: {op!r} fast-failed "
-            f"(next probe in {max(0.0, retry_after_s):.3f}s; "
-            f"last error: {last_error!r})",
-        )
-        self.agent = agent
-        self.op = op
-        self.attempts = 0
-        self.elapsed_s = 0.0
-        self.last_error = last_error
-        self.retry_after_s = retry_after_s
-
-
-@dataclass(frozen=True)
-class CircuitPolicy:
-    """Thresholds of a per-endpoint circuit breaker.
-
-    The breaker watches the last ``window`` *operation* outcomes (an
-    operation = one :meth:`WireClient._exchange`, i.e. the whole retry
-    ladder, not each attempt).  Once at least ``min_calls`` outcomes
-    are in the window and the failure fraction reaches
-    ``failure_threshold``, the circuit OPENs: further calls fast-fail
-    without touching the socket.  After ``cooldown_s`` the circuit goes
-    HALF_OPEN and admits exactly one probe; a successful probe CLOSEs
-    it, a failed one re-OPENs it and restarts the cooldown.
-    """
-
-    window: int = 8
-    failure_threshold: float = 0.5
-    min_calls: int = 2
-    cooldown_s: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.window < 1:
-            raise ValueError(f"window must be >= 1: {self.window!r}")
-        if not 0.0 < self.failure_threshold <= 1.0:
-            raise ValueError(
-                f"failure_threshold must be within (0, 1]: "
-                f"{self.failure_threshold!r}"
-            )
-        if not 1 <= self.min_calls <= self.window:
-            raise ValueError(
-                f"need 1 <= min_calls <= window: "
-                f"{self.min_calls!r}, {self.window!r}"
-            )
-        if self.cooldown_s <= 0:
-            raise ValueError(f"cooldown_s must be positive: {self.cooldown_s!r}")
-
-
-class CircuitBreaker:
-    """CLOSED / OPEN / HALF_OPEN state machine for one wire endpoint.
-
-    Why this exists: a dead endpoint otherwise costs every caller the
-    full retry ladder (attempts × backoff, up to the deadline) on every
-    operation.  With the breaker, the ladder is paid once per cooldown
-    period — by the single probe — and everyone else fails in
-    microseconds, which is what keeps a zone-wide refresh fast while
-    one agent is down.
-
-    Outcomes are recorded per *operation*, and only by the operations
-    actually admitted: fast-fails do not feed the window (they would
-    pin it at 100% failure and the circuit would never see recovery
-    evidence).
-    """
-
-    def __init__(
-        self,
-        policy: Optional[CircuitPolicy] = None,
-        name: str = "",
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        self.policy = policy if policy is not None else CircuitPolicy()
-        self.name = name
-        self._clock = clock
-        self._lock = threading.Lock()
-        self.state = CIRCUIT_CLOSED
-        self._outcomes: List[bool] = []
-        self._opened_at = 0.0
-        self._probe_in_flight = False
-        self.fast_fails = 0
-        self.opens = 0
-        #: Every (from_state, to_state) edge taken, in order.
-        self.transitions: List[Tuple[str, str]] = []
-
-    def allow(self) -> Tuple[bool, float]:
-        """May a call proceed?  Returns (allowed, cooldown remaining).
-
-        An OPEN circuit whose cooldown elapsed flips to HALF_OPEN and
-        admits the caller as the probe; while a probe is in flight every
-        other caller keeps fast-failing — one probe pays the ladder for
-        everyone.
-        """
-        with self._lock:
-            if self.state == CIRCUIT_CLOSED:
-                return True, 0.0
-            remaining = self._opened_at + self.policy.cooldown_s - self._clock()
-            if self.state == CIRCUIT_OPEN and remaining <= 0:
-                self._transition(CIRCUIT_HALF_OPEN)
-            if self.state == CIRCUIT_HALF_OPEN and not self._probe_in_flight:
-                self._probe_in_flight = True
-                return True, 0.0
-            self.fast_fails += 1
-            return False, max(0.0, remaining)
-
-    def record_success(self) -> None:
-        """The admitted operation reached the peer."""
-        with self._lock:
-            self._probe_in_flight = False
-            if self.state != CIRCUIT_CLOSED:
-                # Recovery proven: close with a fresh window so stale
-                # pre-outage failures cannot immediately re-trip it.
-                self._outcomes.clear()
-                self._transition(CIRCUIT_CLOSED)
-            self._record(True)
-
-    def record_failure(self) -> None:
-        """The admitted operation exhausted its retry budget."""
-        with self._lock:
-            self._probe_in_flight = False
-            if self.state == CIRCUIT_HALF_OPEN:
-                self._opened_at = self._clock()
-                self.opens += 1
-                self._transition(CIRCUIT_OPEN)
-                return
-            self._record(False)
-            if self.state == CIRCUIT_CLOSED:
-                n = len(self._outcomes)
-                failures = sum(1 for ok in self._outcomes if not ok)
-                if (
-                    n >= self.policy.min_calls
-                    and failures / n >= self.policy.failure_threshold
-                ):
-                    self._opened_at = self._clock()
-                    self.opens += 1
-                    self._transition(CIRCUIT_OPEN)
-
-    def _record(self, ok: bool) -> None:
-        self._outcomes.append(ok)
-        if len(self._outcomes) > self.policy.window:
-            del self._outcomes[0]
-
-    def _transition(self, new_state: str) -> None:
-        self.transitions.append((self.state, new_state))
-        severity = obs.ERROR if new_state == CIRCUIT_OPEN else obs.INFO
-        obs.event(
-            "wire.circuit_transition", severity,
-            agent=self.name, from_state=self.state, to_state=new_state,
-        )
-        self.state = new_state
-
-    def state_sequence(self) -> List[str]:
-        """The states visited so far, starting from CLOSED."""
-        return [CIRCUIT_CLOSED] + [to for _, to in self.transitions]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"CircuitBreaker(name={self.name!r}, state={self.state!r})"
 
 
 class _WireConn:
@@ -367,21 +204,12 @@ class WireClient:
         rng: Optional[random.Random] = None,
         seed: Optional[int] = None,
         pool_size: int = DEFAULT_POOL_SIZE,
-        circuit: Optional[CircuitPolicy] = None,
     ):
         self.host = host
         self.port = port
         self.name = name or f"{self.peer_kind}@{host}:{port}"
         self.timeout_s = timeout_s
         self.retry = retry if retry is not None else RetryPolicy()
-        # Off unless asked for: a default-on breaker would fast-fail the
-        # immediate reconnect after a deliberate agent restart, which
-        # crash-recovery deployments (and their tests) rely on.
-        self.circuit = (
-            CircuitBreaker(circuit, name=self.name, clock=clock)
-            if circuit is not None
-            else None
-        )
         self._sleep = sleep
         self._clock = clock
         self._rng = rng if rng is not None else random.Random(seed)
@@ -433,38 +261,7 @@ class WireClient:
         failure (a protocol violation, a refusal) discards the
         connection — its stream and its codec state can no longer be
         trusted — and propagates.
-
-        With a circuit breaker configured, an OPEN circuit fast-fails
-        here — one :class:`CircuitOpenError`, no socket touched, no
-        retry ladder — and the breaker's window is fed by operation
-        outcomes: success when the peer answered — even with garbage or
-        a refusal, it is reachable, just wrong — failure when the whole
-        budget was exhausted.
         """
-        breaker = self.circuit
-        if breaker is not None:
-            allowed, remaining = breaker.allow()
-            if not allowed:
-                raise CircuitOpenError(self.name, op, remaining)
-        try:
-            result = self._exchange_once(op, perform)
-        except AgentUnreachable:
-            if breaker is not None:
-                breaker.record_failure()
-            raise
-        except Exception:
-            # A peer speaking garbage, or refusing the op, is reachable:
-            # liveness evidence for the breaker (and it must release a
-            # half-open probe).
-            if breaker is not None:
-                breaker.record_success()
-            raise
-        if breaker is not None:
-            breaker.record_success()
-        return result
-
-    def _exchange_once(self, op: str, perform: Callable[[_WireConn], Any]) -> Any:
-        """The pre-breaker exchange core: retry loop + give-up."""
         started = self._clock()
         deadline = started + self.retry.deadline_s
         attempts = 0
@@ -516,10 +313,7 @@ class WireClient:
 
         response = self._exchange(op, perform)
         if not response.get("ok"):
-            raise RuntimeError(
-                f"agent {self.name} refused {request.get('op')!r}: "
-                f"{response.get('error', 'unknown error')}"
-            )
+            raise _refused(self.name, op, response)
         return response
 
     def _give_up(
@@ -634,10 +428,7 @@ class RemoteAgentHandle(WireClient):
             # The server answers protocol violations (and refusals) in
             # JSON even though the request was binary.
             response = parse_json_frame(reply, op=OP_BATCH_DELTA)
-            raise RuntimeError(
-                f"agent {self.name} refused {OP_BATCH_DELTA!r}: "
-                f"{response.get('error', 'unknown error')}"
-            )
+            raise _refused(self.name, OP_BATCH_DELTA, response)
 
         return self._exchange(OP_BATCH_DELTA, perform)
 
@@ -692,10 +483,7 @@ class ZoneClient(WireClient):
             # BATCH_DELTA errors.
             response = parse_json_frame(recv_frame(conn.sock), op=OP_ZONE_REPORT)
             if not response.get("ok"):
-                raise RuntimeError(
-                    f"fleet root {self.name} refused {OP_ZONE_REPORT!r}: "
-                    f"{response.get('error', 'unknown error')}"
-                )
+                raise _refused(self.name, OP_ZONE_REPORT, response)
             return bool(response.get("accepted", True))
 
         return self._exchange(OP_ZONE_REPORT, perform)

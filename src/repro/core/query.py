@@ -20,9 +20,8 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from repro.core.controller import ZoneController
-from repro.core.counters import CounterWindow
+from repro.core.counters import CounterSnapshot, CounterWindow
 from repro.core.health import DataQuality
-from repro.core.records import StatRecord
 
 Advance = Callable[[float], None]
 
@@ -50,7 +49,7 @@ class QueryRunner:
 
     def get_attr(
         self, tenant_id: str, element: str, attrs: Optional[Iterable[str]] = None
-    ) -> StatRecord:
+    ) -> CounterSnapshot:
         return self.controller.get_attr(tenant_id, element, attrs)
 
     def observe_window(

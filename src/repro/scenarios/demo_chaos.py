@@ -9,25 +9,14 @@ push target, and the roll-up reconverges to the flat controller's
 verdicts.  A restart phase brings a replacement zone up (it
 resubscribes and fast-forwards past the root's seq floor) and recovery
 moves the shard home.  A final root-partition arc shows zones going
-SUSPECT/stale without a failover, and the per-endpoint circuit
-breakers turning repeated connect failures into microsecond
-fast-fails.
+SUSPECT/stale without a failover.
 """
 
 from __future__ import annotations
 
-import time
-
 from repro.core.controller import FleetController, ZoneController, apply_shard_moves
 from repro.core.health import ZoneHealthPolicy
-from repro.core.net.client import (
-    CIRCUIT_OPEN,
-    AgentUnreachable,
-    CircuitOpenError,
-    CircuitPolicy,
-    RetryPolicy,
-    ZoneClient,
-)
+from repro.core.net.client import AgentUnreachable, RetryPolicy, ZoneClient
 from repro.core.net.server import FleetServer
 from repro.scenarios.common import Harness
 from repro.scenarios.fleet import (
@@ -70,26 +59,18 @@ def run_chaos(n_machines: int, n_zones: int, window_s: float, arcs: int):
     link_retry = RetryPolicy(
         max_attempts=2, base_delay_s=0.005, max_delay_s=0.02, deadline_s=2.0
     )
-    # Two-outcome window: one exhausted retry ladder after a success is
-    # enough to trip — each zone pushes only once per heartbeat, so a
-    # wider window would dilute the partition below the threshold.
-    breaker = CircuitPolicy(
-        window=2, failure_threshold=0.5, min_calls=1, cooldown_s=0.75
-    )
     push_backoff = RetryPolicy(
         max_attempts=1, base_delay_s=0.05, max_delay_s=0.4, deadline_s=60.0
     )
 
-    stats = {"reports_accepted": 0, "report_failures": 0, "slow_fail_s": None}
+    stats = {"reports_accepted": 0, "report_failures": 0}
     arcs_out = []
     partition_out = {}
 
     with FleetServer(fleet) as server:
         host, port = server.address
         links = {
-            z: ZoneClient(
-                host, port, name=f"{z}-link", retry=link_retry, circuit=breaker
-            )
+            z: ZoneClient(host, port, name=f"{z}-link", retry=link_retry)
             for z in zones
         }
         consult = ZoneClient(host, port, name="rehome-consult", retry=link_retry)
@@ -118,10 +99,8 @@ def run_chaos(n_machines: int, n_zones: int, window_s: float, arcs: int):
                     try:
                         if links[z].push_report(report.to_wire()):
                             stats["reports_accepted"] += 1
-                    except AgentUnreachable as exc:
+                    except AgentUnreachable:
                         stats["report_failures"] += 1
-                        if not isinstance(exc, CircuitOpenError):
-                            stats["slow_fail_s"] = exc.elapsed_s
                 h.advance(heartbeat_s - window_s)  # agents re-home/back off
                 check = fleet.check_zones()
                 if check.moves:
@@ -213,8 +192,8 @@ def run_chaos(n_machines: int, n_zones: int, window_s: float, arcs: int):
                 arcs_out.append(record)
 
             # Partition arc: root alive but unreachable for under one
-            # liveness deadline — zones go stale (SUSPECT), breakers trip
-            # and fast-fail, then everything heals without a failover.
+            # liveness deadline — zones go stale (SUSPECT), then everything
+            # heals without a failover.
             t_p = h.sim.now + window_s / 2
             schedule_phases(
                 h.sim,
@@ -226,42 +205,18 @@ def run_chaos(n_machines: int, n_zones: int, window_s: float, arcs: int):
             )
             _, _, rollup, _ = run_round()  # report pushes hit the partition
             partition_out["stale_zones"] = rollup.stale_zones
-            opened = [
-                z for z in sorted(links)
-                if links[z].circuit.state == CIRCUIT_OPEN
-            ]
-            partition_out["breakers_open"] = opened
-            fast = None
-            if opened:
-                t0 = time.perf_counter()
-                try:
-                    links[opened[0]].subscribe(opened[0])
-                except CircuitOpenError:
-                    fast = time.perf_counter() - t0
-                except AgentUnreachable:
-                    pass  # cooldown already lapsed into a live probe
-            partition_out["fast_fail_s"] = fast
-            partition_out["slow_fail_s"] = stats["slow_fail_s"]
-            time.sleep(breaker.cooldown_s + 0.1)  # admit half-open probes
             _, check, rollup, equal = run_round()
             partition_out["healed_without_failover"] = (
                 not check.failed_over and equal and not rollup.stale_zones
             )
-            partition_out["circuit"] = {
-                z: {
-                    "state": links[z].circuit.state,
-                    "opens": links[z].circuit.opens,
-                    "fast_fails": links[z].circuit.fast_fails,
-                }
-                for z in sorted(links)
-            }
         finally:
             stop_cadences(h.agents)
             consult.close()
             for link in links.values():
                 link.close()
 
-    # An arc only heals after it was detected and reconverged.
+    # An arc only heals after it was detected and reconverged; the
+    # partition arc must go stale and then heal without failing over.
     ok = (
         baseline_equal
         and all(
@@ -270,6 +225,7 @@ def run_chaos(n_machines: int, n_zones: int, window_s: float, arcs: int):
             and a["time_to_detect_s"] <= 2.0 * heartbeat_s + 1e-9
             for a in arcs_out
         )
+        and bool(partition_out.get("stale_zones"))
         and bool(partition_out.get("healed_without_failover"))
     )
     return {

@@ -62,7 +62,7 @@ def run(n_samples: int = 500, seed: int = 0) -> Fig9Result:
     samples: Dict[str, List[float]] = {label: [] for label in COMPONENTS}
     for _ in range(n_samples):
         for label, element_id in targets.items():
-            _, latency = agent.query_timed([element_id])
+            _, latency = agent.channel(element_id).read_versioned(h.sim.now)
             samples[label].append(latency * 1e6)
         # The controller RPC leg has its own latency profile.
         mu_sample = _controller_latency(h)

@@ -38,9 +38,9 @@ class TestChannels:
         e = Element(sim, "eth0", machine="m1", kind="netdev")
         e.counters.count_rx(5, 7500)
         chan = Channel(e, sim.rng)
-        record, latency = chan.read(timestamp=1.0)
-        assert record.element_id == "eth0"
-        assert record["rx_bytes"] == 7500
+        snap, latency = chan.read_versioned(timestamp=1.0)
+        assert (snap.element_id, snap.machine, snap.timestamp) == ("eth0", "m1", 1.0)
+        assert snap.attrs["rx_bytes"] == 7500
         assert latency > 0
         assert chan.reads == 1
 
@@ -48,8 +48,8 @@ class TestChannels:
         e = Element(sim, "e", kind="procfs")
         e.counters.count_rx(1, 100)
         chan = Channel(e, sim.rng)
-        record, _ = chan.read(0.0, attrs=["rx_pkts"])
-        assert dict(record.items()) == {"rx_pkts": 1.0}
+        snap, _ = chan.read_versioned(0.0)
+        assert dict(snap.subset(["rx_pkts"]).attrs) == {"rx_pkts": 1.0}
 
     def test_unknown_kind_rejected(self, sim):
         e = Element(sim, "e", kind="procfs")
@@ -74,21 +74,23 @@ class TestAgent:
         assert "proxy" in ids
 
     def test_query_all(self, agent_world):
+        """One sweep stores a snapshot of every element it serves."""
         _, _, agent, _ = agent_world
-        records = agent.query()
-        assert len(records) == len(agent.element_ids())
-        assert all(r.machine == "m1" for r in records)
+        stored, _ = agent.poll_once()
+        assert stored == len(agent.element_ids())
+        snaps = [agent.store.latest(eid) for eid in agent.element_ids()]
+        assert all(s.machine == "m1" for s in snaps)
 
     def test_query_specific_with_attrs(self, agent_world):
         sim, _, agent, app = agent_world
         app.counters.count_rx(3, 4500)
-        (rec,) = agent.query(["proxy"], ["inBytes"])
-        assert rec["inBytes"] == 4500
+        snap, _ = agent.channel("proxy").read_versioned(sim.now)
+        assert dict(snap.subset(["inBytes"]).attrs) == {"inBytes": 4500}
 
     def test_query_unknown_element(self, agent_world):
         _, _, agent, _ = agent_world
         with pytest.raises(KeyError):
-            agent.query(["ghost"])
+            agent.channel("ghost")
 
     def test_duplicate_registration_rejected(self, agent_world):
         _, _, agent, app = agent_world
@@ -111,7 +113,7 @@ class TestAgent:
     def test_query_latency_is_max_not_sum(self, agent_world):
         """Channels are read concurrently (independent descriptors)."""
         _, _, agent, _ = agent_world
-        _, latency = agent.query_timed()
+        _, latency = agent.poll_once()
         # Worst single channel is ~2ms netdev; a serial sum over ~20
         # elements would be far larger.
         assert latency < 10e-3
@@ -125,14 +127,14 @@ class TestAgent:
 
     def test_cpu_accounting_accumulates(self, agent_world):
         _, _, agent, _ = agent_world
-        agent.query()
-        agent.query()
-        assert agent.total_queries == 2
+        agent.poll_once()
+        agent.poll_once()
+        assert agent.total_polls == 2
         assert agent.total_cpu_s > 0
 
     def test_channel_stats(self, agent_world):
-        _, _, agent, _ = agent_world
-        agent.query(["pnic@m1"])
+        sim, _, agent, _ = agent_world
+        agent.channel("pnic@m1").read_versioned(sim.now)
         stats = agent.channel_stats()
         assert stats["pnic@m1"]["reads"] == 1
 

@@ -267,6 +267,9 @@ class TestHeavyCommands:
         assert doc["ok"] is True
         (arc,) = doc["arcs"]
         assert arc["only_dead_shard_moved"] and arc["healed"]
+        partition = doc["partition"]
+        assert sorted(partition) == ["healed_without_failover", "stale_zones"]
+        assert partition["stale_zones"] and partition["healed_without_failover"]
         assert "bench" not in doc and "bench_path" not in doc
         assert sorted(OUT_DIR.iterdir()) == before
 

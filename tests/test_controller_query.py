@@ -42,7 +42,7 @@ class TestController:
         sim.run(0.5)
         rec = controller.get_attr("t1", "pnic", ["rx_bytes"])
         assert rec.element_id == "pnic@m1"
-        assert rec["rx_bytes"] > 0
+        assert list(rec.attrs) == ["rx_bytes"] and rec.attrs["rx_bytes"] > 0
 
     def test_unknown_tenant(self, world):
         _, _, controller, _ = world

@@ -80,9 +80,9 @@ class TestElementIntegration:
         machine.backlog.add_custom_counter(hist)
         sim.run(0.5)
         agent = Agent(sim, machine)
-        (rec,) = agent.query(["backlog@m1"])
-        assert rec["pkt_size_hist.total_pkts"] > 0
-        assert rec["pkt_size_hist.avg_bytes"] == pytest.approx(256, rel=0.01)
+        snap, _ = agent.channel("backlog@m1").read_versioned(sim.now)
+        assert snap.attrs["pkt_size_hist.total_pkts"] > 0
+        assert snap.attrs["pkt_size_hist.avg_bytes"] == pytest.approx(256, rel=0.01)
 
     def test_small_packet_disambiguation(self, sim_with_transport):
         """The rule book's secondary signal: small avg size at the

@@ -1,4 +1,4 @@
-"""Self-healing fleet: zone liveness, shard failover, re-homing, breakers.
+"""Self-healing fleet: zone liveness, shard failover, re-homing.
 
 The contracts under test are the ones that make the hierarchy safe to
 run unattended: the root detects a dead zone from report age alone
@@ -6,11 +6,8 @@ within its policy deadline, failover re-homes exactly the dead shard
 (consistent hashing moves nothing else), verdicts over the failover arc
 reconverge to the flat baseline with zero lost or duplicated series
 rows, agents re-home themselves off a dead push target via the root's
-ZONE_FOR consult, and a per-endpoint circuit breaker turns a dead wire
-peer from a full retry ladder into one fast-fail.
+ZONE_FOR consult.
 """
-
-import time
 
 import pytest
 
@@ -29,17 +26,7 @@ from repro.core.health import (
     ZoneHealth,
     ZoneHealthPolicy,
 )
-from repro.core.net.client import (
-    CIRCUIT_CLOSED,
-    CIRCUIT_HALF_OPEN,
-    CIRCUIT_OPEN,
-    AgentUnreachable,
-    CircuitBreaker,
-    CircuitOpenError,
-    CircuitPolicy,
-    RetryPolicy,
-    ZoneClient,
-)
+from repro.core.net.client import AgentUnreachable, RetryPolicy, ZoneClient
 from repro.core.net.server import FleetServer
 from repro.scenarios.common import Harness
 from repro.scenarios.fleet import (
@@ -554,176 +541,6 @@ class TestPushEnvValidation:
         agent = h.agents["host-000"]
         with pytest.raises(ValueError):
             agent.start_pushing(ZoneTarget(ZoneController("z1")), rehome_after=0)
-
-
-class TestCircuitBreaker:
-    def make(self, **kwargs):
-        clock = [0.0]
-        policy = CircuitPolicy(**{
-            "window": 4, "failure_threshold": 0.5, "min_calls": 2,
-            "cooldown_s": 1.0, **kwargs,
-        })
-        return clock, CircuitBreaker(policy, name="t", clock=lambda: clock[0])
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"window": 0},
-            {"failure_threshold": 0.0},
-            {"failure_threshold": 1.5},
-            {"min_calls": 0},
-            {"min_calls": 5, "window": 4},
-            {"cooldown_s": 0.0},
-        ],
-    )
-    def test_bad_policy_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            self.make(**kwargs)
-
-    def test_stays_closed_below_min_calls(self):
-        _, b = self.make()
-        b.record_failure()
-        assert b.state == CIRCUIT_CLOSED  # 1 outcome < min_calls
-
-    def test_opens_at_failure_rate_threshold(self):
-        _, b = self.make(failure_threshold=0.6)
-        b.record_success()
-        b.record_failure()
-        assert b.state == CIRCUIT_CLOSED  # 1/2 = 0.5 < 0.6
-        b.record_failure()
-        assert b.state == CIRCUIT_OPEN  # 2/3 = 0.67 >= 0.6
-        assert b.opens == 1
-
-    def test_threshold_boundary_is_inclusive(self):
-        _, b = self.make(failure_threshold=0.5)
-        b.record_success()
-        b.record_failure()
-        assert b.state == CIRCUIT_OPEN  # 1/2 = 0.5 >= 0.5 trips
-        assert b.opens == 1
-
-    def test_window_slides_old_outcomes_out(self):
-        # A burst of old successes must not shield a failing endpoint
-        # forever: only the last `window` outcomes count.
-        _, b = self.make(window=2, min_calls=2, failure_threshold=1.0)
-        for _ in range(10):
-            b.record_success()
-        b.record_failure()
-        assert b.state == CIRCUIT_CLOSED  # window holds [ok, fail]
-        b.record_failure()
-        assert b.state == CIRCUIT_OPEN  # [fail, fail]
-
-    def test_open_fast_fails_until_cooldown(self):
-        clock, b = self.make(min_calls=1, window=1, failure_threshold=0.5)
-        b.record_failure()
-        assert b.state == CIRCUIT_OPEN
-        allowed, remaining = b.allow()
-        assert not allowed and 0 < remaining <= 1.0
-        assert b.fast_fails == 1
-
-    def test_half_open_admits_exactly_one_probe(self):
-        clock, b = self.make(min_calls=1, window=1, failure_threshold=0.5)
-        b.record_failure()
-        clock[0] = 1.5  # past cooldown
-        allowed, _ = b.allow()
-        assert allowed and b.state == CIRCUIT_HALF_OPEN
-        second, _ = b.allow()
-        assert not second  # the probe is in flight; everyone else waits
-
-    def test_probe_success_closes_and_clears_window(self):
-        clock, b = self.make(min_calls=1, window=1, failure_threshold=0.5)
-        b.record_failure()
-        clock[0] = 1.5
-        assert b.allow()[0]
-        b.record_success()
-        assert b.state == CIRCUIT_CLOSED
-        b.record_failure()  # old failures forgotten: fresh window
-        assert b.state == CIRCUIT_OPEN  # window=1 trips again immediately
-        assert b.state_sequence()[:4] == [
-            CIRCUIT_CLOSED, CIRCUIT_OPEN, CIRCUIT_HALF_OPEN, CIRCUIT_CLOSED,
-        ]
-
-    def test_probe_failure_reopens_with_fresh_cooldown(self):
-        clock, b = self.make(min_calls=1, window=1, failure_threshold=0.5)
-        b.record_failure()
-        clock[0] = 1.5
-        assert b.allow()[0]
-        b.record_failure()
-        assert b.state == CIRCUIT_OPEN and b.opens == 2
-        clock[0] = 2.0  # cooldown restarted at 1.5: still open
-        assert not b.allow()[0]
-        clock[0] = 2.6
-        assert b.allow()[0]
-
-
-def closed_port() -> int:
-    import socket
-
-    s = socket.socket()
-    s.bind(("127.0.0.1", 0))
-    port = s.getsockname()[1]
-    s.close()
-    return port
-
-
-class TestCircuitOnTheWire:
-    def test_dead_endpoint_costs_one_fast_fail(self):
-        port = closed_port()
-        client = ZoneClient(
-            "127.0.0.1", port, name="z-link",
-            retry=RetryPolicy(max_attempts=3, base_delay_s=0.02,
-                              max_delay_s=0.05, deadline_s=5.0),
-            circuit=CircuitPolicy(window=2, failure_threshold=0.5,
-                                  min_calls=1, cooldown_s=30.0),
-        )
-        try:
-            with pytest.raises(AgentUnreachable) as slow:
-                client.subscribe("z1")
-            assert not isinstance(slow.value, CircuitOpenError)
-            assert client.circuit.state == CIRCUIT_OPEN
-
-            t0 = time.perf_counter()
-            with pytest.raises(CircuitOpenError) as fast:
-                client.subscribe("z1")
-            fast_s = time.perf_counter() - t0
-            # Fast-fail never touched a socket: zero attempts, and far
-            # under the retry ladder the first call paid.
-            assert fast.value.attempts == 0
-            assert fast.value.retry_after_s > 0
-            assert fast_s < 0.05
-            assert fast_s < max(slow.value.elapsed_s, 0.04)
-            assert isinstance(fast.value, AgentUnreachable)  # same handling
-        finally:
-            client.close()
-
-    def test_probe_recovers_through_a_healed_server(self):
-        clock = [0.0]
-        fleet = FleetController("root")
-        fleet.register_zone("z1")
-        with FleetServer(fleet) as server:
-            host, port = server.address
-            client = ZoneClient(
-                host, port, name="z-link",
-                retry=RetryPolicy(max_attempts=1, base_delay_s=0.01,
-                                  max_delay_s=0.02, deadline_s=5.0),
-                circuit=CircuitPolicy(window=2, failure_threshold=0.5,
-                                      min_calls=1, cooldown_s=1.0),
-                clock=lambda: clock[0], sleep=lambda s: None,
-            )
-            try:
-                assert client.subscribe("z1") == 0
-                server.partition()
-                with pytest.raises(AgentUnreachable):
-                    client.subscribe("z1")
-                assert client.circuit.state == CIRCUIT_OPEN
-                with pytest.raises(CircuitOpenError):
-                    client.subscribe("z1")
-
-                server.heal()
-                clock[0] = 1.5  # past cooldown: half-open probe admitted
-                assert client.subscribe("z1") == 0
-                assert client.circuit.state == CIRCUIT_CLOSED
-            finally:
-                client.close()
 
 
 class TestZoneRestartOverTCP:

@@ -117,9 +117,11 @@ class TestResilientSweep:
             agent.channel("ghost@m1")
 
     def test_query_pull_path_propagates_faults(self, agent):
-        agent.channel(PNIC).set_fault_plan(ChannelFaultPlan(error_rate=1.0))
+        """A single channel read raises; only the sweep absorbs faults."""
+        chan = agent.channel(PNIC)
+        chan.set_fault_plan(ChannelFaultPlan(error_rate=1.0))
         with pytest.raises(ChannelError):
-            agent.query([PNIC])
+            chan.read_versioned(0.0)
 
 
 class TestInjectionHelpers:

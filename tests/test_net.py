@@ -132,7 +132,7 @@ class TestAgentOverTcp:
         tenant.vnet.register_element("pnic", "m1", "pnic@m1")
         controller.register_tenant(tenant)
         rec = controller.get_attr("t1", "pnic", ["rx_bytes"])
-        assert rec["rx_bytes"] > 0
+        assert rec.attrs["rx_bytes"] > 0
         handle.close()
 
     def test_concurrent_clients(self, served_agent):

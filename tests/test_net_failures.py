@@ -466,7 +466,7 @@ class TestCrashRestartArc:
             "t1", "pnic", ["rx_pkts"], now=sim.now
         )
         assert not quality.stale and quality.state == HEALTHY
-        frozen_rx = record["rx_pkts"]
+        frozen_rx = record.attrs["rx_pkts"]
         assert frozen_rx > 0
 
         # -- Phase 2: the agent process dies mid-collection. ----------------
@@ -483,7 +483,7 @@ class TestCrashRestartArc:
         record, quality = controller.get_attr_with_quality(
             "t1", "pnic", ["rx_pkts"], now=sim.now
         )
-        assert record["rx_pkts"] == frozen_rx  # last known, not fresh
+        assert record.attrs["rx_pkts"] == frozen_rx  # last known, not fresh
         assert quality.stale and quality.state == DEAD
         assert quality.age_s is not None and quality.age_s > 0
         assert "STALE" in quality.describe()
@@ -523,7 +523,7 @@ class TestCrashRestartArc:
             )
             assert not quality.stale
             assert quality.resets == 1  # the annotation records the restart
-            assert record["rx_pkts"] < frozen_rx  # rebaselined, not resumed
+            assert record.attrs["rx_pkts"] < frozen_rx  # rebaselined, not resumed
         finally:
             server2.shutdown()
             handle.close()

@@ -3,8 +3,8 @@
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core.diagnosis.states import classify_state
-from repro.core.records import StatRecord
+from repro.core.counters import CounterSnapshot, CounterWindow
+from repro.core.diagnosis.states import classify_window
 from repro.dataplane.machine import PhysicalMachine
 from repro.middleboxes.http import HttpServer
 from repro.simnet.engine import Simulator
@@ -102,12 +102,15 @@ def test_vm_allocations_never_exceeded(allocations, demands):
     capacity=st.floats(min_value=1e6, max_value=1e10),
 )
 def test_state_classifier_total(d_bi, d_ti, d_bo, d_to, capacity):
-    """classify_state is total and consistent with the paper inequality."""
-    before = StatRecord(0.0, "mb", {"inBytes": 0, "inTime": 0, "outBytes": 0, "outTime": 0})
-    after = StatRecord(
-        1.0, "mb", {"inBytes": d_bi, "inTime": d_ti, "outBytes": d_bo, "outTime": d_to}
+    """classify_window is total and consistent with the paper inequality."""
+    before = CounterSnapshot(
+        "mb", "", 0, 0.0, {"inBytes": 0, "inTime": 0, "outBytes": 0, "outTime": 0}
     )
-    st_ = classify_state("mb", before, after, capacity, theta=1.0)
+    after = CounterSnapshot(
+        "mb", "", 1, 1.0,
+        {"inBytes": d_bi, "inTime": d_ti, "outBytes": d_bo, "outTime": d_to},
+    )
+    st_ = classify_window(CounterWindow(before, after), capacity, theta=1.0)
     if d_ti > 0:
         assert st_.read_blocked == (8 * d_bi / d_ti < capacity)
     if d_ti == 0 and d_bi == 0:

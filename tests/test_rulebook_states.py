@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core.diagnosis.states import classify_state
-from repro.core.records import StatRecord
+from repro.core.counters import CounterSnapshot, CounterWindow
+from repro.core.diagnosis.states import classify_window
 from repro.core.rulebook import (
     CPU,
     INCOMING_BANDWIDTH,
@@ -101,7 +101,7 @@ class TestRuleBook:
 
 
 def record(t, **attrs):
-    return StatRecord(t, "mb", attrs)
+    return CounterSnapshot("mb", "", int(t), t, attrs)
 
 
 class TestClassifyState:
@@ -112,7 +112,7 @@ class TestClassifyState:
         after = record(
             1.0, inBytes=d_bi, inTime=d_ti, outBytes=d_bo, outTime=d_to
         )
-        return classify_state("mb", before, after, self.C, theta=theta)
+        return classify_window(CounterWindow(before, after), self.C, theta=theta)
 
     def test_read_blocked_when_input_rate_below_capacity(self):
         # 1 MB over 1 s of input time = 8 Mbps << 100 Mbps.
@@ -154,7 +154,7 @@ class TestClassifyState:
         before = record(0.0, inBytes=0, inTime=0, outBytes=0, outTime=0)
         after = record(1.0, inBytes=1, inTime=1, outBytes=1, outTime=1)
         with pytest.raises(ValueError):
-            classify_state("mb", before, after, capacity_bps=0.0)
+            classify_window(CounterWindow(before, after), capacity_bps=0.0)
 
     def test_describe(self):
         st = self.make(1e6, 1.0, 0, 0)

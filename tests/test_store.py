@@ -31,13 +31,13 @@ class TestCounterSnapshot:
         assert later.attrs is s.attrs
         assert s.at(0.0) is s
 
-    def test_to_record_subset(self):
+    def test_subset_keeps_only_present_attrs(self):
         s = snap(3, 1.0, rx_pkts=5.0, rx_bytes=100.0)
-        rec = s.to_record(["rx_bytes"])
-        assert rec.element_id == "e1"
-        assert rec.machine == "m1"
-        assert rec["rx_bytes"] == 100.0
-        assert "rx_pkts" not in rec
+        sub = s.subset(["rx_bytes", "ghost"])
+        assert (sub.element_id, sub.machine, sub.seq, sub.timestamp) == (
+            "e1", "m1", 3, 1.0
+        )
+        assert dict(sub.attrs) == {"rx_bytes": 100.0}  # missing: left out
 
     def test_dict_roundtrip(self):
         s = snap(7, 4.25, rx_pkts=5.0, **{"drops.tun": 2.0})

@@ -53,10 +53,16 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.agent import Agent
 from repro.core.channels import ChannelFaultPlan
-from repro.core.controller import AgentMirror, FleetController
+from repro.core.controller import AgentMirror, FleetController, ZoneController
 from repro.core.counters import ABSENT, STANDARD_ATTRS, CounterSnapshot
 from repro.core.net import codec as wire_codec
-from repro.core.net.client import RemoteAgentHandle, RetryPolicy, ZoneClient
+from repro.core.health import DEGRADED, HEALTHY
+from repro.core.net.client import (
+    PeerRefused,
+    RemoteAgentHandle,
+    RetryPolicy,
+    ZoneClient,
+)
 from repro.core.net.codec import CODEC_BIN1, WireSchema
 from repro.core.net.protocol import (
     OP_BATCH_DELTA,
@@ -944,6 +950,41 @@ class TestRefusalDiscardsConnection:
                 assert link.push_report(report) is True
                 assert (link.pool.created, link.pool.discarded) == (2, 1)
         assert fleet.zone_record("z1").last_seq == 1
+
+
+class TestRefusalIsOneFailedSync:
+    """An agent-side fault while serving BATCH_DELTA comes back as a
+    typed :class:`PeerRefused`, which the mirror records as one failed
+    sync: the zone's refresh goes on for every other machine."""
+
+    def test_refusing_agent_degrades_only_its_machine(self, sim_with_transport):
+        sim = sim_with_transport
+        agents = {m: Agent(sim, PhysicalMachine(sim, m)) for m in ("m1", "m2")}
+        sim.run(0.1)
+        with AgentServer(agents["m1"]) as good, flaky_server(AgentServer)(
+            agents["m2"]
+        ) as flaky:
+            handles = {
+                m: RemoteAgentHandle(*server.address, retry=FAST_RETRY, timeout_s=1.0)
+                for m, server in (("m1", good), ("m2", flaky))
+            }
+            try:
+                zone = ZoneController("z1")
+                for m, handle in handles.items():
+                    zone.register_agent(m, handle)
+                report = zone.refresh_report()
+                assert report.failed == ["m2"]
+                assert zone.mirror_for("m1").syncs == 1
+                assert zone.mirror_for("m1").store.element_ids()
+                mirror = zone.mirror_for("m2")
+                assert mirror.failed_syncs == 1
+                assert isinstance(mirror.last_error, PeerRefused)
+                assert "injected serve failure" in str(mirror.last_error)
+                assert zone.health_for("m2").state == DEGRADED
+                assert zone.health_for("m1").state == HEALTHY
+            finally:
+                for handle in handles.values():
+                    handle.close()
 
 
 def greeted_socket(server):
