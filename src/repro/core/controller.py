@@ -22,9 +22,12 @@ The collection plane is failure-tolerant: a sync that cannot reach its
 agent feeds the mirror's :class:`~repro.core.health.AgentHealth` state
 machine instead of raising, and the controller keeps answering queries
 from the (now aging) mirror.  Callers that care can ask for the
-machine's :class:`~repro.core.health.DataQuality` annotation — or use
-the ``*_with_quality`` variants — to learn how trustworthy an answer
-is.
+machine's :class:`~repro.core.health.DataQuality` annotation to learn
+how trustworthy an answer is.
+
+Every read that brackets a time advance (``QueryRunner``, Algorithms
+1 and 2) is one split-phase observation: :meth:`ZoneController.open_window`,
+the caller's advance, then :meth:`ZoneController.close_window`.
 
 The collection plane is also *concurrent*: against a fleet, one slow or
 dead agent must not stretch a refresh from max(RTT) to sum(RTT), so
@@ -113,6 +116,9 @@ ZONE_ACTIVE_METRIC = "perfsight_fleet_zone_active"
 STORE_BYTES_METRIC = "perfsight_store_bytes"
 
 T = TypeVar("T")
+
+#: Where an element lives: ``(machine, element id)``.
+Located = Tuple[str, str]
 
 #: Default fan-out width for concurrent refresh / fleet diagnosis.
 DEFAULT_MAX_WORKERS = 8
@@ -640,7 +646,7 @@ class ZoneController:
         ) as sp:
             reports, peak_finish = self._fan_out(
                 [
-                    (m, lambda m_: scan.detector.finish_observed(scan.scans[m_]))
+                    (m, lambda m_: scan.detector.finish_observed(m_, scan.scans[m_]))
                     for m in scan.machines
                 ]
             )
@@ -842,9 +848,6 @@ class ZoneController:
         """
         return self.mirror_for(machine_name).data_quality(now)
 
-    def _locate(self, tenant_id: str, element_logical: str) -> Tuple[str, str]:
-        return self.vnet(tenant_id).locate(element_logical)
-
     def mirror_latest(self, machine: str, element_id: str) -> CounterSnapshot:
         """Latest mirrored snapshot, lazily refreshing on first miss."""
         mirror = self.mirror_for(machine)
@@ -859,7 +862,58 @@ class ZoneController:
                 f"machine {machine!r} has no element {element_id!r}"
             ) from None
 
-    # -- the GetAttr primitive (Figure 6) --------------------------------------------------
+    # -- the split-phase observation (Figure 6's observe, sleep(T), observe) ------------
+
+    def open_window(self, elements: Iterable[Located]) -> "OpenWindow":
+        """Open one observation window over ``(machine, element id)`` pairs.
+
+        Refreshes each owning machine once, in sorted order — one
+        delta-batched exchange per machine, however many elements — and
+        reads every start from the mirror.  A pair with no start (the
+        mirror holds nothing for it, or this zone does not own its
+        machine) is missing; a machine this zone does not own is never
+        refreshed.  Thread-safe against other windows on other machines.
+        """
+        pairs = list(dict.fromkeys(elements))
+        opened = OpenWindow(
+            machines=sorted({m for m, _ in pairs if m in self._mirrors})
+        )
+        for machine in opened.machines:
+            self.refresh(machine)
+        for pair in pairs:
+            try:
+                opened.starts[pair] = self.mirror_latest(*pair)
+            except KeyError:
+                opened.missing.append(pair)
+        return opened
+
+    def close_window(
+        self, opened: "OpenWindow"
+    ) -> Tuple[Dict[Located, CounterWindow], List[Located], Dict[str, DataQuality]]:
+        """Close a window after the caller's time advance.
+
+        Refreshes the same machines again and returns ``(windows,
+        missing, quality)``: a :class:`CounterWindow` per pair that has
+        both ends, the missing pairs (no start first, then no end, each
+        in the order given), and the :class:`DataQuality` of every
+        refreshed machine.  When an agent is unreachable both refreshes
+        are no-ops and its windows collapse onto the mirror's last
+        snapshot (rates read 0); the quality annotation is what says
+        that 0 means "no fresh data", not "no traffic".
+        """
+        for machine in opened.machines:
+            self.refresh(machine)
+        windows: Dict[Located, CounterWindow] = {}
+        missing = list(opened.missing)
+        for pair, start in opened.starts.items():
+            try:
+                windows[pair] = CounterWindow(start, self.mirror_latest(*pair))
+            except KeyError:
+                missing.append(pair)
+        quality = {m: self.data_quality(m) for m in opened.machines}
+        return windows, missing, quality
+
+    # -- Figure 6 over the mirror ----------------------------------------------------------
 
     def get_attr(
         self,
@@ -872,28 +926,11 @@ class ZoneController:
         Answered from the controller mirror — no agent RPC.  An element
         never seen before triggers one lazy refresh of its machine's
         mirror.  With ``attrs`` the snapshot holds only those that the
-        element exports.
+        element exports.  While an agent is down this is the mirror's
+        last knowledge; :meth:`data_quality` says how much to trust it.
         """
-        machine, element_id = self._locate(tenant_id, element_logical)
-        snap = self.mirror_latest(machine, element_id)
+        snap = self.mirror_latest(*self.vnet(tenant_id).locate(element_logical))
         return snap if attrs is None else snap.subset(attrs)
-
-    def get_attr_with_quality(
-        self,
-        tenant_id: str,
-        element_logical: str,
-        attrs: Optional[Iterable[str]] = None,
-        now: Optional[float] = None,
-    ) -> Tuple[CounterSnapshot, DataQuality]:
-        """:meth:`get_attr` plus the serving mirror's quality annotation.
-
-        This is how a diagnosis application keeps getting answers while
-        an agent is down — the snapshot is the mirror's last knowledge,
-        and the annotation says exactly how much to trust it.
-        """
-        machine, _ = self._locate(tenant_id, element_logical)
-        snap = self.get_attr(tenant_id, element_logical, attrs)
-        return snap, self.data_quality(machine, now)
 
     def window(
         self,
@@ -902,29 +939,26 @@ class ZoneController:
         t0: float,
         t1: float,
     ) -> CounterWindow:
-        """The element's mirrored activity over ``[t0, t1]``."""
-        machine, element_id = self._locate(tenant_id, element_logical)
+        """The element's mirrored activity over ``[t0, t1]``, from history
+        (a tiered store stitches its fine ring with the coarse tiers)."""
+        machine, element_id = self.vnet(tenant_id).locate(element_logical)
         self.mirror_latest(machine, element_id)  # lazy-populate on miss
         return self.mirror_for(machine).store.window(element_id, t0, t1)
 
-    def machine_window(
-        self, machine_name: str, element_id: str, t0: float, t1: float
+    def _trailing(
+        self, tenant_id: str, element_logical: str, window_s: float
     ) -> CounterWindow:
-        """Mirror window lookup by physical element id (diagnostics)."""
-        self.mirror_latest(machine_name, element_id)
-        return self.mirror_for(machine_name).store.window(element_id, t0, t1)
-
-    # -- O(1) Figure-6 routines over the trailing mirror window ----------------------------
+        """The element's trailing ``window_s`` mirror window."""
+        machine, element_id = self.vnet(tenant_id).locate(element_logical)
+        self.mirror_latest(machine, element_id)  # lazy-populate on miss
+        return self.mirror_for(machine).store.window_ending_now(element_id, window_s)
 
     def get_throughput(
         self, tenant_id: str, element_logical: str, attr: str = "rx_bytes",
         window_s: float = 1.0,
     ) -> float:
         """Average throughput over the trailing window, bytes/second."""
-        machine, element_id = self._locate(tenant_id, element_logical)
-        self.mirror_latest(machine, element_id)
-        win = self.mirror_for(machine).store.window_ending_now(element_id, window_s)
-        return win.rate(attr)
+        return self._trailing(tenant_id, element_logical, window_s).rate(attr)
 
     def get_pkt_loss(
         self, tenant_id: str, element_logical: str,
@@ -932,10 +966,9 @@ class ZoneController:
         window_s: float = 1.0,
     ) -> float:
         """Packets lost within the element over the trailing window."""
-        machine, element_id = self._locate(tenant_id, element_logical)
-        self.mirror_latest(machine, element_id)
-        win = self.mirror_for(machine).store.window_ending_now(element_id, window_s)
-        return win.pkt_loss(in_attr, out_attr)
+        return self._trailing(tenant_id, element_logical, window_s).pkt_loss(
+            in_attr, out_attr
+        )
 
     def get_avg_pkt_size(
         self, tenant_id: str, element_logical: str,
@@ -943,10 +976,23 @@ class ZoneController:
         window_s: float = 1.0,
     ) -> float:
         """Average packet size over the trailing window, bytes."""
-        machine, element_id = self._locate(tenant_id, element_logical)
-        self.mirror_latest(machine, element_id)
-        win = self.mirror_for(machine).store.window_ending_now(element_id, window_s)
-        return win.avg_pkt_size(bytes_attr, pkts_attr)
+        return self._trailing(tenant_id, element_logical, window_s).avg_pkt_size(
+            bytes_attr, pkts_attr
+        )
+
+
+@dataclass
+class OpenWindow:
+    """The start half of one split-phase observation.
+
+    Made by :meth:`ZoneController.open_window`, closed once by
+    :meth:`ZoneController.close_window` after the caller advances time.
+    ``machines`` are the owned machines refreshed at each edge.
+    """
+
+    machines: List[str]
+    starts: Dict[Located, CounterSnapshot] = field(default_factory=dict)
+    missing: List[Located] = field(default_factory=list)
 
 
 @dataclass
@@ -955,14 +1001,14 @@ class ZoneScan:
 
     Produced by :meth:`ZoneController.begin_fleet_scan`; consumed
     exactly once by :meth:`ZoneController.finish_fleet_scan` after the
-    caller advances time.  ``detector`` and the per-machine ``scans``
-    hold the captured window starts.
+    caller advances time.  ``scans`` holds each machine's
+    :class:`OpenWindow`.
     """
 
     zone: str
     window_s: float
     detector: "object"
-    scans: Dict[str, "object"]
+    scans: Dict[str, OpenWindow]
     machines: List[str]
     wall0: float
     peak_workers: int = 1

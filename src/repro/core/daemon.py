@@ -598,7 +598,7 @@ class DiagnosisDaemon:
         )
         try:
             report = locator.run(tenant)
-        except (KeyError, ValueError, ConnectionError, OSError):
+        except (ValueError, ConnectionError, OSError):
             return []
         return list(report.verdicts)
 

@@ -21,14 +21,12 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.core.controller import ZoneController
-from repro.core.counters import CounterWindow
 from repro.core.diagnosis.report import (
     CONFIDENCE_DEGRADED,
     CONFIDENCE_FULL,
     CONFIDENCE_MISSING,
 )
 from repro.core.diagnosis.states import classify_window
-from repro.core.store import StoreError
 
 
 class BottleneckDetector:
@@ -92,39 +90,17 @@ class BottleneckDetector:
 
         located = {name: vnet.locate(name) for name in suspicious}
         tuns = {name: self._tun_location(tenant_id, name) for name in suspicious}
-        machines = sorted({machine for machine, _ in located.values()})
-
-        for machine in machines:
-            self.controller.refresh(machine)
-        before = {}
-        tun_before = {}
-        for name in suspicious:
-            try:
-                machine, eid = located[name]
-                before[name] = self.controller.mirror_latest(machine, eid)
-                tun_machine, tun_id = tuns[name]
-                tun_before[name] = self.controller.mirror_latest(tun_machine, tun_id)
-            except (KeyError, StoreError):
-                pass
+        opened = self.controller.open_window(
+            pair for name in suspicious for pair in (located[name], tuns[name])
+        )
         self.advance(window)
-        for machine in machines:
-            self.controller.refresh(machine)
+        windows, _, quality = self.controller.close_window(opened)
 
-        quality = {m: self.controller.data_quality(m) for m in machines}
         out: Dict[str, Dict[str, object]] = {}
         for name in suspicious:
-            machine, eid = located[name]
-            tun_machine, tun_id = tuns[name]
-            try:
-                win = CounterWindow(
-                    start=before[name],
-                    end=self.controller.mirror_latest(machine, eid),
-                )
-                tun_win = CounterWindow(
-                    start=tun_before[name],
-                    end=self.controller.mirror_latest(tun_machine, tun_id),
-                )
-            except (KeyError, StoreError):
+            win = windows.get(located[name])
+            tun_win = windows.get(tuns[name])
+            if win is None or tun_win is None:
                 out[name] = {
                     "state": None,
                     "tun_drops": 0.0,
@@ -144,7 +120,7 @@ class BottleneckDetector:
                 and not state.write_blocked
                 and win.delta("inBytes") > 0
             )
-            stale = quality[machine].stale or quality[tun_machine].stale
+            stale = quality[located[name][0]].stale or quality[tuns[name][0]].stale
             out[name] = {
                 "state": state,
                 "tun_drops": tun_drops,

@@ -1,26 +1,25 @@
 """Algorithm 1: detect contention and bottleneck locations.
 
 For every element in a machine's virtualization stack, observe a
-:class:`CounterWindow` T seconds wide (two mirror refreshes bracketing
-the interval — one delta-batched exchange each, not a per-element
-pull), compute the element's packet loss (growth of in-minus-out,
-exactly the paper's GetPktLoss), sort descending, and map the observed
-drop locations through the Table-1 rule book.  Whether the loss is
-spread across VMs (contention) or confined to one VM's path
-(bottleneck) comes from the per-VM drop locations and the per-flow
-attribution the buffers keep.
+:class:`CounterWindow` T seconds wide (one
+:meth:`~repro.core.controller.ZoneController.open_window` /
+``close_window`` observation), compute the element's packet loss
+(growth of in-minus-out, exactly the paper's GetPktLoss), sort
+descending, and map the observed drop locations through the Table-1
+rule book.  Whether the loss is spread across VMs (contention) or
+confined to one VM's path (bottleneck) comes from the per-VM drop
+locations and the per-flow attribution the buffers keep.
 
 Cost is linear in the number of elements, as the paper notes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro import obs
-from repro.core.controller import COLLECTION_ERRORS, ZoneController
-from repro.core.counters import CounterSnapshot, CounterWindow
+from repro.core.controller import COLLECTION_ERRORS, OpenWindow, ZoneController
+from repro.core.counters import CounterWindow
 from repro.core.diagnosis.report import (
     CONFIDENCE_DEGRADED,
     CONFIDENCE_FULL,
@@ -28,26 +27,6 @@ from repro.core.diagnosis.report import (
     ElementLoss,
 )
 from repro.core.rulebook import RuleBook
-from repro.core.store import StoreError
-
-
-@dataclass
-class ContentionScan:
-    """The window-start half of one machine's Algorithm-1 scan.
-
-    Produced by :meth:`ContentionDetector.begin`, consumed by
-    :meth:`ContentionDetector.finish`.  Splitting the scan at the window
-    boundary is what lets a fleet diagnosis share ONE ``advance`` across
-    machines: every machine's begin runs (concurrently) before time
-    moves, then time moves once, then every finish runs — so all the
-    per-machine windows measure the same interval.
-    """
-
-    machine: str
-    window_s: float
-    ids: List[str]
-    starts: Dict[str, CounterSnapshot] = field(default_factory=dict)
-    missing: List[str] = field(default_factory=list)
 
 
 class ContentionDetector:
@@ -97,82 +76,73 @@ class ContentionDetector:
         from an aging mirror — the whole report is marked degraded
         instead of presenting possibly stale verdicts as trusted.
         """
+        window = window_s if window_s is not None else self.window_s
         with obs.span("diagnosis.contention", machine=machine_name) as sp:
-            scan = self.begin(machine_name, window_s)
-            self.advance(scan.window_s)
-            report = self.finish(scan)
+            opened = self.begin(machine_name)
+            self.advance(window)
+            report = self.finish(machine_name, opened, window)
             self._annotate(sp, report)
         return report
 
     # -- split-phase scan (fleet mode) -------------------------------------------
 
-    def begin(
-        self, machine_name: str, window_s: Optional[float] = None
-    ) -> ContentionScan:
-        """Open the diagnosis window: refresh and capture element starts.
+    def begin(self, machine_name: str) -> OpenWindow:
+        """Open the diagnosis window over the machine's stack elements.
 
-        Thread-safe against other machines' begins — a fleet diagnosis
-        fans begins out over a worker pool before advancing time once.
+        Splitting the scan at the window boundary is what lets a fleet
+        diagnosis share ONE ``advance`` across machines: every machine's
+        begin runs (concurrently) before time moves, then time moves
+        once, then every finish runs — so all the per-machine windows
+        measure the same interval.
         """
-        window = window_s if window_s is not None else self.window_s
-        scan = ContentionScan(
-            machine=machine_name,
-            window_s=window,
-            ids=self._stack_element_ids(machine_name),
+        return self.controller.open_window(
+            (machine_name, eid) for eid in self._stack_element_ids(machine_name)
         )
-        self.controller.refresh(machine_name)
-        for eid in scan.ids:
-            try:
-                scan.starts[eid] = self.controller.mirror_latest(machine_name, eid)
-            except (KeyError, StoreError):
-                scan.missing.append(eid)
-        return scan
 
-    def finish(self, scan: ContentionScan) -> ContentionReport:
+    def finish(
+        self,
+        machine_name: str,
+        opened: OpenWindow,
+        window_s: Optional[float] = None,
+    ) -> ContentionReport:
         """Close the window: refresh again, diff, rank, apply Table 1."""
-        machine_name = scan.machine
-        missing = list(scan.missing)
-        self.controller.refresh(machine_name)
-
-        ranked: List[ElementLoss] = []
-        for eid in scan.ids:
-            if eid in missing:
-                continue
-            try:
-                end = self.controller.mirror_latest(machine_name, eid)
-            except (KeyError, StoreError):
-                missing.append(eid)
-                continue
-            ranked.append(self._element_loss(CounterWindow(scan.starts[eid], end)))
-        ranked.sort(key=lambda el: -el.loss_pkts)
+        windows, missing, qualities = self.controller.close_window(opened)
+        ranked = sorted(
+            (self._element_loss(win) for win in windows.values()),
+            key=lambda el: -el.loss_pkts,
+        )
 
         drops_all: Dict[str, float] = {}
         for el in ranked:
             for loc, pkts in el.drops_by_location.items():
                 drops_all[loc] = drops_all.get(loc, 0.0) + pkts
         verdicts = self.rulebook.diagnose_all(drops_all)
-        quality = self.controller.data_quality(machine_name)
+        quality = qualities.get(machine_name) or self.controller.data_quality(
+            machine_name
+        )
         degraded = quality.stale or bool(missing)
         report = ContentionReport(
             machine=machine_name,
-            window_s=scan.window_s,
+            window_s=window_s if window_s is not None else self.window_s,
             ranked=ranked,
             verdicts=verdicts,
             data_quality=quality,
-            missing_elements=missing,
+            missing_elements=[eid for _, eid in missing],
             confidence=CONFIDENCE_DEGRADED if degraded else CONFIDENCE_FULL,
         )
         report.disambiguated = self._disambiguate(machine_name, verdicts)
         return report
 
-    def finish_observed(self, scan: ContentionScan) -> ContentionReport:
+    def finish_observed(
+        self, machine_name: str, opened: OpenWindow
+    ) -> ContentionReport:
         """:meth:`finish` wrapped in the per-machine span.
 
         Used by fleet mode, where begin and finish run in different
         worker threads so one span cannot bracket the whole scan.
         """
-        with obs.span("diagnosis.contention", machine=scan.machine) as sp:
-            report = self.finish(scan)
+        with obs.span("diagnosis.contention", machine=machine_name) as sp:
+            report = self.finish(machine_name, opened)
             self._annotate(sp, report)
         return report
 

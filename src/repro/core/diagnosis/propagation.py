@@ -1,8 +1,9 @@
 """Algorithm 2: locate the root-cause middlebox under propagation.
 
 Observe each middlebox's ``inBytes/inTime/outBytes/outTime`` over a
-:class:`CounterWindow` T wide (one delta-batched mirror refresh per
-involved machine at each end — not a per-middlebox pull); classify
+:class:`CounterWindow` T wide (one
+:meth:`~repro.core.controller.ZoneController.open_window` /
+``close_window`` observation over the whole chain); classify
 Read/WriteBlocked; then eliminate:
 
 * a ReadBlocked middlebox and all its successors (they are starved by
@@ -13,7 +14,8 @@ Read/WriteBlocked; then eliminate:
 What survives is the root cause set.  A survivor whose successors are
 ReadBlocked is *Underloaded* (a slow source); one whose predecessors
 are WriteBlocked is *Overloaded* (a slow consumer) — the labels of
-Figure 7.
+Figure 7.  A middlebox on a machine this zone does not own has no
+counters here, so it gets a ``no-data`` verdict like any other gap.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from typing import Callable, Dict, List, Optional
 from repro import obs
 from repro.cluster.topology import VirtualNetwork
 from repro.core.controller import ZoneController
-from repro.core.counters import CounterWindow
 from repro.core.diagnosis.report import (
     CONFIDENCE_DEGRADED,
     CONFIDENCE_FULL,
@@ -32,7 +33,6 @@ from repro.core.diagnosis.report import (
     RootCauseReport,
 )
 from repro.core.diagnosis.states import MiddleboxState, classify_window
-from repro.core.store import StoreError
 
 STAT_ATTRS = ["inBytes", "inTime", "outBytes", "outTime"]
 
@@ -79,32 +79,15 @@ class RootCauseLocator:
         vnet = self.controller.vnet(tenant_id)
         names = [node.name for node in vnet.middleboxes()]
         located = {name: vnet.locate(name) for name in names}
-        machines = sorted({machine for machine, _ in located.values()})
-
-        for machine in machines:
-            self.controller.refresh(machine)
-        starts = {}
-        missing: List[str] = []
-        for name, (machine, eid) in located.items():
-            try:
-                starts[name] = self.controller.mirror_latest(machine, eid)
-            except (KeyError, StoreError):
-                missing.append(name)
+        opened = self.controller.open_window(located.values())
         self.advance(window)
-        for machine in machines:
-            self.controller.refresh(machine)
+        windows, _, quality = self.controller.close_window(opened)
 
         states: Dict[str, MiddleboxState] = {}
         for name in names:
-            if name in missing:
+            win = windows.get(located[name])
+            if win is None:
                 continue
-            machine, eid = located[name]
-            try:
-                end = self.controller.mirror_latest(machine, eid)
-            except (KeyError, StoreError):
-                missing.append(name)
-                continue
-            win = CounterWindow(start=starts[name], end=end)
             capacity = win.end.get("capacity_bps", 0.0)
             if capacity <= 0:
                 raise RuntimeError(
@@ -121,10 +104,8 @@ class RootCauseLocator:
                 candidates.discard(name)
                 candidates.difference_update(vnet.predecessors_closure(name))
 
-        quality = {m: self.controller.data_quality(m) for m in machines}
         verdicts: List[MiddleboxVerdict] = []
         for name in names:
-            machine, _ = located[name]
             if name not in states:
                 verdicts.append(
                     MiddleboxVerdict(name, None, False, "no-data", CONFIDENCE_MISSING)
@@ -133,16 +114,15 @@ class RootCauseLocator:
             state = states[name]
             is_root = name in candidates
             label = self._label(vnet, states, name, is_root)
-            confidence = (
-                CONFIDENCE_DEGRADED if quality[machine].stale else CONFIDENCE_FULL
-            )
+            stale = quality[located[name][0]].stale
+            confidence = CONFIDENCE_DEGRADED if stale else CONFIDENCE_FULL
             verdicts.append(MiddleboxVerdict(name, state, is_root, label, confidence))
         return RootCauseReport(
             tenant_id=tenant_id,
             window_s=window,
             verdicts=verdicts,
             data_quality=quality,
-            missing=sorted(missing),
+            missing=sorted(name for name in names if name not in states),
         )
 
     @staticmethod

@@ -119,11 +119,15 @@ class TestQueryRoutines:
         tenant = Tenant("t1")
         tenant.vnet.register_element("tun", "m1", "tun-v1@m1")
         controller.register_tenant(tenant)
-        runner = QueryRunner(controller, advance=lambda t: sim.run(t), interval_s=0.5)
         sim.run(0.5)
-        drops = runner.get_drops("t1", "tun")
-        assert any(k.startswith("drops.tun-v1") for k in drops)
-        assert any(k.startswith("drops_flow.rx") for k in drops)
+        located = tenant.vnet.locate("tun")
+        opened = controller.open_window([located])
+        sim.run(0.5)
+        windows, missing, quality = controller.close_window(opened)
+        assert missing == [] and list(quality) == ["m1"]
+        window = windows[located]
+        assert any(k.startswith("tun-v1") for k in window.drops_by_location())
+        assert any(k.startswith("rx") for k in window.drops_by_flow())
 
     def test_interval_validation(self, world):
         _, _, controller, _ = world
@@ -159,10 +163,7 @@ class TestHistoricalRoutines:
         tenant = Tenant("t1")
         tenant.vnet.register_element("pnic", "m1", "pnic@m1")
         controller.register_tenant(tenant)
-        runner = QueryRunner(
-            controller, advance=lambda t: sim.run(t), interval_s=0.5,
-            clock=lambda: sim.now,
-        )
+        runner = QueryRunner(controller, advance=lambda t: sim.run(t), interval_s=0.5)
         # 10 s of history at a 0.1 s mirror cadence — far beyond the
         # 8-slot fine ring, so old samples live only in the coarse tiers.
         for _ in range(100):
@@ -178,7 +179,7 @@ class TestHistoricalRoutines:
         assert rate == pytest.approx(80e6 / 8, rel=0.05)
         # And the full-retention ask falls back to the oldest retained
         # sample instead of failing.
-        w = runner.window_between("t1", "pnic", 0.0, now)
+        w = controller.window("t1", "pnic", 0.0, now)
         assert w.duration_s > 1.0
         assert w.rate("rx_bytes") == pytest.approx(80e6 / 8, rel=0.05)
 
@@ -191,6 +192,6 @@ class TestHistoricalRoutines:
         assert runner.get_pkt_loss_between(
             "t1", "tun", now - 1.0, now
         ) == pytest.approx(0.0, abs=2.0)
-        assert runner.get_avg_pkt_size_between(
+        assert controller.window(
             "t1", "pnic", now - 1.5, now
-        ) == pytest.approx(1500, rel=0.01)
+        ).avg_pkt_size() == pytest.approx(1500, rel=0.01)

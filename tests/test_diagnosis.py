@@ -3,6 +3,9 @@
 import pytest
 
 from repro.cluster.chains import build_chain
+from repro.cluster.topology import Tenant
+from repro.core.controller import FleetController, ZoneController
+from repro.core.daemon import DaemonConfig, DiagnosisDaemon
 from repro.core.diagnosis import (
     BottleneckDetector,
     ContentionDetector,
@@ -10,11 +13,14 @@ from repro.core.diagnosis import (
 )
 from repro.core.diagnosis.operator import OperatorConsole
 from repro.core.diagnosis.report import CONFIDENCE_FULL, CONFIDENCE_MISSING
+from repro.core.query import QueryRunner
 from repro.core.rulebook import INCOMING_BANDWIDTH, VM_BOTTLENECK
 from repro.middleboxes.http import HttpClient, HttpServer
 from repro.middleboxes.proxy import Proxy
 from repro.scenarios.common import Harness
+from repro.scenarios.fleet import ALL_UNDER_CAP, add_receivers, shard, stop_cadences
 from repro.simnet.packet import Flow
+from repro.workloads.faults import inject_perf_bug
 from repro.workloads.stress import CpuHog
 from repro.workloads.traffic import ExternalTrafficSource
 
@@ -254,3 +260,145 @@ class TestOperatorConsole:
         console.diagnose_tenant("t1")
         kinds = [entry[0] for entry in console.actions_log]
         assert kinds == ["diagnose_machine", "diagnose_tenant"]
+
+
+class TestCrossZoneChain:
+    """A tenant chain that spans two zones' shards.
+
+    Each zone owns only some of the chain's machines; a hop on a
+    machine the zone does not own is missing data for that zone, so
+    Algorithm 2 returns a labelled partial report instead of raising.
+    """
+
+    def build(self):
+        h = Harness()
+        sources = add_receivers(h, 8, ALL_UNDER_CAP)
+        fleet = FleetController("test-root", clock=lambda: h.sim.now)
+        zones, _ = shard(fleet, h.agents, 2)
+        shards = fleet.shards()
+        c_host, (p_host, s_host) = shards["zone-0"][0], shards["zone-1"][:2]
+        client = HttpClient(
+            h.sim, h.machines[c_host].add_vm("vm-c", vnic_bps=100e6), "client"
+        )
+        proxy = Proxy(
+            h.sim, h.machines[p_host].add_vm("vm-p", vnic_bps=100e6), "proxy"
+        )
+        server = HttpServer(
+            h.sim, h.machines[s_host].add_vm("vm-s", vnic_bps=100e6), "server",
+            cpu_per_byte=2e-9,
+        )
+        tenant = Tenant("t1")
+        build_chain([client, proxy, server], tenant.vnet, fabric=h.fabric)
+        for app in (client, proxy, server):
+            h.register_app(app)
+        for zone in zones.values():
+            zone.register_tenant(tenant)
+        inject_perf_bug(server, 20.0)
+        return h, sources, zones, fleet, (c_host, p_host, s_host)
+
+    def test_foreign_hop_is_missing_not_an_exception(self):
+        h, _, zones, _, (c_host, p_host, s_host) = self.build()
+        h.advance(3.0)
+        near = RootCauseLocator(zones["zone-0"], h.advance, window_s=1.0).run("t1")
+        assert near.missing == ["proxy", "server"]
+        assert near.verdict("client").state is not None
+        # Only owned machines are refreshed and annotated.
+        assert sorted(near.data_quality) == [c_host]
+        far = RootCauseLocator(zones["zone-1"], h.advance, window_s=1.0).run("t1")
+        assert far.missing == ["client"]
+        client = far.verdict("client")
+        assert client.label == "no-data"
+        assert client.confidence == CONFIDENCE_MISSING
+        assert not client.is_root_cause
+        assert far.verdict("proxy").state is not None
+        assert far.verdict("server").state is not None
+        assert sorted(far.data_quality) == sorted([p_host, s_host])
+        checked = BottleneckDetector(zones["zone-1"], h.advance, window_s=1.0).run("t1")
+        assert checked["client"]["confidence"] == CONFIDENCE_MISSING
+        assert not checked["client"]["is_bottleneck"]
+        assert checked["server"]["state"] is not None
+
+    def test_daemon_round_returns_the_partial_verdicts(self):
+        h, sources, zones, fleet, (_, _, victim) = self.build()
+        h.advance(0.5)
+        for zone in zones.values():
+            for name in zone.machines():
+                h.agents[name].start_pushing(zone, period_s=0.05)
+        try:
+            h.advance(0.2)
+            daemon = DiagnosisDaemon(
+                zones,
+                h.advance,
+                fleet=fleet,
+                config=DaemonConfig(window_s=0.25),
+                agents=h.agents,
+                tenant_for=lambda m: "t1" if m == victim else None,
+                clock=lambda: h.sim.now,
+            )
+            sources[victim].set_rate(rate_bps=400e6)
+            diagnosed = False
+            for _ in range(6):
+                diagnosed = victim in daemon.tick().diagnosed
+                if diagnosed:
+                    break
+            assert diagnosed
+            (incident,) = daemon.incidents
+            assert incident.machine == victim
+            chain = [v for v in incident.verdicts if v.startswith("MiddleboxVerdict")]
+            assert any("name='client'" in v and "no-data" in v for v in chain)
+            for name in ("proxy", "server"):
+                (v,) = [v for v in chain if f"name='{name}'" in v]
+                assert "state=None" not in v
+        finally:
+            stop_cadences(h.agents)
+
+
+class CountingHandle:
+    """An in-process agent handle that counts its collection exchanges."""
+
+    def __init__(self, agent):
+        self.agent = agent
+        self.name = agent.name
+        self.syncs = 0
+
+    def element_ids(self):
+        return self.agent.element_ids()
+
+    def collect_blocks(self, acked=None):
+        self.syncs += 1
+        return self.agent.collect_blocks(acked)
+
+
+class TestOneExchangePerWindowEdge:
+    """A window over k elements on m machines costs 2·m exchanges."""
+
+    def test_three_hops_on_two_machines_cost_four_syncs(self):
+        h = Harness()
+        m1, m2 = h.add_machine("m1"), h.add_machine("m2")
+        client = HttpClient(h.sim, m1.add_vm("vm-c", vnic_bps=100e6), "client")
+        proxy = Proxy(h.sim, m1.add_vm("vm-p", vnic_bps=100e6), "proxy")
+        server = HttpServer(
+            h.sim, m2.add_vm("vm-s", vnic_bps=100e6), "server", cpu_per_byte=2e-9
+        )
+        tenant = h.add_tenant("t1")
+        build_chain([client, proxy, server], tenant.vnet, fabric=h.fabric)
+        for app in (client, proxy, server):
+            h.register_app(app)
+        zone = ZoneController("counted")
+        handles = {m: CountingHandle(h.agents[m]) for m in ("m1", "m2")}
+        for machine, handle in handles.items():
+            zone.register_agent(machine, handle)
+        zone.register_tenant(tenant)
+        h.advance(1.0)
+        zone.refresh()  # warm the mirrors: no lazy first-miss syncs below
+
+        def syncs():
+            return sum(handle.syncs for handle in handles.values())
+
+        before = syncs()
+        report = RootCauseLocator(zone, h.advance, window_s=0.5).run("t1")
+        assert report.missing == []
+        assert syncs() - before == 4
+        before = syncs()
+        QueryRunner(zone, h.advance, interval_s=0.5).get_throughput("t1", "server")
+        assert syncs() - before == 2

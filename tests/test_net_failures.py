@@ -462,9 +462,8 @@ class TestCrashRestartArc:
 
         # -- Phase 1: healthy collection. -----------------------------------
         assert controller.refresh("m1") > 0
-        record, quality = controller.get_attr_with_quality(
-            "t1", "pnic", ["rx_pkts"], now=sim.now
-        )
+        record = controller.get_attr("t1", "pnic", ["rx_pkts"])
+        quality = controller.data_quality("m1", now=sim.now)
         assert not quality.stale and quality.state == HEALTHY
         frozen_rx = record.attrs["rx_pkts"]
         assert frozen_rx > 0
@@ -480,9 +479,8 @@ class TestCrashRestartArc:
         assert isinstance(health.last_error, AgentUnreachable)
 
         # Figure-6 queries still answer — from the aging mirror, flagged.
-        record, quality = controller.get_attr_with_quality(
-            "t1", "pnic", ["rx_pkts"], now=sim.now
-        )
+        record = controller.get_attr("t1", "pnic", ["rx_pkts"])
+        quality = controller.data_quality("m1", now=sim.now)
         assert record.attrs["rx_pkts"] == frozen_rx  # last known, not fresh
         assert quality.stale and quality.state == DEAD
         assert quality.age_s is not None and quality.age_s > 0
@@ -514,13 +512,12 @@ class TestCrashRestartArc:
             assert mirror.store.resets.get("pnic@m1", 0) == 1
             sim.run(0.2)
             controller.refresh("m1")
-            window = controller.machine_window("m1", "pnic@m1", 0.0, sim.now)
+            window = controller.window("t1", "pnic", 0.0, sim.now)
             assert window.delta("rx_pkts") >= 0
             assert window.delta("rx_bytes") >= 0
 
-            record, quality = controller.get_attr_with_quality(
-                "t1", "pnic", ["rx_pkts"], now=sim.now
-            )
+            record = controller.get_attr("t1", "pnic", ["rx_pkts"])
+            quality = controller.data_quality("m1", now=sim.now)
             assert not quality.stale
             assert quality.resets == 1  # the annotation records the restart
             assert record.attrs["rx_pkts"] < frozen_rx  # rebaselined, not resumed
