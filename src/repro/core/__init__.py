@@ -17,13 +17,11 @@ from repro.core.health import (
     DEAD,
     DEGRADED,
     HEALTHY,
-    AgentHealth,
     DataQuality,
-    HealthPolicy,
+    Liveness,
 )
 
 __all__ = [
-    "AgentHealth",
     "CounterOverheadModel",
     "CounterSet",
     "CounterSnapshot",
@@ -31,6 +29,6 @@ __all__ = [
     "DEGRADED",
     "DataQuality",
     "HEALTHY",
-    "HealthPolicy",
     "IOTimeCounter",
+    "Liveness",
 ]

@@ -34,6 +34,7 @@ from typing import (
 
 from repro import obs
 from repro.core.channels import Channel, ChannelError, ChannelTimeout
+from repro.core.health import DEAD, Liveness
 from repro.core.store import SeriesBlock, TimeSeriesStore
 from repro.simnet.element import Element
 from repro.simnet.engine import PeriodicHandle, Simulator
@@ -46,10 +47,12 @@ DEFAULT_POLL_PERIOD_S = 0.1
 #: pushing faster than the poll sweep just re-checks an empty delta.
 DEFAULT_PUSH_PERIOD_S = 0.1
 
-#: Consecutive failed pushes before the agent asks its resolver (when
-#: it has one) whether shard ownership moved.  Matches the root's
-#: default dead_after: by the time the agent gives up on its zone, the
-#: root has usually failed it over.
+#: Consecutive failed pushes before the push target is DEAD and the
+#: agent asks its resolver (when it has one) whether shard ownership
+#: moved.  This counts pushes, while the root fails a zone over after
+#: two silent heartbeats, so the two need not line up: a consult that
+#: comes before the failover gets the same target back, keeps the
+#: cursor, and the next failed push asks again.
 DEFAULT_REHOME_AFTER = 3
 
 #: Backoff schedule for a failing push target — created lazily because
@@ -139,9 +142,10 @@ class Agent:
         self._push_resolver: Optional[
             Callable[[str], Optional[PushTarget]]
         ] = None
-        self._rehome_after = DEFAULT_REHOME_AFTER
         self._push_backoff_until = 0.0
-        self.push_consecutive_failures = 0
+        #: The push target's liveness, counted in failed pushes; DEAD
+        #: after ``rehome_after`` of them triggers the re-homing consult.
+        self.push_health = Liveness(DEFAULT_REHOME_AFTER)
         self.total_push_backoff_skips = 0
         self.total_rehomes = 0
 
@@ -383,10 +387,9 @@ class Agent:
             raise RuntimeError(f"agent {self.name!r} is already pushing")
         self._push_target = zone
         self._push_resolver = resolver
-        self._rehome_after = rehome_after
         self._push_retry = retry if retry is not None else _default_push_retry()
         self._push_backoff_until = 0.0
-        self.push_consecutive_failures = 0
+        self.push_health = Liveness(rehome_after)
         self.push_period_s = period_s
         self.push_once()
         # Late-bound like the poll tick (see start_polling).
@@ -400,7 +403,6 @@ class Agent:
         self._push_target = None
         self._push_resolver = None
         self._push_backoff_until = 0.0
-        self.push_consecutive_failures = 0
         self.push_period_s = None
 
     @property
@@ -446,25 +448,20 @@ class Agent:
             except (ConnectionError, OSError) as exc:
                 sp.set("error", repr(exc))
                 self.total_push_errors += 1
-                self.push_consecutive_failures += 1
-                obs.gauge(
-                    PUSH_FAILURES_METRIC,
-                    float(self.push_consecutive_failures),
-                    agent=self.name,
-                )
+                health = self.push_health
+                health.record_failure(exc)
+                failures = health.consecutive_failures
+                obs.gauge(PUSH_FAILURES_METRIC, float(failures), agent=self.name)
                 retry = self._push_retry or _default_push_retry()
                 self._push_backoff_until = self.sim.now + retry.backoff_s(
-                    self.push_consecutive_failures - 1, self.sim.rng
+                    failures - 1, self.sim.rng
                 )
-                if (
-                    self._push_resolver is not None
-                    and self.push_consecutive_failures >= self._rehome_after
-                ):
+                if self._push_resolver is not None and health.state == DEAD:
                     self._rehome()
                 return 0
         self._push_acked = cursor
-        if self.push_consecutive_failures:
-            self.push_consecutive_failures = 0
+        if self.push_health.consecutive_failures:
+            self.push_health.record_success()
             obs.gauge(PUSH_FAILURES_METRIC, 0.0, agent=self.name)
         self._push_backoff_until = 0.0
         self.total_pushes += 1
@@ -494,7 +491,7 @@ class Agent:
             return
         self._push_target = target
         self._push_acked = {}
-        self.push_consecutive_failures = 0
+        self.push_health = Liveness(self.push_health.dead_after)
         self._push_backoff_until = 0.0
         self.total_rehomes += 1
         obs.gauge(PUSH_FAILURES_METRIC, 0.0, agent=self.name)

@@ -19,8 +19,8 @@ collection method, ``collect_blocks``, yields the changed rows as
 columnar ``SeriesBlock``s that a mirror applies without building a dict.
 
 The collection plane is failure-tolerant: a sync that cannot reach its
-agent feeds the mirror's :class:`~repro.core.health.AgentHealth` state
-machine instead of raising, and the controller keeps answering queries
+agent feeds the mirror's :class:`~repro.core.health.Liveness` record
+instead of raising, and the controller keeps answering queries
 from the (now aging) mirror.  Callers that care can ask for the
 machine's :class:`~repro.core.health.DataQuality` annotation to learn
 how trustworthy an answer is.
@@ -87,10 +87,8 @@ from repro.core.health import (
     HEALTHY,
     ZONE_LIVENESS_METRIC,
     ZONE_STATE_VALUES,
-    AgentHealth,
     DataQuality,
-    HealthPolicy,
-    ZoneHealth,
+    Liveness,
     ZoneHealthPolicy,
 )
 from repro.core.net.client import AgentUnreachable, PeerRefused
@@ -143,7 +141,6 @@ class AgentMirror:
         self,
         machine: str,
         handle: AgentHandle,
-        health_policy: Optional[HealthPolicy] = None,
         store: Optional[TimeSeriesStore] = None,
     ) -> None:
         self.machine = machine
@@ -156,8 +153,7 @@ class AgentMirror:
         self.syncs = 0
         self.failed_syncs = 0
         self.snapshots_received = 0
-        self.health = AgentHealth(health_policy, name=machine)
-        self.last_error: Optional[BaseException] = None
+        self.health = Liveness.for_agent(machine)
         # Serializes syncs of THIS mirror only: a fan-out worker and a
         # lazy mirror_latest refresh must not interleave their
         # batch/ack-cursor updates.  Different mirrors sync in parallel.
@@ -187,7 +183,6 @@ class AgentMirror:
                 blocks, cursor = self.handle.collect_blocks(self.acked)
             except COLLECTION_ERRORS as exc:
                 self.failed_syncs += 1
-                self.last_error = exc
                 self.health.record_failure(exc)
                 obs.event(
                     "mirror.sync_failed", obs.WARNING,
@@ -324,12 +319,7 @@ class ZoneController:
 
     # -- registration -----------------------------------------------------------------
 
-    def register_agent(
-        self,
-        machine_name: str,
-        agent: AgentHandle,
-        health_policy: Optional[HealthPolicy] = None,
-    ) -> None:
+    def register_agent(self, machine_name: str, agent: AgentHandle) -> None:
         with self._registry_lock:
             if machine_name in self._agents:
                 raise ValueError(f"machine {machine_name!r} already has an agent")
@@ -337,7 +327,6 @@ class ZoneController:
             self._mirrors[machine_name] = AgentMirror(
                 machine_name,
                 agent,
-                health_policy,
                 store=(
                     self.store_factory() if self.store_factory is not None
                     else None
@@ -412,8 +401,8 @@ class ZoneController:
         deterministic; :meth:`refresh_concurrent` is the fan-out.
 
         An unreachable agent does not raise: the failure feeds its
-        health state machine and the machine contributes 0 snapshots.
-        Check :meth:`health_for` / :meth:`data_quality` to observe it.
+        liveness record and the machine contributes 0 snapshots.
+        Check ``mirror_for(m).health`` / :meth:`data_quality` to observe it.
         """
         if machine_name is not None:
             return self.mirror_for(machine_name).sync()
@@ -454,7 +443,7 @@ class ZoneController:
         next poll ships only what the pushes missed.
 
         A push also counts as a successful collection exchange for the
-        agent's health state machine: data arriving proves the path up.
+        agent's liveness record: data arriving proves the path up.
 
         ``trace`` is the pushing agent's serialized
         :class:`~repro.obs.TraceContext`; when present the ingest span
@@ -534,7 +523,7 @@ class ZoneController:
             wall_s=time.perf_counter() - wall0,
             health_state=mirror.health.state,
             consecutive_failures=mirror.health.consecutive_failures,
-            error=None if ok else repr(mirror.last_error),
+            error=None if ok else repr(mirror.health.last_error),
         )
 
     def _fan_out(
@@ -833,10 +822,6 @@ class ZoneController:
 
     # -- health and data quality ---------------------------------------------------------
 
-    def health_for(self, machine_name: str) -> AgentHealth:
-        """The health state machine tracking one agent's collection path."""
-        return self.mirror_for(machine_name).health
-
     def data_quality(
         self, machine_name: str, now: Optional[float] = None
     ) -> DataQuality:
@@ -1019,6 +1004,8 @@ class ZoneRecord:
     """The root tier's entire knowledge of one zone — scalars only."""
 
     zone: str
+    #: Report-age liveness record (HEALTHY/SUSPECT/DEAD).
+    health: Liveness
     #: Last accepted report sequence (replays at or below are dropped).
     last_seq: int = 0
     #: Latest accepted roll-up, or None before the first report.
@@ -1026,8 +1013,6 @@ class ZoneRecord:
     reports_accepted: int = 0
     reports_dropped: int = 0
     subscribed: bool = False
-    #: Report-age liveness state machine (HEALTHY/SUSPECT/DEAD).
-    health: ZoneHealth = field(default_factory=ZoneHealth)
     #: False while the zone is failed over (off the ring, record kept).
     active: bool = True
 
@@ -1051,11 +1036,6 @@ class ZoneCheck:
     failed_over: Tuple[str, ...] = ()
     #: Zones this sweep put back on the ring (proof-of-life returned).
     recovered: Tuple[str, ...] = ()
-
-    @property
-    def changed(self) -> bool:
-        """True when shard ownership changed and moves need applying."""
-        return bool(self.failed_over or self.recovered)
 
     def describe(self) -> str:
         bits = [
@@ -1084,14 +1064,14 @@ class FleetController:
     elements × history).
 
     The root is also the failure detector for its zones: every accepted
-    report feeds the zone's :class:`~repro.core.health.ZoneHealth`
+    report feeds the zone's :class:`~repro.core.health.Liveness`
     clock, and a :meth:`check_zones` sweep (run on the heartbeat
     cadence) decays silent zones through SUSPECT to DEAD, evicts dead
     zones from the ring (their shard re-homes to survivors via one
     batched :func:`~repro.core.sharding.moved_keys` diff), and re-admits
     zones whose reports resume.  Liveness transitions happen *only* in
-    ``record_report`` and ``check_zones`` — never as a side effect of a
-    read — so simulations and tests stay deterministic.  ``clock`` is
+    :meth:`ingest_zone_report` and :meth:`check_zones` — never as a side
+    effect of a read — so simulations and tests stay deterministic.  ``clock`` is
     injectable for exactly that reason; deployments default to
     ``time.monotonic``.
     """
@@ -1150,7 +1130,8 @@ class FleetController:
             if zone in self._zones:
                 raise ValueError(f"zone {zone!r} already registered")
             record = ZoneRecord(
-                zone=zone, health=ZoneHealth(self.zone_policy, name=zone)
+                zone=zone,
+                health=Liveness.for_zone(zone, self.zone_policy.heartbeat_s),
             )
             # Arm the liveness deadline now: a zone that registers and
             # never pushes a single report must still decay to DEAD.
@@ -1172,10 +1153,9 @@ class FleetController:
         """Drop a zone permanently; returns the shard moves it causes.
 
         This is decommissioning — the record is forgotten.  For a zone
-        that merely died and may come back, the failover plane uses
-        :meth:`deactivate_zone` / :meth:`reactivate_zone` instead, which
-        keep the record (and its replay-dedup seq floor) across the
-        outage.  ``discard_node`` tolerates the zone already being off
+        that merely died and may come back, :meth:`check_zones` fails
+        it over instead, keeping the record (and its replay-dedup seq
+        floor) across the outage.  ``discard_node`` tolerates the zone already being off
         the ring because a failover beat the operator to it.
         """
         before = self._assignment()
@@ -1192,76 +1172,6 @@ class FleetController:
         return moves
 
     # -- failover and recovery (the self-healing plane) ---------------------------
-
-    def deactivate_zone(
-        self, zone: str, reason: str = "dead"
-    ) -> Dict[str, Tuple[Optional[str], Optional[str]]]:
-        """Evict a zone from the ring but keep its record; returns moves.
-
-        The failover half: the zone's shard re-homes to survivors (the
-        moves map is exactly the dead shard — consistent hashing leaves
-        every other machine where it was), while the record — and with
-        it the report seq floor — survives, so a recovered zone's
-        replayed reports still dedup correctly.  Idempotent for a zone
-        already inactive.
-        """
-        record = self.zone_record(zone)
-        before = self._assignment()
-        if not self._evict(record, reason):
-            return {}
-        return moved_keys(before, self._assignment())
-
-    def reactivate_zone(
-        self, zone: str
-    ) -> Dict[str, Tuple[Optional[str], Optional[str]]]:
-        """Re-admit a recovered zone to the ring; returns the moves.
-
-        Consistent hashing puts exactly the machines the zone owned
-        before its death back onto it (same ring points), so recovery
-        undoes the failover moves and nothing else.  Idempotent for a
-        zone already active.
-        """
-        record = self.zone_record(zone)
-        before = self._assignment()
-        if not self._readmit(record, self._clock()):
-            return {}
-        return moved_keys(before, self._assignment())
-
-    def _evict(self, record: ZoneRecord, reason: str) -> bool:
-        """Take an active zone off the ring; False if it already was off.
-
-        ``record.active`` is checked and cleared in one lock hold, so a
-        :meth:`check_zones` sweep racing :meth:`deactivate_zone` fails
-        the zone over exactly once.
-        """
-        with self._lock:
-            if not record.active:
-                return False
-            record.active = False
-            self.failovers += 1
-        self.ring.discard_node(record.zone)
-        obs.counter(FAILOVERS_METRIC, zone=record.zone)
-        obs.event(
-            "fleet.zone_failed_over", obs.ERROR, zone=record.zone, reason=reason
-        )
-        return True
-
-    def _readmit(self, record: ZoneRecord, now: float) -> bool:
-        """Put an inactive zone back on the ring; False if it already was.
-
-        The mirror of :meth:`_evict`: one lock hold checks and sets
-        ``record.active`` and re-arms the liveness deadline, so a
-        recovery is counted once however many sweeps race it.
-        """
-        with self._lock:
-            if record.active:
-                return False
-            record.active = True
-            record.health.arm(now)
-            self.recoveries += 1
-        self.ring.add_node(record.zone)
-        obs.event("fleet.zone_recovered", obs.INFO, zone=record.zone)
-        return True
 
     def check_zones(self, now: Optional[float] = None) -> ZoneCheck:
         """One liveness sweep: decay silent zones, fail over, recover.
@@ -1280,14 +1190,34 @@ class FleetController:
         recovered: List[str] = []
         states: Dict[str, str] = {}
         for record in records:
-            if record.active:
-                state = record.health.evaluate(now)
-                if state == DEAD and self._evict(record, "heartbeat"):
-                    failed_over.append(record.zone)
-            else:
-                state = record.health.state
-                if state == HEALTHY and self._readmit(record, now):
-                    recovered.append(record.zone)
+            state = (
+                record.health.evaluate(now) if record.active
+                else record.health.state
+            )
+            # One lock hold checks and flips ``active``, so racing
+            # sweeps fail a zone over, or re-admit it, exactly once.
+            with self._lock:
+                evict = record.active and state == DEAD
+                readmit = not record.active and state == HEALTHY
+                if evict:
+                    record.active = False
+                    self.failovers += 1
+                elif readmit:
+                    record.active = True
+                    record.health.arm(now)
+                    self.recoveries += 1
+            if evict:
+                self.ring.discard_node(record.zone)
+                obs.counter(FAILOVERS_METRIC, zone=record.zone)
+                obs.event(
+                    "fleet.zone_failed_over", obs.ERROR,
+                    zone=record.zone, reason="heartbeat",
+                )
+                failed_over.append(record.zone)
+            elif readmit:
+                self.ring.add_node(record.zone)
+                obs.event("fleet.zone_recovered", obs.INFO, zone=record.zone)
+                recovered.append(record.zone)
             states[record.zone] = state
             # Steady-state export (not just on transition): a freshly
             # scraped root always shows every zone's current liveness.
@@ -1369,7 +1299,7 @@ class FleetController:
             record.last_seq = report.seq
             record.latest = report
             record.reports_accepted += 1
-        record.health.record_report(now)
+        record.health.record_success(now)
         return True
 
     def zone_record(self, zone: str) -> ZoneRecord:

@@ -1,43 +1,40 @@
-"""Agent health tracking for the collection plane.
+"""Peer liveness for the collection and control planes.
 
-PerfSight's controller depends on a fleet of per-server agents reached
-over a management network; both the agents and the network can fail
-while the dataplane being diagnosed keeps running.  A diagnosis system
-that dies with its own measurement path is useless exactly when it is
-needed most, so the controller tracks a small per-agent health state
-machine and keeps answering queries from its mirror stores — with an
-explicit data-quality annotation — while an agent is unreachable.
+PerfSight's controller reaches its per-server agents over a management
+network (Sections 4.2-4.3), and agents, zones and that network can all
+fail while the dataplane being diagnosed keeps running.  A diagnosis
+system that dies with its own measurement path is useless exactly when
+it is needed most, so each tier keeps one :class:`Liveness` record per
+peer it depends on, and keeps answering from what it last saw — with
+an explicit data-quality annotation — while a peer is down.
 
-States::
+One rule, for every peer::
 
-    HEALTHY --(degraded_after consecutive failed syncs)--> DEGRADED
-    DEGRADED --(dead_after consecutive failed syncs)-----> DEAD
-    DEGRADED/DEAD --(recover_after consecutive successes)-> HEALTHY
+    HEALTHY --(one missed unit)----------> DEGRADED / SUSPECT
+    any     --(dead_after missed units)--> DEAD
+    any     --(proof of life)------------> HEALTHY
 
-Thresholds are counted in *consecutive* collection attempts, not wall
-time, so the machine behaves identically under simulated and real
-clocks and under any refresh cadence.
+Missed units only move a record down; only proof of life (a successful
+exchange, an accepted report) moves it back up.  The unit depends on
+who calls whom:
 
-The hierarchy's root tier tracks the same idea one level up, but in
-*time* rather than attempts: a zone is expected to push a report every
-heartbeat period, and the root judges liveness by how far the last
-accepted report lags the deadline (:class:`ZoneHealth`)::
-
-    HEALTHY --(no report for suspect_after heartbeats)--> SUSPECT
-    SUSPECT --(no report for dead_after heartbeats)-----> DEAD
-    any state --(a report arrives)----------------------> HEALTHY
-
-Attempt counting would not work at the root: the root does not call
-zones, zones call the root, so "consecutive failures" has no observer
-there — absence of evidence is the only signal, and absence is
-measured in heartbeats.
+* A peer this side *calls* is counted: a zone's mirror of an agent
+  (DEAD after 3) and an agent's push target (DEAD after its
+  ``rehome_after``).  A unit is one failed exchange, and the middle
+  state is DEGRADED.  Counting attempts, not time, keeps the record
+  identical under simulated and real clocks and any refresh cadence.
+* A peer that *calls this side* is age-judged: the root's view of a
+  zone (DEAD after 2).  The root never calls a zone, so a failed
+  exchange has no observer there; silence is the only signal, and a
+  unit is one heartbeat of it since the last report.  The middle state
+  is SUSPECT.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro import obs
 
@@ -53,8 +50,6 @@ HEALTH_STATES = (HEALTHY, DEGRADED, DEAD)
 #: shape (cheap suspicion first, expensive recovery only on confirmed
 #: death) applied to the control plane itself.
 SUSPECT = "suspect"
-
-ZONE_STATES = (HEALTHY, SUSPECT, DEAD)
 
 _STATE_RANK = {state: rank for rank, state in enumerate(HEALTH_STATES)}
 
@@ -95,118 +90,157 @@ def worst_state(states: Iterable[str]) -> str:
             worst, worst_rank = state, rank
     return worst
 
-#: Self-observability: every state-machine edge is kept in
-#: ``transitions`` and emitted as a structured event (severity scales
-#: with how bad the new state is).
-_TRANSITION_SEVERITY = {HEALTHY: obs.INFO, DEGRADED: obs.WARNING, DEAD: obs.ERROR}
+
+#: Missed units before DEAD: failed syncs for an agent mirror,
+#: heartbeats of silence for a zone.  An agent's push target goes DEAD
+#: after the agent's ``rehome_after``.
+AGENT_DEAD_AFTER = 3
+ZONE_DEAD_AFTER = 2
+
+#: Self-observability name for the zone records (their gauge and
+#: ``zone_health.transition`` events).
+ZONE_LIVENESS_METRIC = "perfsight_fleet_zone_liveness_state"
+
+#: Numeric encoding of zone liveness for the labelled root gauge —
+#: dashboards alert on ``> 0`` without parsing state strings.
+ZONE_STATE_VALUES = {HEALTHY: 0.0, SUSPECT: 1.0, DEAD: 2.0}
+
+#: Event severity scales with how bad the new state is.
+_SEVERITY = {
+    HEALTHY: obs.INFO, DEGRADED: obs.WARNING, SUSPECT: obs.WARNING, DEAD: obs.ERROR,
+}
 
 
-@dataclass(frozen=True)
-class HealthPolicy:
-    """Thresholds of the per-agent health state machine.
+class Liveness:
+    """One peer's liveness record: the module's rule under one lock.
 
-    ``degraded_after`` consecutive failed syncs move a HEALTHY agent to
-    DEGRADED; ``dead_after`` consecutive failures to DEAD; and
-    ``recover_after`` consecutive successful syncs bring any non-HEALTHY
-    agent back to HEALTHY.
+    With ``heartbeat_s`` the record is age-judged (:meth:`evaluate`
+    counts heartbeats of silence since the last proof of life); without
+    it the record is counted and :meth:`evaluate` leaves it alone.
+    Every edge is kept in ``transitions`` and handed to
+    ``on_transition(record, from_state, to_state)`` under the lock.
     """
 
-    degraded_after: int = 1
-    dead_after: int = 3
-    recover_after: int = 1
-
-    def __post_init__(self) -> None:
-        if self.degraded_after < 1:
-            raise ValueError(f"degraded_after must be >= 1: {self.degraded_after!r}")
-        if self.dead_after < self.degraded_after:
-            raise ValueError(
-                f"dead_after ({self.dead_after!r}) must be >= degraded_after "
-                f"({self.degraded_after!r})"
-            )
-        if self.recover_after < 1:
-            raise ValueError(f"recover_after must be >= 1: {self.recover_after!r}")
-
-
-class AgentHealth:
-    """Tracks one agent's collection-path health at the controller."""
-
     def __init__(
-        self, policy: Optional[HealthPolicy] = None, name: str = ""
+        self,
+        dead_after: int,
+        heartbeat_s: Optional[float] = None,
+        name: str = "",
+        on_transition: Optional[Callable[["Liveness", str, str], None]] = None,
     ) -> None:
-        self.policy = policy if policy is not None else HealthPolicy()
-        #: The tracked agent/machine, for events (optional but useful).
+        self.dead_after = dead_after
+        self.heartbeat_s = heartbeat_s
         self.name = name
-        # Concurrent refresh workers may record outcomes for the same
-        # agent (a retried sync racing a health probe); the state machine
-        # itself stays consistent under that.
+        self._on_transition = on_transition
+        self._middle = DEGRADED if heartbeat_s is None else SUSPECT
+        # Concurrent workers record outcomes for one peer (a fan-out
+        # sync racing a push, a report racing a sweep).
         self._lock = threading.Lock()
         self.state = HEALTHY
         self.consecutive_failures = 0
-        self.consecutive_successes = 0
         self.total_failures = 0
-        self.total_successes = 0
         self.last_error: Optional[BaseException] = None
+        #: Time of the last proof of life, or of :meth:`arm` if later.
+        self.last_success_ts: Optional[float] = None
         #: Every (from_state, to_state) edge taken, in order.
         self.transitions: List[Tuple[str, str]] = []
 
-    # -- event ingestion ---------------------------------------------------------
+    @classmethod
+    def for_agent(cls, name: str) -> "Liveness":
+        """A zone's record of one agent, emitting ``health.transition``."""
+        return cls(AGENT_DEAD_AFTER, name=name, on_transition=_agent_edge)
 
-    def record_success(self) -> str:
-        """One successful collection exchange; returns the new state."""
+    @classmethod
+    def for_zone(cls, name: str, heartbeat_s: float) -> "Liveness":
+        """The root's record of one zone, emitting ``zone_health.transition``."""
+        return cls(ZONE_DEAD_AFTER, heartbeat_s, name, _zone_edge)
+
+    def record_success(self, now: Optional[float] = None) -> str:
+        """Proof of life (at ``now``, for an age-judged record); returns the state."""
         with self._lock:
-            self.total_successes += 1
+            if now is not None:
+                self.last_success_ts = now
             self.consecutive_failures = 0
-            self.consecutive_successes += 1
-            if (
-                self.state != HEALTHY
-                and self.consecutive_successes >= self.policy.recover_after
-            ):
+            if self.state != HEALTHY:
                 self._transition(HEALTHY)
             return self.state
 
     def record_failure(self, error: Optional[BaseException] = None) -> str:
-        """One failed collection exchange; returns the new state."""
+        """One failed exchange, one missed unit; returns the state."""
         with self._lock:
             self.total_failures += 1
-            self.consecutive_successes = 0
             self.consecutive_failures += 1
             if error is not None:
                 self.last_error = error
-            if self.consecutive_failures >= self.policy.dead_after:
-                if self.state != DEAD:
-                    self._transition(DEAD)
-            elif self.consecutive_failures >= self.policy.degraded_after:
-                if self.state == HEALTHY:
-                    self._transition(DEGRADED)
+            self._decay(self.consecutive_failures)
             return self.state
+
+    def evaluate(self, now: float) -> str:
+        """Judge the silence since the last proof of life; returns the state.
+
+        A record never armed (and a counted one) has no clock to judge.
+        """
+        with self._lock:
+            if self.heartbeat_s is not None and self.last_success_ts is not None:
+                age_s = max(0.0, now - self.last_success_ts)
+                if age_s >= self.dead_after * self.heartbeat_s:
+                    self._decay(self.dead_after)
+                elif age_s >= self.heartbeat_s:
+                    self._decay(1)
+            return self.state
+
+    def arm(self, now: float) -> None:
+        """Start the silence clock at ``now`` without counting proof of life.
+
+        Called when the root starts expecting heartbeats (registration,
+        re-admission), so a zone that never reports still goes DEAD.
+        The clock never moves back.
+        """
+        with self._lock:
+            if self.last_success_ts is None or now > self.last_success_ts:
+                self.last_success_ts = now
+
+    def age_s(self, now: float) -> Optional[float]:
+        """How far the last proof of life lags ``now`` (None before any)."""
+        with self._lock:
+            if self.last_success_ts is None:
+                return None
+            return max(0.0, now - self.last_success_ts)
+
+    def _decay(self, missed: int) -> None:
+        if missed >= self.dead_after:
+            if self.state != DEAD:
+                self._transition(DEAD)
+        elif self.state == HEALTHY:
+            self._transition(self._middle)
 
     def _transition(self, new_state: str) -> None:
         self.transitions.append((self.state, new_state))
-        obs.event(
-            "health.transition",
-            _TRANSITION_SEVERITY[new_state],
-            agent=self.name,
-            from_state=self.state,
-            to_state=new_state,
-            consecutive_failures=self.consecutive_failures,
-        )
+        if self._on_transition is not None:
+            self._on_transition(self, self.state, new_state)
         self.state = new_state
 
-    # -- views -------------------------------------------------------------------
 
-    @property
-    def healthy(self) -> bool:
-        return self.state == HEALTHY
+def _agent_edge(record: Liveness, from_state: str, to_state: str) -> None:
+    obs.event(
+        "health.transition",
+        _SEVERITY[to_state],
+        agent=record.name,
+        from_state=from_state,
+        to_state=to_state,
+        consecutive_failures=record.consecutive_failures,
+    )
 
-    def state_sequence(self) -> List[str]:
-        """The states visited so far, starting from HEALTHY."""
-        return [HEALTHY] + [to for _, to in self.transitions]
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"AgentHealth(state={self.state!r}, "
-            f"fails={self.consecutive_failures}, oks={self.consecutive_successes})"
-        )
+def _zone_edge(record: Liveness, from_state: str, to_state: str) -> None:
+    obs.gauge(ZONE_LIVENESS_METRIC, ZONE_STATE_VALUES[to_state], zone=record.name)
+    obs.event(
+        "zone_health.transition",
+        _SEVERITY[to_state],
+        zone=record.name,
+        from_state=from_state,
+        to_state=to_state,
+    )
 
 
 @dataclass(frozen=True)
@@ -244,151 +278,18 @@ class DataQuality:
         )
 
 
-# -- zone liveness (the root tier's view of its aggregators) ------------------
-
-#: Self-observability name for the zone state machine (its edges are
-#: kept in ``transitions``).
-ZONE_LIVENESS_METRIC = "perfsight_fleet_zone_liveness_state"
-
-#: Numeric encoding of zone liveness for the labelled root gauge —
-#: dashboards alert on ``> 0`` without parsing state strings.
-ZONE_STATE_VALUES = {HEALTHY: 0.0, SUSPECT: 1.0, DEAD: 2.0}
-
-_ZONE_SEVERITY = {HEALTHY: obs.INFO, SUSPECT: obs.WARNING, DEAD: obs.ERROR}
-
-_ZONE_RANK = {state: rank for rank, state in enumerate(ZONE_STATES)}
-
-
 @dataclass(frozen=True)
 class ZoneHealthPolicy:
-    """Deadlines of the per-zone liveness state machine at the root.
+    """The heartbeat the root expects from every zone.
 
-    A live zone pushes a report at least every ``heartbeat_s``.  A zone
-    whose last report is older than ``suspect_after`` heartbeats is
-    SUSPECT; older than ``dead_after`` heartbeats, DEAD.  The defaults
-    (1 and 2 heartbeats) give the acceptance bound the failover plane
-    is built around: a killed zone is detected within two heartbeat
-    periods.
+    A live zone pushes a report at least every ``heartbeat_s``; a zone
+    silent for one heartbeat is SUSPECT and for two is DEAD, which is
+    the acceptance bound the failover plane is built around: a killed
+    zone is detected within two heartbeat periods.
     """
 
     heartbeat_s: float = 1.0
-    suspect_after: float = 1.0
-    dead_after: float = 2.0
 
     def __post_init__(self) -> None:
         if self.heartbeat_s <= 0:
             raise ValueError(f"heartbeat_s must be positive: {self.heartbeat_s!r}")
-        if self.suspect_after <= 0:
-            raise ValueError(
-                f"suspect_after must be positive: {self.suspect_after!r}"
-            )
-        if self.dead_after < self.suspect_after:
-            raise ValueError(
-                f"dead_after ({self.dead_after!r}) must be >= suspect_after "
-                f"({self.suspect_after!r})"
-            )
-
-    def state_for_age(self, age_s: float) -> str:
-        """The liveness state implied by a report age (pure function)."""
-        if age_s >= self.dead_after * self.heartbeat_s:
-            return DEAD
-        if age_s >= self.suspect_after * self.heartbeat_s:
-            return SUSPECT
-        return HEALTHY
-
-
-class ZoneHealth:
-    """Tracks one zone's liveness at the fleet root, by report age.
-
-    Unlike :class:`AgentHealth` (attempt-counted, because the
-    controller actively calls its agents), the root only *receives*:
-    a zone that died simply stops pushing, so liveness is judged by
-    comparing the last accepted report's arrival time against the
-    heartbeat deadline.  ``record_report`` is the proof-of-life edge —
-    any accepted report snaps the zone back to HEALTHY from any state;
-    ``evaluate`` drives the age-based decay.
-    """
-
-    def __init__(
-        self, policy: Optional[ZoneHealthPolicy] = None, name: str = ""
-    ) -> None:
-        self.policy = policy if policy is not None else ZoneHealthPolicy()
-        self.name = name
-        self._lock = threading.Lock()
-        self.state = HEALTHY
-        #: Arrival time of the last accepted report (None before any).
-        self.last_report_ts: Optional[float] = None
-        self.reports_seen = 0
-        #: Every (from_state, to_state) edge taken, in order.
-        self.transitions: List[Tuple[str, str]] = []
-
-    def record_report(self, now: float) -> str:
-        """An accepted report arrived at ``now``; returns the new state."""
-        with self._lock:
-            self.last_report_ts = now
-            self.reports_seen += 1
-            if self.state != HEALTHY:
-                self._transition(HEALTHY)
-            return self.state
-
-    def evaluate(self, now: float) -> str:
-        """Re-judge liveness against the deadline; returns the state.
-
-        A zone that has never reported ages from its registration — the
-        caller seeds ``last_report_ts`` via :meth:`arm` so a zone that
-        registers and immediately dies is still detected.
-        """
-        with self._lock:
-            if self.last_report_ts is None:
-                return self.state
-            implied = self.policy.state_for_age(max(0.0, now - self.last_report_ts))
-            if implied != self.state:
-                # Only decay here: recovery edges come exclusively from
-                # record_report (evidence), never from re-evaluation.
-                if _ZONE_RANK[implied] > _ZONE_RANK[self.state]:
-                    self._transition(implied)
-            return self.state
-
-    def arm(self, now: float) -> None:
-        """Start the liveness clock without counting a report.
-
-        Called at registration (and reactivation) so the deadline is
-        armed from the moment the root starts expecting heartbeats.
-        """
-        with self._lock:
-            if self.last_report_ts is None or now > self.last_report_ts:
-                self.last_report_ts = now
-
-    def age_s(self, now: float) -> Optional[float]:
-        """How far the last report lags ``now`` (None before any)."""
-        with self._lock:
-            if self.last_report_ts is None:
-                return None
-            return max(0.0, now - self.last_report_ts)
-
-    def _transition(self, new_state: str) -> None:
-        self.transitions.append((self.state, new_state))
-        obs.gauge(ZONE_LIVENESS_METRIC, ZONE_STATE_VALUES[new_state], zone=self.name)
-        obs.event(
-            "zone_health.transition",
-            _ZONE_SEVERITY[new_state],
-            zone=self.name,
-            from_state=self.state,
-            to_state=new_state,
-        )
-        self.state = new_state
-
-    @property
-    def healthy(self) -> bool:
-        return self.state == HEALTHY
-
-    @property
-    def dead(self) -> bool:
-        return self.state == DEAD
-
-    def state_sequence(self) -> List[str]:
-        """The states visited so far, starting from HEALTHY."""
-        return [HEALTHY] + [to for _, to in self.transitions]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ZoneHealth(zone={self.name!r}, state={self.state!r})"

@@ -45,8 +45,9 @@ holding the caller's serialized trace context
 (:class:`~repro.obs.spans.TraceContext`), so a controller-side span and
 the agent-side handler span link into one trace across the wire.  The
 field is pure telemetry: absent, malformed or garbled contexts never
-affect request handling (:func:`extract_trace` degrades to None).
-Binary request frames carry the same context in their trace slot.
+affect request handling (:meth:`TraceContext.from_wire`, behind the
+server's ``obs.span_from_wire``, degrades to None).  Binary request frames carry
+the same context in their trace slot.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from __future__ import annotations
 import json
 import socket
 import struct
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, Optional
 
 from repro.obs.spans import TraceContext
 
@@ -107,11 +108,6 @@ def inject_trace(
     if ctx is not None:
         request[TRACE_FIELD] = ctx.to_wire()
     return request
-
-
-def extract_trace(payload: Mapping[str, Any]) -> Optional[TraceContext]:
-    """The peer's trace context, or None when absent or malformed."""
-    return TraceContext.from_wire(payload.get(TRACE_FIELD))
 
 
 class ProtocolError(Exception):

@@ -9,6 +9,9 @@ rows, agents re-home themselves off a dead push target via the root's
 ZONE_FOR consult.
 """
 
+import sys
+import threading
+
 import pytest
 
 from repro import obs
@@ -23,7 +26,7 @@ from repro.core.health import (
     DEAD,
     HEALTHY,
     SUSPECT,
-    ZoneHealth,
+    Liveness,
     ZoneHealthPolicy,
 )
 from repro.core.net.client import AgentUnreachable, RetryPolicy, ZoneClient
@@ -69,59 +72,71 @@ def sample_report(zone, seq, machines=()):
 
 class TestZoneHealthPolicy:
     def test_defaults(self):
-        p = ZoneHealthPolicy()
-        assert (p.heartbeat_s, p.suspect_after, p.dead_after) == (1.0, 1.0, 2.0)
+        assert ZoneHealthPolicy().heartbeat_s == 1.0
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"heartbeat_s": 0.0},
             {"heartbeat_s": -1.0},
-            {"suspect_after": 0.0},
-            {"suspect_after": 3.0, "dead_after": 2.0},
         ],
     )
     def test_bad_thresholds_rejected(self, kwargs):
         with pytest.raises(ValueError):
             ZoneHealthPolicy(**kwargs)
 
-    def test_state_for_age(self):
-        p = ZoneHealthPolicy(heartbeat_s=2.0)  # suspect at 2 s, dead at 4 s
-        assert p.state_for_age(0.0) == HEALTHY
-        assert p.state_for_age(1.9) == HEALTHY
-        assert p.state_for_age(2.0) == SUSPECT
-        assert p.state_for_age(3.9) == SUSPECT
-        assert p.state_for_age(4.0) == DEAD
-
 
 class TestZoneHealth:
+    """The root's record of one zone, judged by heartbeats of silence."""
+
     def test_unarmed_health_never_decays(self):
-        zh = ZoneHealth()
+        zh = Liveness.for_zone("z1", 1.0)
         assert zh.evaluate(1e9) == HEALTHY  # no report, no clock: no-op
 
+    def test_age_boundaries(self):
+        zh = Liveness.for_zone("z1", 2.0)  # suspect at 2 s, dead at 4 s
+        zh.arm(0.0)
+        assert zh.evaluate(0.0) == HEALTHY
+        assert zh.evaluate(1.9) == HEALTHY
+        assert zh.evaluate(2.0) == SUSPECT
+        assert zh.evaluate(3.9) == SUSPECT
+        assert zh.evaluate(4.0) == DEAD
+
     def test_decay_arc_and_snap_back(self):
-        zh = ZoneHealth(ZoneHealthPolicy(heartbeat_s=1.0))
+        zh = Liveness.for_zone("z1", 1.0)
         zh.arm(0.0)
         assert zh.evaluate(0.5) == HEALTHY
         assert zh.evaluate(1.0) == SUSPECT
         assert zh.evaluate(2.0) == DEAD
         assert zh.evaluate(2.5) == DEAD  # no duplicate transition
-        zh.record_report(3.0)  # proof of life beats any decayed state
+        zh.record_success(3.0)  # proof of life beats any decayed state
         assert zh.state == HEALTHY
-        assert zh.state_sequence() == [HEALTHY, SUSPECT, DEAD, HEALTHY]
+        assert zh.transitions == [
+            (HEALTHY, SUSPECT), (SUSPECT, DEAD), (DEAD, HEALTHY)
+        ]
 
     def test_evaluate_only_decays(self):
         # evaluate() may never *improve* the state — only a report can.
-        zh = ZoneHealth(ZoneHealthPolicy(heartbeat_s=1.0))
+        zh = Liveness.for_zone("z1", 1.0)
         zh.arm(0.0)
         assert zh.evaluate(2.0) == DEAD
         assert zh.evaluate(0.1) == DEAD  # younger age does not resurrect
 
     def test_arm_only_moves_clock_forward(self):
-        zh = ZoneHealth(ZoneHealthPolicy(heartbeat_s=1.0))
-        zh.record_report(5.0)
+        zh = Liveness.for_zone("z1", 1.0)
+        zh.record_success(5.0)
         zh.arm(1.0)  # stale arm cannot rewind the liveness clock
         assert zh.age_s(5.5) == 0.5
+
+
+def fail_over_z1(fleet, clock):
+    """Every zone reports once, then two heartbeats pass with z1 silent."""
+    for z in fleet.zones():
+        fleet.ingest_zone_report(sample_report(z, 1))
+    clock[0] += 2.0
+    for z in fleet.zones():
+        if z != "z1":
+            fleet.ingest_zone_report(sample_report(z, 2))
 
 
 def make_fleet(clock, zone_names=("z1", "z2", "z3"), heartbeat_s=1.0):
@@ -204,20 +219,26 @@ class TestFleetLiveness:
         clock = [0.0]
         fleet = make_fleet(clock)
         fleet.track_machines(["m00", "m01"])
-        moves = fleet.deactivate_zone("z1")
-        assert fleet.deactivate_zone("z1") == {}
+        fail_over_z1(fleet, clock)
+        check = fleet.check_zones()
+        assert check.failed_over == ("z1",)
+        again = fleet.check_zones()
+        assert again.failed_over == () and again.moves == {}
         assert fleet.failovers == 1
-        assert all(old == "z1" for old, _new in moves.values())
+        assert all(old == "z1" for old, _new in check.moves.values())
 
     def test_reactivate_racing_a_sweep_recovers_once(self):
-        """A sweep landing inside ``reactivate_zone`` re-admits the zone
-        itself; the explicit call must then see it active and stand
-        down, not count a second recovery."""
+        """A second sweep landing inside a first one re-admits the zone
+        itself; the first must then see it active and stand down, not
+        count a second recovery."""
         clock = [0.0]
         fleet = make_fleet(clock)
         fleet.track_machines([f"m{i:02d}" for i in range(9)])
-        fleet.deactivate_zone("z1")
+        fail_over_z1(fleet, clock)
+        fleet.check_zones()
+        assert fleet.ingest_zone_report(sample_report("z1", 2))
         assert fleet.zone_record("z1").health.state == HEALTHY
+        assert not fleet.zone_record("z1").active
         assignment = fleet._assignment
         raced = []
 
@@ -229,12 +250,39 @@ class TestFleetLiveness:
 
         fleet._assignment = racing_assignment
         with obs.installed() as hub:
-            fleet.reactivate_zone("z1")
+            fleet.check_zones(clock[0])
         assert raced
         assert fleet.recoveries == 1
         assert len(hub.events.events(name="fleet.zone_recovered")) == 1
         assert "z1" in fleet.ring
         assert fleet.zone_record("z1").active
+
+    def test_concurrent_sweeps_recover_once(self):
+        clock = [0.0]
+        fleet = make_fleet(clock)
+        fleet.track_machines([f"m{i:02d}" for i in range(9)])
+        fail_over_z1(fleet, clock)
+        fleet.check_zones()
+        fleet.ingest_zone_report(sample_report("z1", 2))
+        start = threading.Barrier(4, timeout=10)
+
+        def sweep():
+            start.wait()
+            fleet.check_zones(clock[0])
+
+        threads = [threading.Thread(target=sweep) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert (fleet.failovers, fleet.recoveries) == (1, 1)
+        assert "z1" in fleet.ring
 
     def test_replayed_report_is_not_proof_of_life(self):
         clock = [0.0]
@@ -347,7 +395,7 @@ class TestFailoverEqualsFlat:
 
         flat, check, rollup = self.run_round(h, fleet, zones, reporting)
         assert rollup.verdicts == flat.verdicts  # healthy baseline
-        assert not check.changed
+        assert not (check.failed_over or check.recovered)
 
         victim = max(shards, key=lambda z: len(shards[z]))
         t_kill = h.sim.now
@@ -473,7 +521,7 @@ class TestAgentRehoming:
             retry=RetryPolicy(max_attempts=1, base_delay_s=10.0,
                               max_delay_s=10.0, deadline_s=60.0),
         )
-        assert agent.push_consecutive_failures == 1
+        assert agent.push_health.consecutive_failures == 1
         calls_after_failure = dead.calls
         h.advance(0.5)  # every tick falls inside the 10 s backoff window
         assert dead.calls == calls_after_failure
@@ -664,7 +712,10 @@ class TestZoneForOverTCP:
             host, port = server.address
             with ZoneClient(host, port, name="consult") as link:
                 assert link.zone_for(machine) == victim
-                fleet.deactivate_zone(victim)
+                clock[0] = 2.0  # two heartbeats, and only the survivor spoke
+                fleet.ingest_zone_report(sample_report(survivor, 1))
+                assert fleet.check_zones().failed_over == (victim,)
                 assert link.zone_for(machine) == survivor
-                fleet.reactivate_zone(victim)
+                fleet.ingest_zone_report(sample_report(victim, 1))
+                assert fleet.check_zones().recovered == (victim,)
                 assert link.zone_for(machine) == victim

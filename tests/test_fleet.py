@@ -16,7 +16,7 @@ import pytest
 
 from repro import obs
 from repro.core.controller import ZoneController
-from repro.core.health import DEAD, DEGRADED, HEALTHY, HealthPolicy
+from repro.core.health import DEAD, DEGRADED, HEALTHY
 from repro.middleboxes.proxy import Proxy
 from repro.scenarios.common import Harness
 
@@ -212,39 +212,24 @@ class TestRefreshReport:
 class TestHealthUnderConcurrency:
     def test_crash_restart_transitions_stay_consistent(self):
         h, controller, handles = build_fleet(3)
-        # Re-register m1 under a strict policy by driving its health
-        # through the default one instead: degraded at 1, dead at 3.
+        # m1's record: degraded after 1 failed sync, dead after 3.
         flaky = handles["m1"]
         flaky.down = True
         for _ in range(3):
             controller.refresh_concurrent()
-        health = controller.health_for("m1")
+        health = controller.mirror_for("m1").health
         assert health.state == DEAD
         flaky.down = False  # "restart" the agent
         controller.refresh_concurrent()
         assert health.state == HEALTHY
         # The exact arc, no duplicated or interleaved edges: the
         # per-mirror lock serialized every sync's health record.
-        assert health.state_sequence() == [HEALTHY, DEGRADED, DEAD, HEALTHY]
+        assert health.transitions == [
+            (HEALTHY, DEGRADED), (DEGRADED, DEAD), (DEAD, HEALTHY)
+        ]
         # Other machines never saw a transition.
-        assert controller.health_for("m0").transitions == []
-        assert controller.health_for("m2").transitions == []
-
-    def test_custom_policy_under_concurrent_refresh(self):
-        h = Harness()
-        controller = ZoneController("fleet-policy")
-        machine = h.add_machine("m0")
-        machine.add_vm("vm0", vcpu_cores=1.0)
-        flaky = FlakyHandle(h.agents["m0"])
-        controller.register_agent(
-            "m0", flaky, health_policy=HealthPolicy(degraded_after=2, dead_after=4)
-        )
-        h.advance(0.2)
-        flaky.down = True
-        controller.refresh_concurrent()
-        assert controller.health_for("m0").state == HEALTHY  # 1 < 2
-        controller.refresh_concurrent()
-        assert controller.health_for("m0").state == DEGRADED
+        assert controller.mirror_for("m0").health.transitions == []
+        assert controller.mirror_for("m2").health.transitions == []
 
 
 class TestDiagnoseFleet:

@@ -21,7 +21,7 @@ from repro.core.agent import Agent
 from repro.core.controller import ZoneController
 from repro.core.diagnosis.contention import ContentionDetector
 from repro.core.diagnosis.report import CONFIDENCE_DEGRADED
-from repro.core.health import DEAD, DEGRADED, HEALTHY, HealthPolicy
+from repro.core.health import DEAD, DEGRADED, HEALTHY
 from repro.core.net.client import AgentUnreachable, RemoteAgentHandle, RetryPolicy
 from repro.core.net.codec import BIN_VERSION, WireSchema, decode_batch_request
 from repro.core.net.protocol import (
@@ -451,11 +451,7 @@ class TestCrashRestartArc:
 
         handle = RemoteAgentHandle(host, port, retry=FAST_RETRY, sleep=no_sleep)
         controller = ZoneController()
-        controller.register_agent(
-            "m1",
-            handle,
-            HealthPolicy(degraded_after=1, dead_after=2, recover_after=1),
-        )
+        controller.register_agent("m1", handle)
         tenant = Tenant("t1")
         tenant.vnet.register_element("pnic", "m1", "pnic@m1")
         controller.register_tenant(tenant)
@@ -471,10 +467,12 @@ class TestCrashRestartArc:
         # -- Phase 2: the agent process dies mid-collection. ----------------
         server.shutdown()
         sim.run(0.2)  # the dataplane keeps running during the outage
+        health = controller.mirror_for("m1").health
         assert controller.refresh("m1") == 0  # failure 1 -> DEGRADED
-        assert controller.health_for("m1").state == DEGRADED
-        assert controller.refresh("m1") == 0  # failure 2 -> DEAD
-        health = controller.health_for("m1")
+        assert health.state == DEGRADED
+        assert controller.refresh("m1") == 0  # failure 2: still DEGRADED
+        assert health.state == DEGRADED
+        assert controller.refresh("m1") == 0  # failure 3 -> DEAD
         assert health.state == DEAD
         assert isinstance(health.last_error, AgentUnreachable)
 
@@ -502,9 +500,10 @@ class TestCrashRestartArc:
         try:
             sim.run(0.2)
             assert controller.refresh("m1") > 0
-            health = controller.health_for("m1")
             assert health.state == HEALTHY
-            assert health.state_sequence() == [HEALTHY, DEGRADED, DEAD, HEALTHY]
+            assert health.transitions == [
+                (HEALTHY, DEGRADED), (DEGRADED, DEAD), (DEAD, HEALTHY)
+            ]
 
             # The mirror observed the counter regression and re-baselined:
             # no window ever spans the restart, so deltas stay >= 0.

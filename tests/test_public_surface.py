@@ -22,12 +22,8 @@ UNCALLED = {
     "agent.Agent.fault_stats": "tests only: the agent's channel-fault counters",
     "concurrency.ConnectionPool.in_use": "tests only: checked-out connection count",
     "concurrency.ConnectionPool.reap_idle": "tests only: explicit idle sweep",
-    "controller.FleetController.deactivate_zone": "tests only: planned zone drain",
-    "controller.FleetController.reactivate_zone": "tests only: planned zone return",
     "controller.RefreshReport.for_machine": "tests only: one machine's refresh row",
-    "controller.ZoneCheck.changed": "tests only: did a liveness check move shards",
     "controller.ZoneController.get_attr": "Figure 6 GetAttr; README and tests",
-    "controller.ZoneController.health_for": "tests only: one agent's health machine",
     "counters.CounterOverheadModel.disabled": "tests only: the zero-cost model",
     "counters.CounterSnapshot.from_dict": "tests only: build a snapshot from a dict",
     "counters.diff_snapshots": "tests only: per-attr deltas of two snapshots",
@@ -35,9 +31,6 @@ UNCALLED = {
     "diagnosis.tickets.DiagnosisStep.tenant_ids": "tests only: tenants in one step",
     "diagnosis.tickets.TicketAggregator.cost_estimate": "tests only: plan cost",
     "extensions.PacketSizeHistogram.fraction_below": "tests only: histogram CDF",
-    "health.AgentHealth.state_sequence": "tests only: transition history",
-    "health.ZoneHealth.state_sequence": "tests only: transition history",
-    "net.protocol.extract_trace": "no caller at all: trace field parser",
     "store.TimeSeriesStore.append_row": "tests only: columnar append",
     "store.TimeSeriesStore.changed_since": "tests only: snapshot-form delta read",
     "tiers.TierConfig.retention_slots": "tests only: slots across all tiers",

@@ -978,10 +978,10 @@ class TestRefusalIsOneFailedSync:
                 assert zone.mirror_for("m1").store.element_ids()
                 mirror = zone.mirror_for("m2")
                 assert mirror.failed_syncs == 1
-                assert isinstance(mirror.last_error, PeerRefused)
-                assert "injected serve failure" in str(mirror.last_error)
-                assert zone.health_for("m2").state == DEGRADED
-                assert zone.health_for("m1").state == HEALTHY
+                assert isinstance(mirror.health.last_error, PeerRefused)
+                assert "injected serve failure" in str(mirror.health.last_error)
+                assert mirror.health.state == DEGRADED
+                assert zone.mirror_for("m1").health.state == HEALTHY
             finally:
                 for handle in handles.values():
                     handle.close()
@@ -1213,8 +1213,8 @@ class TestNegotiation:
         assert asked == [OP_HELLO]
         assert (mirror.syncs, mirror.failed_syncs) == (0, 1)
         assert mirror.health.total_failures == 1
-        assert isinstance(mirror.last_error, ProtocolError)
-        assert mirror.last_error.op == OP_HELLO
+        assert isinstance(mirror.health.last_error, ProtocolError)
+        assert mirror.health.last_error.op == OP_HELLO
         assert len(mirror.store) == 0
 
     @pytest.mark.parametrize(
