@@ -189,8 +189,6 @@ class Channel:
 
     def _draw_fault(self) -> Optional[str]:
         plan = self.fault_plan
-        if not plan.active:
-            return None
         draw = self.rng.random()
         if draw < plan.error_rate:
             return "error"
@@ -238,20 +236,37 @@ class Channel:
 
         Every read draws one latency from the access path's profile and
         charges its CPU cost — the Figure 9 response time and the
-        Figure 16 per-poll cost.
+        Figure 16 per-poll cost.  Without an active fault plan that is
+        the whole read, written out in this one frame: the element's
+        snapshot (a restamped cache hit when it did not change), one
+        ``lognormvariate`` draw and three accumulations — every sweep
+        pays it once per channel.
 
         A stale fault re-serves the previously read snapshot unchanged
         (same seq, original observation time), which the store then
         delta-compresses away: the element simply stops producing fresh
         data, exactly what a wedged counter source looks like.
         """
+        if self.fault_plan.active:
+            return self._read_faulty(timestamp)
+        snap = self._last_snapshot = self.element.snapshot_versioned(timestamp)
+        spec = self.spec
+        latency = self.rng.lognormvariate(self._log_median, spec.sigma)
+        self.reads += 1
+        self.total_latency_s += latency
+        self.total_cpu_s += spec.cpu_cost_s
+        if obs.enabled():
+            obs.observe(READ_LATENCY_METRIC, latency, kind=self.element.kind)
+        return snap, latency
+
+    def _read_faulty(self, timestamp: float) -> Tuple[CounterSnapshot, float]:
+        """:meth:`read_versioned` under an active plan: the fault draw first."""
         stale = self._prefault()
         if stale and self._last_snapshot is not None:
             self.stale_reads += 1
             snap = self._last_snapshot
         else:
-            snap = self.element.snapshot_versioned(timestamp)
-            self._last_snapshot = snap
+            snap = self._last_snapshot = self.element.snapshot_versioned(timestamp)
         return snap, self._account_read()
 
     def _account_read(self) -> float:

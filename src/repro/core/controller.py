@@ -691,9 +691,10 @@ class ZoneController:
         """Phase-1 roll-up: rates + health straight off the mirrors.
 
         The cheap half of two-phase streaming diagnosis: no Algorithm-1
-        scan, no agent RPC, no window advance — just the memoized
-        trailing-window scalars every machine's mirror already holds
-        (agents push deltas on change, so the mirrors are current).
+        scan, no agent RPC, no window advance — just the trailing-window
+        receive deltas read off the columns every machine's mirror
+        already holds (agents push deltas on change, so the mirrors are
+        current).
         ``now`` (the caller's clock — simulated time in tests) turns on
         the per-machine ``age_s`` staleness signal: the daemon's
         detector reads it to catch machines that silently stopped
@@ -728,10 +729,12 @@ class ZoneController:
         """Summarize ``(machine, scan report or None)`` pairs and stamp
         the zone's next report ``seq``.
 
-        Each machine costs O(elements) memoized lookups on its trailing
-        mirror window — the entire per-machine cost of the coarse
-        monitoring phase.  A scan report supplies confidence, ranked
-        loss, missing elements and verdicts; without one, confidence
+        Each machine costs one pass over its mirror's ring columns
+        (:meth:`TimeSeriesStore.trailing_rx_deltas`: per element, the
+        trailing window's receive deltas, no snapshot built) — the
+        entire per-machine cost of the coarse monitoring phase.  A scan
+        report supplies confidence, ranked loss, missing elements and
+        verdicts; without one, confidence
         follows agent health and the loss is the window's own.  ``now``
         turns on ``age_s``, the age of the freshest sample.
         """
@@ -746,20 +749,13 @@ class ZoneController:
         summaries: Dict[str, MachineSummary] = {}
         for machine, report in reports:
             mirror = self.mirror_for(machine)
+            deltas, last_ts = mirror.store.trailing_rx_deltas(window_s)
             rx_pkts = rx_bytes = lost = 0.0
-            elements = 0
-            last_ts: Optional[float] = None
-            for eid in mirror.store.element_ids():
-                try:
-                    win = mirror.store.window_ending_now(eid, window_s)
-                except StoreError:
-                    continue
-                elements += 1
-                rx_pkts += win.delta("rx_pkts")
-                rx_bytes += win.delta("rx_bytes")
-                lost += max(0.0, win.pkt_loss())
-                ts = win.end.timestamp
-                last_ts = ts if last_ts is None else max(last_ts, ts)
+            for d_pkts, d_bytes, growth in deltas:
+                rx_pkts += d_pkts
+                rx_bytes += d_bytes
+                lost += max(0.0, growth)
+            elements = len(deltas)
             health = mirror.health.state
             if report is None:
                 confidence = (

@@ -126,11 +126,14 @@ class CounterSnapshot:
         """The same counter state re-observed at a later time (shares attrs)."""
         if timestamp == self.timestamp:
             return self
-        # Built directly: dataclasses.replace re-derives the field list
-        # on every call, and the sweep restamps every unchanged element.
-        return CounterSnapshot(
-            self.element_id, self.machine, self.seq, timestamp, self.attrs
-        )
+        # The sweep restamps every unchanged element on every read, so
+        # the copy skips the frozen __init__, which sets each field
+        # through object.__setattr__: the fields are copied as a dict.
+        snap = object.__new__(type(self))
+        fields = snap.__dict__
+        fields.update(self.__dict__)
+        fields["timestamp"] = timestamp
+        return snap
 
     def subset(self, attrs: Iterable[str]) -> "CounterSnapshot":
         """The same snapshot restricted to the requested attributes.

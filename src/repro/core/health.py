@@ -138,7 +138,6 @@ class Liveness:
         self._lock = threading.Lock()
         self.state = HEALTHY
         self.consecutive_failures = 0
-        self.total_failures = 0
         self.last_error: Optional[BaseException] = None
         #: Time of the last proof of life, or of :meth:`arm` if later.
         self.last_success_ts: Optional[float] = None
@@ -168,7 +167,6 @@ class Liveness:
     def record_failure(self, error: Optional[BaseException] = None) -> str:
         """One failed exchange, one missed unit; returns the state."""
         with self._lock:
-            self.total_failures += 1
             self.consecutive_failures += 1
             if error is not None:
                 self.last_error = error

@@ -72,6 +72,10 @@ RESET_SENTINEL_ATTRS = (
     "out_time",
 )
 
+#: What the coarse zone report adds up per element, in this order
+#: (:meth:`TimeSeriesStore.trailing_rx_deltas`).
+RX_ATTRS = ("rx_pkts", "rx_bytes", "tx_pkts")
+
 #: One element's slice of a delta batch, shaped for the wire codec:
 #: ``(element_id, machine, attr_names, rows)`` where every row is
 #: ``(seq, timestamp, values)`` with ``values`` position-aligned to
@@ -102,7 +106,9 @@ class _Schema:
     editing this one.
     """
 
-    __slots__ = ("names", "index", "stride", "sentinel_cols", "absent_row", "layouts")
+    __slots__ = (
+        "names", "index", "stride", "sentinel_cols", "rx_cols", "absent_row", "layouts"
+    )
 
     def __init__(self, names: Tuple[str, ...]) -> None:
         self.names = names
@@ -113,6 +119,8 @@ class _Schema:
             for name in RESET_SENTINEL_ATTRS
             if name in self.index
         )
+        #: Column of each of :data:`RX_ATTRS`, -1 where there is none.
+        self.rx_cols = tuple(self.index.get(name, -1) for name in RX_ATTRS)
         self.absent_row = array("d", [ABSENT]) * self.stride
         self.layouts: Dict[Tuple[str, ...], _Layout] = {}
 
@@ -151,6 +159,19 @@ def _schema_for(names: Tuple[str, ...]) -> _Schema:
     if schema is None:
         schema = _SCHEMAS.setdefault(names, _Schema(names))
     return schema
+
+
+def _cells(values: array, base: int, cols: Tuple[int, ...]) -> List[float]:
+    """One row's cells as :meth:`CounterSnapshot.get` reads them.
+
+    An ABSENT (NaN) cell materializes as a missing attr, so it reads
+    0.0; so does a column the schema lacks (-1).
+    """
+    out = []
+    for col in cols:
+        value = values[base + col] if col >= 0 else 0.0
+        out.append(value if value == value else 0.0)
+    return out
 
 
 class _ElementSeries:
@@ -329,6 +350,21 @@ class _ElementSeries:
         stride = self.schema.stride
         base = self._slot(i) * stride
         return self.values[base: base + stride]
+
+    def trailing_start(self, duration_s: float) -> int:
+        """Logical index of the row a trailing ``duration_s`` window starts at.
+
+        The newest row at least ``duration_s`` older than the newest
+        one, or the oldest row when the ring does not reach back that
+        far.  The series must hold a row.
+        """
+        last = self.count - 1
+        stamps, start, cap = self.stamps, self.start, self.capacity
+        t0 = stamps[(start + last) % cap] - duration_s + 1e-12
+        for i in range(last, -1, -1):
+            if stamps[(start + i) % cap] <= t0:
+                return i
+        return 0
 
     def materialize(self, i: int) -> CounterSnapshot:
         # 1 for the newest row, 0 for the one before it, < 0 for older
@@ -618,19 +654,50 @@ class TimeSeriesStore:
             memo = series._win_memo
             if memo is not None and memo[0] == duration_s:
                 return memo[1]
-            last = series.count - 1
-            stamps, start, cap = series.stamps, series.start, series.capacity
-            t0 = stamps[(start + last) % cap] - duration_s + 1e-12
-            start_i = 0
-            for i in range(last, -1, -1):
-                if stamps[(start + i) % cap] <= t0:
-                    start_i = i
-                    break
             win = CounterWindow(
-                start=series.materialize(start_i), end=series.materialize(last)
+                start=series.materialize(series.trailing_start(duration_s)),
+                end=series.materialize(series.count - 1),
             )
             series._win_memo = (duration_s, win)
             return win
+
+    def trailing_rx_deltas(
+        self, duration_s: float
+    ) -> Tuple[List[Tuple[float, float, float]], Optional[float]]:
+        """Every element's trailing-window receive deltas, off the columns.
+
+        Returns, per element holding a row and in sorted id order,
+        ``(rx_pkts delta, rx_bytes delta, (rx_pkts - tx_pkts) growth)``
+        over the window :meth:`window_ending_now` would give, plus the
+        newest row's timestamp over those elements (None for none).
+        The three numbers are bit for bit that window's
+        ``delta("rx_pkts")``, ``delta("rx_bytes")`` and ``pkt_loss()``:
+        an ABSENT cell (or a column the schema lacks) reads 0.0, as
+        :meth:`CounterSnapshot.get` reads a missing attr, and the
+        subtractions run in the same order.  Read from the ring arrays
+        under one lock hold: no snapshot or window is built.
+        """
+        if duration_s <= 0:
+            raise ValueError(f"window duration must be positive: {duration_s!r}")
+        out: List[Tuple[float, float, float]] = []
+        last_ts: Optional[float] = None
+        with self._lock:
+            for eid in sorted(self._series):
+                series = self._series[eid]
+                if not series.count:
+                    continue
+                stride, cols = series.schema.stride, series.schema.rx_cols
+                newest = series._slot(series.count - 1)
+                rx0, b0, tx0 = _cells(
+                    series.values,
+                    series._slot(series.trailing_start(duration_s)) * stride,
+                    cols,
+                )
+                rx1, b1, tx1 = _cells(series.values, newest * stride, cols)
+                out.append((rx1 - rx0, b1 - b0, (rx1 - tx1) - (rx0 - tx0)))
+                ts = series.stamps[newest]
+                last_ts = ts if last_ts is None else max(last_ts, ts)
+        return out, last_ts
 
     # -- delta-batched collection -------------------------------------------------
 

@@ -399,54 +399,57 @@ class Element(Component):
             snap["capacity_bps"] = self.rate_bps
         return snap
 
-    def _state_stamp(self) -> Optional[tuple]:
-        """Everything :meth:`Element.snapshot` reads, as a cheap tuple.
-
-        ``None`` means the stamp cannot vouch for the snapshot: custom
-        counters carry state of their own, and a subclass (or instance)
-        overriding :meth:`snapshot` may read gauges the stamp does not
-        know about.  Those elements always take the full compare.
-        """
-        if self.custom_counters or (
-            getattr(self.snapshot, "__func__", None) is not Element.snapshot
-        ):
-            return None
-        counters, buf = self.counters, self.in_buf
-        if buf is None:
-            return (counters, counters.version, None, self.rate_bps)
-        return (counters, counters.version, buf, buf.pkts, buf.nbytes, self.rate_bps)
-
     def snapshot_versioned(self, timestamp: float) -> CounterSnapshot:
         """Typed snapshot with a monotonic per-element sequence number.
 
         The sequence number advances only when the observable state
         (counters *or* gauges) changed since the previous read, so
         collectors can skip unchanged elements entirely — the primitive
-        behind the agent store's delta-batched uploads.  Re-reading an
-        unchanged element is nearly free: an equal state stamp (see
-        :meth:`_state_stamp`) reuses the cached snapshot without building
-        anything, only restamped with the new observation time.  A
-        differing or untrusted stamp falls through to the full attribute
-        compare, which alone decides whether ``seq`` advances (a
-        zero-size increment bumps the counter version but not ``seq``).
+        behind the agent store's delta-batched uploads.
+
+        Re-reading an unchanged element is nearly free.  The state stamp
+        is everything :meth:`Element.snapshot` reads, as a tuple (the
+        counter set and its version, the input buffer and its occupancy,
+        ``rate_bps``); an equal stamp reuses the cached snapshot without
+        building anything, only restamped with the new observation time.
+        The stamp cannot vouch for an element with custom counters
+        (they carry state of their own) or one whose class or instance
+        replaces :meth:`snapshot` (it may read gauges the stamp does not
+        know about), so those get no stamp.  A differing or missing
+        stamp falls through to the full attribute compare, which alone
+        decides whether ``seq`` advances (a zero-size increment bumps
+        the counter version but not ``seq``).
         """
         cached = self._snap_cache
-        stamp = self._state_stamp()
-        # Three screens, cheapest first; each runs only if the last failed.
-        unchanged = (
-            cached is not None and stamp is not None and stamp == self._snap_stamp
-        )
+        if (
+            self.custom_counters
+            or "snapshot" in self.__dict__
+            or type(self).snapshot is not Element.snapshot
+        ):
+            stamp = None
+        else:
+            counters, buf = self.counters, self.in_buf
+            if buf is None:
+                stamp = (counters, counters.version, None, self.rate_bps)
+            else:
+                stamp = (
+                    counters, counters.version, buf, buf.pkts, buf.nbytes,
+                    self.rate_bps,
+                )
+            if stamp == self._snap_stamp and cached is not None:
+                cached = self._snap_cache = cached.at(timestamp)
+                return cached
+        # Two more screens, cheapest first; each runs only if the last failed.
+        self._snap_stamp = stamp
+        raw = self.snapshot()
+        unchanged = cached is not None and cached.attrs == raw
         if not unchanged:
-            self._snap_stamp = stamp
-            raw = self.snapshot()
-            unchanged = cached is not None and cached.attrs == raw
-            if not unchanged:
-                # Gauges may arrive as ints; normalize so a snapshot
-                # serializes identically on both sides of the wire
-                # (mirror byte-equality).  The normalized dict decides:
-                # an int gauge beyond 2**53 differs raw but not as float.
-                attrs = {k: float(v) for k, v in raw.items()}
-                unchanged = cached is not None and cached.attrs == attrs
+            # Gauges may arrive as ints; normalize so a snapshot
+            # serializes identically on both sides of the wire
+            # (mirror byte-equality).  The normalized dict decides:
+            # an int gauge beyond 2**53 differs raw but not as float.
+            attrs = {k: float(v) for k, v in raw.items()}
+            unchanged = cached is not None and cached.attrs == attrs
         if unchanged:
             cached = self._snap_cache = cached.at(timestamp)
             return cached

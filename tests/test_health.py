@@ -31,7 +31,7 @@ class TestAgentHealth:
         assert h.record_failure() == DEAD  # AGENT_DEAD_AFTER = 3
         assert h.record_failure() == DEAD  # no duplicate transition
         assert h.transitions == [(HEALTHY, DEGRADED), (DEGRADED, DEAD)]
-        assert h.consecutive_failures == 4 and h.total_failures == 4
+        assert h.consecutive_failures == 4
 
     def test_recovery_from_dead(self):
         h = Liveness.for_agent("m1")
@@ -48,10 +48,11 @@ class TestAgentHealth:
         h = Liveness.for_agent("m1")
         h.record_failure()
         h.record_failure()
+        assert h.consecutive_failures == 2
         h.record_success()
+        assert h.consecutive_failures == 0
         assert h.record_failure() == DEGRADED  # streak restarted, not DEAD
         assert h.consecutive_failures == 1
-        assert h.total_failures == 3
 
     def test_last_error_retained(self):
         h = Liveness.for_agent("m1")

@@ -1,5 +1,6 @@
 """Typed snapshots, counter windows, and the agent time-series store."""
 
+import dataclasses
 import sys
 import threading
 
@@ -29,6 +30,10 @@ class TestCounterSnapshot:
         assert later.timestamp == 2.5
         assert later.seq == s.seq
         assert later.attrs is s.attrs
+        assert later == CounterSnapshot(s.element_id, s.machine, s.seq, 2.5, s.attrs)
+        assert s.timestamp == 0.0  # the copy, not the original, moved
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            later.timestamp = 3.0
         assert s.at(0.0) is s
 
     def test_subset_keeps_only_present_attrs(self):

@@ -1212,7 +1212,7 @@ class TestNegotiation:
                 assert mirror.sync() == 0
         assert asked == [OP_HELLO]
         assert (mirror.syncs, mirror.failed_syncs) == (0, 1)
-        assert mirror.health.total_failures == 1
+        assert mirror.health.consecutive_failures == 1
         assert isinstance(mirror.health.last_error, ProtocolError)
         assert mirror.health.last_error.op == OP_HELLO
         assert len(mirror.store) == 0
