@@ -257,7 +257,9 @@ def cmd_scale(args: argparse.Namespace) -> int:
 
 
 def print_scale(result, as_json: bool) -> int:
-    """Exit status 1 when the roll-up's verdicts diverge from flat."""
+    """Exit status 1 when the roll-up's verdicts diverge from flat, or
+    when the final roll-up (after the rebalance, when there is one)
+    flags any machine's verdict as resting on degraded data."""
     if as_json:
         _print_json(result)
         return 0
@@ -298,7 +300,8 @@ def print_scale(result, as_json: bool) -> int:
         print(f"  p99 loss rate: {r['loss_rate_p99']:.4f}")
     for machine, verdict in r["verdicts"]:
         print(f"  {machine}: {verdict}")
-    return 0 if result["verdicts_equal_flat"] else 1
+    ok = result["verdicts_equal_flat"] and not r["degraded_machines"]
+    return 0 if ok else 1
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:

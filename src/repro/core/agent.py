@@ -130,6 +130,9 @@ class Agent:
         self._push_handle: Optional[PeriodicHandle] = None
         self._push_target: Optional[PushTarget] = None
         self._push_acked: Dict[str, int] = {}
+        # The target that acknowledged _push_acked; a cursor is only
+        # good for the mirror that confirmed it.
+        self._push_acked_by: Optional[PushTarget] = None
         # (store, its total_appended, the ack cursor) when a push tick
         # last found nothing to ship: while all three still match, the
         # next tick has nothing to ship either (see push_once).
@@ -374,6 +377,13 @@ class Agent:
         non-number ``TypeError``) here, not later in the push thread.
         Returns the cancel handle (also kept for :meth:`stop_pushing`).
 
+        The ack cursor belongs to the target that acknowledged it.
+        Restarting the push to the same target after
+        :meth:`stop_pushing` keeps it; a different target starts from an
+        empty cursor, as a re-home does (below), so the new zone's
+        mirror receives the agent's retained history, not only the
+        changes after the switch.
+
         Failure handling: consecutive failed pushes back the loop off
         exponentially (``retry.backoff_s`` with the simulator's RNG for
         jitter — ticks inside the backoff window skip without touching
@@ -396,6 +406,9 @@ class Agent:
             raise ValueError(f"rehome_after must be >= 1: {rehome_after!r}")
         if self._push_handle is not None and self._push_handle.active:
             raise RuntimeError(f"agent {self.name!r} is already pushing")
+        if zone is not self._push_acked_by:
+            self._push_acked = {}
+            self._push_acked_by = zone
         self._push_target = zone
         self._push_resolver = resolver
         self._push_retry = retry if retry is not None else _default_push_retry()
@@ -520,6 +533,7 @@ class Agent:
             return
         self._push_target = target
         self._push_acked = {}
+        self._push_acked_by = target
         self.push_health = Liveness(self.push_health.dead_after)
         self._push_backoff_until = 0.0
         self.total_rehomes += 1

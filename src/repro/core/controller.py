@@ -32,14 +32,18 @@ the caller's advance, then :meth:`ZoneController.close_window`.
 The collection plane is also *concurrent*: against a fleet, one slow or
 dead agent must not stretch a refresh from max(RTT) to sum(RTT), so
 :meth:`ZoneController.refresh_concurrent` fans the per-machine syncs
-out over a bounded worker pool of ``ZoneController.max_workers``.  Each
-mirror carries its own lock, so a fan-out worker and a lazy
-``mirror_latest`` refresh never interleave inside one mirror's sync;
-cross-mirror state (``store``, ``health``) is independently
-thread-safe.  :meth:`ZoneController.refresh_report` exposes the
-per-machine breakdown, and :meth:`ZoneController.diagnose_fleet` runs
-Algorithm 1 across the whole fleet with the per-machine scans fanned
-out around a single shared window advance.
+of remote (or otherwise blocking) handles out over a bounded worker
+pool of ``ZoneController.max_workers``.  A machine served by an
+in-process :class:`~repro.core.agent.Agent` is synced on the calling
+thread instead: its work holds the GIL throughout, so a thread would
+overlap nothing and only add hand-offs.  Each mirror carries its own
+lock, so a fan-out worker and a lazy ``mirror_latest`` refresh never
+interleave inside one mirror's sync; cross-mirror state (``store``,
+``health``) is independently thread-safe.
+:meth:`ZoneController.refresh_report` exposes the per-machine
+breakdown, and :meth:`ZoneController.diagnose_fleet` runs Algorithm 1
+across the whole fleet with the per-machine scans fanned out the same
+way around a single shared window advance.
 
 At fleet scale the flat design stops working: one process holding 500+
 mirrors and polling 500+ agents per round is both a memory and a
@@ -478,8 +482,10 @@ class ZoneController:
 
         The parent ``controller.refresh`` span brackets the fan-out;
         each machine's ``mirror.sync`` span lands beneath it (trace
-        context is propagated into the pool workers), so a slow agent is
-        visible as the long child bar in the span tree.
+        context is copied into every task, pooled or inline), so a slow
+        agent is visible as the long child bar in the span tree.
+        ``concurrent`` asks for the fan-out, which still syncs
+        in-process agents on this thread (see :meth:`_fan_out`).
         """
         machines = (
             list(machine_names) if machine_names is not None else self.machines()
@@ -531,23 +537,45 @@ class ZoneController:
         tasks: List[Tuple[str, Callable[[str], "T"]]],
         max_workers: Optional[int] = None,
     ) -> Tuple[Dict[str, "T"], int]:
-        """Run ``fn(label)`` for every (label, fn) over the worker pool.
+        """Run ``fn(machine)`` for every (machine, fn) task.
 
-        Returns results keyed by label plus the peak number of
-        simultaneously-active workers (the saturation figure reported as
-        :attr:`RefreshReport.peak_workers`).  The submitting thread's trace
-        context is copied into each worker, so spans opened inside the
-        work parent on the caller's span — one fresh context copy per
-        task, since a single Context cannot be entered concurrently.
+        Only what can wait goes to a thread.  A task whose machine is
+        served by an in-process :class:`Agent` runs on the calling
+        thread: its work holds the GIL from start to end, so a worker
+        would add hand-offs and overlap nothing.  Every other handle (a
+        remote agent, or a wrapper that may block) goes to a pool of at
+        most ``max_workers`` threads, created only when something is
+        pooled.  The pooled tasks are submitted first, so their waits
+        overlap the inline work; then the inline tasks run; then the
+        futures are collected.
 
-        Worker exceptions propagate to the caller: the fan-out units
+        Returns results keyed by machine, in ``tasks`` order, plus the
+        peak number of simultaneously-active workers (the saturation
+        figure reported as :attr:`RefreshReport.peak_workers`), counting
+        the caller as one worker when it ran a task.  Every task, inline
+        or pooled, runs in its own copy of the caller's context, so
+        spans opened inside the work parent on the caller's span — one
+        fresh copy per task, since a single Context cannot be entered
+        concurrently.
+
+        Task exceptions propagate to the caller: the fan-out units
         (sync, diagnosis scans) already convert expected collection
         failures into health state, so anything escaping is a bug.
         """
         width = max_workers if max_workers is not None else self.max_workers
         if width < 1:
             raise ValueError(f"max_workers must be >= 1: {width!r}")
-        width = min(width, max(len(tasks), 1))
+        inline: List[Tuple[str, Callable[[str], "T"]]] = []
+        pooled: List[Tuple[str, Callable[[str], "T"]]] = []
+        for task in tasks:
+            local = isinstance(self._agents.get(task[0]), Agent)
+            (inline if local else pooled).append(task)
+        if not pooled:
+            results = {
+                label: contextvars.copy_context().run(fn, label)
+                for label, fn in tasks
+            }
+            return results, 1 if tasks else 0
         workers = {"active": 0, "peak": 0}
         workers_lock = threading.Lock()
 
@@ -561,8 +589,10 @@ class ZoneController:
                 with workers_lock:
                     workers["active"] -= 1
 
+        done: Dict[str, "T"] = {}
         with ThreadPoolExecutor(
-            max_workers=width, thread_name_prefix=f"{self.name}-worker"
+            max_workers=min(width, len(pooled)),
+            thread_name_prefix=f"{self.name}-worker",
         ) as pool:
             futures = [
                 (
@@ -571,10 +601,14 @@ class ZoneController:
                         contextvars.copy_context().run, tracked, fn, label
                     ),
                 )
-                for label, fn in tasks
+                for label, fn in pooled
             ]
-            results = {label: future.result() for label, future in futures}
-        return results, workers["peak"]
+            for label, fn in inline:
+                done[label] = contextvars.copy_context().run(fn, label)
+            for label, future in futures:
+                done[label] = future.result()
+        peak = max(workers["peak"], 1 if inline else 0)
+        return {label: done[label] for label, _ in tasks}, peak
 
     # -- fleet diagnosis -------------------------------------------------------------
 
@@ -656,9 +690,9 @@ class ZoneController:
     def diagnose_fleet(
         self, advance: Callable[[float], None], window_s: float = 1.0
     ):
-        """Algorithm 1 across the fleet, scans fanned out concurrently.
+        """Algorithm 1 across the fleet, scans fanned out.
 
-        Every machine's window-opening ``begin`` runs (in parallel)
+        Every machine's window-opening ``begin`` runs (fanned out)
         before ``advance`` moves time ONCE, then every window-closing
         ``finish`` runs — so all per-machine reports measure the same
         interval, which is what makes their verdicts comparable.  The

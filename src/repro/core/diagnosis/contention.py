@@ -138,8 +138,9 @@ class ContentionDetector:
     ) -> ContentionReport:
         """:meth:`finish` wrapped in the per-machine span.
 
-        Used by fleet mode, where begin and finish run in different
-        worker threads so one span cannot bracket the whole scan.
+        Used by fleet mode, where begin and finish are separate fan-out
+        tasks (for a remote agent, on different worker threads), so one
+        span cannot bracket the whole scan.
         """
         with obs.span("diagnosis.contention", machine=machine_name) as sp:
             report = self.finish(machine_name, opened)

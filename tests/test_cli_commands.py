@@ -251,6 +251,8 @@ class TestHeavyCommands:
         assert losses == sorted(losses, reverse=True)
         assert droppers[0][0] == rollup["worst_machine"]
         assert 0.0 <= rollup["loss_rate_p99"] <= 1.0
+        # The rebalance round reads every moved machine from full data.
+        assert doc["rebalance_moves"] and rollup["degraded_machines"] == []
 
     def test_scale_human_report(self, capsys, scale_run):
         assert cli.print_scale(scale_run, as_json=False) == 0
@@ -259,6 +261,14 @@ class TestHeavyCommands:
         assert "verdicts vs flat controller on the same window: EQUAL" in out
         assert "rebalance: last zone left" in out
         assert f"top droppers (pkts): {scale_run['rollup']['worst_machine']} " in out
+
+    def test_scale_exits_1_on_a_degraded_rollup(self, capsys, scale_run):
+        degraded = {
+            **scale_run,
+            "rollup": {**scale_run["rollup"], "degraded_machines": ["host-002"]},
+        }
+        assert cli.print_scale(degraded, as_json=False) == 1
+        capsys.readouterr()
 
     def test_chaos_json_self_heals_and_writes_nothing(self, capsys, chaos_run):
         result, before = chaos_run

@@ -6,7 +6,9 @@ the schedule differs), the per-mirror locks keep overlapping refreshes
 from corrupting any single mirror, health transitions stay consistent
 under parallel syncs around an agent crash/restart, and
 ``diagnose_fleet`` produces per-machine Algorithm-1 reports that all
-measured the same shared window.
+measured the same shared window.  Only blocking handles are fanned out
+to worker threads: a machine served by an in-process agent runs its
+task on the calling thread.
 """
 
 import threading
@@ -15,7 +17,9 @@ import time
 import pytest
 
 from repro import obs
+from repro.core import controller as controller_module
 from repro.core.controller import ZoneController
+from repro.core.diagnosis.contention import ContentionDetector
 from repro.core.health import DEAD, DEGRADED, HEALTHY
 from repro.middleboxes.proxy import Proxy
 from repro.scenarios.common import Harness
@@ -72,8 +76,14 @@ class BarrierHandle(FlakyHandle):
         return super().collect_blocks(acked)
 
 
-def build_fleet(n_machines=3, handle_cls=FlakyHandle, **handle_kwargs):
-    """A fleet harness whose controller sees wrapped agent handles."""
+def build_fleet(
+    n_machines=3, handle_cls=FlakyHandle, wrapped=None, **handle_kwargs
+):
+    """A fleet harness whose controller sees wrapped agent handles.
+
+    ``wrapped`` picks the machine indices behind a ``handle_cls``
+    wrapper (default: all); the others register their in-process agent.
+    """
     h = Harness()
     controller = ZoneController("fleet-test")
     handles = {}
@@ -82,7 +92,10 @@ def build_fleet(n_machines=3, handle_cls=FlakyHandle, **handle_kwargs):
         machine = h.add_machine(name)
         vm = machine.add_vm("vm0", vcpu_cores=1.0)
         h.register_app(Proxy(h.sim, vm, f"proxy{i}"))
-        handles[name] = handle_cls(h.agents[name], **handle_kwargs)
+        if wrapped is None or i in wrapped:
+            handles[name] = handle_cls(h.agents[name], **handle_kwargs)
+        else:
+            handles[name] = h.agents[name]
         controller.register_agent(name, handles[name])
     h.advance(0.5)
     for agent in h.agents.values():
@@ -285,3 +298,102 @@ class TestDiagnoseFleet:
         assert len(scans) == 2
         for scan in scans:
             assert scan.trace_id == parent.trace_id
+
+
+def mirror_rows(controller):
+    return {
+        name: (
+            controller.mirror_for(name).acked,
+            [
+                (snap.element_id, snap.seq, snap.timestamp, dict(snap.attrs))
+                for snap in controller.mirror_for(name).store.changed_since({})
+            ],
+        )
+        for name in controller.machines()
+    }
+
+
+class TestInProcessAgentsRunInline:
+    """An in-process agent's work holds the GIL throughout, so its
+    fan-out task runs on the calling thread; a thread would only add
+    hand-offs."""
+
+    def test_no_pool_for_in_process_agents(self, monkeypatch):
+        h, controller, _ = build_fleet(3, wrapped=())
+
+        def no_pool(*_args, **_kwargs):
+            raise AssertionError("a worker pool was created")
+
+        monkeypatch.setattr(controller_module, "ThreadPoolExecutor", no_pool)
+        threads = []
+
+        def on_caller(fn):
+            def run(self, *args):
+                threads.append(threading.current_thread())
+                return fn(self, *args)
+            return run
+
+        monkeypatch.setattr(
+            ZoneController, "_sync_one", on_caller(ZoneController._sync_one)
+        )
+        for name in ("begin", "finish_observed"):
+            monkeypatch.setattr(
+                ContentionDetector, name,
+                on_caller(getattr(ContentionDetector, name)),
+            )
+        report = controller.refresh_report(max_workers=4)
+        assert report.concurrent and report.peak_workers == 1
+        assert report.failed == []
+        scan = controller.begin_fleet_scan(window_s=0.25)
+        assert scan.peak_workers == 1
+        h.advance(0.25)
+        diagnosis = controller.finish_fleet_scan(scan)
+        assert diagnosis.machines == ["m0", "m1", "m2"]
+        assert diagnosis.peak_workers == 1
+        # 3 syncs, 3 begins, 3 finishes: all on this thread.
+        assert threads == [threading.current_thread()] * 9
+        assert not [
+            t for t in threading.enumerate()
+            if t.name.startswith("fleet-test-worker")
+        ]
+
+    def test_mixed_zone_pools_only_the_blocking_handles(self):
+        """Two barrier handles and two in-process agents, interleaved:
+        the barrier needs both blocking syncs in the pool at once, and
+        the inline syncs must not take a pool slot from them."""
+        barrier = threading.Barrier(2, timeout=10)
+        h, controller, _ = build_fleet(
+            4, handle_cls=BarrierHandle, wrapped=(0, 2), barrier=barrier
+        )
+        serial = ZoneController("serial")
+        for name in controller.machines():
+            serial.register_agent(name, h.agents[name])
+        report = controller.refresh_report(max_workers=2)
+        assert not barrier.broken
+        assert report.failed == []
+        assert report.peak_workers == 2
+        assert list(report.machines) == ["m0", "m1", "m2", "m3"]
+        assert serial.refresh() == report.total_snapshots
+        assert mirror_rows(controller) == mirror_rows(serial)
+
+    def test_inline_exception_reaches_the_caller(self, monkeypatch):
+        h, controller, _ = build_fleet(3, wrapped=(0,))
+
+        def broken(acked=None):
+            raise ValueError("agent-side bug")
+
+        monkeypatch.setattr(h.agents["m1"], "collect_blocks", broken)
+        with pytest.raises(ValueError, match="agent-side bug"):
+            controller.refresh_report()
+
+    def test_inline_spans_parent_on_the_refresh(self):
+        _, controller, _ = build_fleet(3, wrapped=())
+        with obs.installed() as hub:
+            controller.refresh_concurrent()
+        (parent,) = hub.spans.by_name("controller.refresh")
+        assert parent.attrs["mode"] == "concurrent"
+        syncs = hub.spans.by_name("mirror.sync")
+        assert len(syncs) == 3
+        for sync in syncs:
+            assert sync.trace_id == parent.trace_id
+            assert sync.parent_id == parent.span_id

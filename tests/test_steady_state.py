@@ -12,7 +12,8 @@ histories:
   before every tick, so it drains every time.
 
 Plus the push path's ack race: a sweep on another thread that lands
-while a push collects its blocks must not be acknowledged unshipped.
+while a push collects its blocks must not be acknowledged unshipped,
+and the ack cursor belongs to the target that acknowledged it.
 """
 
 import struct
@@ -354,3 +355,29 @@ class TestPushAckRace:
         # ...so the next tick ships the racer's row.
         agent.push_once()
         assert target.store.cursor() == store.cursor() == agent._push_acked
+
+
+class TestPushCursorOwner:
+    def test_retarget_replays_retained_rows(self):
+        sim, box, agent, (first, _) = push_world(Agent, 1)
+        box.elements[0].counters.count_rx(1.0, 100.0)
+        agent.push_once()
+        assert first.store.cursor() == agent.store.cursor()
+        agent.stop_pushing()
+        other = Target()
+        agent.start_pushing(other, period_s=0.05)
+        # The new target acked nothing: it gets the retained history.
+        assert other.store.cursor() == agent.store.cursor()
+        assert other.rows() == first.rows()
+        agent.stop_pushing()
+
+    def test_restart_to_the_same_target_keeps_the_cursor(self):
+        sim, box, agent, (first, _) = push_world(Agent, 1)
+        box.elements[0].counters.count_rx(1.0, 100.0)
+        agent.push_once()
+        acked, pushes = agent._push_acked, agent.total_pushes
+        agent.stop_pushing()
+        agent.start_pushing(first, period_s=0.05)
+        assert agent._push_acked is acked
+        assert agent.total_pushes == pushes  # nothing new to ship
+        agent.stop_pushing()
